@@ -28,7 +28,12 @@ hungarian
     forbidden mask (shortest augmenting paths with potentials, O(n^3)).
 subset_dp
     Exact DP over task subsets for precedence-constrained minimization of any
-    per-(task, slot) separable cost, O(2^n * n).
+    per-(task, slot) separable cost, O(2^n * n). The numpy build sweeps the
+    subsets one popcount layer at a time: for each layer k and each task j in
+    ascending order it prices j as the last of every k-subset at once, so the
+    Python loop runs n^2 times instead of 2^n. It tracks reachable subsets
+    in a boolean array, so a true optimum at or above the numba build's 2^60
+    sentinel is still found rather than reported infeasible.
 """
 
 from __future__ import annotations
@@ -337,28 +342,30 @@ def _hungarian_np(cost):
 def _subset_dp_np(cost, pred_mask, allowed):
     n = cost.shape[0]
     size = 1 << n
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    popcnt = np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
-    f = np.full(size, INF, dtype=np.int64)
-    f[0] = 0
+    popcnt = np.bitwise_count(np.arange(size, dtype=np.uint64))  # uint8
+    f = np.zeros(size, dtype=np.int64)
+    reach = np.zeros(size, dtype=np.bool_)
+    reach[0] = True
     choice = np.full(size, -1, dtype=np.int8)
-    js = np.arange(n)
-    for mask in range(1, size):
-        k = popcnt[mask]
-        members = js[(mask & bits) != 0]
-        rest = mask ^ bits[members]
-        ok = (pred_mask[members] & ~rest) == 0
-        ok &= allowed[members, k - 1]
-        members = members[ok]
-        if members.size == 0:
-            continue
-        vals = f[mask ^ bits[members]] + cost[members, k - 1]
-        i = int(np.argmin(vals))
-        f[mask] = vals[i]
-        choice[mask] = members[i]
+    for k in range(1, n + 1):
+        layer = np.flatnonzero(popcnt == k)
+        for j in range(n):  # ascending j with a strict < keeps the first minimum
+            bit = 1 << j
+            pred = int(pred_mask[j])
+            if not allowed[j, k - 1] or pred & bit:
+                continue
+            need = bit | pred  # j is in the mask and its predecessors in the rest
+            masks = layer[(layer & need) == need]
+            masks = masks[reach[masks ^ bit]]
+            vals = f[masks ^ bit] + cost[j, k - 1]
+            better = ~reach[masks] | (vals < f[masks])
+            masks = masks[better]
+            f[masks] = vals[better]
+            reach[masks] = True
+            choice[masks] = j
     order = np.full(n, -1, dtype=np.int64)
     full = size - 1
-    if f[full] >= INF:
+    if not reach[full]:
         return order
     mask = full
     for k in range(n, 0, -1):
@@ -438,6 +445,13 @@ def subset_dp(
 
     ``pred_mask[j]`` holds one bit per predecessor of task j; ``allowed[j, k]``
     says task j may occupy slot k+1. Returns all -1s when infeasible.
+
+    f(A) = min over feasible last tasks j of f(A \\ {j}) + cost[j, |A| - 1].
+    The numpy build fills f layer by layer (|A| = 1..n); within a layer it
+    tries j = 0..n-1 and replaces the running best only on a strictly smaller
+    value. Ties therefore go to the smallest j, exactly as the numba build's
+    per-subset scan in ascending j breaks them, so both builds return
+    identical orders (for optima below that build's 2^60 sentinel).
     """
     cost = np.ascontiguousarray(cost, dtype=np.int64)
     pred_mask = np.ascontiguousarray(pred_mask, dtype=np.int64)

@@ -413,7 +413,7 @@ def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
                 file=sys.stderr,
             )
         base, _ = solve(profile, RuleSpec(rule, encoding))
-        schedule = repair_to_inferred(base, infer_precedences(profile))
+        schedule = repair_to_inferred(base, prec)
         cost = profile_cost(schedule, profile, criterion, encoding)
         return schedule, cost, "matching+repair"
 

@@ -66,6 +66,43 @@ class TestSolve:
         assert payload["schedule"] is None
         assert "infeasible" in err
 
+    def test_inferred_distance_repairs_the_matching(self, capsys, tmp_path):
+        # Both voters put 3 before 2; the matching optimum 1 2 3 4 does not.
+        path = tmp_path / "p.prof"
+        path.write_text("profile order\ntasks 4\nvoters 2\npref 1 : 3 2 1 4\npref 1 : 1 4 3 2\n")
+        code, out, _ = run(
+            capsys,
+            [
+                "solve", "--profile", str(path), "--rule", "distance",
+                "--encoding", "deviation", "--prec-mode", "inferred", "--format", "json",
+            ],
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["method"] == "matching+repair"
+        assert payload["schedule"] == [1, 3, 2, 4]
+        assert payload["cost"] == 8
+
+    def test_dp_optimum_at_two_to_the_60_is_feasible(self, capsys, tmp_path):
+        # The true optimum, 4 * 2**58, must not be mistaken for unreachable.
+        mult = 1 << 58
+        path = tmp_path / "huge.prof"
+        path.write_text(
+            f"profile order\ntasks 3\nvoters {2 * mult}\n"
+            f"pref {mult} : 1 2 3\npref {mult} : 3 2 1\n"
+        )
+        code, out, _ = run(
+            capsys,
+            [
+                "solve", "--profile", str(path), "--rule", "distance",
+                "--encoding", "deviation", "--method", "dp", "--format", "json",
+            ],
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["cost"] == 1 << 60
+        assert payload["schedule"] == [3, 2, 1]
+
     def test_dp_size_limit_exit_3(self, capsys, tmp_path):
         path = tmp_path / "big.prof"
         n = 21

@@ -95,6 +95,62 @@ class TestBackendParity:
         assert np.array_equal(outs["numpy"], outs["numba"])
 
 
+def reference_subset_dp(cost, pred_mask, allowed):
+    """The subset DP as a per-subset scan in plain Python, the tie-break reference.
+
+    Each subset takes as its last task the first j, in ascending order, that
+    reaches the minimum; ``None`` marks a subset no feasible order fills.
+    """
+    n = len(cost)
+    size = 1 << n
+    f = [None] * size
+    f[0] = 0
+    choice = [-1] * size
+    for mask in range(1, size):
+        k = bin(mask).count("1")
+        best, best_j = None, -1
+        for j in range(n):
+            bit = 1 << j
+            if not mask & bit:
+                continue
+            rest = mask ^ bit
+            if pred_mask[j] & ~rest or not allowed[j][k - 1] or f[rest] is None:
+                continue
+            val = f[rest] + cost[j][k - 1]
+            if best is None or val < best:
+                best, best_j = val, j
+        f[mask], choice[mask] = best, best_j
+    if f[size - 1] is None:
+        return [-1] * n
+    order, mask = [0] * n, size - 1
+    for k in range(n, 0, -1):
+        order[k - 1] = choice[mask]
+        mask ^= 1 << choice[mask]
+    return order
+
+
+class TestSubsetDpTies:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_per_subset_scan_including_ties(self, backend):
+        rng = np.random.default_rng(404)
+        infeasible = 0
+        for trial in range(240):
+            n = trial % 10 + 1
+            cost = rng.integers(0, 4, size=(n, n)).astype(np.int64)  # heavy ties
+            density = rng.choice([0.0, 0.05, 0.15, 0.3])
+            pred_mask = np.zeros(n, dtype=np.int64)
+            for j in range(n):
+                for p in range(n):  # any bit, so cycles and self-loops occur
+                    if rng.random() < density:
+                        pred_mask[j] |= 1 << p
+            allowed = rng.random((n, n)) >= rng.choice([0.0, 0.1, 0.3])
+            want = reference_subset_dp(cost.tolist(), pred_mask.tolist(), allowed.tolist())
+            got = _kernels.subset_dp(cost, pred_mask, allowed, backend=backend)
+            assert np.array_equal(got, want), f"trial {trial}"
+            infeasible += want[0] < 0
+        assert 20 <= infeasible <= 220  # both outcomes are well exercised
+
+
 class TestKernelsAgainstReference:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_perm_costs_match_profile_cost(self, backend):

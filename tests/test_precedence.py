@@ -236,6 +236,17 @@ class TestSolveWithGraph:
             _, bound = solve_with_graph(profile, one, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
             assert bound >= free
 
+    def test_empty_graph_at_the_size_limit_equals_matching(self):
+        # n = 20 is past the oracle's reach; the matching is the exact reference.
+        n = DEFAULT_DP_LIMIT
+        profile = random_order_profile(random.Random(2020), n, 7)
+        empty = PrecedenceGraph(n=n, edges=frozenset())
+        _, dp_cost = solve_with_graph(
+            profile, empty, CriterionKind.DISTANCE, EncodingKind.DEVIATION
+        )
+        _, match_cost = solve(profile, RuleSpec("distance", "deviation"))
+        assert dp_cost == match_cost
+
     def test_size_guard(self):
         n = DEFAULT_DP_LIMIT + 1
         order = tuple(range(1, n + 1))
