@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .criteria import CriterionKind, _as_criterion, interval_arrays
+from .criteria import CriterionKind, _as_criterion, _task_histogram, interval_arrays
 from .errors import InfeasibleError
 from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows
 
@@ -60,19 +60,38 @@ def build_cost_matrix(
 ) -> CostMatrix:
     """Accumulate per-voter window costs over all (task, slot) pairs.
 
-    Runs in O(distinct-prefs * n^2) via broadcasting. When ``windows`` is
-    given, pair (j, t) is forbidden unless r_j < t <= d_j.
+    Both criteria are sums over voters of a per-(task, slot) price, so the
+    profile enters only through per-task histograms of due dates d and of
+    release dates r, weighted by multiplicity (exact int64 counts). With W
+    the weight and S the date-weighted sum of the voters counted, prefix
+    sums give every column at once:
+
+    * late(j, t)  = t * W[d < t] - S[d < t]        (distance past the due date)
+    * early(j, t) = S[r >= t] - (t - 1) * W[r >= t] (distance before the release)
+    * binary(j, t) = W[d < t] + W[r >= t]           (r < d, so never both)
+
+    and distance = late + early. O(distinct-prefs * n + n^2) time and O(n^2)
+    memory beyond the window arrays. Every entry and intermediate is at most
+    n * v and a schedule's total at most v * n * (n + 1), which
+    :class:`PreferenceProfile` keeps inside int64. When ``windows`` is given,
+    pair (j, t) is forbidden unless r_j < t <= d_j.
     """
     criterion = _as_criterion(criterion)
     n = profile.n
     rel, due, mult = interval_arrays(profile, encoding)
-    t = np.arange(1, n + 1, dtype=np.int64)[None, None, :]  # (1, 1, slots)
-    rel3, due3 = rel[:, :, None], due[:, :, None]  # (voters, tasks, 1)
+    dates = np.arange(n + 1, dtype=np.int64)  # windows take values 0..n
+    w_due = _task_histogram(due, mult, n + 1)
+    w_rel = _task_histogram(rel, mult, n + 1)
+    # Column t-1 of a prefix sums dates x < t; column t of a suffix dates x >= t.
+    w_before = np.cumsum(w_due, axis=1)[:, :n]
+    w_from = np.cumsum(w_rel[:, ::-1], axis=1)[:, ::-1][:, 1:]
     if criterion is CriterionKind.BINARY:
-        per_voter = ((t > due3) | (t <= rel3)).astype(np.int64)
+        cost = w_before + w_from
     else:
-        per_voter = np.maximum(t - due3, 0) + np.maximum(rel3 - t + 1, 0)
-    cost = (mult[:, None, None] * per_voter).sum(axis=0)
+        s_before = np.cumsum(w_due * dates, axis=1)[:, :n]
+        s_from = np.cumsum((w_rel * dates)[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        t = dates[1:]
+        cost = (t * w_before - s_before) + (s_from - (t - 1) * w_from)
 
     forbidden = None
     if windows is not None:

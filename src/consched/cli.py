@@ -341,6 +341,16 @@ def run_ratio_experiment(config: ExperimentConfig, backend: Optional[str] = None
 # ---------------------------------------------------------------------------
 
 
+def _run(method: str, solver, *args, **kwargs) -> tuple[Schedule, int, str]:
+    """Call one solver path; an InfeasibleError it raises names the path."""
+    try:
+        schedule, cost = solver(*args, **kwargs)
+    except InfeasibleError as exc:
+        exc.method = method
+        raise
+    return schedule, cost, method
+
+
 def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
     """Resolve flags into one solver run; returns (schedule, cost, method)."""
     rule = RuleKind(args.rule)
@@ -353,9 +363,7 @@ def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
             raise ProfileError("--method applies to the distance/binary rules only")
         if windows is not None or args.prec_mode:
             print("note: emd ignores --time/--prec constraints", file=sys.stderr)
-        spec = RuleSpec(rule, encoding)
-        schedule, cost = solve(profile, spec)
-        return schedule, cost, "emd"
+        return _run("emd", solve, profile, RuleSpec(rule, encoding))
 
     criterion = CriterionKind(rule.value)
     if profile.mode == "order" and encoding is None:
@@ -371,13 +379,11 @@ def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
             raise ProfileError("--method repair requires --prec-mode inferred")
         if method == "dp":
             empty = PrecedenceGraph(n=profile.n, edges=frozenset())
-            schedule, cost = solve_with_graph(
-                profile, empty, criterion, encoding, windows, size_limit=args.dp_limit
+            return _run(
+                "dp", solve_with_graph,
+                profile, empty, criterion, encoding, windows, size_limit=args.dp_limit,
             )
-            return schedule, cost, "dp"
-        matrix_spec = RuleSpec(rule, encoding, windows)
-        schedule, cost = solve(profile, matrix_spec)
-        return schedule, cost, "matching"
+        return _run("matching", solve, profile, RuleSpec(rule, encoding, windows))
 
     if prec_mode == "inferred":
         if profile.mode != "order":
@@ -397,8 +403,7 @@ def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
             pass  # plain matching is exact here anyway
         else:
             print("note: --method matching ignores precedence constraints", file=sys.stderr)
-        schedule, cost = solve(profile, RuleSpec(rule, encoding, windows))
-        return schedule, cost, "matching"
+        return _run("matching", solve, profile, RuleSpec(rule, encoding, windows))
 
     if method == "repair" or (
         method == "auto" and prec_mode == "inferred" and criterion is CriterionKind.DISTANCE
@@ -412,15 +417,15 @@ def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
                 "note: repair guarantees optimality for the distance criterion only",
                 file=sys.stderr,
             )
-        base, _ = solve(profile, RuleSpec(rule, encoding))
+        base, _, _ = _run("matching+repair", solve, profile, RuleSpec(rule, encoding))
         schedule = repair_to_inferred(base, prec)
         cost = profile_cost(schedule, profile, criterion, encoding)
         return schedule, cost, "matching+repair"
 
-    schedule, cost = solve_with_graph(
-        profile, graph, criterion, encoding, windows, size_limit=args.dp_limit
+    return _run(
+        "dp", solve_with_graph,
+        profile, graph, criterion, encoding, windows, size_limit=args.dp_limit,
     )
-    return schedule, cost, "dp"
 
 
 def _emit_solution(args, profile, schedule: Schedule, cost: int, method: str) -> None:
@@ -457,7 +462,7 @@ def cmd_solve(args) -> int:
     except InfeasibleError as exc:
         if args.format == "json":
             print(json.dumps(
-                {"schedule": None, "cost": None, "method": args.method, "feasible": False}
+                {"schedule": None, "cost": None, "method": exc.method, "feasible": False}
             ))
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

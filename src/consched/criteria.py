@@ -22,6 +22,7 @@ median-rule approximation analysis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -34,7 +35,7 @@ from .model import (
     OrderPreference,
     PreferenceProfile,
     Schedule,
-    order_to_interval,
+    _as_encoding,
 )
 
 __all__ = [
@@ -94,33 +95,27 @@ def distance_task_cost(schedule: Schedule, pref: IntervalPreference, task: int) 
     return 0
 
 
-def _entry_windows(
-    profile: PreferenceProfile, encoding: Optional[Union[EncodingKind, str]]
-) -> list[tuple[IntervalPreference, int]]:
-    """Per-entry windows, applying the encoding for order-mode profiles."""
-    if profile.mode == "order":
-        if encoding is None:
-            raise ValueError("order-mode profiles require an encoding")
-        return [(order_to_interval(p, encoding), m) for p, m in profile.entries]
-    if encoding is not None:
-        raise ValueError("interval-mode profiles take no encoding")
-    return [(p, m) for p, m in profile.entries]
-
-
 def profile_cost(
     schedule: Schedule,
     profile: PreferenceProfile,
     criterion: Union[CriterionKind, str],
     encoding: Optional[Union[EncodingKind, str]] = None,
 ) -> int:
-    """Multiplicity-weighted sum over voters and tasks of the per-task cost."""
+    """Multiplicity-weighted sum over voters and tasks of the per-task cost.
+
+    Prices every distinct entry at the schedule's completions in one array
+    pass (an entry's row sum is at most n^2), then weights by multiplicity
+    with Python integers, so the total is exact at any size.
+    """
     if schedule.n != profile.n:
         raise ValueError(f"schedule has {schedule.n} tasks, profile {profile.n}")
-    per_task = binary_task_cost if _as_criterion(criterion) is CriterionKind.BINARY else distance_task_cost
-    total = 0
-    for windows, mult in _entry_windows(profile, encoding):
-        total += mult * sum(per_task(schedule, windows, j) for j in range(1, profile.n + 1))
-    return total
+    rel, due, mult = interval_arrays(profile, encoding)
+    comp = np.array(schedule.completions(), dtype=np.int64)
+    if _as_criterion(criterion) is CriterionKind.BINARY:
+        per_entry = ((comp > due) | (comp <= rel)).sum(axis=1)
+    else:
+        per_entry = (np.maximum(comp - due, 0) + np.maximum(rel - comp + 1, 0)).sum(axis=1)
+    return sum(map(operator.mul, mult.tolist(), per_entry.tolist()))
 
 
 def choice_decomposition(profile: PreferenceProfile) -> tuple[Choice, ...]:
@@ -189,18 +184,60 @@ def kendall_tau_distance(schedule: Schedule, profile: PreferenceProfile) -> int:
     return total
 
 
+def _completion_arrays(profile: PreferenceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Completion times of all distinct voters of an order profile, as arrays.
+
+    Returns ``(completions, multiplicity)``: ``completions`` has shape
+    (distinct voters, n) with ``completions[i, j-1]`` the slot at which entry
+    i's preferred schedule completes task j; entries follow the profile's
+    entry order.
+    """
+    comp = np.array([p.schedule.completions() for p, _ in profile.entries], dtype=np.int64)
+    mult = np.array([m for _, m in profile.entries], dtype=np.int64)
+    return comp, mult
+
+
 def interval_arrays(
     profile: PreferenceProfile, encoding: Optional[Union[EncodingKind, str]] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Windows of all distinct voters as arrays: (release, due, multiplicity).
 
     ``release``/``due`` have shape (distinct voters, n); entries follow the
-    profile's entry order. Shared by the brute-force oracle and the batched
-    kernels so both evaluate the same per-voter formulas as the scalar
-    functions above.
+    profile's entry order. Order-mode profiles derive the windows from the
+    stacked completions C with the encoding's formula (see
+    :class:`consched.model.EncodingKind`) in O(distinct * n) array time,
+    without building one :class:`IntervalPreference` per voter. Shared by the
+    cost matrix, the cost recheck and the brute-force oracle, so all of them
+    evaluate the same windows as the scalar functions above.
     """
-    rows = _entry_windows(profile, encoding)
-    rel = np.array([[r for r, _ in w.windows] for w, _ in rows], dtype=np.int64)
-    due = np.array([[d for _, d in w.windows] for w, _ in rows], dtype=np.int64)
-    mult = np.array([m for _, m in rows], dtype=np.int64)
+    if profile.mode == "order":
+        if encoding is None:
+            raise ValueError("order-mode profiles require an encoding")
+        encoding = _as_encoding(encoding)
+        comp, mult = _completion_arrays(profile)
+        if encoding in (EncodingKind.DEVIATION, EncodingKind.EXACT_POSITION):
+            return comp - 1, comp, mult
+        if encoding in (EncodingKind.TARDINESS, EncodingKind.LATE_TASKS):
+            return np.zeros_like(comp), comp, mult
+        return comp - 1, np.full_like(comp, profile.n), mult  # EARLINESS
+    if encoding is not None:
+        raise ValueError("interval-mode profiles take no encoding")
+    rel = np.array([[r for r, _ in p.windows] for p, _ in profile.entries], dtype=np.int64)
+    due = np.array([[d for _, d in p.windows] for p, _ in profile.entries], dtype=np.int64)
+    mult = np.array([m for _, m in profile.entries], dtype=np.int64)
     return rel, due, mult
+
+
+def _task_histogram(values: np.ndarray, mult: np.ndarray, bins: int) -> np.ndarray:
+    """Multiplicity-weighted count of each value per task, exact in int64.
+
+    ``values`` has shape (distinct voters, n) with entries in 0..bins-1; the
+    result has shape (n, bins) and ``hist[j, x]`` sums ``mult[i]`` over the
+    entries i with ``values[i, j] == x``. Counts are added with ``np.add.at``
+    in int64 (a weighted ``bincount`` would sum in float64 and round).
+    """
+    n = values.shape[1]
+    hist = np.zeros(n * bins, dtype=np.int64)
+    idx = values + np.arange(0, n * bins, bins, dtype=np.int64)
+    np.add.at(hist, idx, np.broadcast_to(mult[:, None], idx.shape))
+    return hist.reshape(n, bins)

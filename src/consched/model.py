@@ -22,7 +22,8 @@ File formats (UTF-8, line oriented, ``#`` starts a comment):
     pref <mult> : <t1> ... <tn>                      # order mode
     pref <mult> : (<r1>,<d1>) ... (<rn>,<dn>)        # interval mode, pair k = task k
 
-  Multiplicities must sum to v.
+  Multiplicities must sum to v, and v * n * (n + 1) must fit in int64 (the
+  bound on every cost total, so all costs stay exact).
 * precedence file: one edge per line, ``a -> b`` (a completes before b).
 * time-window file: one line per constrained task, ``task <j> : <r> <d>``;
   unlisted tasks default to (0, n).
@@ -170,10 +171,25 @@ class IntervalPreference:
 
 Preference = Union[OrderPreference, IntervalPreference]
 
+_INT64_MAX = 2**63 - 1
+
+
+def _check_cost_bound(n: int, v: int, line: int | None = None) -> None:
+    """Reject sizes whose cost totals (at most v * n * (n + 1)) could pass int64."""
+    if v * n * (n + 1) > _INT64_MAX:
+        raise ProfileError(
+            f"{v} voters on {n} tasks: cost totals up to v*n*(n+1) would overflow int64",
+            line,
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class PreferenceProfile:
-    """All voters' preferences, identical voters compressed by multiplicity."""
+    """All voters' preferences, identical voters compressed by multiplicity.
+
+    Raises :class:`ProfileError` when v * n * (n + 1) exceeds the int64 range,
+    since cost totals of that size could no longer be computed exactly.
+    """
 
     mode: str
     entries: tuple[tuple[Preference, int], ...]
@@ -199,7 +215,9 @@ class PreferenceProfile:
             total += mult
         if len(ns) != 1:
             raise ValueError(f"entries disagree on task count: {sorted(ns)}")
-        object.__setattr__(self, "n", ns.pop())
+        n = ns.pop()
+        _check_cost_bound(n, total)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "v", total)
 
     def iter_voters(self) -> Iterable[Preference]:
@@ -325,6 +343,7 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     v = int(m.group(1))
     if v < 1:
         raise ProfileError("voter count must be >= 1", no3)
+    _check_cost_bound(n, v, no3)
 
     entries: list[tuple[Preference, int]] = []
     for no, line in lines[3:]:

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
+import numpy as np
+
 from .assignment import build_cost_matrix, min_cost_assignment
-from .criteria import CriterionKind, profile_cost
+from .criteria import CriterionKind, _completion_arrays, _task_histogram, profile_cost
 from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows, _as_encoding
 
 __all__ = [
@@ -86,19 +88,18 @@ class MedianTable:
 
 
 def median_completion_times(profile: PreferenceProfile) -> MedianTable:
-    """ceil(v/2)-th smallest completion time of each task (lower median)."""
+    """ceil(v/2)-th smallest completion time of each task (lower median).
+
+    Read off a per-task histogram of completion times weighted by
+    multiplicity: the median is the first slot whose cumulative count passes
+    the pick index, so the cost is O(distinct * n + n^2), not O(v).
+    """
     if profile.mode != "order":
         raise ValueError("medians require an order-mode profile")
     pick = (profile.v - 1) // 2  # 0-based index of the ceil(v/2)-th order statistic
-    medians = []
-    for j in range(1, profile.n + 1):
-        times = sorted(
-            t
-            for pref, mult in profile.entries
-            for t in [pref.schedule.completion(j)] * mult
-        )
-        medians.append(times[pick])
-    return MedianTable(tuple(medians))
+    comp, mult = _completion_arrays(profile)
+    counts = np.cumsum(_task_histogram(comp, mult, profile.n + 1), axis=1)
+    return MedianTable(tuple((counts > pick).argmax(axis=1).tolist()))
 
 
 def emd_schedule(profile: PreferenceProfile) -> Schedule:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from consched import _kernels
-from consched.model import OrderPreference, PreferenceProfile, Schedule
+from consched.model import IntervalPreference, OrderPreference, PreferenceProfile, Schedule
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -45,3 +45,28 @@ def random_schedule(rng: random.Random, n: int) -> Schedule:
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     return Schedule(tuple(perm))
+
+
+def random_mixed_profile(
+    rng: random.Random, n: int, mode: str = "order", max_mult: int = 1 << 40
+) -> PreferenceProfile:
+    """Up to 6 random entries, multiplicities up to ``max_mult``, some listed twice.
+
+    Interval windows are drawn around a random permutation, which keeps every
+    voter's windows satisfiable.
+    """
+    entries = []
+    for _ in range(rng.randint(1, 6)):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        if mode == "order":
+            pref = OrderPreference(Schedule(tuple(perm)))
+        else:
+            comp = Schedule(tuple(perm)).completions()
+            pref = IntervalPreference(
+                tuple((rng.randint(0, c - 1), rng.randint(c, n)) for c in comp)
+            )
+        entries.append((pref, rng.choice((1, 2, 3, rng.randint(1, max_mult)))))
+        if rng.random() < 0.3:
+            entries.append((pref, rng.randint(1, 5)))  # an identical voter again
+    return PreferenceProfile(mode=mode, entries=tuple(entries))

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_order_profile
+from conftest import random_mixed_profile, random_order_profile
 from consched.assignment import CostMatrix, build_cost_matrix, min_cost_assignment
+from consched.cli import generate_profile
 from consched.criteria import CriterionKind, distance_task_cost, profile_cost
 from consched.errors import InfeasibleError
 from consched.model import (
     EncodingKind,
+    OrderPreference,
+    PreferenceProfile,
     Schedule,
     TimeWindows,
     order_to_interval,
@@ -20,6 +24,91 @@ from consched.model import (
     parse_time_windows,
 )
 from consched.oracle import exhaustive_optimum
+
+
+def reference_cost(profile, criterion, encoding=None) -> np.ndarray:
+    """The direct (voters, tasks, slots) broadcast the histogram build replaces."""
+    if profile.mode == "order":
+        prefs = [(order_to_interval(p, encoding), m) for p, m in profile.entries]
+    else:
+        prefs = list(profile.entries)
+    rel = np.array([[r for r, _ in w.windows] for w, _ in prefs], dtype=np.int64)
+    due = np.array([[d for _, d in w.windows] for w, _ in prefs], dtype=np.int64)
+    mult = np.array([m for _, m in prefs], dtype=np.int64)
+    t = np.arange(1, profile.n + 1, dtype=np.int64)[None, None, :]
+    rel3, due3 = rel[:, :, None], due[:, :, None]
+    if criterion is CriterionKind.BINARY:
+        per_voter = ((t > due3) | (t <= rel3)).astype(np.int64)
+    else:
+        per_voter = np.maximum(t - due3, 0) + np.maximum(rel3 - t + 1, 0)
+    return (mult[:, None, None] * per_voter).sum(axis=0)
+
+
+class TestCostMatrixMatchesBroadcast:
+    """The prefix-sum build returns exactly the matrices of the direct broadcast."""
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    @pytest.mark.parametrize("encoding", list(EncodingKind))
+    def test_order_profiles(self, criterion, encoding):
+        for seed in range(60):
+            rng = random.Random(seed)
+            profile = random_mixed_profile(rng, rng.randint(1, 9))
+            m = build_cost_matrix(profile, criterion, encoding)
+            assert m.cost.dtype == np.int64
+            assert np.array_equal(m.cost, reference_cost(profile, criterion, encoding))
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    def test_interval_profiles(self, criterion):
+        for seed in range(120):
+            rng = random.Random(500 + seed)
+            profile = random_mixed_profile(rng, rng.randint(1, 9), mode="interval")
+            m = build_cost_matrix(profile, criterion)
+            assert np.array_equal(m.cost, reference_cost(profile, criterion))
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    def test_with_global_windows(self, criterion):
+        for seed in range(40):
+            rng = random.Random(900 + seed)
+            n = rng.randint(1, 8)
+            profile = random_mixed_profile(rng, n)
+            windows = TimeWindows(tuple(
+                (r, rng.randint(r + 1, n)) for r in (rng.randint(0, n - 1) for _ in range(n))
+            ))
+            m = build_cost_matrix(profile, criterion, EncodingKind.TARDINESS, windows)
+            assert np.array_equal(
+                m.cost, reference_cost(profile, criterion, EncodingKind.TARDINESS)
+            )
+            for task in range(1, n + 1):
+                for slot in range(1, n + 1):
+                    assert m.forbidden[task - 1, slot - 1] == (not windows.allows(task, slot))
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    @pytest.mark.parametrize("encoding", list(EncodingKind))
+    def test_single_task(self, criterion, encoding):
+        profile = parse_profile("profile order\ntasks 1\nvoters 7\npref 7 : 1\n")
+        m = build_cost_matrix(profile, criterion, encoding)
+        assert m.cost.tolist() == [[0]]
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    @pytest.mark.parametrize("encoding", list(EncodingKind))
+    def test_identical_voters_equal_one_weighted_entry(self, criterion, encoding):
+        pref = OrderPreference(Schedule((3, 1, 4, 2)))
+        split = PreferenceProfile(mode="order", entries=((pref, 2), (pref, 1), (pref, 4)))
+        merged = PreferenceProfile(mode="order", entries=((pref, 7),))
+        a = build_cost_matrix(split, criterion, encoding).cost
+        assert np.array_equal(a, build_cost_matrix(merged, criterion, encoding).cost)
+        assert np.array_equal(a, reference_cost(merged, criterion, encoding))
+
+    def test_build_peak_memory_stays_small(self):
+        # The direct broadcast peaks at ~333 MB here; the histograms need O(n^2).
+        profile = generate_profile(60, 4000, seed=1)
+        tracemalloc.start()
+        try:
+            build_cost_matrix(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestBuildCostMatrix:

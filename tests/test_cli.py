@@ -103,6 +103,63 @@ class TestSolve:
         assert payload["cost"] == 1 << 60
         assert payload["schedule"] == [3, 2, 1]
 
+    @pytest.mark.parametrize("mults", [(1 << 61, 1 << 61), (1 << 63,)])
+    def test_cost_past_int64_exit_1(self, capsys, tmp_path, mults):
+        # Was an AssertionError traceback (wrapped cost) and a raw numpy OverflowError.
+        path = tmp_path / "huge.prof"
+        lines = [f"pref {m} : {' '.join(map(str, order))}"
+                 for m, order in zip(mults, ((1, 2, 3), (3, 2, 1)))]
+        path.write_text(
+            f"profile order\ntasks 3\nvoters {sum(mults)}\n" + "\n".join(lines) + "\n"
+        )
+        code, out, err = run(
+            capsys,
+            [
+                "solve", "--profile", str(path), "--rule", "distance",
+                "--encoding", "deviation", "--method", "dp", "--format", "json",
+            ],
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error: line 3:" in err and "overflow int64" in err
+
+    @pytest.mark.parametrize("method", ["auto", "matching", "dp"])
+    def test_infeasible_json_names_the_failed_path(
+        self, capsys, order_profile, tmp_path, method
+    ):
+        windows = tmp_path / "w.txt"
+        windows.write_text("task 1 : 0 1\ntask 2 : 0 1\n")
+        code, out, _ = run(
+            capsys,
+            [
+                "solve", "--profile", order_profile, "--rule", "distance",
+                "--encoding", "tardiness", "--time", str(windows), "--method", method,
+                "--format", "json",
+            ],
+        )
+        assert code == EXIT_INFEASIBLE
+        assert json.loads(out)["method"] == ("dp" if method == "dp" else "matching")
+
+    def test_emd_with_two_to_the_40_voters_in_one_line(self, capsys, tmp_path):
+        # The median comes from a histogram, not a list of 2**40 completion times.
+        big = 1 << 40
+        path = tmp_path / "wide.prof"
+        path.write_text(
+            f"profile order\ntasks 3\nvoters {big + 2}\n"
+            f"pref {big} : 3 1 2\npref 1 : 1 2 3\npref 1 : 2 3 1\n"
+        )
+        code, out, _ = run(
+            capsys,
+            [
+                "solve", "--profile", str(path), "--rule", "emd",
+                "--encoding", "deviation", "--format", "json",
+            ],
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["schedule"] == [3, 1, 2]
+        assert payload["cost"] == 8  # 0 for the big line, 4 for each single voter
+
     def test_dp_size_limit_exit_3(self, capsys, tmp_path):
         path = tmp_path / "big.prof"
         n = 21

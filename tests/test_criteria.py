@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_order_profile, random_schedule
+from conftest import random_mixed_profile, random_order_profile, random_schedule
 from consched.criteria import (
     CriterionKind,
     binary_task_cost,
@@ -26,6 +26,7 @@ from consched.model import (
     IntervalPreference,
     PreferenceProfile,
     Schedule,
+    order_to_interval,
     parse_profile,
 )
 
@@ -152,6 +153,50 @@ class TestProfileCost:
         for criterion in CriterionKind:
             for encoding in EncodingKind:
                 assert profile_cost(s, profile, criterion, encoding) == 0
+
+
+def scalar_profile_cost(schedule, profile, criterion, encoding=None) -> int:
+    """Sum of the scalar per-task costs over entries, weighted by multiplicity."""
+    per_task = binary_task_cost if criterion is CriterionKind.BINARY else distance_task_cost
+    total = 0
+    for pref, mult in profile.entries:
+        windows = order_to_interval(pref, encoding) if profile.mode == "order" else pref
+        total += mult * sum(per_task(schedule, windows, j) for j in range(1, profile.n + 1))
+    return total
+
+
+class TestProfileCostMatchesScalar:
+    """The array recheck equals the scalar per-task formulas, exactly."""
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    @pytest.mark.parametrize("encoding", list(EncodingKind))
+    def test_order_profiles(self, criterion, encoding):
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(1, 9)
+            profile = random_mixed_profile(rng, n)
+            s = random_schedule(rng, n)
+            assert profile_cost(s, profile, criterion, encoding) == scalar_profile_cost(
+                s, profile, criterion, encoding
+            )
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    def test_interval_profiles(self, criterion):
+        for seed in range(80):
+            rng = random.Random(300 + seed)
+            n = rng.randint(1, 9)
+            profile = random_mixed_profile(rng, n, mode="interval")
+            s = random_schedule(rng, n)
+            assert profile_cost(s, profile, criterion) == scalar_profile_cost(s, profile, criterion)
+
+    def test_total_at_the_int64_bound_is_exact(self):
+        # Largest v with v * n * (n + 1) <= 2**63 - 1 for n = 3; the reversal
+        # costs 4 per voter under deviation, a total close to 2**63.
+        v = (2**63 - 1) // 12
+        profile = parse_profile(f"profile order\ntasks 3\nvoters {v}\npref {v} : 1 2 3\n")
+        cost = profile_cost(Schedule((3, 2, 1)), profile, "distance", "deviation")
+        assert cost == 4 * v
+        assert isinstance(cost, int)
 
 
 class TestRankDistances:

@@ -108,6 +108,21 @@ class TestParseProfile:
         with pytest.raises(ProfileError, match="sum to 2.*voters 3"):
             parse_profile(text)
 
+    @pytest.mark.parametrize("voters", [2 * (1 << 61), 1 << 63])
+    def test_cost_totals_past_int64_rejected(self, voters):
+        # v * n * (n + 1) bounds every cost total; past 2**63 - 1 it could wrap.
+        text = f"profile order\ntasks 3\nvoters {voters}\npref {voters} : 1 2 3\n"
+        with pytest.raises(ProfileError, match="line 3: .*overflow int64"):
+            parse_profile(text)
+
+    def test_cost_bound_is_inclusive(self):
+        # 3 tasks: v * 12 <= 2**63 - 1 holds up to v = (2**63 - 1) // 12.
+        voters = (2**63 - 1) // 12
+        text = "profile order\ntasks 3\nvoters {0}\npref {0} : 1 2 3\n"
+        assert parse_profile(text.format(voters)).v == voters
+        with pytest.raises(ProfileError, match="overflow int64"):
+            parse_profile(text.format(voters + 1))
+
     def test_unsatisfiable_interval_preference_is_rejected(self):
         # two tasks compete for the single first slot
         text = "profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (0,1)\n"
@@ -263,6 +278,11 @@ class TestProfileAccessors:
         )
         seen = [pref.schedule.order for pref in profile.iter_voters()]
         assert seen == [(1, 2), (1, 2), (2, 1)]
+
+    def test_cost_bound_checked_on_construction(self):
+        pref = OrderPreference(Schedule((1, 2, 3)))
+        with pytest.raises(ProfileError, match="overflow int64"):
+            PreferenceProfile(mode="order", entries=((pref, 1 << 61), (pref, 1 << 61)))
 
     def test_mismatched_sizes_rejected(self):
         a = OrderPreference(Schedule((1, 2)))

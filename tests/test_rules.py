@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_order_profile
+from conftest import random_mixed_profile, random_order_profile
 from consched.criteria import CriterionKind, profile_cost
 from consched.model import EncodingKind, Schedule, TimeWindows, parse_profile
 from consched.oracle import exhaustive_optimum
@@ -41,6 +41,22 @@ class TestMedians:
         )
         # task 1 completions (1, 1, 2) -> median 1; task 2 (2, 2, 1) -> 2
         assert median_completion_times(profile).median == (1, 2)
+
+    def test_matches_list_expansion_median(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            n = rng.randint(1, 9)
+            profile = random_mixed_profile(rng, n, max_mult=6)
+            pick = (profile.v - 1) // 2
+            want = tuple(
+                sorted(
+                    t
+                    for pref, mult in profile.entries
+                    for t in [pref.schedule.completion(j)] * mult
+                )[pick]
+                for j in range(1, n + 1)
+            )
+            assert median_completion_times(profile).median == want
 
     def test_interval_mode_rejected(self):
         profile = parse_profile("profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (1,2)\n")
