@@ -8,18 +8,21 @@ variable:
 * ``numba`` — require numba, fail loudly if missing;
 * ``numpy`` — force the pure-numpy path.
 
-Each public function also takes an explicit ``backend=`` argument so tests and
-``benchmarks/bench_backends.py`` can compare the two builds directly. Both
-builds use identical tie-breaking (first minimum in ascending index order) and
-therefore return identical results, not merely equal costs.
+Each public function also takes an explicit ``backend=`` argument so tests
+can compare the two builds directly. Both builds use identical tie-breaking
+(first minimum in ascending index order) and therefore return identical
+results, not merely equal costs.
+
+Tables
+------
+perm_table / completions_table
+    Every permutation of 1..n (n <= 10) in lexicographic order, and the
+    completion time of each task in each of them. Both are built once per n
+    in NumPy, cached, read-only and int8; the brute-force oracle enumerates
+    and prices schedules from them.
 
 Kernels
 -------
-perm_costs_distance / perm_costs_binary
-    Batched per-voter window costs over a table of permutations (the
-    brute-force oracle's inner loop). These implement the per-(voter, task)
-    formulas directly from (release, due) arrays, independent of the
-    assignment reduction.
 perm_costs_kendall
     Batched pairwise-disagreement counts against a weighted precedence-count
     matrix W[a, b] = total multiplicity of voters completing a+1 before b+1.
@@ -40,8 +43,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import permutations
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,8 +53,6 @@ __all__ = [
     "available_backends",
     "perm_table",
     "completions_table",
-    "perm_costs_distance",
-    "perm_costs_binary",
     "perm_costs_kendall",
     "hungarian",
     "subset_dp",
@@ -104,21 +104,56 @@ def _resolve(backend: Optional[str]) -> str:
     return backend
 
 
-@lru_cache(maxsize=None)
-def perm_table(n: int) -> np.ndarray:
-    """All permutations of 1..n in lexicographic order, shape (n!, n), int8."""
+def _check_table_size(n: int) -> None:
     if not 1 <= n <= 10:
         raise ValueError(f"permutation table limited to n <= 10, got {n}")
-    return np.array(list(permutations(range(1, n + 1))), dtype=np.int8)
 
 
-def completions_table(perms: np.ndarray) -> np.ndarray:
-    """Completion times per permutation: out[p, j] = slot of task j+1, int64."""
-    m, n = perms.shape
-    out = np.empty((m, n), dtype=np.int64)
-    rows = np.arange(m)[:, None]
-    out[rows, perms.astype(np.int64) - 1] = np.arange(1, n + 1, dtype=np.int64)
-    return out
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def perm_table(n: int) -> np.ndarray:
+    """All permutations of 1..n in lexicographic order, shape (n!, n), int8.
+
+    Built recursively: the block of rows that start with task i is the
+    (n-1) table relabelled onto the other tasks by the monotone map
+    k -> k + (k >= i), which keeps the block in lexicographic order. The
+    cached array is shared by every caller and therefore read-only.
+    """
+    _check_table_size(n)
+    if n == 1:
+        return _read_only(np.ones((1, 1), dtype=np.int8))
+    sub = perm_table(n - 1)
+    out = np.empty((n * len(sub), n), dtype=np.int8)
+    for i, block in enumerate(np.split(out, n), start=1):
+        relabel = np.arange(n, dtype=np.int8)
+        relabel[i:] += 1
+        block[:, 0] = i
+        block[:, 1:] = relabel[sub]
+    return _read_only(out)
+
+
+@lru_cache(maxsize=None)
+def completions_table(n: int) -> np.ndarray:
+    """Completion times of ``perm_table(n)``: out[p, j] = slot of task j+1, int8.
+
+    Built by the same recursion: in the block of rows that start with task i,
+    task i completes at 1 and every other task one slot later than its
+    relabelled counterpart in the (n-1) table. Cached and read-only.
+    """
+    _check_table_size(n)
+    if n == 1:
+        return _read_only(np.ones((1, 1), dtype=np.int8))
+    sub = completions_table(n - 1)
+    out = np.empty((n * len(sub), n), dtype=np.int8)
+    for i, block in enumerate(np.split(out, n), start=1):
+        block[:, i - 1] = 1
+        np.add(sub[:, : i - 1], 1, out=block[:, : i - 1])
+        np.add(sub[:, i - 1 :], 1, out=block[:, i:])
+    return _read_only(out)
 
 
 _CHUNK = 1 << 17
@@ -127,31 +162,6 @@ _CHUNK = 1 << 17
 # ---------------------------------------------------------------------------
 # numba builds
 # ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _perm_costs_window_nb(perms, rel, due, mult, binary):
-    m, n = perms.shape
-    k_voters = rel.shape[0]
-    out = np.zeros(m, dtype=np.int64)
-    comp = np.zeros(n + 1, dtype=np.int64)
-    for p in range(m):
-        for idx in range(n):
-            comp[perms[p, idx]] = idx + 1
-        total = np.int64(0)
-        for k in range(k_voters):
-            s = np.int64(0)
-            for j in range(n):
-                c = comp[j + 1]
-                r = rel[k, j]
-                d = due[k, j]
-                if c > d:
-                    s += 1 if binary else c - d
-                elif c <= r:
-                    s += 1 if binary else r - c + 1
-            total += mult[k] * s
-        out[p] = total
-    return out
 
 
 @njit(cache=True)
@@ -267,27 +277,6 @@ def _subset_dp_nb(cost, pred_mask, allowed):
 # ---------------------------------------------------------------------------
 
 
-def _perm_costs_window_np(perms, rel, due, mult, binary):
-    m = perms.shape[0]
-    out = np.zeros(m, dtype=np.int64)
-    k_voters = rel.shape[0]
-    for lo in range(0, m, _CHUNK):
-        chunk = perms[lo : lo + _CHUNK]
-        comp = completions_table(chunk)
-        acc = np.zeros(chunk.shape[0], dtype=np.int64)
-        for k in range(k_voters):
-            if binary:
-                miss = (comp > due[k]) | (comp <= rel[k])
-                s = miss.sum(axis=1)
-            else:
-                late = np.maximum(comp - due[k], 0)
-                early = np.maximum(rel[k] - comp + 1, 0)
-                s = (late + early).sum(axis=1)
-            acc += mult[k] * s
-        out[lo : lo + _CHUNK] = acc
-    return out
-
-
 def _perm_costs_kendall_np(perms, w):
     m, n = perms.shape
     iu, iw = np.triu_indices(n, k=1)
@@ -380,32 +369,6 @@ def _subset_dp_np(cost, pred_mask, allowed):
 # ---------------------------------------------------------------------------
 
 
-def perm_costs_distance(
-    perms: np.ndarray,
-    rel: np.ndarray,
-    due: np.ndarray,
-    mult: np.ndarray,
-    backend: Optional[str] = None,
-) -> np.ndarray:
-    """Distance-criterion profile cost of every permutation row."""
-    if _resolve(backend) == "numba":
-        return _perm_costs_window_nb(perms, rel, due, mult, False)
-    return _perm_costs_window_np(perms, rel, due, mult, False)
-
-
-def perm_costs_binary(
-    perms: np.ndarray,
-    rel: np.ndarray,
-    due: np.ndarray,
-    mult: np.ndarray,
-    backend: Optional[str] = None,
-) -> np.ndarray:
-    """Binary-criterion profile cost of every permutation row."""
-    if _resolve(backend) == "numba":
-        return _perm_costs_window_nb(perms, rel, due, mult, True)
-    return _perm_costs_window_np(perms, rel, due, mult, True)
-
-
 def perm_costs_kendall(
     perms: np.ndarray, w: np.ndarray, backend: Optional[str] = None
 ) -> np.ndarray:
@@ -465,13 +428,7 @@ def warmup(backend: Optional[str] = None) -> None:
     """Compile every jitted kernel once on tiny inputs (no-op for numpy)."""
     if _resolve(backend) != "numba":
         return
-    perms = perm_table(3)
-    rel = np.zeros((1, 3), dtype=np.int64)
-    due = np.full((1, 3), 3, dtype=np.int64)
-    mult = np.ones(1, dtype=np.int64)
-    _perm_costs_window_nb(perms, rel, due, mult, False)
-    _perm_costs_window_nb(perms, rel, due, mult, True)
-    _perm_costs_kendall_nb(perms, np.zeros((3, 3), dtype=np.int64))
+    _perm_costs_kendall_nb(perm_table(3), np.zeros((3, 3), dtype=np.int64))
     _hungarian_nb(np.zeros((2, 2), dtype=np.int64))
     _subset_dp_nb(
         np.zeros((2, 2), dtype=np.int64),

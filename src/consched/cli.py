@@ -280,12 +280,8 @@ def run_ratio_experiment(config: ExperimentConfig, backend: Optional[str] = None
             )
 
         if config.exact:
-            t_res = exhaustive_optimum(
-                profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, backend=backend
-            )
-            dev_res = exhaustive_optimum(
-                profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION, backend=backend
-            )
+            t_res = exhaustive_optimum(profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS)
+            dev_res = exhaustive_optimum(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)
             t_opt, dev_opt = t_res.best_cost, dev_res.best_cost
 
             k_res = kendall_optimum(profile, backend=backend)

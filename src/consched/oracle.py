@@ -2,15 +2,22 @@
 
 Enumerates every permutation of 1..n (lexicographically, hard guard n <= 10),
 filters by window/precedence feasibility or by an axiom's conclusion, and
-evaluates the per-voter criterion formulas directly on (release, due) arrays.
-This evaluation route is deliberately independent of the assignment
-reduction — it never touches a (task, slot) cost matrix or the matching — so
-agreement between the oracle and the polynomial solvers is a genuine
-cross-check. The batched formula evaluation lives in ``_kernels`` and is
-itself verified against the scalar functions in ``criteria``.
+returns the exact minimum with *all* minimizers in lexicographic order and the
+number of feasible permutations examined.
 
-Results carry the exact minimum, *all* minimizers in lexicographic order, and
-the number of feasible permutations examined.
+Both rules are sums over tasks of a cost that depends only on the task and its
+completion time, so every permutation is priced from one n x n table built
+per call in ``_completion_costs``: T[j, c-1] = sum over voters k of
+mult_k * f(rel_kj, due_kj, c), where f is the per-voter late/early (distance)
+or outside-the-window (binary) formula of ``criteria``, broadcast over all n
+completions c. A permutation's cost is then sum_j T[j, comp[j] - 1], gathered
+column by column from the cached ``_kernels.completions_table``.
+
+The oracle stays independent of the assignment reduction: it evaluates the
+window formula directly instead of reading per-task prefix sums off release
+and due histograms (``assignment.build_cost_matrix``), and it enumerates every
+schedule instead of running the matching or the subset DP. Agreement between
+the oracle and the polynomial solvers is therefore a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -71,17 +78,43 @@ def _result(perms: np.ndarray, costs: np.ndarray, feasible: np.ndarray) -> Oracl
     return OracleResult(best_cost=best, optima=optima, searched=searched)
 
 
+def _completion_costs(
+    profile: PreferenceProfile,
+    criterion: CriterionKind,
+    encoding: Optional[Union[EncodingKind, str]],
+) -> np.ndarray:
+    """T[j, c-1]: multiplicity-weighted cost of completing task j+1 at time c."""
+    rel, due, mult = interval_arrays(profile, encoding)
+    c = np.arange(1, profile.n + 1, dtype=np.int64)
+    rel, due = rel[:, :, None], due[:, :, None]
+    if criterion is CriterionKind.BINARY:
+        per_voter = (c > due) | (c <= rel)
+    else:
+        per_voter = np.maximum(c - due, 0) + np.maximum(rel - c + 1, 0)
+    return (mult[:, None, None] * per_voter).sum(axis=0)
+
+
 def _costs(
     profile: PreferenceProfile,
     criterion: CriterionKind,
     encoding: Optional[Union[EncodingKind, str]],
-    perms: np.ndarray,
-    backend: Optional[str],
+    comp: np.ndarray,
 ) -> np.ndarray:
-    rel, due, mult = interval_arrays(profile, encoding)
-    if criterion is CriterionKind.BINARY:
-        return _kernels.perm_costs_binary(perms, rel, due, mult, backend=backend)
-    return _kernels.perm_costs_distance(perms, rel, due, mult, backend=backend)
+    """Profile cost of every permutation whose completion times are ``comp``."""
+    table = _completion_costs(profile, criterion, encoding)
+    costs = np.zeros(len(comp), dtype=np.int64)
+    for j in range(profile.n):
+        costs += table[j, comp[:, j] - 1]
+    return costs
+
+
+def _inside(comp: np.ndarray, lo, hi, tasks) -> np.ndarray:
+    """Rows that complete every task j+1 in ``tasks`` at a time in (lo[j], hi[j]]."""
+    feasible = np.ones(len(comp), dtype=bool)
+    for j in tasks:
+        col = comp[:, j]
+        feasible &= (col > lo[j]) & (col <= hi[j])
+    return feasible
 
 
 def exhaustive_optimum(
@@ -90,27 +123,26 @@ def exhaustive_optimum(
     encoding: Optional[Union[EncodingKind, str]] = None,
     windows: Optional[TimeWindows] = None,
     graph: Optional[PrecedenceGraph] = None,
-    backend: Optional[str] = None,
 ) -> OracleResult:
     """Exact minimum over all window/precedence-feasible permutations."""
     _guard(profile.n)
     criterion = _as_criterion(criterion)
-    perms = _kernels.perm_table(profile.n)
-    comp = _kernels.completions_table(perms)
-    feasible = np.ones(len(perms), dtype=bool)
+    n = profile.n
+    comp = _kernels.completions_table(n)
     if windows is not None:
-        if windows.n != profile.n:
-            raise ValueError(f"windows cover {windows.n} tasks, profile has {profile.n}")
-        wr = np.array([r for r, _ in windows.windows], dtype=np.int64)
-        wd = np.array([d for _, d in windows.windows], dtype=np.int64)
-        feasible &= ((comp > wr) & (comp <= wd)).all(axis=1)
+        if windows.n != n:
+            raise ValueError(f"windows cover {windows.n} tasks, profile has {n}")
+        lo, hi = zip(*windows.windows)
+        feasible = _inside(comp, lo, hi, range(n))
+    else:
+        feasible = np.ones(len(comp), dtype=bool)
     if graph is not None:
-        if graph.n != profile.n:
-            raise ValueError(f"graph covers {graph.n} tasks, profile has {profile.n}")
+        if graph.n != n:
+            raise ValueError(f"graph covers {graph.n} tasks, profile has {n}")
         for a, b in graph.edges:
             feasible &= comp[:, a - 1] < comp[:, b - 1]
-    costs = _costs(profile, criterion, encoding, perms, backend)
-    return _result(perms, costs, feasible)
+    costs = _costs(profile, criterion, encoding, comp)
+    return _result(_kernels.perm_table(n), costs, feasible)
 
 
 def constrained_best(
@@ -118,7 +150,6 @@ def constrained_best(
     criterion: Union[CriterionKind, str],
     encoding: Optional[Union[EncodingKind, str]] = None,
     axiom: str = "release",
-    backend: Optional[str] = None,
 ) -> OracleResult:
     """Exact minimum among permutations satisfying an axiom's conclusion.
 
@@ -130,41 +161,23 @@ def constrained_best(
     _guard(profile.n)
     if axiom not in _AXIOM_FILTERS:
         raise ValueError(f"axiom must be one of {_AXIOM_FILTERS}, got {axiom!r}")
+    if axiom != "unanimity" and profile.mode != "order":
+        raise ValueError(f"the {axiom} filter needs an order-mode profile")
     criterion = _as_criterion(criterion)
     n = profile.n
-    perms = _kernels.perm_table(n)
-    comp = _kernels.completions_table(perms)
-
-    if axiom in ("release", "deadline"):
-        if profile.mode != "order":
-            raise ValueError(f"the {axiom} filter needs an order-mode profile")
-        voter_comps = np.array(
-            [p.schedule.completions() for p, _ in profile.entries], dtype=np.int64
-        )
-        if axiom == "release":
-            feasible = (comp >= voter_comps.min(axis=0)).all(axis=1)
-        else:
-            feasible = (comp <= voter_comps.max(axis=0)).all(axis=1)
+    comp = _kernels.completions_table(n)
+    # an order-mode voter's window is its own slot: (C - 1, C]
+    own = EncodingKind.EXACT_POSITION if profile.mode == "order" else None
+    rel, due, _ = interval_arrays(profile, own)
+    if axiom == "release":
+        feasible = _inside(comp, rel.min(axis=0), [n] * n, range(n))
+    elif axiom == "deadline":
+        feasible = _inside(comp, [0] * n, due.max(axis=0), range(n))
     else:
-        feasible = np.ones(len(perms), dtype=bool)
-        if profile.mode == "order":
-            voter_comps = np.array(
-                [p.schedule.completions() for p, _ in profile.entries], dtype=np.int64
-            )
-            unanimous = (voter_comps == voter_comps[0]).all(axis=0)
-            lo = voter_comps[0] - 1
-            hi = voter_comps[0]
-        else:
-            rel = np.array([[r for r, _ in p.windows] for p, _ in profile.entries], dtype=np.int64)
-            due = np.array([[d for _, d in p.windows] for p, _ in profile.entries], dtype=np.int64)
-            unanimous = (rel == rel[0]).all(axis=0) & (due == due[0]).all(axis=0)
-            lo = rel[0]
-            hi = due[0]
-        for j in np.flatnonzero(unanimous):
-            feasible &= (comp[:, j] > lo[j]) & (comp[:, j] <= hi[j])
-
-    costs = _costs(profile, criterion, encoding, perms, backend)
-    return _result(perms, costs, feasible)
+        unanimous = (rel == rel[0]).all(axis=0) & (due == due[0]).all(axis=0)
+        feasible = _inside(comp, rel[0], due[0], np.flatnonzero(unanimous))
+    costs = _costs(profile, criterion, encoding, comp)
+    return _result(_kernels.perm_table(n), costs, feasible)
 
 
 def pair_weight_matrix(profile: PreferenceProfile) -> np.ndarray:

@@ -1,16 +1,15 @@
-"""Backend parity: jitted and numpy kernels must agree bit-for-bit."""
+"""Kernels: the cached permutation tables, backend parity and plain-Python references."""
 
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from conftest import random_order_profile, random_schedule
 from consched import _kernels
-from consched.criteria import CriterionKind, interval_arrays, profile_cost
-from consched.model import EncodingKind, Schedule
+from consched.model import Schedule
 
 scipy_linear_sum = pytest.importorskip("scipy.optimize").linear_sum_assignment
 
@@ -25,37 +24,46 @@ class TestPermTable:
             [1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1],
         ]
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_itertools_permutations(self, n):
+        want = np.array(list(permutations(range(1, n + 1))), dtype=np.int8)
+        got = _kernels.perm_table(n)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_completions_invert_every_row(self, n):
+        comp = _kernels.completions_table(n)
+        assert comp.dtype == np.int8
+        # the slot of task j is one past the position of j in the order
+        assert np.array_equal(comp, np.argsort(_kernels.perm_table(n), axis=1) + 1)
+
     def test_size_guard(self):
-        with pytest.raises(ValueError):
-            _kernels.perm_table(11)
+        for n in (0, 11):
+            with pytest.raises(ValueError):
+                _kernels.perm_table(n)
+            with pytest.raises(ValueError):
+                _kernels.completions_table(n)
 
     def test_completions_invert_orders(self):
         table = _kernels.perm_table(4)
-        comp = _kernels.completions_table(table)
+        comp = _kernels.completions_table(4)
         row = random.Random(0).randrange(len(table))
         schedule = Schedule(tuple(int(x) for x in table[row]))
         assert tuple(int(c) for c in comp[row]) == schedule.completions()
 
+    @pytest.mark.parametrize("table", [_kernels.perm_table, _kernels.completions_table])
+    def test_cached_tables_are_read_only(self, table):
+        cached = table(4)
+        assert table(4) is cached
+        with pytest.raises(ValueError):
+            cached[0, 0] = 4
+        with pytest.raises(ValueError):
+            cached[:, 1] += 1
+        assert table(4)[0].tolist() == [1, 2, 3, 4]
+
 
 class TestBackendParity:
-    @needs_both
-    @pytest.mark.parametrize("n, v, seed", [(5, 4, 0), (6, 7, 1), (7, 3, 2)])
-    def test_perm_sweeps_agree(self, n, v, seed):
-        profile = random_order_profile(random.Random(seed), n, v)
-        perms = _kernels.perm_table(n)
-        for encoding in EncodingKind:
-            rel, due, mult = interval_arrays(profile, encoding)
-            dist = {
-                b: _kernels.perm_costs_distance(perms, rel, due, mult, backend=b)
-                for b in BACKENDS
-            }
-            binary = {
-                b: _kernels.perm_costs_binary(perms, rel, due, mult, backend=b)
-                for b in BACKENDS
-            }
-            assert np.array_equal(dist["numpy"], dist["numba"])
-            assert np.array_equal(binary["numpy"], binary["numba"])
-
     @needs_both
     @pytest.mark.parametrize("seed", range(5))
     def test_hungarian_agrees_including_ties(self, seed):
@@ -153,23 +161,6 @@ class TestSubsetDpTies:
 
 class TestKernelsAgainstReference:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_perm_costs_match_profile_cost(self, backend):
-        rng = random.Random(3)
-        profile = random_order_profile(rng, 5, 4)
-        perms = _kernels.perm_table(5)
-        comp = _kernels.completions_table(perms)
-        for encoding in (EncodingKind.TARDINESS, EncodingKind.EXACT_POSITION):
-            rel, due, mult = interval_arrays(profile, encoding)
-            dist = _kernels.perm_costs_distance(perms, rel, due, mult, backend=backend)
-            binary = _kernels.perm_costs_binary(perms, rel, due, mult, backend=backend)
-            for _ in range(10):
-                row = rng.randrange(len(perms))
-                s = Schedule(tuple(int(x) for x in perms[row]))
-                assert dist[row] == profile_cost(s, profile, CriterionKind.DISTANCE, encoding)
-                assert binary[row] == profile_cost(s, profile, CriterionKind.BINARY, encoding)
-            assert comp.shape == (len(perms), 5)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(8))
     def test_hungarian_cost_matches_scipy(self, backend, seed):
         rng = np.random.default_rng(300 + seed)
@@ -198,8 +189,6 @@ class TestKernelsAgainstReference:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_subset_dp_is_brute_force_optimal(self, backend):
-        from itertools import permutations
-
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = int(rng.integers(2, 6))
