@@ -22,6 +22,7 @@ from .criteria import (
     distance_task_cost,
     kendall_tau_distance,
     late_at_slot,
+    late_counts,
     profile_cost,
     spearman_distance,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "kendall_optimum",
     "kendall_tau_distance",
     "late_at_slot",
+    "late_counts",
     "median_completion_times",
     "min_cost_assignment",
     "order_to_interval",

@@ -1,17 +1,18 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels.
 
-Every kernel exists twice: a numba ``@njit`` build and a vectorized pure-numpy
-build. The active default comes from the ``CONSCHED_BACKEND`` environment
-variable:
+The Kendall sweep and the subset DP exist twice: a numba ``@njit`` build and
+a vectorized pure-numpy build. The matching has a single NumPy build, which
+validates ``backend=`` and otherwise ignores it. The active default comes from
+the ``CONSCHED_BACKEND`` environment variable:
 
 * ``auto``  (default) — numba when importable, numpy otherwise;
 * ``numba`` — require numba, fail loudly if missing;
 * ``numpy`` — force the pure-numpy path.
 
 Each public function also takes an explicit ``backend=`` argument so tests
-can compare the two builds directly. Both builds use identical tie-breaking
-(first minimum in ascending index order) and therefore return identical
-results, not merely equal costs.
+can compare the two builds directly. Both builds of a kernel use identical
+tie-breaking (first minimum in ascending index order) and therefore return
+identical results, not merely equal costs.
 
 Tables
 ------
@@ -27,8 +28,16 @@ perm_costs_kendall
     Batched pairwise-disagreement counts against a weighted precedence-count
     matrix W[a, b] = total multiplicity of voters completing a+1 before b+1.
 hungarian
-    Exact min-cost perfect matching on an n x n integer matrix with a
-    forbidden mask (shortest augmenting paths with potentials, O(n^3)).
+    Exact min-cost perfect matching on an n x n non-negative integer matrix
+    with a forbidden mask: shortest augmenting paths with potentials, O(n^3)
+    (Jonker & Volgenant 1987; Crouse 2016). Each phase runs one Dijkstra
+    with lazy potentials: distances stay absolute from the start of the
+    phase, so a step costs seven NumPy calls over one row (eight with a
+    mask), and the potentials are settled once per phase. Forbidden pairs
+    are masked out of every relaxation, never priced. Ties go to the first
+    minimum in column order. The arithmetic is int64 while
+    2n * max(cost) < 2^63 - 1 and exact Python integers beyond (see
+    ``_hungarian_np`` for the bound).
 subset_dp
     Exact DP over task subsets for precedence-constrained minimization of any
     per-(task, slot) separable cost, O(2^n * n). The numpy build sweeps the
@@ -60,6 +69,7 @@ __all__ = [
 ]
 
 INF = np.int64(1) << np.int64(60)
+_I64_MAX = int(np.iinfo(np.int64).max)
 
 _requested = os.environ.get("CONSCHED_BACKEND", "auto").strip().lower()
 if _requested not in ("auto", "numba", "numpy"):
@@ -180,56 +190,6 @@ def _perm_costs_kendall_nb(perms, w):
 
 
 @njit(cache=True)
-def _hungarian_nb(cost):
-    n = cost.shape[0]
-    u = np.zeros(n + 1, dtype=np.int64)
-    v = np.zeros(n + 1, dtype=np.int64)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
-    minv = np.zeros(n + 1, dtype=np.int64)
-    used = np.zeros(n + 1, dtype=np.bool_)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        for j in range(n + 1):
-            minv[j] = INF
-            used[j] = False
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            if delta >= INF // 2:
-                return np.full(n, -1, dtype=np.int64)
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    slots = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        slots[p[j] - 1] = j - 1
-    return slots
-
-
-@njit(cache=True)
 def _subset_dp_nb(cost, pred_mask, allowed):
     n = cost.shape[0]
     size = 1 << n
@@ -287,44 +247,88 @@ def _perm_costs_kendall_np(perms, w):
     return out
 
 
-def _hungarian_np(cost):
+def _hungarian_np(cost, allowed):
+    """Rows are matched one phase at a time (row i in phase i); returns slots.
+
+    A phase is a Dijkstra from row i over the reduced costs
+    ``cost[r, j] - u[r] - v[j]`` (non-negative on allowed pairs, zero on
+    matched ones). ``minv[j]`` is the tentative distance of free column j
+    from the start of the phase, and ``d`` the distance of the column that
+    joined the tree last. Expanding row r, reached through a column that
+    joined at distance d, relaxes every free allowed column j with
+    ``cost[r, j] - v[j] - u[r] + d``. The column of least ``minv`` joins
+    next (``argmin``: the first one on ties). When a free column joins, the
+    phase ends: each tree column j and its row move by ``d - joined[j]``
+    (row i by ``d``), and the path is flipped along ``way``. The textbook
+    form shifts ``u``, ``v`` and ``minv`` by every step's delta instead; its
+    comparisons are these offset by one constant, so both take the same
+    branches and break the same ties.
+
+    Bound. Let C be the largest entry and OPT(k) <= k*C the least cost of
+    matching the first k rows. In phase i, 0 <= u <= OPT(i-1) and
+    0 <= -v <= OPT(i-1): a phase raises each potential by at most its final
+    distance, and those distances sum to the optimum. A column's distance is
+    the forward minus the backward costs on its tree path plus the potential
+    of the row matched to it, so ``d - u[r]`` lies in [-(i-1)*C, (i-1)*C],
+    and every relaxed value and distance in [-(i-1)*C, (2i-1)*C]. While
+    2n*C < 2^63 - 1 the kernel runs in int64, with the int64 maximum as the
+    sentinel of unreached columns; beyond, it runs the same steps on Python
+    integers. A consensus matrix has C <= (n-1)*v for v voters, so under the
+    parse bound v*n*(n+1) <= 2^63 - 1 every profile with n <= 3 stays in
+    int64, and only profiles in the top half of that range leave it.
+    """
     n = cost.shape[0]
-    u = np.zeros(n + 1, dtype=np.int64)
-    v = np.zeros(n + 1, dtype=np.int64)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
-    cols = np.arange(1, n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, INF, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
+    bound = 2 * n * (int(cost.max()) if n else 0)
+    if bound < _I64_MAX:
+        dtype, top = np.int64, _I64_MAX
+    else:
+        dtype, top, cost = object, bound + 1, cost.astype(object)
+    u = np.zeros(n, dtype=dtype)
+    v = np.zeros(n, dtype=dtype)
+    row_of = np.full(n, -1, dtype=np.intp)  # matched row of each column
+    way = np.empty(n, dtype=np.intp)  # tree column before each column, -1 for the root
+    minv = np.empty(n, dtype=dtype)
+    joined = np.empty(n, dtype=dtype)
+    free = np.empty(n, dtype=bool)
+    cur = np.empty(n, dtype=dtype)
+    better = np.empty(n, dtype=bool)
+    for i in range(n):
+        minv.fill(top)
+        free.fill(True)
+        tree = []
+        r, j, d = i, -1, 0
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = ~used[1:]
-            cur = cost[i0 - 1, :] - u[i0] - v[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[cols[better]] = j0
-            reach = np.where(free, minv[1:], INF)
-            j1 = int(np.argmin(reach)) + 1
-            delta = int(reach[j1 - 1])
-            if delta >= INF // 2:
+            np.subtract(cost[r], v, out=cur)
+            cur += d - u[r]
+            np.less(cur, minv, out=better)
+            better &= free
+            if allowed is not None:
+                better &= allowed[r]
+            np.copyto(minv, cur, where=better)
+            np.copyto(way, j, where=better)
+            j = int(minv.argmin())
+            d = minv[j]
+            if d == top:
                 return np.full(n, -1, dtype=np.int64)
-            used_j = np.flatnonzero(used)
-            u[p[used_j]] += delta
-            v[used_j] -= delta
-            minv[np.flatnonzero(~used)] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            r = row_of[j]
+            if r < 0:
                 break
-        while j0 != 0:
-            j1 = int(way[j0])
-            p[j0] = p[j1]
-            j0 = j1
+            joined[j] = d
+            minv[j] = top
+            free[j] = False
+            tree.append(j)
+        u[i] += d
+        if tree:
+            cols = np.array(tree, dtype=np.intp)
+            shift = d - joined[cols]
+            u[row_of[cols]] += shift
+            v[cols] -= shift
+        while j >= 0:
+            prev = int(way[j])
+            row_of[j] = row_of[prev] if prev >= 0 else i
+            j = prev
     slots = np.empty(n, dtype=np.int64)
-    slots[p[1:] - 1] = np.arange(n)
+    slots[row_of] = np.arange(n)
     return slots
 
 
@@ -387,15 +391,26 @@ def hungarian(
 
     Returns an array of -1s when the forbidden mask rules out every perfect
     matching. Forbidden pairs never appear in a returned assignment: they are
-    excluded structurally (detected via an unreachable augmenting path), not
-    priced.
+    masked out of every relaxation, not priced, and their entries are never
+    compared. Ties go to the first minimum in column order at every step, so
+    the result is a fixed function of the matrix, and the arithmetic is exact
+    for any int64 entries (int64 while 2n * max(cost) < 2^63 - 1, Python
+    integers beyond). ``backend`` is validated but the matching has a single
+    build.
+
+    Raises
+    ------
+    ValueError
+        When an entry is negative.
     """
+    _resolve(backend)
     cost = np.ascontiguousarray(cost, dtype=np.int64)
+    if cost.size and cost.min() < 0:
+        raise ValueError("hungarian needs non-negative costs")
+    allowed = None
     if forbidden is not None and forbidden.any():
-        cost = np.where(forbidden, INF, cost)
-    if _resolve(backend) == "numba":
-        return _hungarian_nb(cost)
-    return _hungarian_np(cost)
+        allowed = ~np.asarray(forbidden, dtype=bool)
+    return _hungarian_np(cost, allowed)
 
 
 def subset_dp(
@@ -429,7 +444,6 @@ def warmup(backend: Optional[str] = None) -> None:
     if _resolve(backend) != "numba":
         return
     _perm_costs_kendall_nb(perm_table(3), np.zeros((3, 3), dtype=np.int64))
-    _hungarian_nb(np.zeros((2, 2), dtype=np.int64))
     _subset_dp_nb(
         np.zeros((2, 2), dtype=np.int64),
         np.zeros(2, dtype=np.int64),

@@ -38,7 +38,7 @@ from .axioms import (
 from .criteria import (
     CriterionKind,
     kendall_tau_distance,
-    late_at_slot,
+    late_counts,
     profile_cost,
     spearman_distance,
 )
@@ -295,11 +295,12 @@ def run_ratio_experiment(config: ExperimentConfig, backend: Optional[str] = None
                     _flag("kendall bound", f"emd {kendall_emd} > 4 * {k_res.best_cost}")
                 kendall_ratios.append(kendall_emd / k_res.best_cost)
 
-            emd_late = [late_at_slot(emd, profile, y) for y in range(1, config.n + 1)]
+            emd_late = late_counts(emd, profile)
             for opt in t_res.optima:
+                opt_late = late_counts(opt, profile)
                 for y in range(1, config.n + 1):
                     report.slots_checked += 1
-                    bound = 2 * late_at_slot(opt, profile, y)
+                    bound = 2 * opt_late[y - 1]
                     if emd_late[y - 1] > bound:
                         _flag(
                             "per-slot bound",

@@ -17,7 +17,8 @@ binary+exact_position.
 The choice decomposition re-reads an order profile as one (voter, task, slot)
 triplet per voter per slot; ``late_at_slot`` counts, at slot y, the choices
 with slot <= y whose task is still unfinished — the building block of the
-median-rule approximation analysis.
+median-rule approximation analysis. ``late_counts`` returns that count at
+every slot at once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
@@ -46,6 +48,7 @@ __all__ = [
     "profile_cost",
     "choice_decomposition",
     "late_at_slot",
+    "late_counts",
     "spearman_distance",
     "kendall_tau_distance",
     "interval_arrays",
@@ -151,6 +154,28 @@ def late_at_slot(schedule: Schedule, profile: PreferenceProfile, y: int) -> int:
         )
         total += mult * count
     return total
+
+
+def late_counts(schedule: Schedule, profile: PreferenceProfile) -> list[int]:
+    """``late_at_slot`` at every slot y = 1..n, from one pass over the profile.
+
+    A choice (voter, task, slot s) whose task completes at c > s in S is late
+    at exactly the slots s <= y < c, so it adds its multiplicity at s and
+    removes it at c; the counts are the running sum.
+    """
+    if profile.mode != "order":
+        raise ValueError("late_counts requires an order-mode profile")
+    if schedule.n != profile.n:
+        raise ValueError(f"schedule has {schedule.n} tasks, profile {profile.n}")
+    comp = schedule.completions()
+    step = [0] * (profile.n + 1)
+    for pref, mult in profile.entries:
+        for slot, task in enumerate(pref.schedule.order, start=1):
+            done = comp[task - 1]
+            if slot < done:
+                step[slot] += mult
+                step[done] -= mult
+    return list(accumulate(step[1:]))
 
 
 def spearman_distance(schedule: Schedule, profile: PreferenceProfile) -> int:

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from consched import _kernels
 from consched.model import IntervalPreference, OrderPreference, PreferenceProfile, Schedule
+
+# pytest puts src/ on sys.path (pyproject ``pythonpath``); tests that start
+# ``python -m consched...`` subprocesses need it on PYTHONPATH as well.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -235,16 +235,3 @@ class TestMinCostAssignment:
         m = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
         results = {min_cost_assignment(m)[0].order for _ in range(5)}
         assert len(results) == 1
-
-    def test_backends_return_identical_schedules(self):
-        from consched._kernels import available_backends
-
-        if len(available_backends()) < 2:
-            pytest.skip("single backend available")
-        for seed in range(20):
-            rng = random.Random(2000 + seed)
-            profile = random_order_profile(rng, rng.randint(2, 7), rng.randint(1, 5))
-            m = build_cost_matrix(profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS)
-            a = min_cost_assignment(m, backend="numpy")
-            b = min_cost_assignment(m, backend="numba")
-            assert a == b

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from consched import cli
+from consched.assignment import build_cost_matrix
 from consched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE
+from consched.model import parse_profile
 
 
 def run(capsys, argv):
@@ -102,6 +104,55 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["cost"] == 1 << 60
         assert payload["schedule"] == [3, 2, 1]
+
+    @pytest.mark.parametrize("method", ["auto", "matching"])
+    def test_matching_optimum_at_two_to_the_60_is_feasible(self, capsys, tmp_path, method):
+        # Was exit 2, "time windows admit no feasible schedule", with no windows given.
+        mult = 1 << 58
+        path = tmp_path / "huge.prof"
+        path.write_text(
+            f"profile order\ntasks 3\nvoters {2 * mult}\n"
+            f"pref {mult} : 1 2 3\npref {mult} : 3 2 1\n"
+        )
+        code, out, _ = run(
+            capsys,
+            [
+                "solve", "--profile", str(path), "--rule", "distance",
+                "--encoding", "deviation", "--method", method, "--format", "json",
+            ],
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["cost"] == 1 << 60
+        assert payload["method"] == "matching"
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("encoding", ["deviation", "tardiness"])
+    def test_matching_equals_dp_at_the_parse_bound(self, capsys, tmp_path, n, encoding):
+        # v * n * (n + 1) just below 2^63: n = 3 stays in int64, n = 5 needs
+        # 2n * max(cost) past it and runs the matching on Python integers.
+        v = (2**63 - 1) // (n * (n + 1))
+        mults = (v - 2 * (v // 8), v // 8, v // 8)
+        orders = (range(1, n + 1), range(n, 0, -1), (2, 1, *range(3, n + 1)))
+        path = tmp_path / "bound.prof"
+        path.write_text(
+            f"profile order\ntasks {n}\nvoters {v}\n"
+            + "".join(f"pref {m} : {' '.join(map(str, o))}\n" for m, o in zip(mults, orders))
+        )
+        matrix = build_cost_matrix(parse_profile(path.read_text()), "distance", encoding)
+        assert (2 * n * int(matrix.cost.max()) >= 2**63 - 1) == (n == 5)
+        costs = {}
+        for method in ("matching", "dp"):
+            code, out, _ = run(
+                capsys,
+                [
+                    "solve", "--profile", str(path), "--rule", "distance",
+                    "--encoding", encoding, "--method", method, "--format", "json",
+                ],
+            )
+            assert code == EXIT_OK
+            costs[method] = json.loads(out)["cost"]
+        assert costs["matching"] == costs["dp"]
 
     @pytest.mark.parametrize("mults", [(1 << 61, 1 << 61), (1 << 63,)])
     def test_cost_past_int64_exit_1(self, capsys, tmp_path, mults):

@@ -18,6 +18,7 @@ from consched.criteria import (
     interval_arrays,
     kendall_tau_distance,
     late_at_slot,
+    late_counts,
     profile_cost,
     spearman_distance,
 )
@@ -252,6 +253,23 @@ class TestChoiceDecomposition:
                 1 for c in choices if c.slot <= y and schedule.completion(c.task) > y
             )
             assert late_at_slot(schedule, profile, y) == direct
+
+    def test_late_counts_match_late_at_slot(self):
+        for seed in range(80):
+            rng = random.Random(1200 + seed)
+            n = rng.randint(1, 9)
+            profile = random_mixed_profile(rng, n)  # multiplicities up to 2^40, repeats
+            schedule = random_schedule(rng, n)
+            want = [late_at_slot(schedule, profile, y) for y in range(1, n + 1)]
+            assert late_counts(schedule, profile) == want
+
+    def test_late_counts_reject_interval_profiles_and_size_mismatch(self):
+        interval = parse_profile("profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (0,2)\n")
+        with pytest.raises(ValueError, match="order-mode"):
+            late_counts(Schedule((1, 2)), interval)
+        order = parse_profile("profile order\ntasks 2\nvoters 1\npref 1 : 2 1\n")
+        with pytest.raises(ValueError, match="3 tasks"):
+            late_counts(Schedule((1, 2, 3)), order)
 
 
 class TestIntervalArrays:

@@ -1,4 +1,4 @@
-"""Kernels: the cached permutation tables, backend parity and plain-Python references."""
+"""Kernels: the cached permutation tables, backend parity and reference implementations."""
 
 from __future__ import annotations
 
@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from consched import _kernels
-from consched.model import Schedule
+from consched.assignment import build_cost_matrix
+from consched.cli import generate_profile
+from consched.criteria import CriterionKind
+from consched.model import EncodingKind, Schedule, TimeWindows
 
 scipy_linear_sum = pytest.importorskip("scipy.optimize").linear_sum_assignment
 
@@ -66,15 +69,6 @@ class TestPermTable:
 class TestBackendParity:
     @needs_both
     @pytest.mark.parametrize("seed", range(5))
-    def test_hungarian_agrees_including_ties(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 30))
-        cost = rng.integers(0, 8, size=(n, n)).astype(np.int64)  # many ties
-        outs = {b: _kernels.hungarian(cost, None, backend=b) for b in BACKENDS}
-        assert np.array_equal(outs["numpy"], outs["numba"])
-
-    @needs_both
-    @pytest.mark.parametrize("seed", range(5))
     def test_subset_dp_agrees_including_ties(self, seed):
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(2, 12))
@@ -101,6 +95,124 @@ class TestBackendParity:
         perms = _kernels.perm_table(n)
         outs = {b: _kernels.perm_costs_kendall(perms, w, backend=b) for b in BACKENDS}
         assert np.array_equal(outs["numpy"], outs["numba"])
+
+
+def reference_hungarian(cost, forbidden=None):
+    """The matching with eager potentials and priced forbidden pairs, the tie reference.
+
+    Forbidden pairs cost INF = 2^60, and every Dijkstra step shifts u, v and
+    minv by its delta; returns all -1s once the least reduced cost reaches
+    INF / 2. Exact only while the true optimum stays far below 2^60.
+    """
+    INF = np.int64(1) << np.int64(60)
+    cost = np.ascontiguousarray(cost, dtype=np.int64)
+    if forbidden is not None and forbidden.any():
+        cost = np.where(forbidden, INF, cost)
+    n = cost.shape[0]
+    u = np.zeros(n + 1, dtype=np.int64)
+    v = np.zeros(n + 1, dtype=np.int64)
+    p = np.zeros(n + 1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    cols = np.arange(1, n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, INF, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            free = ~used[1:]
+            cur = cost[i0 - 1, :] - u[i0] - v[1:]
+            better = free & (cur < minv[1:])
+            minv[1:][better] = cur[better]
+            way[cols[better]] = j0
+            reach = np.where(free, minv[1:], INF)
+            j1 = int(np.argmin(reach)) + 1
+            delta = int(reach[j1 - 1])
+            if delta >= INF // 2:
+                return np.full(n, -1, dtype=np.int64)
+            used_j = np.flatnonzero(used)
+            u[p[used_j]] += delta
+            v[used_j] -= delta
+            minv[np.flatnonzero(~used)] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = int(way[j0])
+            p[j0] = p[j1]
+            j0 = j1
+    slots = np.empty(n, dtype=np.int64)
+    slots[p[1:] - 1] = np.arange(n)
+    return slots
+
+
+def hidden_windows(rng, n):
+    """Windows of a few slots around a hidden schedule on about half the tasks."""
+    hidden = rng.permutation(n)  # hidden[j] = 0-based slot of task j + 1
+    windows = []
+    for slot in hidden.tolist():
+        if rng.random() < 0.5:
+            radius = int(rng.integers(0, 4))
+            windows.append((max(0, slot - radius), min(n, slot + 1 + radius)))
+        else:
+            windows.append((0, n))
+    return TimeWindows(tuple(windows))
+
+
+class TestHungarianMatchesReference:
+    """Lazy potentials and a mask return exactly the slots of the eager kernel."""
+
+    def test_tie_heavy_random_matrices(self):
+        rng = np.random.default_rng(2024)
+        infeasible = 0
+        for trial in range(600):
+            n = trial % 30 + 1
+            cost = rng.integers(0, 12, size=(n, n)).astype(np.int64)
+            forbidden = rng.random((n, n)) < (0.0, 0.15, 0.4)[trial % 3]
+            want = reference_hungarian(cost, forbidden)
+            got = _kernels.hungarian(cost, forbidden)
+            assert np.array_equal(got, want), f"trial {trial}"
+            infeasible += want[0] < 0
+        assert 6 <= infeasible <= 60  # both outcomes are exercised
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    @pytest.mark.parametrize("encoding", list(EncodingKind))
+    def test_consensus_matrices(self, criterion, encoding):
+        rng = np.random.default_rng(77)
+        for seed in range(1, 5):
+            n = int(rng.integers(8, 41))
+            profile = generate_profile(n, int(rng.integers(3, 30)), seed=seed)
+            for windows in (None, hidden_windows(rng, n)):
+                m = build_cost_matrix(profile, criterion, encoding, windows)
+                want = reference_hungarian(m.cost, m.forbidden)
+                assert want[0] >= 0
+                assert np.array_equal(_kernels.hungarian(m.cost, m.forbidden), want)
+
+    def test_scaled_costs_take_the_same_steps_in_exact_integers(self):
+        # Scaling every entry by K > 0 scales every comparison, so the slots
+        # cannot move; K is large enough to leave int64 for Python integers.
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            n = trial % 12 + 2
+            cost = rng.integers(0, 12, size=(n, n)).astype(np.int64)
+            forbidden = rng.random((n, n)) < 0.2
+            scale = (2**63 - 1) // max(1, int(cost.max()))
+            want = reference_hungarian(cost, forbidden)
+            assert np.array_equal(_kernels.hungarian(cost * scale, forbidden), want)
+
+    def test_optimum_past_two_to_the_60(self):
+        cost = (1 << 61) + np.array([[1, 0], [0, 1]], dtype=np.int64)
+        assert (reference_hungarian(cost) < 0).all()  # the 2^60 sentinel's false infeasible
+        assert _kernels.hungarian(cost).tolist() == [1, 0]
+
+    def test_rejects_negative_costs(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _kernels.hungarian(np.array([[0, -1], [2, 3]]))
+
+    def test_empty_matrix(self):
+        assert _kernels.hungarian(np.zeros((0, 0), dtype=np.int64)).tolist() == []
 
 
 def reference_subset_dp(cost, pred_mask, allowed):
