@@ -1,7 +1,7 @@
 """Hot numeric kernels.
 
-The Kendall sweep and the subset DP exist twice: a numba ``@njit`` build and
-a vectorized pure-numpy build. The matching has a single NumPy build, which
+The subset DP exists twice: a numba ``@njit`` build and a vectorized
+pure-numpy build. The matching has a single NumPy build, which
 validates ``backend=`` and otherwise ignores it. The active default comes from
 the ``CONSCHED_BACKEND`` environment variable:
 
@@ -24,9 +24,6 @@ perm_table / completions_table
 
 Kernels
 -------
-perm_costs_kendall
-    Batched pairwise-disagreement counts against a weighted precedence-count
-    matrix W[a, b] = total multiplicity of voters completing a+1 before b+1.
 hungarian
     Exact min-cost perfect matching on an n x n non-negative integer matrix
     with a forbidden mask: shortest augmenting paths with potentials, O(n^3)
@@ -62,7 +59,6 @@ __all__ = [
     "available_backends",
     "perm_table",
     "completions_table",
-    "perm_costs_kendall",
     "hungarian",
     "subset_dp",
     "warmup",
@@ -166,27 +162,9 @@ def completions_table(n: int) -> np.ndarray:
     return _read_only(out)
 
 
-_CHUNK = 1 << 17
-
-
 # ---------------------------------------------------------------------------
 # numba builds
 # ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _perm_costs_kendall_nb(perms, w):
-    m, n = perms.shape
-    out = np.zeros(m, dtype=np.int64)
-    for p in range(m):
-        total = np.int64(0)
-        for u in range(n):
-            a = perms[p, u] - 1
-            for t in range(u + 1, n):
-                b = perms[p, t] - 1
-                total += w[b, a]
-        out[p] = total
-    return out
 
 
 @njit(cache=True)
@@ -235,16 +213,6 @@ def _subset_dp_nb(cost, pred_mask, allowed):
 # ---------------------------------------------------------------------------
 # numpy builds
 # ---------------------------------------------------------------------------
-
-
-def _perm_costs_kendall_np(perms, w):
-    m, n = perms.shape
-    iu, iw = np.triu_indices(n, k=1)
-    out = np.zeros(m, dtype=np.int64)
-    for lo in range(0, m, _CHUNK):
-        chunk = perms[lo : lo + _CHUNK].astype(np.int64)
-        out[lo : lo + _CHUNK] = w[chunk[:, iw] - 1, chunk[:, iu] - 1].sum(axis=1)
-    return out
 
 
 def _hungarian_np(cost, allowed):
@@ -373,15 +341,6 @@ def _subset_dp_np(cost, pred_mask, allowed):
 # ---------------------------------------------------------------------------
 
 
-def perm_costs_kendall(
-    perms: np.ndarray, w: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
-    """Pairwise-disagreement (Kendall tau) cost of every permutation row."""
-    if _resolve(backend) == "numba":
-        return _perm_costs_kendall_nb(perms, w)
-    return _perm_costs_kendall_np(perms, w)
-
-
 def hungarian(
     cost: np.ndarray,
     forbidden: Optional[np.ndarray] = None,
@@ -443,7 +402,6 @@ def warmup(backend: Optional[str] = None) -> None:
     """Compile every jitted kernel once on tiny inputs (no-op for numpy)."""
     if _resolve(backend) != "numba":
         return
-    _perm_costs_kendall_nb(perm_table(3), np.zeros((3, 3), dtype=np.int64))
     _subset_dp_nb(
         np.zeros((2, 2), dtype=np.int64),
         np.zeros(2, dtype=np.int64),

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import PreferenceProfile, Schedule
 
 __all__ = [
@@ -52,13 +54,8 @@ class AxiomReport:
 
 def _completion_bounds(profile: PreferenceProfile) -> tuple[list[int], list[int]]:
     """(min, max) completion time per task across an order profile's voters."""
-    lo = [profile.n + 1] * profile.n
-    hi = [0] * profile.n
-    for pref, _ in profile.entries:
-        for idx, c in enumerate(pref.schedule.completions()):
-            lo[idx] = min(lo[idx], c)
-            hi[idx] = max(hi[idx], c)
-    return lo, hi
+    comp = profile.completions
+    return comp.min(axis=0).tolist(), comp.max(axis=0).tolist()
 
 
 def check_release_consistency(schedule: Schedule, profile: PreferenceProfile) -> AxiomReport:
@@ -94,19 +91,15 @@ def check_temporal_unanimity(schedule: Schedule, profile: PreferenceProfile) -> 
     read as the window (c-1, c). Interval mode: identical (r, d) pairs.
     Tasks without a unanimous window never appear in the report.
     """
+    if profile.mode == "order":
+        comp = profile.completions
+        rel, due = comp - 1, comp
+    else:
+        rel, due = profile.release, profile.due
+    unanimous = (rel == rel[0]).all(axis=0) & (due == due[0]).all(axis=0)
     violations = []
-    for j in range(1, profile.n + 1):
-        if profile.mode == "order":
-            slots = {pref.schedule.completion(j) for pref, _ in profile.entries}
-            if len(slots) != 1:
-                continue
-            c = slots.pop()
-            window = (c - 1, c)
-        else:
-            windows = {pref.windows[j - 1] for pref, _ in profile.entries}
-            if len(windows) != 1:
-                continue
-            window = windows.pop()
+    for j in (np.flatnonzero(unanimous) + 1).tolist():
+        window = (int(rel[0, j - 1]), int(due[0, j - 1]))
         got = schedule.completion(j)
         if not window[0] < got <= window[1]:
             violations.append(Violation(task=j, window=window, got=got))

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .axioms import (
     check_deadline_consistency,
     check_release_consistency,
@@ -45,7 +47,6 @@ from .criteria import (
 from .errors import InfeasibleError, ProfileError, SizeLimitError
 from .model import (
     EncodingKind,
-    OrderPreference,
     PrecedenceGraph,
     PreferenceProfile,
     Schedule,
@@ -171,19 +172,22 @@ def generate_profile(
     """
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}")
-    rng = Lcg(seed)
-    entries = []
-    for _ in range(v):
+    return _draw_profile(Lcg(seed), n, v, generator, swaps)
+
+
+def _draw_profile(rng: Lcg, n: int, v: int, generator: str, swaps: int) -> PreferenceProfile:
+    """Draw v voters' orders from ``rng`` (see ``generate_profile``) into one profile."""
+    orders = np.empty((max(v, 0), max(n, 0)), dtype=np.int64)
+    for row in orders:
         if generator == "uniform_permutations":
-            perm = rng.permutation(n)
+            row[:] = rng.permutation(n)
         else:
             items = list(range(1, n + 1))
             for _ in range(swaps if n > 1 else 0):
                 p = rng.below(n - 1)
                 items[p], items[p + 1] = items[p + 1], items[p]
-            perm = tuple(items)
-        entries.append((OrderPreference(Schedule(perm)), 1))
-    return PreferenceProfile(mode="order", entries=tuple(entries))
+            row[:] = items
+    return PreferenceProfile.from_orders(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +259,7 @@ def run_ratio_experiment(config: ExperimentConfig, backend: Optional[str] = None
     kendall_ratios: list[float] = []
 
     for trial in range(config.trials):
-        entries = []
-        for _ in range(config.v):
-            if config.generator == "uniform_permutations":
-                perm = rng.permutation(config.n)
-            else:
-                items = list(range(1, config.n + 1))
-                for _ in range(config.swaps if config.n > 1 else 0):
-                    p = rng.below(config.n - 1)
-                    items[p], items[p + 1] = items[p + 1], items[p]
-                perm = tuple(items)
-            entries.append((OrderPreference(Schedule(perm)), 1))
-        profile = PreferenceProfile(mode="order", entries=tuple(entries))
+        profile = _draw_profile(rng, config.n, config.v, config.generator, config.swaps)
 
         emd = emd_schedule(profile)
         t_emd = profile_cost(emd, profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS)
@@ -284,7 +277,7 @@ def run_ratio_experiment(config: ExperimentConfig, backend: Optional[str] = None
             dev_res = exhaustive_optimum(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)
             t_opt, dev_opt = t_res.best_cost, dev_res.best_cost
 
-            k_res = kendall_optimum(profile, backend=backend)
+            k_res = kendall_optimum(profile)
             kendall_emd = kendall_tau_distance(emd, profile)
             if k_res.best_cost == 0:
                 report.zero_kendall_opt += 1

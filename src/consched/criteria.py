@@ -209,37 +209,24 @@ def kendall_tau_distance(schedule: Schedule, profile: PreferenceProfile) -> int:
     return total
 
 
-def _completion_arrays(profile: PreferenceProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Completion times of all distinct voters of an order profile, as arrays.
-
-    Returns ``(completions, multiplicity)``: ``completions`` has shape
-    (distinct voters, n) with ``completions[i, j-1]`` the slot at which entry
-    i's preferred schedule completes task j; entries follow the profile's
-    entry order.
-    """
-    comp = np.array([p.schedule.completions() for p, _ in profile.entries], dtype=np.int64)
-    mult = np.array([m for _, m in profile.entries], dtype=np.int64)
-    return comp, mult
-
-
 def interval_arrays(
     profile: PreferenceProfile, encoding: Optional[Union[EncodingKind, str]] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Windows of all distinct voters as arrays: (release, due, multiplicity).
 
     ``release``/``due`` have shape (distinct voters, n); entries follow the
-    profile's entry order. Order-mode profiles derive the windows from the
-    stacked completions C with the encoding's formula (see
-    :class:`consched.model.EncodingKind`) in O(distinct * n) array time,
-    without building one :class:`IntervalPreference` per voter. Shared by the
-    cost matrix, the cost recheck and the brute-force oracle, so all of them
-    evaluate the same windows as the scalar functions above.
+    profile's entry order. Interval-mode profiles return their own read-only
+    arrays. Order-mode profiles derive the windows from the profile's
+    completions C with the encoding's formula (see
+    :class:`consched.model.EncodingKind`) in O(distinct * n) array time.
+    Shared by the cost matrix, the cost recheck and the brute-force oracle,
+    so all of them evaluate the same windows as the scalar functions above.
     """
     if profile.mode == "order":
         if encoding is None:
             raise ValueError("order-mode profiles require an encoding")
         encoding = _as_encoding(encoding)
-        comp, mult = _completion_arrays(profile)
+        comp, mult = profile.completions, profile.mult
         if encoding in (EncodingKind.DEVIATION, EncodingKind.EXACT_POSITION):
             return comp - 1, comp, mult
         if encoding in (EncodingKind.TARDINESS, EncodingKind.LATE_TASKS):
@@ -247,10 +234,7 @@ def interval_arrays(
         return comp - 1, np.full_like(comp, profile.n), mult  # EARLINESS
     if encoding is not None:
         raise ValueError("interval-mode profiles take no encoding")
-    rel = np.array([[r for r, _ in p.windows] for p, _ in profile.entries], dtype=np.int64)
-    due = np.array([[d for _, d in p.windows] for p, _ in profile.entries], dtype=np.int64)
-    mult = np.array([m for _, m in profile.entries], dtype=np.int64)
-    return rel, due, mult
+    return profile.release, profile.due, profile.mult
 
 
 def _task_histogram(values: np.ndarray, mult: np.ndarray, bins: int) -> np.ndarray:

@@ -10,7 +10,15 @@ Voters state preferences in one of two modes:
 * ``interval`` — a (release, due) window per task per voter, where the window
   (r, d) admits exactly the slots t with r < t <= d.
 
-Profiles compress identical voters with integer multiplicities.
+Profiles compress identical voters with integer multiplicities. A
+:class:`PreferenceProfile` holds its data as read-only int64 arrays, one row
+per distinct entry: the completion time of every task (order mode) or the
+release and due date of every task (interval mode), plus a multiplicity
+vector. :func:`parse_profile` reads a file straight into those arrays, and
+the solvers read only them. ``PreferenceProfile.entries`` is a lazy view of
+the same data as one :class:`OrderPreference` or
+:class:`IntervalPreference` per distinct entry, for the scalar reference
+functions.
 
 File formats (UTF-8, line oriented, ``#`` starts a comment):
 
@@ -33,9 +41,13 @@ from __future__ import annotations
 
 import heapq
 import re
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Union
+from itertools import chain, islice
+from typing import IO, Iterable, Optional, Union
+
+import numpy as np
 
 from .errors import ProfileError
 
@@ -183,32 +195,46 @@ def _check_cost_bound(n: int, v: int, line: int | None = None) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
 class PreferenceProfile:
     """All voters' preferences, identical voters compressed by multiplicity.
+
+    The profile's data are read-only int64 arrays with one row per distinct
+    entry, in entry (file line) order:
+
+    * ``mult`` — shape (distinct,): each entry's multiplicity;
+    * ``completions`` — order mode, shape (distinct, n): ``completions[i, j-1]``
+      is the slot at which entry i's preferred schedule completes task j;
+    * ``release`` / ``due`` — interval mode, shape (distinct, n): entry i's
+      window for task j is (``release[i, j-1]``, ``due[i, j-1]``).
+
+    The arrays of the other mode are None. Every solver reads these arrays.
+    ``entries`` presents the same data as ``(preference, multiplicity)``
+    tuples for the scalar reference functions; it is built on first access
+    and cached, so a solve never builds one object per voter.
+
+    Built from ``entries`` (``PreferenceProfile(mode=..., entries=...)``),
+    from an orders array (:meth:`from_orders`) or by :func:`parse_profile`.
+    Two profiles are equal when they have the same mode and the same entries
+    in the same order.
 
     Raises :class:`ProfileError` when v * n * (n + 1) exceeds the int64 range,
     since cost totals of that size could no longer be computed exactly.
     """
 
-    mode: str
-    entries: tuple[tuple[Preference, int], ...]
-    n: int = field(init=False)
-    v: int = field(init=False)
+    __slots__ = ("mode", "n", "v", "mult", "completions", "release", "due", "_entries")
 
-    def __post_init__(self):
-        if self.mode not in ("order", "interval"):
-            raise ValueError(f"mode must be 'order' or 'interval', got {self.mode!r}")
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, mode: str, entries: Iterable[tuple[Preference, int]]):
+        if mode not in ("order", "interval"):
+            raise ValueError(f"mode must be 'order' or 'interval', got {mode!r}")
+        entries = tuple(entries)
         if not entries:
             raise ValueError("profile has no entries")
-        want = OrderPreference if self.mode == "order" else IntervalPreference
+        want = OrderPreference if mode == "order" else IntervalPreference
         ns = set()
         total = 0
         for pref, mult in entries:
             if not isinstance(pref, want):
-                raise ValueError(f"{self.mode} profile holds a {type(pref).__name__}")
+                raise ValueError(f"{mode} profile holds a {type(pref).__name__}")
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
             ns.add(pref.n)
@@ -217,14 +243,117 @@ class PreferenceProfile:
             raise ValueError(f"entries disagree on task count: {sorted(ns)}")
         n = ns.pop()
         _check_cost_bound(n, total)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "v", total)
+        mult = np.array([m for _, m in entries], dtype=np.int64)
+        if mode == "order":
+            comp = np.array([p.schedule.completions() for p, _ in entries], dtype=np.int64)
+            self._set(mode, total, mult, comp, None, None, entries)
+        else:
+            windows = np.array([p.windows for p, _ in entries], dtype=np.int64)
+            rel, due = windows[:, :, 0].copy(), windows[:, :, 1].copy()
+            self._set(mode, total, mult, None, rel, due, entries)
+
+    def _set(self, mode, v, mult, completions, release, due, entries=None) -> None:
+        for name, value in (
+            ("mode", mode), ("v", v), ("mult", mult), ("completions", completions),
+            ("release", release), ("due", due), ("_entries", entries),
+        ):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", (completions if mode == "order" else due).shape[1])
+
+    @classmethod
+    def _from_arrays(cls, mode, v, mult, completions=None, release=None, due=None):
+        """A profile over arrays its caller has already validated (no copies)."""
+        self = object.__new__(cls)
+        self._set(mode, v, mult, completions, release, due)
+        return self
+
+    @classmethod
+    def from_orders(cls, orders) -> "PreferenceProfile":
+        """Order-mode profile of one voter per row of a (voters, n) orders array.
+
+        Row i lists voter i's preferred schedule, task ids in slot order.
+        Rows are checked in bulk, and the first row that is not a permutation
+        of 1..n raises the same ``ValueError`` as :class:`Schedule` would.
+        """
+        orders = np.asarray(orders, dtype=np.int64)
+        if orders.ndim != 2:
+            raise ValueError(f"orders must be a (voters, n) array, got shape {orders.shape}")
+        v, n = orders.shape
+        if not v:
+            raise ValueError("profile has no entries")
+        if not n:
+            raise ValueError("empty schedule")
+        comp, bad = _completions(orders)
+        if bad is not None:
+            Schedule(tuple(orders[bad].tolist()))  # raises the reason
+        _check_cost_bound(n, v)
+        return cls._from_arrays("order", v, np.ones(v, dtype=np.int64), completions=comp)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: PreferenceProfile is immutable")
+
+    __delattr__ = __setattr__
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        if self.mode == "order":
+            return self.mult, self.completions
+        return self.mult, self.release, self.due
+
+    def __eq__(self, other):
+        if not isinstance(other, PreferenceProfile):
+            return NotImplemented
+        return self.mode == other.mode and all(
+            np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays())
+        )
+
+    def __hash__(self):
+        return hash((self.mode, self.n, *(a.tobytes() for a in self._arrays())))
+
+    def __repr__(self) -> str:
+        return (
+            f"PreferenceProfile(mode={self.mode!r}, n={self.n}, v={self.v}, "
+            f"distinct={len(self.mult)})"
+        )
+
+    @property
+    def entries(self) -> tuple[tuple[Preference, int], ...]:
+        """``(preference, multiplicity)`` per distinct entry, built once on demand."""
+        if self._entries is None:
+            mults = self.mult.tolist()
+            if self.mode == "order":
+                orders = (np.argsort(self.completions, axis=1) + 1).tolist()
+                prefs = (OrderPreference(Schedule(tuple(o))) for o in orders)
+            else:
+                prefs = (
+                    IntervalPreference(tuple(zip(r, d)))
+                    for r, d in zip(self.release.tolist(), self.due.tolist())
+                )
+            object.__setattr__(self, "_entries", tuple(zip(prefs, mults)))
+        return self._entries
 
     def iter_voters(self) -> Iterable[Preference]:
         """Yield one preference per voter, multiplicities expanded in entry order."""
         for pref, mult in self.entries:
             for _ in range(mult):
                 yield pref
+
+
+def _completions(orders: np.ndarray) -> tuple[np.ndarray, Optional[int]]:
+    """Completion times of each row of an int64 orders array, and its first bad row.
+
+    One argsort per row: for a permutation of 1..n, the ids in sorted order
+    are exactly 1..n and the sorting indices are the completion times minus
+    one. The second value is the index of the first row that is not such a
+    permutation, or None.
+    """
+    n = orders.shape[1]
+    idx = np.argsort(orders, axis=1)
+    ok = (np.take_along_axis(orders, idx, axis=1) == np.arange(1, n + 1)).all(axis=1)
+    bad = np.flatnonzero(~ok)
+    idx += 1
+    return idx, (int(bad[0]) if bad.size else None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,6 +443,14 @@ def _logical_lines(text: Union[str, IO[str]]) -> Iterable[tuple[int, str]]:
 def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     """Parse the profile file format into a validated :class:`PreferenceProfile`.
 
+    The body is read once into the profile's arrays: each order-mode line's
+    task ids go straight into one int64 buffer, and the rows are checked as
+    permutations in bulk afterwards; interval-mode lines are checked one by
+    one (bounds, then feasibility). Multiplicities stay Python integers until
+    their sum has matched the header. Errors are those of a line-by-line
+    check: the first bad line in file order is reported, with the message
+    :class:`Schedule` or :class:`IntervalPreference` would give.
+
     Raises
     ------
     ProfileError
@@ -322,11 +459,13 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
         infeasible interval windows, mode mixing, task-count mismatches, or
         multiplicities not summing to the declared voter count.
     """
-    lines = list(_logical_lines(text))
-    if len(lines) < 4:
+    lines = _logical_lines(text)
+    header = list(islice(lines, 3))
+    body = next(lines, None)
+    if body is None:
         raise ProfileError("profile needs a 3-line header and at least one pref line")
 
-    (no1, l1), (no2, l2), (no3, l3) = lines[0], lines[1], lines[2]
+    (no1, l1), (no2, l2), (no3, l3) = header
     m = re.fullmatch(r"profile\s+(order|interval)", l1)
     if not m:
         raise ProfileError("expected 'profile order' or 'profile interval'", no1)
@@ -345,55 +484,112 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
         raise ProfileError("voter count must be >= 1", no3)
     _check_cost_bound(n, v, no3)
 
-    entries: list[tuple[Preference, int]] = []
-    for no, line in lines[3:]:
-        m = re.fullmatch(r"pref\s+(\d+)\s*:\s*(.*)", line)
-        if not m:
-            raise ProfileError(f"expected 'pref <mult> : ...', got {line!r}", no)
-        mult = int(m.group(1))
-        if mult < 1:
-            raise ProfileError("multiplicity must be >= 1", no)
-        body = m.group(2).strip()
-        if mode == "order":
-            if "(" in body:
-                raise ProfileError("interval pair in an order-mode profile", no)
-            try:
-                tasks = [int(tok) for tok in body.split()]
-            except ValueError:
-                raise ProfileError(f"non-integer task id in {body!r}", no) from None
-            if len(tasks) != n:
-                raise ProfileError(f"expected {n} task ids, got {len(tasks)}", no)
-            try:
-                pref: Preference = OrderPreference(Schedule(tuple(tasks)))
-            except ValueError as exc:
-                raise ProfileError(str(exc), no) from None
-        else:
-            pairs = _PAIR_RE.findall(body)
-            if len(pairs) != n or _PAIR_RE.sub("", body).strip():
-                raise ProfileError(f"expected {n} '(r,d)' pairs", no)
-            try:
-                pref = IntervalPreference(tuple((int(r), int(d)) for r, d in pairs))
-            except ValueError as exc:
-                raise ProfileError(str(exc), no) from None
-            if not validate_interval_preference(pref):
-                raise ProfileError("windows admit no feasible schedule", no)
-        entries.append((pref, mult))
+    nos: list[int] = []  # line number of each accepted entry
+    mults: list[int] = []
+    bufs = (array("q"),) if mode == "order" else (array("q"), array("q"))
+    try:
+        for no, line in chain((body,), lines):
+            m = _PREF_RE.fullmatch(line)
+            if not m:
+                raise ProfileError(f"expected 'pref <mult> : ...', got {line!r}", no)
+            mult = int(m.group(1))
+            if mult < 1:
+                raise ProfileError("multiplicity must be >= 1", no)
+            if mode == "order":
+                _read_order_line(m.group(2).strip(), n, no, bufs[0])
+            else:
+                _read_interval_line(m.group(2).strip(), n, no, *bufs)
+            nos.append(no)
+            mults.append(mult)
+    except ProfileError:
+        if mode == "order":  # an earlier line's bad permutation comes first
+            _order_arrays(bufs[0], len(nos), n, nos)
+        raise
 
-    total = sum(m for _, m in entries)
+    if mode == "order":
+        arrays = {"completions": _order_arrays(bufs[0], len(nos), n, nos)}
+    else:
+        arrays = {
+            key: np.frombuffer(buf, dtype=np.int64).reshape(-1, n)
+            for key, buf in zip(("release", "due"), bufs)
+        }
+    total = sum(mults)
     if total != v:
         raise ProfileError(f"multiplicities sum to {total}, header declares voters {v}")
-    return PreferenceProfile(mode=mode, entries=tuple(entries))
+    # every multiplicity lies in 1..v, and v passed the int64 cost bound
+    return PreferenceProfile._from_arrays(mode, v, np.array(mults, dtype=np.int64), **arrays)
+
+
+_PREF_RE = re.compile(r"pref\s+(\d+)\s*:\s*(.*)")
+
+
+def _read_order_line(body: str, n: int, no: int, buf: array) -> None:
+    """Append one order-mode line's task ids to ``buf`` (permutations are checked later)."""
+    if "(" in body:
+        raise ProfileError("interval pair in an order-mode profile", no)
+    toks = body.split()
+    try:
+        buf.extend(map(int, toks))
+    except (ValueError, OverflowError):
+        try:
+            tasks = [int(tok) for tok in toks]
+        except ValueError:
+            raise ProfileError(f"non-integer task id in {body!r}", no) from None
+        raise _order_error(tasks, n, no) from None  # an id beyond int64
+    if len(toks) != n:
+        raise ProfileError(f"expected {n} task ids, got {len(toks)}", no)
+
+
+def _order_error(tasks: list[int], n: int, no: int) -> ProfileError:
+    """The error of a line whose integer task ids are not a permutation of 1..n."""
+    if len(tasks) != n:
+        return ProfileError(f"expected {n} task ids, got {len(tasks)}", no)
+    try:
+        Schedule(tuple(tasks))
+    except ValueError as exc:
+        return ProfileError(str(exc), no)
+    raise AssertionError(f"line {no} is a permutation")  # pragma: no cover
+
+
+def _order_arrays(buf: array, rows: int, n: int, nos: list[int]) -> np.ndarray:
+    """Completions of the first ``rows`` orders in ``buf``; raises on the first bad one."""
+    orders = np.frombuffer(buf, dtype=np.int64, count=rows * n).reshape(rows, n)
+    comp, bad = _completions(orders)
+    if bad is not None:
+        raise _order_error(orders[bad].tolist(), n, nos[bad])
+    return comp
+
+
+def _read_interval_line(body: str, n: int, no: int, rel: array, due: array) -> None:
+    """Check one interval-mode line and append its releases and due dates."""
+    pairs = _PAIR_RE.findall(body)
+    if len(pairs) != n or _PAIR_RE.sub("", body).strip():
+        raise ProfileError(f"expected {n} '(r,d)' pairs", no)
+    windows = [(int(r), int(d)) for r, d in pairs]
+    if not all(0 <= r < d <= n for r, d in windows):
+        try:
+            IntervalPreference(tuple(windows))
+        except ValueError as exc:
+            raise ProfileError(str(exc), no) from None
+    if not _windows_feasible(windows):
+        raise ProfileError("windows admit no feasible schedule", no)
+    rel.extend(r for r, _ in windows)
+    due.extend(d for _, d in windows)
 
 
 def serialize_profile(profile: PreferenceProfile) -> str:
     """Inverse of :func:`parse_profile` (round-trips to an equal profile)."""
     out = [f"profile {profile.mode}", f"tasks {profile.n}", f"voters {profile.v}"]
-    for pref, mult in profile.entries:
-        if isinstance(pref, OrderPreference):
-            body = " ".join(map(str, pref.schedule.order))
-        else:
-            body = " ".join(f"({r},{d})" for r, d in pref.windows)
-        out.append(f"pref {mult} : {body}")
+    mults = profile.mult.tolist()
+    if profile.mode == "order":
+        orders = (np.argsort(profile.completions, axis=1) + 1).tolist()
+        bodies = (" ".join(map(str, order)) for order in orders)
+    else:
+        bodies = (
+            " ".join(f"({r},{d})" for r, d in zip(rel, due))
+            for rel, due in zip(profile.release.tolist(), profile.due.tolist())
+        )
+    out.extend(f"pref {mult} : {body}" for mult, body in zip(mults, bodies))
     return "\n".join(out) + "\n"
 
 
@@ -438,15 +634,20 @@ def parse_time_windows(text: Union[str, IO[str]], n: int) -> TimeWindows:
 
 
 def validate_interval_preference(pref: IntervalPreference) -> bool:
-    """True iff some schedule puts every task j into a slot t with r_j < t <= d_j.
+    """True iff some schedule puts every task j into a slot t with r_j < t <= d_j."""
+    return _windows_feasible(pref.windows)
+
+
+def _windows_feasible(windows) -> bool:
+    """Feasibility of well-formed (r, d) windows, one per task, over slots 1..n.
 
     Earliest-deadline-first over release-sorted tasks: walking slots 1..n and
     always running the released task with the tightest due date yields a
     feasible placement exactly when one exists (unit tasks, single machine).
     """
-    n = pref.n
+    n = len(windows)
     by_release: dict[int, list[int]] = {}
-    for j, (r, d) in enumerate(pref.windows, start=1):
+    for r, d in windows:
         by_release.setdefault(r + 1, []).append(d)
     ready: list[int] = []  # min-heap of due dates
     for slot in range(1, n + 1):
@@ -480,11 +681,12 @@ def reverse_schedule(schedule: Schedule) -> Schedule:
 
 
 def reverse_profile(profile: PreferenceProfile) -> PreferenceProfile:
-    """Reverse every preferred schedule of an order-mode profile."""
+    """Reverse every preferred schedule of an order-mode profile.
+
+    The task completing at c completes at n + 1 - c in the reversed schedule.
+    """
     if profile.mode != "order":
         raise ValueError("reverse_profile requires an order-mode profile")
-    entries = tuple(
-        (OrderPreference(reverse_schedule(pref.schedule)), mult)
-        for pref, mult in profile.entries
+    return PreferenceProfile._from_arrays(
+        "order", profile.v, profile.mult, completions=profile.n + 1 - profile.completions
     )
-    return PreferenceProfile(mode="order", entries=entries)

@@ -11,7 +11,9 @@ per call in ``_completion_costs``: T[j, c-1] = sum over voters k of
 mult_k * f(rel_kj, due_kj, c), where f is the per-voter late/early (distance)
 or outside-the-window (binary) formula of ``criteria``, broadcast over all n
 completions c. A permutation's cost is then sum_j T[j, comp[j] - 1], gathered
-column by column from the cached ``_kernels.completions_table``.
+column by column from the cached ``_kernels.completions_table``. The
+pairwise (Kendall) objective is gathered the same way, one pair of columns
+at a time, from the pair-weight matrix.
 
 The oracle stays independent of the assignment reduction: it evaluates the
 window formula directly instead of reading per-task prefix sums off release
@@ -184,19 +186,25 @@ def pair_weight_matrix(profile: PreferenceProfile) -> np.ndarray:
     """w[a-1, b-1] = total multiplicity of voters completing a before b."""
     if profile.mode != "order":
         raise ValueError("pairwise weights require an order-mode profile")
-    comps = np.array([p.schedule.completions() for p, _ in profile.entries], dtype=np.int64)
-    mult = np.array([m for _, m in profile.entries], dtype=np.int64)
+    comps = profile.completions
     before = comps[:, :, None] < comps[:, None, :]
-    return (mult[:, None, None] * before).sum(axis=0)
+    return (profile.mult[:, None, None] * before).sum(axis=0)
 
 
-def kendall_optimum(
-    profile: PreferenceProfile, backend: Optional[str] = None
-) -> OracleResult:
-    """Exact minimizers of the summed pairwise-disagreement distance."""
+def kendall_optimum(profile: PreferenceProfile) -> OracleResult:
+    """Exact minimizers of the summed pairwise-disagreement distance.
+
+    A schedule that completes task a before task b disagrees with the
+    w[b, a] voters who complete b before a, so every permutation is priced
+    pair by pair from ``pair_weight_matrix`` and two columns of the
+    completions table.
+    """
     _guard(profile.n)
-    perms = _kernels.perm_table(profile.n)
+    n = profile.n
+    comp = _kernels.completions_table(n)
     w = pair_weight_matrix(profile)
-    costs = _kernels.perm_costs_kendall(perms, w, backend=backend)
-    feasible = np.ones(len(perms), dtype=bool)
-    return _result(perms, costs, feasible)
+    costs = np.zeros(len(comp), dtype=np.int64)
+    for a in range(n):
+        for b in range(a + 1, n):
+            costs += np.where(comp[:, a] < comp[:, b], w[b, a], w[a, b])
+    return _result(_kernels.perm_table(n), costs, np.ones(len(comp), dtype=bool))

@@ -66,7 +66,7 @@ def infer_precedences(profile: PreferenceProfile) -> InferredPrecedences:
     """Extract the unanimous-order graph of an order-mode profile, O(v * n^2)."""
     if profile.mode != "order":
         raise ValueError("inferred precedences require an order-mode profile")
-    comps = np.array([p.schedule.completions() for p, _ in profile.entries], dtype=np.int64)
+    comps = profile.completions
     always_before = (comps[:, :, None] < comps[:, None, :]).all(axis=0)
     a_idx, b_idx = np.nonzero(always_before)
     edges = frozenset((int(a) + 1, int(b) + 1) for a, b in zip(a_idx, b_idx))

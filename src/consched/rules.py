@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .assignment import build_cost_matrix, min_cost_assignment
-from .criteria import CriterionKind, _completion_arrays, _task_histogram, profile_cost
+from .criteria import CriterionKind, _task_histogram, profile_cost
 from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows, _as_encoding
 
 __all__ = [
@@ -97,8 +97,8 @@ def median_completion_times(profile: PreferenceProfile) -> MedianTable:
     if profile.mode != "order":
         raise ValueError("medians require an order-mode profile")
     pick = (profile.v - 1) // 2  # 0-based index of the ceil(v/2)-th order statistic
-    comp, mult = _completion_arrays(profile)
-    counts = np.cumsum(_task_histogram(comp, mult, profile.n + 1), axis=1)
+    hist = _task_histogram(profile.completions, profile.mult, profile.n + 1)
+    counts = np.cumsum(hist, axis=1)
     return MedianTable(tuple((counts > pick).argmax(axis=1).tolist()))
 
 

@@ -6,8 +6,11 @@ import random
 
 import pytest
 
-from conftest import random_order_profile, random_schedule
+from conftest import random_mixed_profile, random_order_profile, random_schedule
+from consched import axioms
 from consched.axioms import (
+    AxiomReport,
+    Violation,
     check_deadline_consistency,
     check_release_consistency,
     check_temporal_unanimity,
@@ -207,3 +210,86 @@ class TestRulesAgainstAxioms:
         report = check_temporal_unanimity(med, profile)
         assert [(v.task, v.window, v.got) for v in report.violations] == [(1, (1, 2), 1)]
         assert not check_release_consistency(med, profile).ok
+
+
+def reference_completion_bounds(profile):
+    """The former per-task (min, max) walk over ``entries``."""
+    lo = [profile.n + 1] * profile.n
+    hi = [0] * profile.n
+    for pref, _ in profile.entries:
+        for idx, c in enumerate(pref.schedule.completions()):
+            lo[idx] = min(lo[idx], c)
+            hi[idx] = max(hi[idx], c)
+    return lo, hi
+
+
+def reference_temporal_unanimity(schedule, profile):
+    """The former checker: one set of windows per task, built from ``entries``."""
+    violations = []
+    for j in range(1, profile.n + 1):
+        if profile.mode == "order":
+            slots = {pref.schedule.completion(j) for pref, _ in profile.entries}
+            if len(slots) != 1:
+                continue
+            c = slots.pop()
+            window = (c - 1, c)
+        else:
+            windows = {pref.windows[j - 1] for pref, _ in profile.entries}
+            if len(windows) != 1:
+                continue
+            window = windows.pop()
+        got = schedule.completion(j)
+        if not window[0] < got <= window[1]:
+            violations.append(Violation(task=j, window=window, got=got))
+    return AxiomReport("temporal_unanimity", tuple(violations))
+
+
+def _report_key(report):
+    """Everything a report holds, with the value types (no numpy ints may leak)."""
+    return report.axiom, [
+        (type(v.task), v.task, type(v.window[0]), v.window, type(v.got), v.got)
+        for v in report.violations
+    ]
+
+
+class TestArrayCheckersMatchReference:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_order_profiles(self, seed):
+        rng = random.Random(1300 + seed)
+        n = rng.randint(1, 7)
+        if seed % 3 == 0:
+            profile = profile_with_unanimous_slot(
+                rng, n, rng.randint(1, 4), task=rng.randint(1, n), slot=rng.randint(1, n)
+            )
+        else:
+            profile = random_mixed_profile(rng, n, "order")
+        lo, hi = reference_completion_bounds(profile)
+        assert axioms._completion_bounds(profile) == (lo, hi)
+        for _ in range(5):
+            schedule = random_schedule(rng, n)
+            assert _report_key(check_temporal_unanimity(schedule, profile)) == _report_key(
+                reference_temporal_unanimity(schedule, profile)
+            )
+            release = check_release_consistency(schedule, profile)
+            deadline = check_deadline_consistency(schedule, profile)
+            assert [(v.task, v.window, v.got) for v in release.violations] == [
+                (j, (lo[j - 1] - 1, n), schedule.completion(j))
+                for j in range(1, n + 1) if schedule.completion(j) < lo[j - 1]
+            ]
+            assert [(v.task, v.window, v.got) for v in deadline.violations] == [
+                (j, (0, hi[j - 1]), schedule.completion(j))
+                for j in range(1, n + 1) if schedule.completion(j) > hi[j - 1]
+            ]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_interval_profiles(self, seed):
+        rng = random.Random(1400 + seed)
+        n = rng.randint(1, 7)
+        profile = random_mixed_profile(rng, n, "interval")
+        if seed % 2:  # one entry only: every window is unanimous
+            profile = PreferenceProfile(mode="interval", entries=profile.entries[:1])
+        for _ in range(5):
+            schedule = random_schedule(rng, n)
+            assert _report_key(check_temporal_unanimity(schedule, profile)) == _report_key(
+                reference_temporal_unanimity(schedule, profile)
+            )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from consched import cli
 from consched.assignment import build_cost_matrix
 from consched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE
-from consched.model import parse_profile
+from consched.model import Schedule, parse_profile
 
 
 def run(capsys, argv):
@@ -366,6 +367,37 @@ class TestGen:
         )
         assert code == EXIT_OK
         assert out.count("pref 1 : 1 2 3 4 5") == 3
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--tasks", "6", "--voters", "5", "--seed", "1"],
+             "37735ce3ec0cbd3681e3c67f3cffcfd043a90af4c2978fcaa3f47df12852bc2b"),
+            (["--tasks", "8", "--voters", "7", "--seed", "1",
+              "--generator", "mallows_like_swap_noise", "--swaps", "5"],
+             "a2f7d3e1b1abe0f899b15f21cefa92c325127db0801ef7d1dfbf0565b57368db"),
+            (["--tasks", "2", "--voters", "3", "--seed", "1",
+              "--generator", "mallows_like_swap_noise", "--swaps", "3"],
+             "3ba790bf843a4322cbc21078e3e1a2cd66e050a9643d287f4a068ade8d318585"),
+            (["--tasks", "60", "--voters", "300", "--seed", "3"],
+             "b4d60919c6e44ab1bb99c343b9a0137c8423bb9e2ce82a796f3e13923318270c"),
+        ],
+    )
+    def test_frozen_bytes(self, capsys, argv, digest):
+        # The benchmark writes its inputs with its own copy of the LCG and
+        # checks them against these bytes; any change to the draw order shows.
+        code, out, _ = run(capsys, ["gen", *argv])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_ratio_experiment_draws_like_gen(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "emd_schedule", lambda p: seen.append(p) or Schedule((1, 2, 3)))
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: (None, 1))
+        cli.run_ratio_experiment(cli.ExperimentConfig(trials=3, n=3, v=4, seed=8))
+        rng = cli.Lcg(8)
+        assert seen == [cli._draw_profile(rng, 3, 4, "uniform_permutations", 0) for _ in range(3)]
+        assert seen[0] == cli.generate_profile(3, 4, 8)
 
     def test_round_trip_through_solve(self, capsys, tmp_path):
         path = tmp_path / "gen.prof"

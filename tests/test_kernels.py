@@ -85,17 +85,6 @@ class TestBackendParity:
         }
         assert np.array_equal(outs["numpy"], outs["numba"])
 
-    @needs_both
-    @pytest.mark.parametrize("seed", range(3))
-    def test_kendall_sweep_agrees(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        n = int(rng.integers(2, 7))
-        w = rng.integers(0, 5, size=(n, n)).astype(np.int64)
-        np.fill_diagonal(w, 0)
-        perms = _kernels.perm_table(n)
-        outs = {b: _kernels.perm_costs_kendall(perms, w, backend=b) for b in BACKENDS}
-        assert np.array_equal(outs["numpy"], outs["numba"])
-
 
 def reference_hungarian(cost, forbidden=None):
     """The matching with eager potentials and priced forbidden pairs, the tie reference.

@@ -195,11 +195,30 @@ class TestKendall:
             for s in res.optima:
                 assert kendall_tau_distance(s, profile) == manual
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kendall_optimum_matches_former_sweep(self, n):
+        rng = random.Random(1500 + n)
+        for _ in range(4):
+            profile = random_mixed_profile(rng, n, "order")
+            assert kendall_optimum(profile) == reference_kendall_optimum(profile)
+
     def test_unanimous_profile_has_zero_kendall_optimum(self):
         profile = parse_profile("profile order\ntasks 4\nvoters 3\npref 3 : 2 4 1 3\n")
         res = kendall_optimum(profile)
         assert res.best_cost == 0
         assert res.optima == (Schedule((2, 4, 1, 3)),)
+
+
+def reference_kendall_optimum(profile):
+    """The former Kendall oracle: all n(n-1)/2 pair weights gathered per permutation."""
+    n = profile.n
+    perms = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
+    w = pair_weight_matrix(profile)
+    iu, iw = np.triu_indices(n, k=1)
+    costs = w[perms[:, iw] - 1, perms[:, iu] - 1].sum(axis=1)
+    best = int(costs.min())
+    optima = tuple(Schedule(tuple(int(t) for t in row)) for row in perms[costs == best])
+    return OracleResult(best_cost=best, optima=optima, searched=len(perms))
 
 
 def reference_perm_costs(perms, rel, due, mult, binary):
