@@ -55,6 +55,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_BACKEND",
+    "DEFAULT_DP_LIMIT",
     "JIT_ENABLED",
     "available_backends",
     "perm_table",
@@ -65,6 +66,7 @@ __all__ = [
 ]
 
 INF = np.int64(1) << np.int64(60)
+DEFAULT_DP_LIMIT = 20  # largest n the subset DP runs without an explicit size_limit
 _I64_MAX = int(np.iinfo(np.int64).max)
 
 _requested = os.environ.get("CONSCHED_BACKEND", "auto").strip().lower()

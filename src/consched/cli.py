@@ -13,39 +13,29 @@ fixtures      list bundled instance files / print one's path
 Exit codes: 0 ok, 1 usage or parse error, 2 infeasible, 3 size limit.
 
 Profiles are regular files; the bundled instances are addressable as
-``fixture:<name>`` wherever a profile path is expected.
+``fixture:<name>`` wherever a profile path is expected. ``gen`` and ``ratio``
+run :mod:`consched.experiment`, which also specifies the random generator.
 
-Random generation is specified exactly so that any implementation, in any
-language, reproduces identical files from identical seeds: a 64-bit LCG
-(state <- state * 6364136223846793005 + 1442695040888963407 mod 2^64, output
-= state >> 33), draws by modulo, Fisher-Yates from the last position down.
+Each request is its own process, so this module imports at start-up only
+what every profile-reading subcommand needs; each subcommand imports the
+rest of what it runs when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
-from importlib import resources
 from typing import Optional, Sequence
 
-import numpy as np
+# Set before NumPy loads: OpenBLAS spins a worker per core, and consched makes no BLAS call.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .axioms import (
-    check_deadline_consistency,
-    check_release_consistency,
-    check_temporal_unanimity,
-)
-from .criteria import (
-    CriterionKind,
-    kendall_tau_distance,
-    late_counts,
-    profile_cost,
-    spearman_distance,
-)
-from .errors import InfeasibleError, ProfileError, SizeLimitError
-from .model import (
+from ._kernels import DEFAULT_DP_LIMIT  # noqa: E402
+from .criteria import CriterionKind, profile_cost  # noqa: E402
+from .errors import InfeasibleError, ProfileError, SizeLimitError  # noqa: E402
+from .model import (  # noqa: E402
     EncodingKind,
     PrecedenceGraph,
     PreferenceProfile,
@@ -56,14 +46,6 @@ from .model import (
     parse_time_windows,
     serialize_profile,
 )
-from .oracle import constrained_best, exhaustive_optimum, kendall_optimum
-from .precedence import (
-    DEFAULT_DP_LIMIT,
-    infer_precedences,
-    repair_to_inferred,
-    solve_with_graph,
-)
-from .rules import RuleKind, RuleSpec, canonical_criterion, emd_schedule, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,10 +71,16 @@ FIXTURES = {
 }
 
 
-def fixture_text(name: str) -> str:
+def _fixture_path(name: str):
+    from importlib import resources
+
     if name not in FIXTURES:
         raise ProfileError(f"unknown fixture {name!r}; see 'consched fixtures list'")
-    return (resources.files(__package__) / "fixtures" / f"{name}.prof").read_text()
+    return resources.files(__package__) / "fixtures" / f"{name}.prof"
+
+
+def fixture_text(name: str) -> str:
+    return _fixture_path(name).read_text()
 
 
 def _load_profile(spec: str) -> PreferenceProfile:
@@ -124,209 +112,6 @@ def _load_precedence(path: str, n: int) -> PrecedenceGraph:
 
 
 # ---------------------------------------------------------------------------
-# deterministic generation
-# ---------------------------------------------------------------------------
-
-_LCG_MULT = 6364136223846793005
-_LCG_INC = 1442695040888963407
-_MASK64 = (1 << 64) - 1
-
-
-class Lcg:
-    """The documented 64-bit LCG; each draw yields 31 uniform bits."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u31(self) -> int:
-        self.state = (self.state * _LCG_MULT + _LCG_INC) & _MASK64
-        return self.state >> 33
-
-    def below(self, bound: int) -> int:
-        """Uniform-ish draw in [0, bound) via modulo (bound <= 2^31)."""
-        return self.next_u31() % bound
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> tuple[int, ...]:
-        items = list(range(1, n + 1))
-        self.shuffle(items)
-        return tuple(items)
-
-
-GENERATORS = ("uniform_permutations", "mallows_like_swap_noise")
-
-
-def generate_profile(
-    n: int, v: int, seed: int, generator: str = "uniform_permutations", swaps: int = 0
-) -> PreferenceProfile:
-    """Deterministic random order profile; one entry per voter.
-
-    ``uniform_permutations`` draws independent uniform permutations.
-    ``mallows_like_swap_noise`` starts every voter at the identity permutation
-    and applies ``swaps`` adjacent transpositions at LCG-drawn positions (0
-    swaps means v identical voters).
-    """
-    if generator not in GENERATORS:
-        raise ValueError(f"unknown generator {generator!r}")
-    return _draw_profile(Lcg(seed), n, v, generator, swaps)
-
-
-def _draw_profile(rng: Lcg, n: int, v: int, generator: str, swaps: int) -> PreferenceProfile:
-    """Draw v voters' orders from ``rng`` (see ``generate_profile``) into one profile."""
-    orders = np.empty((max(v, 0), max(n, 0)), dtype=np.int64)
-    for row in orders:
-        if generator == "uniform_permutations":
-            row[:] = rng.permutation(n)
-        else:
-            items = list(range(1, n + 1))
-            for _ in range(swaps if n > 1 else 0):
-                p = rng.below(n - 1)
-                items[p], items[p + 1] = items[p + 1], items[p]
-            row[:] = items
-    return PreferenceProfile.from_orders(orders)
-
-
-# ---------------------------------------------------------------------------
-# ratio experiment harness
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ExperimentConfig:
-    """A reproducible ratio experiment: (seed, config) fixes every trial."""
-
-    trials: int
-    n: int
-    v: int
-    seed: int
-    generator: str = "uniform_permutations"
-    swaps: int = 0
-    exact: bool = False
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}")
-
-
-@dataclass
-class RatioReport:
-    config: ExperimentConfig
-    max_tardiness_ratio: float = 0.0
-    mean_tardiness_ratio: float = 0.0
-    max_deviation_ratio: float = 0.0
-    mean_deviation_ratio: float = 0.0
-    max_kendall_ratio: Optional[float] = None
-    mean_kendall_ratio: Optional[float] = None
-    zero_tardiness_opt: int = 0
-    zero_kendall_opt: int = 0
-    slots_checked: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _ratio_stats(ratios: list[float]) -> tuple[float, float]:
-    if not ratios:
-        return 1.0, 1.0
-    return max(ratios), sum(ratios) / len(ratios)
-
-
-def run_ratio_experiment(config: ExperimentConfig, backend: Optional[str] = None) -> RatioReport:
-    """Measure median-rule costs against exact optima over random profiles.
-
-    Exact mode enumerates optima with the oracle, also checking the per-slot
-    double bound (late choices of the median schedule at most twice those of
-    every tardiness-optimal schedule, at every slot) and the pairwise
-    (Kendall) ratio. Non-exact mode prices tardiness/deviation optima through
-    the matching reduction only. Zero-optimum trials are excluded from
-    ratios; in them the median schedule must also cost zero, else the trial
-    is recorded as a violation. Any integer-exact bound breach (tardiness
-    ratio > 2, Kendall ratio > 4, per-slot breach) lands in
-    ``report.violations`` verbatim.
-    """
-    rng = Lcg(config.seed)
-    report = RatioReport(config=config)
-    t_ratios: list[float] = []
-    dev_ratios: list[float] = []
-    kendall_ratios: list[float] = []
-
-    for trial in range(config.trials):
-        profile = _draw_profile(rng, config.n, config.v, config.generator, config.swaps)
-
-        emd = emd_schedule(profile)
-        t_emd = profile_cost(emd, profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS)
-        dev_emd = spearman_distance(emd, profile)
-
-        def _flag(kind: str, detail: str) -> None:
-            report.violations.append(
-                f"trial {trial}: {kind}: {detail}\n"
-                f"  emd schedule: {emd}\n"
-                f"{serialize_profile(profile)}"
-            )
-
-        if config.exact:
-            t_res = exhaustive_optimum(profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS)
-            dev_res = exhaustive_optimum(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)
-            t_opt, dev_opt = t_res.best_cost, dev_res.best_cost
-
-            k_res = kendall_optimum(profile)
-            kendall_emd = kendall_tau_distance(emd, profile)
-            if k_res.best_cost == 0:
-                report.zero_kendall_opt += 1
-                if kendall_emd != 0:
-                    _flag("kendall bound", f"optimum 0 but emd {kendall_emd}")
-            else:
-                if kendall_emd > 4 * k_res.best_cost:
-                    _flag("kendall bound", f"emd {kendall_emd} > 4 * {k_res.best_cost}")
-                kendall_ratios.append(kendall_emd / k_res.best_cost)
-
-            emd_late = late_counts(emd, profile)
-            for opt in t_res.optima:
-                opt_late = late_counts(opt, profile)
-                for y in range(1, config.n + 1):
-                    report.slots_checked += 1
-                    bound = 2 * opt_late[y - 1]
-                    if emd_late[y - 1] > bound:
-                        _flag(
-                            "per-slot bound",
-                            f"slot {y}: emd {emd_late[y - 1]} > {bound} (optimum {opt})",
-                        )
-        else:
-            _, t_opt = solve(
-                profile, RuleSpec("distance", EncodingKind.TARDINESS), backend=backend
-            )
-            _, dev_opt = solve(
-                profile, RuleSpec("distance", EncodingKind.DEVIATION), backend=backend
-            )
-
-        if t_opt == 0:
-            report.zero_tardiness_opt += 1
-            if t_emd != 0:
-                _flag("tardiness bound", f"optimum 0 but emd {t_emd}")
-        else:
-            if t_emd > 2 * t_opt:
-                _flag("tardiness bound", f"emd {t_emd} > 2 * {t_opt}")
-            t_ratios.append(t_emd / t_opt)
-            if dev_emd > 2 * dev_opt:
-                _flag("deviation bound", f"emd {dev_emd} > 2 * {dev_opt}")
-            dev_ratios.append(dev_emd / dev_opt)
-
-    report.max_tardiness_ratio, report.mean_tardiness_ratio = _ratio_stats(t_ratios)
-    report.max_deviation_ratio, report.mean_deviation_ratio = _ratio_stats(dev_ratios)
-    if config.exact:
-        report.max_kendall_ratio, report.mean_kendall_ratio = _ratio_stats(kendall_ratios)
-    return report
-
-
-# ---------------------------------------------------------------------------
 # rule routing shared by solve / check-axioms
 # ---------------------------------------------------------------------------
 
@@ -343,6 +128,8 @@ def _run(method: str, solver, *args, **kwargs) -> tuple[Schedule, int, str]:
 
 def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
     """Resolve flags into one solver run; returns (schedule, cost, method)."""
+    from .rules import RuleKind, RuleSpec, solve
+
     rule = RuleKind(args.rule)
     encoding = _ENCODING_FLAGS[args.encoding] if args.encoding else None
     windows = _load_windows(args.time, profile.n)
@@ -368,12 +155,16 @@ def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
         if method == "repair":
             raise ProfileError("--method repair requires --prec-mode inferred")
         if method == "dp":
+            from .precedence import solve_with_graph
+
             empty = PrecedenceGraph(n=profile.n, edges=frozenset())
             return _run(
                 "dp", solve_with_graph,
                 profile, empty, criterion, encoding, windows, size_limit=args.dp_limit,
             )
         return _run("matching", solve, profile, RuleSpec(rule, encoding, windows))
+
+    from .precedence import infer_precedences, repair_to_inferred, solve_with_graph
 
     if prec_mode == "inferred":
         if profile.mode != "order":
@@ -422,6 +213,8 @@ def _emit_solution(args, profile, schedule: Schedule, cost: int, method: str) ->
     # Printed costs are always recomputed from the schedule, independently of
     # whatever the solver reported; a mismatch would be a bug worth crashing on.
     if method == "emd":
+        from .rules import canonical_criterion
+
         enc = _ENCODING_FLAGS[args.encoding] if args.encoding else EncodingKind.TARDINESS
         crit = canonical_criterion(enc)
         check = profile_cost(schedule, profile, crit, enc)
@@ -484,6 +277,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import constrained_best, exhaustive_optimum
+
     profile = _load_profile(args.profile)
     encoding = _ENCODING_FLAGS[args.encoding] if args.encoding else None
     criterion = CriterionKind(args.rule)
@@ -495,6 +290,8 @@ def cmd_oracle(args) -> int:
         windows = _load_windows(args.time, profile.n)
         graph = None
         if args.prec_mode == "inferred":
+            from .precedence import infer_precedences
+
             graph = infer_precedences(profile).graph
         elif args.prec_mode == "graph":
             if not args.prec:
@@ -521,6 +318,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
+    from .axioms import (
+        check_deadline_consistency,
+        check_release_consistency,
+        check_temporal_unanimity,
+    )
+
     profile = _load_profile(args.profile)
     schedule, cost, method = _route(args, profile)
     reports = []
@@ -562,6 +365,8 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .experiment import generate_profile
+
     profile = generate_profile(args.tasks, args.voters, args.seed, args.generator, args.swaps)
     header = (
         f"# generator {args.generator} seed {args.seed} tasks {args.tasks} "
@@ -577,6 +382,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    from .experiment import ExperimentConfig, run_ratio_experiment
+
     config = ExperimentConfig(
         trials=args.trials,
         n=args.tasks,
@@ -648,7 +455,7 @@ def cmd_fixtures(args) -> int:
     if args.action == "list":
         if args.format == "json":
             print(json.dumps({
-                name: {"description": desc, "path": str(resources.files(__package__) / "fixtures" / f"{name}.prof")}
+                name: {"description": desc, "path": str(_fixture_path(name))}
                 for name, desc in FIXTURES.items()
             }))
         else:
@@ -656,9 +463,7 @@ def cmd_fixtures(args) -> int:
                 print(f"{name:12} {desc}")
         return EXIT_OK
     # action == "path"
-    if args.name not in FIXTURES:
-        raise ProfileError(f"unknown fixture {args.name!r}; see 'consched fixtures list'")
-    print(resources.files(__package__) / "fixtures" / f"{args.name}.prof")
+    print(_fixture_path(args.name))
     return EXIT_OK
 
 
@@ -673,6 +478,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """argparse type of a count: an int >= 0, with argparse's own message for a non-int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+# experiment.GENERATORS, named here so that building the parser imports no experiment.
+_GENERATORS = ("uniform_permutations", "mallows_like_swap_noise")
 
 
 def _add_format(p) -> None:
@@ -716,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prec", metavar="FILE")
     p.add_argument("--prec-mode", choices=("inferred", "graph"))
     p.add_argument("--axiom-filter", choices=("release", "deadline", "unanimity"))
-    p.add_argument("--max-optima", type=int, default=20, help="optima printed (default 20)")
+    p.add_argument("--max-optima", type=_count, default=20, help="optima printed (default 20)")
     _add_format(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -729,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=int, required=True)
     p.add_argument("--voters", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--generator", choices=GENERATORS, default="uniform_permutations")
-    p.add_argument("--swaps", type=int, default=0,
+    p.add_argument("--generator", choices=_GENERATORS, default="uniform_permutations")
+    p.add_argument("--swaps", type=_count, default=0,
                    help="adjacent transpositions per voter (swap-noise generator)")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_gen)
@@ -740,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=int, required=True)
     p.add_argument("--voters", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--generator", choices=GENERATORS, default="uniform_permutations")
-    p.add_argument("--swaps", type=int, default=0)
+    p.add_argument("--generator", choices=_GENERATORS, default="uniform_permutations")
+    p.add_argument("--swaps", type=_count, default=0)
     p.add_argument("--exact", action="store_true",
                    help="oracle-backed optima, Kendall ratio, per-slot checks (n <= 10)")
     _add_format(p)

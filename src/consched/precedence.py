@@ -29,6 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
+from ._kernels import DEFAULT_DP_LIMIT
 from .assignment import build_cost_matrix, min_cost_assignment
 from .criteria import CriterionKind, _as_criterion, profile_cost
 from .errors import InfeasibleError, SizeLimitError
@@ -51,8 +52,6 @@ __all__ = [
     "solve_with_graph",
     "DEFAULT_DP_LIMIT",
 ]
-
-DEFAULT_DP_LIMIT = 20
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .assignment import build_cost_matrix, min_cost_assignment
-from .criteria import CriterionKind, _task_histogram, profile_cost
+from .criteria import CriterionKind, _task_histogram
 from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows, _as_encoding
 
 __all__ = [
@@ -118,7 +118,8 @@ def solve(
 
     distance/binary delegate to the matching reduction and return a global
     optimum honoring ``spec.windows``; emd returns the median-order schedule
-    and its cost under the requested encoding (default: tardiness).
+    and its cost under the requested encoding (default: tardiness), summed
+    from the same cost matrix.
 
     Raises
     ------
@@ -130,8 +131,11 @@ def solve(
             raise ValueError("emd requires an order-mode profile")
         encoding = spec.encoding if spec.encoding is not None else EncodingKind.TARDINESS
         schedule = emd_schedule(profile)
-        cost = profile_cost(schedule, profile, canonical_criterion(encoding), encoding)
-        return schedule, cost
+        # Priced off the cost matrix, as the matching's optimum is, so that a
+        # recheck with profile_cost is an independent computation.
+        matrix = build_cost_matrix(profile, canonical_criterion(encoding), encoding)
+        tasks = np.array(schedule.order) - 1
+        return schedule, int(matrix.cost[tasks, np.arange(profile.n)].sum())
 
     criterion = CriterionKind(spec.rule.value)
     if profile.mode == "order" and spec.encoding is None:

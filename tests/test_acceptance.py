@@ -42,7 +42,7 @@ from consched import (
     solve_with_graph,
     spearman_distance,
 )
-from consched import cli
+from consched import cli, experiment
 from consched.cli import fixture_text
 
 DIST, BIN = CriterionKind.DISTANCE, CriterionKind.BINARY
@@ -252,11 +252,11 @@ def test_criterion_08_emd_double_bound_experiment():
     seed = 800
     for n in (4, 5, 6, 7):
         for v in (3, 5, 7):
-            config = cli.ExperimentConfig(
+            config = experiment.ExperimentConfig(
                 trials=trials_per_cell, n=n, v=v, seed=seed,
                 generator="uniform_permutations", swaps=0, exact=True,
             )
-            reports.append(cli.run_ratio_experiment(config))
+            reports.append(experiment.run_ratio_experiment(config))
             seed += 1
     elapsed = time.perf_counter() - t0
 

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_mixed_profile, random_order_profile
 from consched.assignment import CostMatrix, build_cost_matrix, min_cost_assignment
-from consched.cli import generate_profile
+from consched.experiment import generate_profile
 from consched.criteria import CriterionKind, distance_task_cost, profile_cost
 from consched.errors import InfeasibleError
 from consched.model import (

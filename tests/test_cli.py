@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from consched import cli
+from consched import cli, criteria, experiment
 from consched.assignment import build_cost_matrix
 from consched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE
 from consched.model import Schedule, parse_profile
@@ -254,6 +255,29 @@ class TestSolve:
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rule", "emd"],
+            ["--rule", "emd", "--encoding", "late"],
+            ["--rule", "distance", "--encoding", "deviation"],
+            ["--rule", "binary", "--encoding", "late", "--method", "dp"],
+        ],
+    )
+    def test_recheck_catches_a_wrong_profile_cost(self, capsys, monkeypatch, argv):
+        # The printed cost is rechecked with profile_cost; the solvers must
+        # price their schedule some other way, or a faulty profile_cost would
+        # agree with itself and pass the recheck.
+        real = criteria.profile_cost
+        for name, module in list(sys.modules.items()):
+            if name == "consched" or name.startswith("consched."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, lambda *a, **k: real(*a, **k) + 1)
+        with pytest.raises(AssertionError, match="!= recomputed cost"):
+            cli.main(["solve", "--profile", "fixture:median4x3b", *argv])
+        capsys.readouterr()
+
     def test_parse_error_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.prof"
         path.write_text("profile order\ntasks 3\nvoters 1\npref 1 : 1 2\n")
@@ -324,6 +348,18 @@ class TestOracle:
         assert "4 2 3 5 6 7 1" in out
 
 
+    def test_negative_max_optima_is_a_usage_error(self, capsys):
+        # A negative slice bound would silently drop optima from the listing.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--profile", "fixture:late7x3", "--rule", "binary",
+                      "--encoding", "late", "--max-optima", "-1", "--format", "json"])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: consched oracle")
+        assert err.endswith("error: argument --max-optima: must be >= 0, got -1\n")
+
+
 class TestCheckAxioms:
     def test_line_format_on_order_profile(self, capsys):
         code, out, _ = run(
@@ -392,12 +428,41 @@ class TestGen:
 
     def test_ratio_experiment_draws_like_gen(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "emd_schedule", lambda p: seen.append(p) or Schedule((1, 2, 3)))
-        monkeypatch.setattr(cli, "solve", lambda *a, **k: (None, 1))
-        cli.run_ratio_experiment(cli.ExperimentConfig(trials=3, n=3, v=4, seed=8))
-        rng = cli.Lcg(8)
-        assert seen == [cli._draw_profile(rng, 3, 4, "uniform_permutations", 0) for _ in range(3)]
-        assert seen[0] == cli.generate_profile(3, 4, 8)
+        monkeypatch.setattr(
+            experiment, "emd_schedule", lambda p: seen.append(p) or Schedule((1, 2, 3))
+        )
+        monkeypatch.setattr(experiment, "solve", lambda *a, **k: (None, 1))
+        experiment.run_ratio_experiment(experiment.ExperimentConfig(trials=3, n=3, v=4, seed=8))
+        rng = experiment.Lcg(8)
+        assert seen == [
+            experiment._draw_profile(rng, 3, 4, "uniform_permutations", 0) for _ in range(3)
+        ]
+        assert seen[0] == experiment.generate_profile(3, 4, 8)
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--tasks", "4", "--voters", "2", "--seed", "1"],
+        ["ratio", "--trials", "2", "--tasks", "4", "--voters", "2", "--seed", "1"],
+    ])
+    def test_negative_swaps_is_a_usage_error(self, capsys, command):
+        # gen used to write "swaps -2" into the header and draw no swap at all.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--generator", "mallows_like_swap_noise", "--swaps", "-2"])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: consched {command[0]}")
+        assert err.endswith("error: argument --swaps: must be >= 0, got -2\n")
+
+    def test_non_integer_count_keeps_the_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "--tasks", "4", "--voters", "2", "--seed", "1", "--swaps", "two"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: argument --swaps: invalid int value: 'two'\n"
+        )
+
+    def test_parser_offers_the_experiment_generators(self):
+        assert cli._GENERATORS == experiment.GENERATORS
 
     def test_round_trip_through_solve(self, capsys, tmp_path):
         path = tmp_path / "gen.prof"
@@ -475,3 +540,109 @@ def test_installed_entry_point_smoke():
     payload = json.loads(proc.stdout)
     assert payload["cost"] == 7
     assert payload["schedule"] == [4, 2, 5, 1, 3]
+
+
+def _fresh(args, env=None):
+    """``python <args>`` in a new interpreter with ``OPENBLAS_NUM_THREADS`` unset."""
+    clean = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**clean, **(env or {})})
+
+
+class TestFreshProcess:
+    """Each request is a new process that imports only what its subcommand runs.
+
+    In-process tests share one interpreter in which every module is already
+    loaded, so they would not notice a subcommand missing an import.
+    """
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "g.txt").write_text("1 -> 2\n3 -> 4\n")
+        (tmp_path / "w.txt").write_text("task 1 : 0 3\n")
+        return tmp_path
+
+    SOLVE = ["solve", "--profile", "fixture:chain5x6", "--rule", "binary", "--encoding", "late"]
+    ORACLE = ["oracle", "--profile", "fixture:late7x3", "--rule", "binary", "--encoding", "late"]
+
+    @pytest.mark.parametrize("argv", [
+        SOLVE,
+        SOLVE + ["--time", "{tmp}/w.txt"],
+        SOLVE + ["--prec-mode", "inferred"],
+        SOLVE + ["--prec-mode", "graph", "--prec", "{tmp}/g.txt"],
+        ["solve", "--profile", "fixture:tail8x6", "--rule", "distance", "--encoding", "deviation",
+         "--prec-mode", "inferred"],
+        ["solve", "--profile", "fixture:median4x3a", "--rule", "emd", "--format", "json"],
+        ["eval", "--profile", "fixture:late7x3", "--schedule", "4 2 3 5 6 7 1",
+         "--criterion", "binary", "--encoding", "late"],
+        ORACLE,
+        ORACLE + ["--prec-mode", "inferred"],
+        ORACLE + ["--axiom-filter", "deadline"],
+        ["check-axioms", "--profile", "fixture:median4x3a", "--rule", "emd"],
+        ["gen", "--tasks", "6", "--voters", "4", "--seed", "3",
+         "--generator", "mallows_like_swap_noise", "--swaps", "2"],
+        ["ratio", "--trials", "2", "--tasks", "4", "--voters", "3", "--seed", "5", "--exact"],
+        ["fixtures", "list"],
+        ["fixtures", "path", "late7x3"],
+    ])
+    def test_every_subcommand_runs_cold(self, capsys, files, argv):
+        argv = [arg.replace("{tmp}", str(files)) for arg in argv]
+        proc = _fresh(["-m", "consched.cli", *argv])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        assert proc.stdout == out
+
+    def test_import_consched_loads_no_numpy_and_no_submodule(self):
+        proc = _fresh(["-c", "import sys, consched; print(sorted("
+                       "m for m in sys.modules if m == 'numpy' or m.startswith('consched')))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['consched']\n"
+
+    @pytest.mark.parametrize("argv, unused", [
+        (SOLVE, {"oracle", "axioms", "experiment", "precedence"}),
+        (ORACLE, {"axioms", "experiment", "precedence", "rules", "assignment"}),
+        (["fixtures", "list"], {"oracle", "axioms", "experiment", "precedence", "rules"}),
+    ])
+    def test_a_request_loads_only_what_it_runs(self, argv, unused):
+        probe = (
+            "import runpy, sys\n"
+            f"sys.argv = ['consched', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('consched.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(sorted(m[9:] for m in sys.modules if m.startswith('consched.')))\n"
+        )
+        proc = _fresh(["-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(eval(proc.stdout.splitlines()[-1]))
+        assert loaded & unused == set()
+        assert "model" in loaded
+
+    THREADS = (
+        "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+        "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)"
+    )
+
+    def test_cli_defaults_openblas_to_one_thread(self):
+        proc = _fresh(["-c", "import consched.cli, numpy; " + self.THREADS])
+        assert proc.returncode == 0, proc.stderr
+        # One OS thread: OpenBLAS started no worker, so the default came first.
+        assert proc.stdout == "1 1\n"
+
+    def test_cli_keeps_the_callers_openblas_setting(self):
+        proc = _fresh(["-c", "import consched.cli; " + self.THREADS],
+                      env={"OPENBLAS_NUM_THREADS": "2"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[0] == "2"
+
+    def test_library_leaves_the_environment_alone(self):
+        proc = _fresh(["-c", (
+            "import os, consched\n"
+            "p = consched.parse_profile('profile order\\ntasks 2\\nvoters 1\\npref 1 : 2 1\\n')\n"
+            "print(consched.solve(p, consched.RuleSpec('distance', 'deviation'))[1])\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\nNone\n"

@@ -10,7 +10,7 @@ import pytest
 
 from consched import _kernels
 from consched.assignment import build_cost_matrix
-from consched.cli import generate_profile
+from consched.experiment import generate_profile
 from consched.criteria import CriterionKind
 from consched.model import EncodingKind, Schedule, TimeWindows
 

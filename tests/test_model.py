@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from consched.cli import generate_profile
+from consched.experiment import generate_profile
 from consched.criteria import profile_cost
 from consched.errors import ProfileError
 from consched.model import (

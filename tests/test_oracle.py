@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed_profile, random_order_profile
-from consched import _kernels, cli, oracle
+from consched import _kernels, cli, experiment, oracle
 from consched.axioms import (
     check_deadline_consistency,
     check_release_consistency,
@@ -386,7 +386,7 @@ class TestResultMatchesReference:
 class TestScale:
     def test_peak_memory_stays_small(self):
         # The per-voter sweep over int64 completions peaked at ~80 MB here.
-        profile = cli.generate_profile(9, 20, seed=1)
+        profile = experiment.generate_profile(9, 20, seed=1)
         _kernels.perm_table.cache_clear()  # measure the cold call, tables included
         _kernels.completions_table.cache_clear()
         tracemalloc.start()
@@ -398,7 +398,7 @@ class TestScale:
         assert peak < 32 * 2**20
 
     def test_n10_best_cost_equals_matching(self, tmp_path, capsys):
-        profile = cli.generate_profile(10, 20, seed=2)
+        profile = experiment.generate_profile(10, 20, seed=2)
         path = tmp_path / "ten.prof"
         path.write_text(serialize_profile(profile))
         code = cli.main([
