@@ -61,6 +61,7 @@ _EXPORTS = {
         "infer_precedences",
         "repair_steps",
         "repair_to_inferred",
+        "solve_by_repair",
         "solve_inferred",
         "solve_with_graph",
     ),

@@ -1,18 +1,9 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, one NumPy build each.
 
-The subset DP exists twice: a numba ``@njit`` build and a vectorized
-pure-numpy build. The matching has a single NumPy build, which
-validates ``backend=`` and otherwise ignores it. The active default comes from
-the ``CONSCHED_BACKEND`` environment variable:
-
-* ``auto``  (default) — numba when importable, numpy otherwise;
-* ``numba`` — require numba, fail loudly if missing;
-* ``numpy`` — force the pure-numpy path.
-
-Each public function also takes an explicit ``backend=`` argument so tests
-can compare the two builds directly. Both builds of a kernel use identical
-tie-breaking (first minimum in ascending index order) and therefore return
-identical results, not merely equal costs.
+Every kernel breaks ties the same fixed way (first minimum in ascending index
+order), so its result is a fixed function of its input, not merely an
+optimum. The plain-Python references in ``tests/test_kernels.py``
+(``reference_hungarian``, ``reference_subset_dp``) pin those tie-breaks.
 
 Tables
 ------
@@ -37,79 +28,33 @@ hungarian
     ``_hungarian_np`` for the bound).
 subset_dp
     Exact DP over task subsets for precedence-constrained minimization of any
-    per-(task, slot) separable cost, O(2^n * n). The numpy build sweeps the
-    subsets one popcount layer at a time: for each layer k and each task j in
-    ascending order it prices j as the last of every k-subset at once, so the
-    Python loop runs n^2 times instead of 2^n. It tracks reachable subsets
-    in a boolean array, so a true optimum at or above the numba build's 2^60
-    sentinel is still found rather than reported infeasible.
+    per-(task, slot) separable cost, O(2^n * n). It sweeps the subsets one
+    popcount layer at a time: for each layer k and each task j in ascending
+    order it prices j as the last of every k-subset at once, so the Python
+    loop runs n^2 times instead of 2^n. It tracks reachable subsets in a
+    boolean array rather than with a cost sentinel, so no optimum, however
+    large, is mistaken for infeasible.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from .errors import SizeLimitError
+
 __all__ = [
-    "DEFAULT_BACKEND",
     "DEFAULT_DP_LIMIT",
-    "JIT_ENABLED",
-    "available_backends",
     "perm_table",
     "completions_table",
     "hungarian",
     "subset_dp",
-    "warmup",
 ]
 
-INF = np.int64(1) << np.int64(60)
 DEFAULT_DP_LIMIT = 20  # largest n the subset DP runs without an explicit size_limit
 _I64_MAX = int(np.iinfo(np.int64).max)
-
-_requested = os.environ.get("CONSCHED_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"CONSCHED_BACKEND={_requested!r} is not one of 'auto', 'numba', 'numpy'"
-    )
-
-JIT_ENABLED = False
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        JIT_ENABLED = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-if not JIT_ENABLED:  # no-op decorator so the jitted definitions still parse
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-DEFAULT_BACKEND = "numba" if JIT_ENABLED else "numpy"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numpy", "numba") if JIT_ENABLED else ("numpy",)
-
-
-def _resolve(backend: Optional[str]) -> str:
-    backend = DEFAULT_BACKEND if backend is None else backend.lower()
-    if backend not in ("numpy", "numba"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not JIT_ENABLED:
-        raise RuntimeError("numba backend requested but numba is not available")
-    return backend
 
 
 def _check_table_size(n: int) -> None:
@@ -165,55 +110,7 @@ def completions_table(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numba builds
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _subset_dp_nb(cost, pred_mask, allowed):
-    n = cost.shape[0]
-    size = 1 << n
-    f = np.full(size, INF, dtype=np.int64)
-    f[0] = 0
-    choice = np.full(size, -1, dtype=np.int8)
-    popcnt = np.zeros(size, dtype=np.int8)
-    for mask in range(1, size):
-        popcnt[mask] = popcnt[mask >> 1] + (mask & 1)
-        k = popcnt[mask]
-        best = INF
-        best_j = -1
-        for j in range(n):
-            bit = 1 << j
-            if mask & bit == 0:
-                continue
-            rest = mask ^ bit
-            if pred_mask[j] & ~rest != 0:
-                continue
-            if not allowed[j, k - 1]:
-                continue
-            prev = f[rest]
-            if prev >= INF:
-                continue
-            val = prev + cost[j, k - 1]
-            if val < best:
-                best = val
-                best_j = j
-        f[mask] = best
-        choice[mask] = best_j
-    order = np.full(n, -1, dtype=np.int64)
-    full = size - 1
-    if f[full] >= INF:
-        return order
-    mask = full
-    for k in range(n, 0, -1):
-        j = choice[mask]
-        order[k - 1] = j
-        mask ^= 1 << j
-    return order
-
-
-# ---------------------------------------------------------------------------
-# numpy builds
+# kernels
 # ---------------------------------------------------------------------------
 
 
@@ -305,11 +202,14 @@ def _hungarian_np(cost, allowed):
 def _subset_dp_np(cost, pred_mask, allowed):
     n = cost.shape[0]
     size = 1 << n
-    popcnt = np.bitwise_count(np.arange(size, dtype=np.uint64))  # uint8
-    f = np.zeros(size, dtype=np.int64)
-    reach = np.zeros(size, dtype=np.bool_)
+    try:  # NumPy refuses a size past its index range with ValueError
+        popcnt = np.bitwise_count(np.arange(size, dtype=np.uint64))  # uint8
+        f = np.zeros(size, dtype=np.int64)
+        reach = np.zeros(size, dtype=np.bool_)
+        choice = np.full(size, -1, dtype=np.int8)
+    except (MemoryError, ValueError) as exc:
+        raise SizeLimitError(f"the subset DP's 2^{n}-entry tables do not fit: {exc}") from None
     reach[0] = True
-    choice = np.full(size, -1, dtype=np.int8)
     for k in range(1, n + 1):
         layer = np.flatnonzero(popcnt == k)
         for j in range(n):  # ascending j with a strict < keeps the first minimum
@@ -339,15 +239,11 @@ def _subset_dp_np(cost, pred_mask, allowed):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# entry points
 # ---------------------------------------------------------------------------
 
 
-def hungarian(
-    cost: np.ndarray,
-    forbidden: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def hungarian(cost: np.ndarray, forbidden: Optional[np.ndarray] = None) -> np.ndarray:
     """Min-cost perfect matching; slots[j] = 0-based slot of task row j.
 
     Returns an array of -1s when the forbidden mask rules out every perfect
@@ -356,15 +252,13 @@ def hungarian(
     compared. Ties go to the first minimum in column order at every step, so
     the result is a fixed function of the matrix, and the arithmetic is exact
     for any int64 entries (int64 while 2n * max(cost) < 2^63 - 1, Python
-    integers beyond). ``backend`` is validated but the matching has a single
-    build.
+    integers beyond).
 
     Raises
     ------
     ValueError
         When an entry is negative.
     """
-    _resolve(backend)
     cost = np.ascontiguousarray(cost, dtype=np.int64)
     if cost.size and cost.min() < 0:
         raise ValueError("hungarian needs non-negative costs")
@@ -374,38 +268,21 @@ def hungarian(
     return _hungarian_np(cost, allowed)
 
 
-def subset_dp(
-    cost: np.ndarray,
-    pred_mask: np.ndarray,
-    allowed: np.ndarray,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def subset_dp(cost: np.ndarray, pred_mask: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Optimal precedence-feasible slot order; order[k] = task at slot k+1.
 
     ``pred_mask[j]`` holds one bit per predecessor of task j; ``allowed[j, k]``
-    says task j may occupy slot k+1. Returns all -1s when infeasible.
+    says task j may occupy slot k+1. Returns all -1s when infeasible, and
+    raises :class:`SizeLimitError` when the 2^n-entry tables cannot be
+    allocated.
 
     f(A) = min over feasible last tasks j of f(A \\ {j}) + cost[j, |A| - 1].
-    The numpy build fills f layer by layer (|A| = 1..n); within a layer it
-    tries j = 0..n-1 and replaces the running best only on a strictly smaller
-    value. Ties therefore go to the smallest j, exactly as the numba build's
-    per-subset scan in ascending j breaks them, so both builds return
-    identical orders (for optima below that build's 2^60 sentinel).
+    f is filled layer by layer (|A| = 1..n); within a layer j runs 0..n-1 and
+    replaces the running best only on a strictly smaller value. Ties therefore
+    go to the smallest j, exactly as a per-subset scan in ascending j breaks
+    them (``reference_subset_dp`` in ``tests/test_kernels.py``).
     """
     cost = np.ascontiguousarray(cost, dtype=np.int64)
     pred_mask = np.ascontiguousarray(pred_mask, dtype=np.int64)
     allowed = np.ascontiguousarray(allowed, dtype=np.bool_)
-    if _resolve(backend) == "numba":
-        return _subset_dp_nb(cost, pred_mask, allowed)
     return _subset_dp_np(cost, pred_mask, allowed)
-
-
-def warmup(backend: Optional[str] = None) -> None:
-    """Compile every jitted kernel once on tiny inputs (no-op for numpy)."""
-    if _resolve(backend) != "numba":
-        return
-    _subset_dp_nb(
-        np.zeros((2, 2), dtype=np.int64),
-        np.zeros(2, dtype=np.int64),
-        np.ones((2, 2), dtype=np.bool_),
-    )

@@ -51,6 +51,11 @@ class CostMatrix:
             if self.forbidden.shape != (self.n, self.n):
                 raise ValueError(f"forbidden mask must be {self.n}x{self.n}")
 
+    def price(self, schedule: Schedule) -> int:
+        """Sum of cost[j-1][t-1] over the tasks j of a schedule and their slots t."""
+        tasks = np.array(schedule.order, dtype=np.int64) - 1
+        return int(self.cost[tasks, np.arange(self.n)].sum())
+
 
 def build_cost_matrix(
     profile: PreferenceProfile,
@@ -104,9 +109,7 @@ def build_cost_matrix(
     return CostMatrix(n=n, cost=cost, forbidden=forbidden)
 
 
-def min_cost_assignment(
-    matrix: CostMatrix, backend: Optional[str] = None
-) -> tuple[Schedule, int]:
+def min_cost_assignment(matrix: CostMatrix) -> tuple[Schedule, int]:
     """Minimum-total-cost schedule avoiding forbidden pairs, O(n^3).
 
     Deterministic: tasks and slots are processed in increasing index order, so
@@ -118,7 +121,7 @@ def min_cost_assignment(
     InfeasibleError
         When no perfect matching avoids all forbidden pairs.
     """
-    slots = _kernels.hungarian(matrix.cost, matrix.forbidden, backend=backend)
+    slots = _kernels.hungarian(matrix.cost, matrix.forbidden)
     if slots[0] < 0:
         raise InfeasibleError("time windows admit no feasible schedule")
     order = np.empty(matrix.n, dtype=np.int64)

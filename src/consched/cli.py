@@ -164,7 +164,7 @@ def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
             )
         return _run("matching", solve, profile, RuleSpec(rule, encoding, windows))
 
-    from .precedence import infer_precedences, repair_to_inferred, solve_with_graph
+    from .precedence import infer_precedences, solve_by_repair, solve_with_graph
 
     if prec_mode == "inferred":
         if profile.mode != "order":
@@ -198,10 +198,7 @@ def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
                 "note: repair guarantees optimality for the distance criterion only",
                 file=sys.stderr,
             )
-        base, _, _ = _run("matching+repair", solve, profile, RuleSpec(rule, encoding))
-        schedule = repair_to_inferred(base, prec)
-        cost = profile_cost(schedule, profile, criterion, encoding)
-        return schedule, cost, "matching+repair"
+        return _run("matching+repair", solve_by_repair, profile, prec, criterion, encoding)
 
     return _run(
         "dp", solve_with_graph,

@@ -153,7 +153,7 @@ def _ratio_stats(ratios: list[float]) -> tuple[float, float]:
     return max(ratios), sum(ratios) / len(ratios)
 
 
-def run_ratio_experiment(config: ExperimentConfig, backend: Optional[str] = None) -> RatioReport:
+def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
     """Measure median-rule costs against exact optima over random profiles.
 
     Exact mode enumerates optima with the oracle, also checking the per-slot
@@ -214,12 +214,8 @@ def run_ratio_experiment(config: ExperimentConfig, backend: Optional[str] = None
                             f"slot {y}: emd {emd_late[y - 1]} > {bound} (optimum {opt})",
                         )
         else:
-            _, t_opt = solve(
-                profile, RuleSpec("distance", EncodingKind.TARDINESS), backend=backend
-            )
-            _, dev_opt = solve(
-                profile, RuleSpec("distance", EncodingKind.DEVIATION), backend=backend
-            )
+            _, t_opt = solve(profile, RuleSpec("distance", EncodingKind.TARDINESS))
+            _, dev_opt = solve(profile, RuleSpec("distance", EncodingKind.DEVIATION))
 
         if t_opt == 0:
             report.zero_tardiness_opt += 1

@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import DEFAULT_DP_LIMIT
 from .assignment import build_cost_matrix, min_cost_assignment
-from .criteria import CriterionKind, _as_criterion, profile_cost
+from .criteria import CriterionKind, _as_criterion
 from .errors import InfeasibleError, SizeLimitError
 from .model import (
     EncodingKind,
@@ -48,6 +48,7 @@ __all__ = [
     "infer_precedences",
     "repair_steps",
     "repair_to_inferred",
+    "solve_by_repair",
     "solve_inferred",
     "solve_with_graph",
     "DEFAULT_DP_LIMIT",
@@ -122,11 +123,29 @@ def repair_to_inferred(schedule: Schedule, prec: InferredPrecedences) -> Schedul
     return repaired
 
 
+def solve_by_repair(
+    profile: PreferenceProfile,
+    prec: InferredPrecedences,
+    criterion: Union[CriterionKind, str],
+    encoding: Optional[Union[EncodingKind, str]] = None,
+) -> tuple[Schedule, int]:
+    """A matching optimum repaired to satisfy ``prec``, and its exact cost.
+
+    The cost is summed from the cells of the cost matrix the matching ran on,
+    so a recheck with ``profile_cost`` is an independent computation. Optimal
+    among the schedules satisfying ``prec`` for the distance criterion only
+    (see :func:`solve_inferred`).
+    """
+    matrix = build_cost_matrix(profile, criterion, encoding)
+    schedule, _ = min_cost_assignment(matrix)
+    repaired = repair_to_inferred(schedule, prec)
+    return repaired, matrix.price(repaired)
+
+
 def solve_inferred(
     profile: PreferenceProfile,
     encoding: Union[EncodingKind, str],
     criterion: Optional[Union[CriterionKind, str]] = None,
-    backend: Optional[str] = None,
 ) -> tuple[Schedule, int]:
     """Optimal schedule among those satisfying the profile's inferred edges.
 
@@ -143,11 +162,8 @@ def solve_inferred(
     criterion = canonical_criterion(encoding) if criterion is None else _as_criterion(criterion)
     prec = infer_precedences(profile)
     if criterion is CriterionKind.DISTANCE:
-        matrix = build_cost_matrix(profile, criterion, encoding)
-        schedule, _ = min_cost_assignment(matrix, backend=backend)
-        repaired = repair_to_inferred(schedule, prec)
-        return repaired, profile_cost(repaired, profile, criterion, encoding)
-    return solve_with_graph(profile, prec.graph, criterion, encoding, backend=backend)
+        return solve_by_repair(profile, prec, criterion, encoding)
+    return solve_with_graph(profile, prec.graph, criterion, encoding)
 
 
 def solve_with_graph(
@@ -157,7 +173,6 @@ def solve_with_graph(
     encoding: Optional[Union[EncodingKind, str]] = None,
     windows: Optional[TimeWindows] = None,
     size_limit: int = DEFAULT_DP_LIMIT,
-    backend: Optional[str] = None,
 ) -> tuple[Schedule, int]:
     """Exact optimum under an imposed acyclic graph via subset DP, O(2^n * n).
 
@@ -165,7 +180,9 @@ def solve_with_graph(
     ------
     SizeLimitError
         When n exceeds ``size_limit`` (default 20); pass a larger limit to
-        override deliberately.
+        override deliberately. Also, whatever the limit, when n >= 63 (the
+        predecessor sets are int64 bit masks) or when the DP's 2^n-entry
+        tables cannot be allocated.
     InfeasibleError
         With windows that admit no precedence-feasible completion (never
         happens for an acyclic graph without windows).
@@ -175,6 +192,8 @@ def solve_with_graph(
         raise ValueError(f"graph covers {graph.n} tasks, profile has {n}")
     if n > size_limit:
         raise SizeLimitError(f"n={n} exceeds the subset-DP limit {size_limit}")
+    if n >= 63:
+        raise SizeLimitError(f"n={n} exceeds the subset DP's int64 bit-mask limit 62")
     matrix = build_cost_matrix(profile, criterion, encoding, windows)
     pred_mask = np.zeros(n, dtype=np.int64)
     for a, b in graph.edges:
@@ -182,9 +201,8 @@ def solve_with_graph(
     allowed = (
         ~matrix.forbidden if matrix.forbidden is not None else np.ones((n, n), dtype=bool)
     )
-    slot_order = _kernels.subset_dp(matrix.cost, pred_mask, allowed, backend=backend)
+    slot_order = _kernels.subset_dp(matrix.cost, pred_mask, allowed)
     if slot_order[0] < 0:
         raise InfeasibleError("no schedule satisfies the precedence graph and windows")
     schedule = Schedule(tuple(int(j) + 1 for j in slot_order))
-    total = int(matrix.cost[slot_order, np.arange(n)].sum())
-    return schedule, total
+    return schedule, matrix.price(schedule)

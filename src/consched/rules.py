@@ -109,11 +109,7 @@ def emd_schedule(profile: PreferenceProfile) -> Schedule:
     return Schedule(tuple(order))
 
 
-def solve(
-    profile: PreferenceProfile,
-    spec: RuleSpec,
-    backend: Optional[str] = None,
-) -> tuple[Schedule, int]:
+def solve(profile: PreferenceProfile, spec: RuleSpec) -> tuple[Schedule, int]:
     """Run a rule on a profile; returns (schedule, exact integer cost).
 
     distance/binary delegate to the matching reduction and return a global
@@ -134,11 +130,10 @@ def solve(
         # Priced off the cost matrix, as the matching's optimum is, so that a
         # recheck with profile_cost is an independent computation.
         matrix = build_cost_matrix(profile, canonical_criterion(encoding), encoding)
-        tasks = np.array(schedule.order) - 1
-        return schedule, int(matrix.cost[tasks, np.arange(profile.n)].sum())
+        return schedule, matrix.price(schedule)
 
     criterion = CriterionKind(spec.rule.value)
     if profile.mode == "order" and spec.encoding is None:
         raise ValueError(f"{spec.rule.value} rule on an order-mode profile needs an encoding")
     matrix = build_cost_matrix(profile, criterion, spec.encoding, spec.windows)
-    return min_cost_assignment(matrix, backend=backend)
+    return min_cost_assignment(matrix)

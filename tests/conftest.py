@@ -1,4 +1,4 @@
-"""Shared fixtures: JIT warmup and deterministic random-profile helpers."""
+"""Shared test setup: the acceptance summary and deterministic random-profile helpers."""
 
 from __future__ import annotations
 
@@ -7,9 +7,6 @@ import random
 import sys
 from pathlib import Path
 
-import pytest
-
-from consched import _kernels
 from consched.model import IntervalPreference, OrderPreference, PreferenceProfile, Schedule
 
 # pytest puts src/ on sys.path (pyproject ``pythonpath``); tests that start
@@ -19,13 +16,6 @@ if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [_SRC, os.environ.get("PYTHONPATH")])
     )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile jitted kernels once so per-test timings stay honest."""
-    for backend in _kernels.available_backends():
-        _kernels.warmup(backend)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

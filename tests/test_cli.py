@@ -228,6 +228,91 @@ class TestSolve:
         assert code == EXIT_SIZE_LIMIT
         assert "size limit" in err
 
+    @pytest.mark.parametrize("n, edge", [(50, "1 -> 2"), (60, "1 -> 2"), (64, "64 -> 1")])
+    def test_dp_past_what_it_can_run_exit_3(self, capsys, tmp_path, n, edge):
+        # Past n = 62 the predecessor bit masks overflow int64; below that the
+        # 2^n-entry tables are far larger than any address space, so their
+        # allocation fails at once and nothing is committed.
+        order = " ".join(str(j) for j in range(1, n + 1))
+        profile = tmp_path / "big.prof"
+        profile.write_text(f"profile order\ntasks {n}\nvoters 1\npref 1 : {order}\n")
+        prec = tmp_path / "dag.prec"
+        prec.write_text(edge + "\n")
+        code, _, err = run(
+            capsys,
+            [
+                "solve", "--profile", str(profile), "--rule", "binary", "--encoding", "late",
+                "--prec-mode", "graph", "--prec", str(prec), "--dp-limit", "100",
+            ],
+        )
+        assert code == EXIT_SIZE_LIMIT
+        assert "size limit" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "profile order\ntasks 1\nvoters 7\npref 7 : 1\n",
+            "profile order\ntasks 5\nvoters 3\n" + "pref 1 : 2 4 1 5 3\n" * 3,
+        ],
+        ids=["n1-mult7", "n5-identical"],
+    )
+    @pytest.mark.parametrize(
+        "method, argv, oracle_argv",
+        [
+            ("matching", ["--rule", "distance", "--encoding", "deviation"],
+             ["--rule", "distance", "--encoding", "deviation"]),
+            ("dp", ["--rule", "binary", "--encoding", "late", "--method", "dp"],
+             ["--rule", "binary", "--encoding", "late"]),
+            ("matching+repair",
+             ["--rule", "distance", "--encoding", "tardiness", "--prec-mode", "inferred"],
+             ["--rule", "distance", "--encoding", "tardiness", "--prec-mode", "inferred"]),
+            ("dp", ["--rule", "binary", "--encoding", "exactpos", "--prec-mode", "inferred"],
+             ["--rule", "binary", "--encoding", "exactpos", "--prec-mode", "inferred"]),
+            ("emd", ["--rule", "emd", "--encoding", "deviation"],
+             ["--rule", "distance", "--encoding", "deviation"]),
+        ],
+        ids=["matching", "dp", "repair", "inferred-dp", "emd"],
+    )
+    def test_edge_profiles_match_the_oracle_on_every_path(
+        self, capsys, tmp_path, text, method, argv, oracle_argv
+    ):
+        path = tmp_path / "edge.prof"
+        path.write_text(text)
+        code, out, _ = run(capsys, ["solve", "--profile", str(path), *argv, "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["method"] == method
+        code, out, _ = run(
+            capsys, ["oracle", "--profile", str(path), *oracle_argv, "--format", "json"]
+        )
+        assert code == EXIT_OK
+        assert payload["cost"] == json.loads(out)["best_cost"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rule", "binary", "--encoding", "late", "--prec-mode", "inferred"],
+            ["--rule", "distance", "--encoding", "deviation", "--prec-mode", "inferred",
+             "--method", "dp"],
+        ],
+    )
+    def test_identical_voters_with_contrary_windows_exit_2(self, capsys, tmp_path, argv):
+        # Every voter runs task 2 first, so the inferred graph puts it before
+        # all others; its window allows only the last slot.
+        path = tmp_path / "edge.prof"
+        path.write_text("profile order\ntasks 5\nvoters 3\n" + "pref 1 : 2 4 1 5 3\n" * 3)
+        windows = tmp_path / "w.time"
+        windows.write_text("task 2 : 4 5\n")
+        code, out, err = run(
+            capsys,
+            ["solve", "--profile", str(path), *argv, "--time", str(windows), "--format", "json"],
+        )
+        assert code == EXIT_INFEASIBLE
+        assert json.loads(out) == {
+            "schedule": None, "cost": None, "method": "dp", "feasible": False
+        }
+        assert "infeasible:" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -262,6 +347,9 @@ class TestSolve:
             ["--rule", "emd", "--encoding", "late"],
             ["--rule", "distance", "--encoding", "deviation"],
             ["--rule", "binary", "--encoding", "late", "--method", "dp"],
+            ["--rule", "distance", "--encoding", "deviation", "--prec-mode", "inferred"],
+            ["--rule", "binary", "--encoding", "late", "--prec-mode", "inferred",
+             "--method", "repair"],
         ],
     )
     def test_recheck_catches_a_wrong_profile_cost(self, capsys, monkeypatch, argv):

@@ -1,4 +1,4 @@
-"""Kernels: the cached permutation tables, backend parity and reference implementations."""
+"""Kernels: the cached permutation tables and the plain-Python tie-break references."""
 
 from __future__ import annotations
 
@@ -15,9 +15,6 @@ from consched.criteria import CriterionKind
 from consched.model import EncodingKind, Schedule, TimeWindows
 
 scipy_linear_sum = pytest.importorskip("scipy.optimize").linear_sum_assignment
-
-BACKENDS = _kernels.available_backends()
-needs_both = pytest.mark.skipif(len(BACKENDS) < 2, reason="single backend available")
 
 
 class TestPermTable:
@@ -64,26 +61,6 @@ class TestPermTable:
         with pytest.raises(ValueError):
             cached[:, 1] += 1
         assert table(4)[0].tolist() == [1, 2, 3, 4]
-
-
-class TestBackendParity:
-    @needs_both
-    @pytest.mark.parametrize("seed", range(5))
-    def test_subset_dp_agrees_including_ties(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(2, 12))
-        cost = rng.integers(0, 6, size=(n, n)).astype(np.int64)
-        pred_mask = np.zeros(n, dtype=np.int64)
-        for j in range(n):
-            for p in range(j):
-                if rng.random() < 0.2:
-                    pred_mask[j] |= 1 << p
-        allowed = rng.random((n, n)) < 0.9
-        outs = {
-            b: _kernels.subset_dp(cost, pred_mask, np.ascontiguousarray(allowed), backend=b)
-            for b in BACKENDS
-        }
-        assert np.array_equal(outs["numpy"], outs["numba"])
 
 
 def reference_hungarian(cost, forbidden=None):
@@ -239,8 +216,7 @@ def reference_subset_dp(cost, pred_mask, allowed):
 
 
 class TestSubsetDpTies:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_per_subset_scan_including_ties(self, backend):
+    def test_matches_per_subset_scan_including_ties(self):
         rng = np.random.default_rng(404)
         infeasible = 0
         for trial in range(240):
@@ -254,42 +230,38 @@ class TestSubsetDpTies:
                         pred_mask[j] |= 1 << p
             allowed = rng.random((n, n)) >= rng.choice([0.0, 0.1, 0.3])
             want = reference_subset_dp(cost.tolist(), pred_mask.tolist(), allowed.tolist())
-            got = _kernels.subset_dp(cost, pred_mask, allowed, backend=backend)
+            got = _kernels.subset_dp(cost, pred_mask, allowed)
             assert np.array_equal(got, want), f"trial {trial}"
             infeasible += want[0] < 0
         assert 20 <= infeasible <= 220  # both outcomes are well exercised
 
 
 class TestKernelsAgainstReference:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(8))
-    def test_hungarian_cost_matches_scipy(self, backend, seed):
+    def test_hungarian_cost_matches_scipy(self, seed):
         rng = np.random.default_rng(300 + seed)
         n = int(rng.integers(2, 40))
         cost = rng.integers(0, 1000, size=(n, n)).astype(np.int64)
-        slots = _kernels.hungarian(cost, None, backend=backend)
+        slots = _kernels.hungarian(cost, None)
         assert sorted(slots.tolist()) == list(range(n))
         rows, cols = scipy_linear_sum(cost)
         assert cost[np.arange(n), slots].sum() == cost[rows, cols].sum()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hungarian_respects_forbidden_pairs(self, backend):
+    def test_hungarian_respects_forbidden_pairs(self):
         cost = np.zeros((3, 3), dtype=np.int64)
         forbidden = np.zeros((3, 3), dtype=np.bool_)
         forbidden[0, :2] = True  # task 1 only fits slot 3
-        slots = _kernels.hungarian(cost, forbidden, backend=backend)
+        slots = _kernels.hungarian(cost, forbidden)
         assert slots[0] == 2
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hungarian_reports_infeasible(self, backend):
+    def test_hungarian_reports_infeasible(self):
         cost = np.zeros((3, 3), dtype=np.int64)
         forbidden = np.zeros((3, 3), dtype=np.bool_)
         forbidden[:, 0] = True  # nobody may take slot 1
-        slots = _kernels.hungarian(cost, forbidden, backend=backend)
+        slots = _kernels.hungarian(cost, forbidden)
         assert (slots < 0).all()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_subset_dp_is_brute_force_optimal(self, backend):
+    def test_subset_dp_is_brute_force_optimal(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = int(rng.integers(2, 6))
@@ -300,7 +272,7 @@ class TestKernelsAgainstReference:
                     if rng.random() < 0.3:
                         pred_mask[j] |= 1 << p
             allowed = rng.random((n, n)) < 0.85
-            slot_order = _kernels.subset_dp(cost, pred_mask, np.ascontiguousarray(allowed), backend=backend)
+            slot_order = _kernels.subset_dp(cost, pred_mask, np.ascontiguousarray(allowed))
 
             best = None
             for perm in permutations(range(n)):  # perm[t] = task in slot t
@@ -322,52 +294,3 @@ class TestKernelsAgainstReference:
                 assert (slot_order >= 0).all()
                 got = sum(int(cost[slot_order[t], t]) for t in range(n))
                 assert got == best
-
-
-class TestBackendSelection:
-    def test_unknown_argument_raises(self):
-        with pytest.raises(ValueError, match="turbo"):
-            _kernels._resolve("turbo")
-
-    def test_explicit_argument_wins(self):
-        assert _kernels._resolve("numpy") == "numpy"
-
-    def test_default_is_resolvable(self):
-        assert _kernels._resolve(None) in BACKENDS
-
-    def test_available_backends_contains_numpy(self):
-        assert "numpy" in BACKENDS
-
-    @pytest.mark.parametrize("env", ["numpy", "numba", "auto"])
-    def test_env_variable_sets_default(self, env):
-        import importlib.util
-        import os
-        import subprocess
-        import sys
-
-        have_numba = importlib.util.find_spec("numba") is not None
-        if env == "numba" and not have_numba:
-            pytest.skip("numba unavailable")
-        expect = "numpy" if env == "numpy" or not have_numba else "numba"
-        out = subprocess.run(
-            [sys.executable, "-c", "from consched import _kernels; print(_kernels.DEFAULT_BACKEND)"],
-            env={**os.environ, "CONSCHED_BACKEND": env},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == expect
-
-    def test_env_variable_rejects_unknown(self):
-        import os
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [sys.executable, "-c", "import consched._kernels"],
-            env={**os.environ, "CONSCHED_BACKEND": "bogus"},
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode != 0
-        assert "bogus" in out.stderr
