@@ -20,41 +20,33 @@ _EXPORTS = {
         "check_temporal_unanimity",
     ),
     "criteria": (
-        "Choice",
         "CriterionKind",
-        "binary_task_cost",
-        "choice_decomposition",
-        "distance_task_cost",
+        "interval_arrays",
         "kendall_tau_distance",
-        "late_at_slot",
         "late_counts",
+        "pair_weight_matrix",
         "profile_cost",
         "spearman_distance",
     ),
     "errors": ("InfeasibleError", "ProfileError", "SizeLimitError"),
     "model": (
         "EncodingKind",
-        "IntervalPreference",
-        "OrderPreference",
         "PrecedenceGraph",
         "PreferenceProfile",
         "Schedule",
         "TimeWindows",
-        "order_to_interval",
         "parse_precedence",
         "parse_profile",
         "parse_time_windows",
         "reverse_profile",
         "reverse_schedule",
         "serialize_profile",
-        "validate_interval_preference",
     ),
     "oracle": (
         "OracleResult",
         "constrained_best",
         "exhaustive_optimum",
         "kendall_optimum",
-        "pair_weight_matrix",
     ),
     "precedence": (
         "InferredPrecedences",

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .criteria import CriterionKind, _as_criterion, _task_histogram, interval_arrays
 from .errors import InfeasibleError
-from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows
+from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows, _check_size
 
 __all__ = ["CostMatrix", "build_cost_matrix", "min_cost_assignment"]
 
@@ -29,7 +29,7 @@ __all__ = ["CostMatrix", "build_cost_matrix", "min_cost_assignment"]
 class CostMatrix:
     """cost[j-1][t-1] = total dissatisfaction if task j completes at slot t.
 
-    ``forbidden`` marks window-excluded pairs; those entries carry no cost
+    ``forbidden`` marks window-excluded pairs; those cells carry no cost
     semantics and are never read by the solver. Treat instances as immutable.
     """
 
@@ -53,6 +53,7 @@ class CostMatrix:
 
     def price(self, schedule: Schedule) -> int:
         """Sum of cost[j-1][t-1] over the tasks j of a schedule and their slots t."""
+        _check_size(schedule, self.n)
         tasks = np.array(schedule.order, dtype=np.int64) - 1
         return int(self.cost[tasks, np.arange(self.n)].sum())
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PreferenceProfile, Schedule
+from .model import PreferenceProfile, Schedule, _check_size
 
 __all__ = [
     "Violation",
@@ -62,6 +62,7 @@ def check_release_consistency(schedule: Schedule, profile: PreferenceProfile) ->
     """Flag tasks the output completes before every voter does."""
     if profile.mode != "order":
         raise ValueError("release-date consistency is defined on order-mode profiles")
+    _check_size(schedule, profile.n)
     lo, _ = _completion_bounds(profile)
     violations = tuple(
         Violation(task=j, window=(lo[j - 1] - 1, profile.n), got=schedule.completion(j))
@@ -75,6 +76,7 @@ def check_deadline_consistency(schedule: Schedule, profile: PreferenceProfile) -
     """Flag tasks the output completes after every voter does."""
     if profile.mode != "order":
         raise ValueError("deadline consistency is defined on order-mode profiles")
+    _check_size(schedule, profile.n)
     _, hi = _completion_bounds(profile)
     violations = tuple(
         Violation(task=j, window=(0, hi[j - 1]), got=schedule.completion(j))
@@ -91,6 +93,7 @@ def check_temporal_unanimity(schedule: Schedule, profile: PreferenceProfile) -> 
     read as the window (c-1, c). Interval mode: identical (r, d) pairs.
     Tasks without a unanimous window never appear in the report.
     """
+    _check_size(schedule, profile.n)
     if profile.mode == "order":
         comp = profile.completions
         rel, due = comp - 1, comp

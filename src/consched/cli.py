@@ -504,7 +504,7 @@ def _add_rule_flags(p) -> None:
     p.add_argument("--prec", metavar="FILE", help="precedence edge file (graph mode)")
     p.add_argument("--prec-mode", choices=("inferred", "graph"))
     p.add_argument("--method", choices=("auto", "matching", "dp", "repair"), default="auto")
-    p.add_argument("--dp-limit", type=int, default=DEFAULT_DP_LIMIT,
+    p.add_argument("--dp-limit", type=_count, default=DEFAULT_DP_LIMIT,
                    help=f"subset-DP size guard (default {DEFAULT_DP_LIMIT})")
 
 

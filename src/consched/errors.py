@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ProfileError", "InfeasibleError", "SizeLimitError"]
+
 
 class ProfileError(ValueError):
     """Malformed profile, precedence, or time-window input.

@@ -15,10 +15,7 @@ Profiles compress identical voters with integer multiplicities. A
 per distinct entry: the completion time of every task (order mode) or the
 release and due date of every task (interval mode), plus a multiplicity
 vector. :func:`parse_profile` reads a file straight into those arrays, and
-the solvers read only them. ``PreferenceProfile.entries`` is a lazy view of
-the same data as one :class:`OrderPreference` or
-:class:`IntervalPreference` per distinct entry, for the scalar reference
-functions.
+every solver and measure reads only them; there is no per-voter object.
 
 File formats (UTF-8, line oriented, ``#`` starts a comment):
 
@@ -54,8 +51,6 @@ from .errors import ProfileError
 __all__ = [
     "EncodingKind",
     "Schedule",
-    "OrderPreference",
-    "IntervalPreference",
     "PreferenceProfile",
     "PrecedenceGraph",
     "TimeWindows",
@@ -63,8 +58,6 @@ __all__ = [
     "serialize_profile",
     "parse_precedence",
     "parse_time_windows",
-    "validate_interval_preference",
-    "order_to_interval",
     "reverse_schedule",
     "reverse_profile",
 ]
@@ -139,49 +132,23 @@ class Schedule:
         return " ".join(map(str, self.order))
 
 
-@dataclass(frozen=True, slots=True)
-class OrderPreference:
-    """A voter's preferred schedule."""
-
-    schedule: Schedule
-
-    @property
-    def n(self) -> int:
-        return self.schedule.n
+def _check_size(schedule: Schedule, n: int) -> None:
+    """Raise ``ValueError`` unless the schedule orders exactly the profile's n tasks."""
+    if schedule.n != n:
+        raise ValueError(f"schedule has {schedule.n} tasks, profile {n}")
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalPreference:
-    """Per-task (release, due) windows for one voter, indexed by task id.
+def _check_windows(windows: tuple[tuple[int, int], ...]) -> None:
+    """Raise ``ValueError`` at the first window (r, d) outside 0 <= r < d <= n.
 
-    Window (r, d) means the task should complete in a slot t with r < t <= d.
-    Well-formedness demands 0 <= r < d <= n per task; on top of that, a voter's
-    windows must admit at least one feasible schedule (checked eagerly by
-    :func:`validate_interval_preference` at parse time).
+    n is the number of windows, one per task. :class:`TimeWindows` and the
+    interval-mode profile parser share this check and its message.
     """
+    n = len(windows)
+    for j, (r, d) in enumerate(windows, start=1):
+        if not 0 <= r < d <= n:
+            raise ValueError(f"task {j}: window ({r},{d}) violates 0 <= r < d <= {n}")
 
-    windows: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        windows = tuple((int(r), int(d)) for r, d in self.windows)
-        object.__setattr__(self, "windows", windows)
-        n = len(windows)
-        for j, (r, d) in enumerate(windows, start=1):
-            if not 0 <= r < d <= n:
-                raise ValueError(f"task {j}: window ({r},{d}) violates 0 <= r < d <= {n}")
-
-    @property
-    def n(self) -> int:
-        return len(self.windows)
-
-    def release(self, task: int) -> int:
-        return self.windows[task - 1][0]
-
-    def due(self, task: int) -> int:
-        return self.windows[task - 1][1]
-
-
-Preference = Union[OrderPreference, IntervalPreference]
 
 _INT64_MAX = 2**63 - 1
 
@@ -207,66 +174,32 @@ class PreferenceProfile:
     * ``release`` / ``due`` — interval mode, shape (distinct, n): entry i's
       window for task j is (``release[i, j-1]``, ``due[i, j-1]``).
 
-    The arrays of the other mode are None. Every solver reads these arrays.
-    ``entries`` presents the same data as ``(preference, multiplicity)``
-    tuples for the scalar reference functions; it is built on first access
-    and cached, so a solve never builds one object per voter.
-
-    Built from ``entries`` (``PreferenceProfile(mode=..., entries=...)``),
-    from an orders array (:meth:`from_orders`) or by :func:`parse_profile`.
-    Two profiles are equal when they have the same mode and the same entries
-    in the same order.
+    The arrays of the other mode are None, and every solver reads these
+    arrays. A profile is built by :func:`parse_profile` or, one voter per
+    row of an orders array, by :meth:`from_orders`. Two profiles are equal
+    when they have the same mode and the same rows in the same order.
 
     Raises :class:`ProfileError` when v * n * (n + 1) exceeds the int64 range,
     since cost totals of that size could no longer be computed exactly.
     """
 
-    __slots__ = ("mode", "n", "v", "mult", "completions", "release", "due", "_entries")
+    __slots__ = ("mode", "n", "v", "mult", "completions", "release", "due")
 
-    def __init__(self, mode: str, entries: Iterable[tuple[Preference, int]]):
-        if mode not in ("order", "interval"):
-            raise ValueError(f"mode must be 'order' or 'interval', got {mode!r}")
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("profile has no entries")
-        want = OrderPreference if mode == "order" else IntervalPreference
-        ns = set()
-        total = 0
-        for pref, mult in entries:
-            if not isinstance(pref, want):
-                raise ValueError(f"{mode} profile holds a {type(pref).__name__}")
-            if mult < 1:
-                raise ValueError(f"multiplicity must be positive, got {mult}")
-            ns.add(pref.n)
-            total += mult
-        if len(ns) != 1:
-            raise ValueError(f"entries disagree on task count: {sorted(ns)}")
-        n = ns.pop()
-        _check_cost_bound(n, total)
-        mult = np.array([m for _, m in entries], dtype=np.int64)
-        if mode == "order":
-            comp = np.array([p.schedule.completions() for p, _ in entries], dtype=np.int64)
-            self._set(mode, total, mult, comp, None, None, entries)
-        else:
-            windows = np.array([p.windows for p, _ in entries], dtype=np.int64)
-            rel, due = windows[:, :, 0].copy(), windows[:, :, 1].copy()
-            self._set(mode, total, mult, None, rel, due, entries)
-
-    def _set(self, mode, v, mult, completions, release, due, entries=None) -> None:
-        for name, value in (
-            ("mode", mode), ("v", v), ("mult", mult), ("completions", completions),
-            ("release", release), ("due", due), ("_entries", entries),
-        ):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "n", (completions if mode == "order" else due).shape[1])
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a PreferenceProfile with parse_profile or from_orders")
 
     @classmethod
     def _from_arrays(cls, mode, v, mult, completions=None, release=None, due=None):
         """A profile over arrays its caller has already validated (no copies)."""
         self = object.__new__(cls)
-        self._set(mode, v, mult, completions, release, due)
+        for name, value in (
+            ("mode", mode), ("v", v), ("mult", mult), ("completions", completions),
+            ("release", release), ("due", due),
+        ):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", (completions if mode == "order" else due).shape[1])
         return self
 
     @classmethod
@@ -316,28 +249,6 @@ class PreferenceProfile:
             f"PreferenceProfile(mode={self.mode!r}, n={self.n}, v={self.v}, "
             f"distinct={len(self.mult)})"
         )
-
-    @property
-    def entries(self) -> tuple[tuple[Preference, int], ...]:
-        """``(preference, multiplicity)`` per distinct entry, built once on demand."""
-        if self._entries is None:
-            mults = self.mult.tolist()
-            if self.mode == "order":
-                orders = (np.argsort(self.completions, axis=1) + 1).tolist()
-                prefs = (OrderPreference(Schedule(tuple(o))) for o in orders)
-            else:
-                prefs = (
-                    IntervalPreference(tuple(zip(r, d)))
-                    for r, d in zip(self.release.tolist(), self.due.tolist())
-                )
-            object.__setattr__(self, "_entries", tuple(zip(prefs, mults)))
-        return self._entries
-
-    def iter_voters(self) -> Iterable[Preference]:
-        """Yield one preference per voter, multiplicities expanded in entry order."""
-        for pref, mult in self.entries:
-            for _ in range(mult):
-                yield pref
 
 
 def _completions(orders: np.ndarray) -> tuple[np.ndarray, Optional[int]]:
@@ -411,10 +322,7 @@ class TimeWindows:
     def __post_init__(self):
         windows = tuple((int(r), int(d)) for r, d in self.windows)
         object.__setattr__(self, "windows", windows)
-        n = len(windows)
-        for j, (r, d) in enumerate(windows, start=1):
-            if not 0 <= r < d <= n:
-                raise ValueError(f"task {j}: window ({r},{d}) violates 0 <= r < d <= {n}")
+        _check_windows(windows)
 
     @property
     def n(self) -> int:
@@ -449,7 +357,7 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     one (bounds, then feasibility). Multiplicities stay Python integers until
     their sum has matched the header. Errors are those of a line-by-line
     check: the first bad line in file order is reported, with the message
-    :class:`Schedule` or :class:`IntervalPreference` would give.
+    :class:`Schedule` or the window check of :class:`TimeWindows` would give.
 
     Raises
     ------
@@ -565,12 +473,11 @@ def _read_interval_line(body: str, n: int, no: int, rel: array, due: array) -> N
     pairs = _PAIR_RE.findall(body)
     if len(pairs) != n or _PAIR_RE.sub("", body).strip():
         raise ProfileError(f"expected {n} '(r,d)' pairs", no)
-    windows = [(int(r), int(d)) for r, d in pairs]
-    if not all(0 <= r < d <= n for r, d in windows):
-        try:
-            IntervalPreference(tuple(windows))
-        except ValueError as exc:
-            raise ProfileError(str(exc), no) from None
+    windows = tuple((int(r), int(d)) for r, d in pairs)
+    try:
+        _check_windows(windows)
+    except ValueError as exc:
+        raise ProfileError(str(exc), no) from None
     if not _windows_feasible(windows):
         raise ProfileError("windows admit no feasible schedule", no)
     rel.extend(r for r, _ in windows)
@@ -633,11 +540,6 @@ def parse_time_windows(text: Union[str, IO[str]], n: int) -> TimeWindows:
 # ---------------------------------------------------------------------------
 
 
-def validate_interval_preference(pref: IntervalPreference) -> bool:
-    """True iff some schedule puts every task j into a slot t with r_j < t <= d_j."""
-    return _windows_feasible(pref.windows)
-
-
 def _windows_feasible(windows) -> bool:
     """Feasibility of well-formed (r, d) windows, one per task, over slots 1..n.
 
@@ -659,20 +561,6 @@ def _windows_feasible(windows) -> bool:
         if due < slot:
             return False  # tightest released task already missed its window
     return True
-
-
-def order_to_interval(pref: OrderPreference, encoding: Union[EncodingKind, str]) -> IntervalPreference:
-    """Translate a preferred schedule into per-task windows under an encoding."""
-    encoding = _as_encoding(encoding)
-    n = pref.n
-    comp = pref.schedule.completions()
-    if encoding in (EncodingKind.DEVIATION, EncodingKind.EXACT_POSITION):
-        windows = tuple((c - 1, c) for c in comp)
-    elif encoding in (EncodingKind.TARDINESS, EncodingKind.LATE_TASKS):
-        windows = tuple((0, c) for c in comp)
-    else:  # EARLINESS
-        windows = tuple((c - 1, n) for c in comp)
-    return IntervalPreference(windows)
 
 
 def reverse_schedule(schedule: Schedule) -> Schedule:

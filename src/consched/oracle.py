@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .criteria import CriterionKind, _as_criterion, interval_arrays
+from .criteria import CriterionKind, _as_criterion, interval_arrays, pair_weight_matrix
 from .errors import InfeasibleError, SizeLimitError
 from .model import (
     EncodingKind,
@@ -41,12 +41,10 @@ from .model import (
 )
 
 __all__ = [
-    "ORACLE_MAX_N",
     "OracleResult",
     "exhaustive_optimum",
     "constrained_best",
     "kendall_optimum",
-    "pair_weight_matrix",
 ]
 
 ORACLE_MAX_N = 10
@@ -180,15 +178,6 @@ def constrained_best(
         feasible = _inside(comp, rel[0], due[0], np.flatnonzero(unanimous))
     costs = _costs(profile, criterion, encoding, comp)
     return _result(_kernels.perm_table(n), costs, feasible)
-
-
-def pair_weight_matrix(profile: PreferenceProfile) -> np.ndarray:
-    """w[a-1, b-1] = total multiplicity of voters completing a before b."""
-    if profile.mode != "order":
-        raise ValueError("pairwise weights require an order-mode profile")
-    comps = profile.completions
-    before = comps[:, :, None] < comps[:, None, :]
-    return (profile.mult[:, None, None] * before).sum(axis=0)
 
 
 def kendall_optimum(profile: PreferenceProfile) -> OracleResult:

@@ -51,7 +51,6 @@ __all__ = [
     "solve_by_repair",
     "solve_inferred",
     "solve_with_graph",
-    "DEFAULT_DP_LIMIT",
 ]
 
 

@@ -1,4 +1,4 @@
-"""Shared test setup: the acceptance summary and deterministic random-profile helpers."""
+"""Shared test setup: the acceptance summary and deterministic test-profile helpers."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import sys
 from pathlib import Path
 
-from consched.model import IntervalPreference, OrderPreference, PreferenceProfile, Schedule
+from consched.model import PreferenceProfile, Schedule, parse_profile
 
 # pytest puts src/ on sys.path (pyproject ``pythonpath``); tests that start
 # ``python -m consched...`` subprocesses need it on PYTHONPATH as well.
@@ -32,13 +32,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def profile_of(mode: str, entries) -> PreferenceProfile:
+    """The profile whose pref lines are ``entries``, written out as text and parsed.
+
+    Each entry is ``(preference, multiplicity)``: in order mode the task ids
+    in slot order, in interval mode one ``(r, d)`` window per task. Every test
+    profile goes through :func:`parse_profile`, the validated constructor.
+    """
+    entries = list(entries)
+    lines = [
+        f"profile {mode}",
+        f"tasks {len(entries[0][0])}",
+        f"voters {sum(mult for _, mult in entries)}",
+    ]
+    for pref, mult in entries:
+        if mode == "order":
+            body = " ".join(map(str, pref))
+        else:
+            body = " ".join(f"({r},{d})" for r, d in pref)
+        lines.append(f"pref {mult} : {body}")
+    return parse_profile("\n".join(lines) + "\n")
+
+
 def random_order_profile(rng: random.Random, n: int, v: int) -> PreferenceProfile:
     entries = []
     for _ in range(v):
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
-        entries.append((OrderPreference(Schedule(tuple(perm))), 1))
-    return PreferenceProfile(mode="order", entries=tuple(entries))
+        entries.append((perm, 1))
+    return profile_of("order", entries)
 
 
 def random_schedule(rng: random.Random, n: int) -> Schedule:
@@ -60,13 +82,11 @@ def random_mixed_profile(
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         if mode == "order":
-            pref = OrderPreference(Schedule(tuple(perm)))
+            pref = perm
         else:
             comp = Schedule(tuple(perm)).completions()
-            pref = IntervalPreference(
-                tuple((rng.randint(0, c - 1), rng.randint(c, n)) for c in comp)
-            )
+            pref = [(rng.randint(0, c - 1), rng.randint(c, n)) for c in comp]
         entries.append((pref, rng.choice((1, 2, 3, rng.randint(1, max_mult)))))
         if rng.random() < 0.3:
             entries.append((pref, rng.randint(1, 5)))  # an identical voter again
-    return PreferenceProfile(mode=mode, entries=tuple(entries))
+    return profile_of(mode, entries)

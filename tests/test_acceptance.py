@@ -14,12 +14,11 @@ import time
 
 import pytest
 
-from conftest import random_order_profile
+from conftest import profile_of, random_order_profile
 from consched import (
     CriterionKind,
     EncodingKind,
     PrecedenceGraph,
-    PreferenceProfile,
     RuleSpec,
     Schedule,
     build_cost_matrix,
@@ -31,7 +30,6 @@ from consched import (
     exhaustive_optimum,
     infer_precedences,
     kendall_tau_distance,
-    late_at_slot,
     median_completion_times,
     min_cost_assignment,
     parse_profile,
@@ -44,6 +42,7 @@ from consched import (
 )
 from consched import cli, experiment
 from consched.cli import fixture_text
+from references import entries, late_at_slot
 
 DIST, BIN = CriterionKind.DISTANCE, CriterionKind.BINARY
 DEV, TAR, EAR = EncodingKind.DEVIATION, EncodingKind.TARDINESS, EncodingKind.EARLINESS
@@ -204,8 +203,8 @@ def test_criterion_06_cost_identities_on_random_pairs():
         if not (dev == 2 * tar and tar == ear and tar == slot_sum):
             failures.append((trial, "aggregate", dev, tar, ear, slot_sum))
             continue
-        for pref, _ in profile.entries:
-            single = PreferenceProfile(mode="order", entries=((pref, 1),))
+        for pref, _ in entries(profile):
+            single = profile_of("order", [(pref.order, 1)])
             delta = kendall_tau_distance(schedule, single)
             rho = spearman_distance(schedule, single)
             if not (delta <= rho <= 2 * delta):

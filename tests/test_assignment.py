@@ -8,18 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_mixed_profile, random_order_profile
+import references as ref
+from conftest import profile_of, random_mixed_profile, random_order_profile
 from consched.assignment import CostMatrix, build_cost_matrix, min_cost_assignment
 from consched.experiment import generate_profile
-from consched.criteria import CriterionKind, distance_task_cost, profile_cost
+from consched.criteria import CriterionKind, profile_cost
 from consched.errors import InfeasibleError
 from consched.model import (
     EncodingKind,
-    OrderPreference,
-    PreferenceProfile,
     Schedule,
     TimeWindows,
-    order_to_interval,
     parse_profile,
     parse_time_windows,
 )
@@ -28,12 +26,11 @@ from consched.oracle import exhaustive_optimum
 
 def reference_cost(profile, criterion, encoding=None) -> np.ndarray:
     """The direct (voters, tasks, slots) broadcast the histogram build replaces."""
+    prefs = ref.entries(profile)
     if profile.mode == "order":
-        prefs = [(order_to_interval(p, encoding), m) for p, m in profile.entries]
-    else:
-        prefs = list(profile.entries)
-    rel = np.array([[r for r, _ in w.windows] for w, _ in prefs], dtype=np.int64)
-    due = np.array([[d for _, d in w.windows] for w, _ in prefs], dtype=np.int64)
+        prefs = [(ref.order_windows(p, encoding), m) for p, m in prefs]
+    rel = np.array([[r for r, _ in w] for w, _ in prefs], dtype=np.int64)
+    due = np.array([[d for _, d in w] for w, _ in prefs], dtype=np.int64)
     mult = np.array([m for _, m in prefs], dtype=np.int64)
     t = np.arange(1, profile.n + 1, dtype=np.int64)[None, None, :]
     rel3, due3 = rel[:, :, None], due[:, :, None]
@@ -92,9 +89,9 @@ class TestCostMatrixMatchesBroadcast:
     @pytest.mark.parametrize("criterion", list(CriterionKind))
     @pytest.mark.parametrize("encoding", list(EncodingKind))
     def test_identical_voters_equal_one_weighted_entry(self, criterion, encoding):
-        pref = OrderPreference(Schedule((3, 1, 4, 2)))
-        split = PreferenceProfile(mode="order", entries=((pref, 2), (pref, 1), (pref, 4)))
-        merged = PreferenceProfile(mode="order", entries=((pref, 7),))
+        pref = (3, 1, 4, 2)
+        split = profile_of("order", [(pref, 2), (pref, 1), (pref, 4)])
+        merged = profile_of("order", [(pref, 7)])
         a = build_cost_matrix(split, criterion, encoding).cost
         assert np.array_equal(a, build_cost_matrix(merged, criterion, encoding).cost)
         assert np.array_equal(a, reference_cost(merged, criterion, encoding))
@@ -127,15 +124,13 @@ class TestBuildCostMatrix:
         profile = random_order_profile(rng, 5, 4)
         for encoding in EncodingKind:
             m = build_cost_matrix(profile, CriterionKind.DISTANCE, encoding)
-            intervals = [
-                order_to_interval(pref, encoding) for pref in profile.iter_voters()
-            ]
+            intervals = [ref.order_windows(pref, encoding) for pref in ref.voters(profile)]
             for task in range(1, 6):
                 for slot in range(1, 6):
                     order = [t for t in range(1, 6) if t != task]
                     order.insert(slot - 1, task)
                     s = Schedule(tuple(order))
-                    want = sum(distance_task_cost(s, iv, task) for iv in intervals)
+                    want = sum(ref.distance_task_cost(s, iv, task) for iv in intervals)
                     assert m.cost[task - 1, slot - 1] == want
 
     def test_multiplicity_weights_rows(self):

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from conftest import random_mixed_profile, random_order_profile, random_schedule
+import references as ref
+from conftest import profile_of, random_mixed_profile, random_order_profile, random_schedule
 from consched import axioms
 from consched.axioms import (
     AxiomReport,
@@ -16,9 +17,6 @@ from consched.axioms import (
     check_temporal_unanimity,
 )
 from consched.model import (
-    IntervalPreference,
-    OrderPreference,
-    PreferenceProfile,
     Schedule,
     parse_profile,
     reverse_profile,
@@ -34,8 +32,8 @@ def profile_with_unanimous_slot(rng: random.Random, n: int, v: int, task: int, s
         rest = [t for t in range(1, n + 1) if t != task]
         rng.shuffle(rest)
         order = rest[: slot - 1] + [task] + rest[slot - 1:]
-        entries.append((OrderPreference(Schedule(tuple(order))), 1))
-    return PreferenceProfile(mode="order", entries=tuple(entries))
+        entries.append((order, 1))
+    return profile_of("order", entries)
 
 
 class TestCheckers:
@@ -99,11 +97,11 @@ class TestCheckers:
             s = random_schedule(rng, n)
             comp = {j: s.completion(j) for j in range(1, n + 1)}
             mins = {
-                j: min(p.schedule.completion(j) for p in profile.iter_voters())
+                j: min(p.completion(j) for p in ref.voters(profile))
                 for j in range(1, n + 1)
             }
             maxs = {
-                j: max(p.schedule.completion(j) for p in profile.iter_voters())
+                j: max(p.completion(j) for p in ref.voters(profile))
                 for j in range(1, n + 1)
             }
             rel = {v.task for v in check_release_consistency(s, profile).violations}
@@ -169,8 +167,6 @@ class TestRulesAgainstAxioms:
         from consched.criteria import CriterionKind
         from consched.oracle import constrained_best, exhaustive_optimum
 
-        from consched.model import validate_interval_preference
-
         for seed in range(40):
             rng = random.Random(seed)
             n = rng.randint(2, 6)
@@ -190,10 +186,8 @@ class TestRulesAgainstAxioms:
                         windows.append((slot - 1, slot))
                     else:
                         windows.append((rng.randint(0, c - 1), rng.randint(c, n)))
-                pref = IntervalPreference(tuple(windows))
-                assert validate_interval_preference(pref)
-                entries.append((pref, 1))
-            profile = PreferenceProfile(mode="interval", entries=tuple(entries))
+                entries.append((windows, 1))
+            profile = profile_of("interval", entries)  # parsing checks feasibility
             best = exhaustive_optimum(profile, CriterionKind.BINARY).best_cost
             consistent = constrained_best(
                 profile, CriterionKind.BINARY, axiom="unanimity"
@@ -213,28 +207,28 @@ class TestRulesAgainstAxioms:
 
 
 def reference_completion_bounds(profile):
-    """The former per-task (min, max) walk over ``entries``."""
+    """The former per-task (min, max) walk over the per-voter entries."""
     lo = [profile.n + 1] * profile.n
     hi = [0] * profile.n
-    for pref, _ in profile.entries:
-        for idx, c in enumerate(pref.schedule.completions()):
+    for pref, _ in ref.entries(profile):
+        for idx, c in enumerate(pref.completions()):
             lo[idx] = min(lo[idx], c)
             hi[idx] = max(hi[idx], c)
     return lo, hi
 
 
 def reference_temporal_unanimity(schedule, profile):
-    """The former checker: one set of windows per task, built from ``entries``."""
+    """The former checker: one set of windows per task, built from the per-voter entries."""
     violations = []
     for j in range(1, profile.n + 1):
         if profile.mode == "order":
-            slots = {pref.schedule.completion(j) for pref, _ in profile.entries}
+            slots = {pref.completion(j) for pref, _ in ref.entries(profile)}
             if len(slots) != 1:
                 continue
             c = slots.pop()
             window = (c - 1, c)
         else:
-            windows = {pref.windows[j - 1] for pref, _ in profile.entries}
+            windows = {pref[j - 1] for pref, _ in ref.entries(profile)}
             if len(windows) != 1:
                 continue
             window = windows.pop()
@@ -287,7 +281,7 @@ class TestArrayCheckersMatchReference:
         n = rng.randint(1, 7)
         profile = random_mixed_profile(rng, n, "interval")
         if seed % 2:  # one entry only: every window is unanimous
-            profile = PreferenceProfile(mode="interval", entries=profile.entries[:1])
+            profile = profile_of("interval", ref.entries(profile)[:1])
         for _ in range(5):
             schedule = random_schedule(rng, n)
             assert _report_key(check_temporal_unanimity(schedule, profile)) == _report_key(

@@ -228,6 +228,17 @@ class TestSolve:
         assert code == EXIT_SIZE_LIMIT
         assert "size limit" in err
 
+    def test_negative_dp_limit_is_a_usage_error(self, capsys):
+        # It used to reach the solver and exit 3 with "exceeds the subset-DP limit -5".
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--profile", "fixture:late7x3", "--rule", "binary",
+                      "--encoding", "late", "--prec-mode", "inferred", "--dp-limit", "-5"])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: consched solve")
+        assert err.endswith("error: argument --dp-limit: must be >= 0, got -5\n")
+
     @pytest.mark.parametrize("n, edge", [(50, "1 -> 2"), (60, "1 -> 2"), (64, "64 -> 1")])
     def test_dp_past_what_it_can_run_exit_3(self, capsys, tmp_path, n, edge):
         # Past n = 62 the predecessor bit masks overflow int64; below that the

@@ -1,4 +1,4 @@
-"""Cost criteria: scalar formulas, identities, decompositions."""
+"""Cost criteria: array measures against the per-voter references, identities."""
 
 from __future__ import annotations
 
@@ -9,27 +9,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_mixed_profile, random_order_profile, random_schedule
+import references as ref
+from conftest import profile_of, random_mixed_profile, random_order_profile, random_schedule
+from consched.assignment import CostMatrix
+from consched.axioms import (
+    check_deadline_consistency,
+    check_release_consistency,
+    check_temporal_unanimity,
+)
 from consched.criteria import (
     CriterionKind,
-    binary_task_cost,
-    choice_decomposition,
-    distance_task_cost,
     interval_arrays,
     kendall_tau_distance,
-    late_at_slot,
     late_counts,
     profile_cost,
     spearman_distance,
 )
-from consched.model import (
-    EncodingKind,
-    IntervalPreference,
-    PreferenceProfile,
-    Schedule,
-    order_to_interval,
-    parse_profile,
-)
+from consched.model import EncodingKind, Schedule, parse_profile
+from references import binary_task_cost, choice_decomposition, distance_task_cost, late_at_slot
 
 profiles = st.tuples(st.integers(2, 6), st.integers(1, 5), st.randoms(use_true_random=False)).map(
     lambda t: random_order_profile(random.Random(t[2].randint(0, 10**9)), t[0], t[1])
@@ -51,7 +48,7 @@ def _single_task_cost(fn, completion: int, window: tuple[int, int], n: int = 9) 
     order.insert(completion - 1, 1)
     windows = [(0, n)] * n
     windows[0] = window
-    return fn(Schedule(tuple(order)), IntervalPreference(tuple(windows)), 1)
+    return fn(Schedule(tuple(order)), tuple(windows), 1)
 
 
 class TestScalarCosts:
@@ -102,9 +99,7 @@ class TestProfileCost:
     @given(profile_and_schedule())
     def test_multiplicity_equals_repetition(self, ps):
         profile, schedule = ps
-        merged = PreferenceProfile(
-            mode="order", entries=tuple((p, 1) for p in profile.iter_voters())
-        )
+        merged = profile_of("order", ((p.order, 1) for p in ref.voters(profile)))
         for criterion in CriterionKind:
             for encoding in EncodingKind:
                 assert profile_cost(schedule, profile, criterion, encoding) == profile_cost(
@@ -133,8 +128,8 @@ class TestProfileCost:
         profile, schedule = ps
         comp = schedule.completions()
         pairs_late = pairs_moved = pairs_early = 0
-        for pref in profile.iter_voters():
-            pc = pref.schedule.completions()
+        for pref in ref.voters(profile):
+            pc = pref.completions()
             pairs_late += sum(c > p for c, p in zip(comp, pc))
             pairs_early += sum(c < p for c, p in zip(comp, pc))
             pairs_moved += sum(c != p for c, p in zip(comp, pc))
@@ -160,8 +155,8 @@ def scalar_profile_cost(schedule, profile, criterion, encoding=None) -> int:
     """Sum of the scalar per-task costs over entries, weighted by multiplicity."""
     per_task = binary_task_cost if criterion is CriterionKind.BINARY else distance_task_cost
     total = 0
-    for pref, mult in profile.entries:
-        windows = order_to_interval(pref, encoding) if profile.mode == "order" else pref
+    for pref, mult in ref.entries(profile):
+        windows = ref.order_windows(pref, encoding) if profile.mode == "order" else pref
         total += mult * sum(per_task(schedule, windows, j) for j in range(1, profile.n + 1))
     return total
 
@@ -220,11 +215,61 @@ class TestRankDistances:
     def test_pair_inversions_bound_footrule(self, ps):
         # classical two-sided bound linking the two per-voter distances
         profile, schedule = ps
-        for pref in profile.iter_voters():
-            single = PreferenceProfile(mode="order", entries=((pref, 1),))
+        for pref in ref.voters(profile):
+            single = profile_of("order", [(pref.order, 1)])
             delta = kendall_tau_distance(schedule, single)
             rho = spearman_distance(schedule, single)
             assert delta <= rho <= 2 * delta
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_array_measures_equal_per_voter_references(self, seed):
+        rng = random.Random(1600 + seed)
+        n = rng.randint(1, 9)
+        profile = random_mixed_profile(rng, n)  # multiplicities up to 2^40, repeats
+        schedule = random_schedule(rng, n)
+        spearman = spearman_distance(schedule, profile)
+        kendall = kendall_tau_distance(schedule, profile)
+        late = late_counts(schedule, profile)
+        assert spearman == ref.spearman_distance(schedule, profile)
+        assert kendall == ref.kendall_tau_distance(schedule, profile)
+        assert late == [ref.late_at_slot(schedule, profile, y) for y in range(1, n + 1)]
+        assert all(type(x) is int for x in (spearman, kendall, *late))
+
+    def test_rank_distances_at_the_int64_bound_are_exact(self):
+        # The reversal of 3 tasks: 3 discordant pairs and a footrule of 4 per voter.
+        v = (2**63 - 1) // 12
+        profile = parse_profile(f"profile order\ntasks 3\nvoters {v}\npref {v} : 1 2 3\n")
+        reversal = Schedule((3, 2, 1))
+        assert kendall_tau_distance(reversal, profile) == 3 * v
+        assert spearman_distance(reversal, profile) == 4 * v
+        assert late_counts(reversal, profile) == [v, v, 0]
+
+    def test_rank_distances_reject_interval_profiles(self):
+        interval = parse_profile("profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (0,2)\n")
+        for measure in (spearman_distance, kendall_tau_distance):
+            with pytest.raises(ValueError, match="order-mode"):
+                measure(Schedule((1, 2)), interval)
+
+
+_SIZED = {
+    "profile_cost": lambda s, p: profile_cost(s, p, CriterionKind.DISTANCE, EncodingKind.DEVIATION),
+    "late_counts": late_counts,
+    "spearman_distance": spearman_distance,
+    "kendall_tau_distance": kendall_tau_distance,
+    "check_release_consistency": check_release_consistency,
+    "check_deadline_consistency": check_deadline_consistency,
+    "check_temporal_unanimity": check_temporal_unanimity,
+    "CostMatrix.price": lambda s, p: CostMatrix(p.n, np.zeros((p.n, p.n), np.int64)).price(s),
+}
+
+
+@pytest.mark.parametrize("order", [(2, 1), (1, 2, 3, 4)])
+@pytest.mark.parametrize("name", sorted(_SIZED))
+def test_schedule_of_another_size_is_rejected(name, order):
+    # Used to give a wrong number, a made-up violation report or an IndexError.
+    profile = parse_profile("profile order\ntasks 3\nvoters 2\npref 1 : 1 2 3\npref 1 : 3 1 2\n")
+    with pytest.raises(ValueError, match=f"^schedule has {len(order)} tasks, profile 3$"):
+        _SIZED[name](Schedule(order), profile)
 
 
 class TestChoiceDecomposition:

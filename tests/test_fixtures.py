@@ -11,12 +11,10 @@ from consched import (
     check_deadline_consistency,
     check_release_consistency,
     check_temporal_unanimity,
-    choice_decomposition,
     constrained_best,
     emd_schedule,
     exhaustive_optimum,
     infer_precedences,
-    late_at_slot,
     median_completion_times,
     parse_profile,
     profile_cost,
@@ -27,6 +25,7 @@ from consched import (
     solve_inferred,
 )
 from consched.cli import FIXTURES, fixture_text
+from references import choice_decomposition, late_at_slot
 
 DIST, BIN = CriterionKind.DISTANCE, CriterionKind.BINARY
 

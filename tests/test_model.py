@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -14,29 +15,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import references as ref
+from conftest import profile_of
 from consched.experiment import generate_profile
-from consched.criteria import profile_cost
+from consched.criteria import interval_arrays, profile_cost
 from consched.errors import ProfileError
 from consched.model import (
     _PAIR_RE,
     _check_cost_bound,
     _logical_lines,
+    _windows_feasible,
     EncodingKind,
-    IntervalPreference,
-    OrderPreference,
     PrecedenceGraph,
     PreferenceProfile,
     Schedule,
-    order_to_interval,
+    TimeWindows,
     parse_precedence,
     parse_profile,
     parse_time_windows,
     reverse_profile,
     reverse_schedule,
     serialize_profile,
-    validate_interval_preference,
 )
-from consched.rules import RuleSpec, emd_schedule, solve
+from consched.rules import RuleSpec, solve
 
 perms = st.integers(2, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -85,7 +86,10 @@ class TestParseProfile:
         profile = parse_profile(text)
         assert profile.mode == "interval"
         again = parse_profile(serialize_profile(profile))
-        assert again.entries == profile.entries
+        assert ref.entries(again) == ref.entries(profile) == [
+            (((0, 1), (1, 2)), 1),
+            (((0, 2), (0, 2)), 1),
+        ]
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# hello\n\nprofile order\ntasks 2\nvoters 1\n# mid\npref 1 : 2 1\n"
@@ -142,7 +146,7 @@ class TestParseProfile:
             parse_profile(text)
 
 
-class TestValidateIntervalPreference:
+class TestIntervalFeasibility:
     # Frozen from an inline enumeration oracle: a window set is satisfiable
     # iff some permutation meets every (r, d), i.e. r < C <= d for all tasks.
     @staticmethod
@@ -153,15 +157,25 @@ class TestValidateIntervalPreference:
             for p in map(tuple, permutations(range(1, n + 1)))
         )
 
+    @staticmethod
+    def parses(windows):
+        """Whether a one-voter interval profile with these windows parses."""
+        try:
+            profile_of("interval", [(windows, 1)])
+        except ProfileError as exc:
+            assert str(exc) == "line 4: windows admit no feasible schedule"
+            return False
+        return True
+
     def test_known_satisfiable_triple(self):
         windows = ((0, 1), (1, 3), (0, 3))
         assert self.brute_force(windows) is True
-        assert validate_interval_preference(IntervalPreference(windows)) is True
+        assert self.parses(windows) is True
 
     def test_known_unsatisfiable_triple(self):
         windows = ((0, 1), (0, 1), (0, 3))
         assert self.brute_force(windows) is False
-        assert validate_interval_preference(IntervalPreference(windows)) is False
+        assert self.parses(windows) is False
 
     @given(
         st.integers(2, 6).flatmap(
@@ -176,39 +190,38 @@ class TestValidateIntervalPreference:
     )
     def test_matches_brute_force(self, windows):
         windows = tuple(windows)
-        n = len(windows)
-        pref = IntervalPreference(windows)
-        assert validate_interval_preference(pref) is self.brute_force(windows)
+        assert self.parses(windows) is self.brute_force(windows)
 
 
-class TestOrderToInterval:
+def encoded_windows(order, encoding):
+    """The windows ``interval_arrays`` gives a one-voter profile preferring ``order``."""
+    rel, due, _ = interval_arrays(profile_of("order", [(order, 1)]), encoding)
+    return tuple(zip(rel[0].tolist(), due[0].tolist()))
+
+
+class TestEncodingWindows:
     def test_single_slot_encodings_pin_the_position(self):
-        pref = OrderPreference(Schedule((1, 2, 3)))
         for enc in (EncodingKind.DEVIATION, EncodingKind.EXACT_POSITION):
-            assert order_to_interval(pref, enc).windows == ((0, 1), (1, 2), (2, 3))
+            assert encoded_windows((1, 2, 3), enc) == ((0, 1), (1, 2), (2, 3))
 
     def test_prefix_encodings_open_the_release(self):
-        pref = OrderPreference(Schedule((1, 2, 3)))
         for enc in (EncodingKind.TARDINESS, EncodingKind.LATE_TASKS):
-            assert order_to_interval(pref, enc).windows == ((0, 1), (0, 2), (0, 3))
+            assert encoded_windows((1, 2, 3), enc) == ((0, 1), (0, 2), (0, 3))
 
     def test_suffix_encoding_opens_the_deadline(self):
-        pref = OrderPreference(Schedule((2, 1)))
-        assert order_to_interval(pref, EncodingKind.EARLINESS).windows == ((1, 2), (0, 2))
+        assert encoded_windows((2, 1), EncodingKind.EARLINESS) == ((1, 2), (0, 2))
 
     def test_windows_follow_the_preference_not_task_id(self):
-        pref = OrderPreference(Schedule((3, 1, 2)))
-        enc = order_to_interval(pref, EncodingKind.DEVIATION)
-        assert enc.windows == ((1, 2), (2, 3), (0, 1))
+        assert encoded_windows((3, 1, 2), EncodingKind.DEVIATION) == ((1, 2), (2, 3), (0, 1))
 
     @given(perms, st.sampled_from(list(EncodingKind)))
     def test_every_encoding_is_satisfiable(self, order, encoding):
-        pref = OrderPreference(Schedule(order))
-        interval = order_to_interval(pref, encoding)
-        assert validate_interval_preference(interval)
+        windows = encoded_windows(order, encoding)
+        assert windows == ref.order_windows(Schedule(order), encoding)
+        assert profile_of("interval", [(windows, 1)]).n == len(order)
         # the preferred schedule itself always satisfies its own windows
         comps = Schedule(order).completions()
-        assert all(r < c <= d for (r, d), c in zip(interval.windows, comps))
+        assert all(r < c <= d for (r, d), c in zip(windows, comps))
 
 
 class TestReversal:
@@ -225,7 +238,7 @@ class TestReversal:
             "profile order\ntasks 3\nvoters 3\npref 2 : 1 2 3\npref 1 : 2 3 1\n"
         )
         flipped = reverse_profile(profile)
-        assert [(e.schedule.order, m) for e, m in flipped.entries] == [
+        assert [(e.order, m) for e, m in ref.entries(flipped)] == [
             ((3, 2, 1), 2),
             ((1, 3, 2), 1),
         ]
@@ -282,25 +295,26 @@ class TestParseTimeWindows:
         with pytest.raises(ProfileError):
             parse_time_windows("task 1 : 2 2\n", 3)
 
+    def test_windows_and_interval_profiles_share_the_check(self):
+        message = "task 2: window (2,1) violates 0 <= r < d <= 3"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            TimeWindows(((0, 3), (2, 1), (0, 3)))
+        with pytest.raises(ProfileError, match=rf"^line 4: {re.escape(message)}$"):
+            profile_of("interval", [(((0, 3), (2, 1), (0, 3)), 1)])
 
-class TestProfileAccessors:
-    def test_iter_voters_expands_multiplicities(self):
-        profile = parse_profile(
-            "profile order\ntasks 2\nvoters 3\npref 2 : 1 2\npref 1 : 2 1\n"
-        )
-        seen = [pref.schedule.order for pref in profile.iter_voters()]
-        assert seen == [(1, 2), (1, 2), (2, 1)]
+
+class TestProfileConstruction:
+    def test_direct_construction_is_refused(self):
+        with pytest.raises(TypeError, match="parse_profile or from_orders"):
+            PreferenceProfile(mode="order", entries=())
 
     def test_cost_bound_checked_on_construction(self):
-        pref = OrderPreference(Schedule((1, 2, 3)))
         with pytest.raises(ProfileError, match="overflow int64"):
-            PreferenceProfile(mode="order", entries=((pref, 1 << 61), (pref, 1 << 61)))
+            profile_of("order", [((1, 2, 3), 1 << 61), ((1, 2, 3), 1 << 61)])
 
     def test_mismatched_sizes_rejected(self):
-        a = OrderPreference(Schedule((1, 2)))
-        b = OrderPreference(Schedule((1, 2, 3)))
         with pytest.raises(ValueError):
-            PreferenceProfile(mode="order", entries=((a, 1), (b, 1)))
+            profile_of("order", [((1, 2), 1), ((1, 2, 3), 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +322,18 @@ class TestProfileAccessors:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ReferenceProfile:
+    """What the former parser built: one preference per pref line, with its multiplicity."""
+
+    mode: str
+    n: int
+    v: int
+    entries: tuple
+
+
 def reference_parse_profile(text):
-    """The former parser: one validated Schedule or IntervalPreference per line."""
+    """The former parser: one validated Schedule or window tuple per line."""
     lines = list(_logical_lines(text))
     if len(lines) < 4:
         raise ProfileError("profile needs a 3-line header and at least one pref line")
@@ -350,45 +374,46 @@ def reference_parse_profile(text):
             if len(tasks) != n:
                 raise ProfileError(f"expected {n} task ids, got {len(tasks)}", no)
             try:
-                pref = OrderPreference(Schedule(tuple(tasks)))
+                pref = Schedule(tuple(tasks))
             except ValueError as exc:
                 raise ProfileError(str(exc), no) from None
         else:
             pairs = _PAIR_RE.findall(body)
             if len(pairs) != n or _PAIR_RE.sub("", body).strip():
                 raise ProfileError(f"expected {n} '(r,d)' pairs", no)
-            try:
-                pref = IntervalPreference(tuple((int(r), int(d)) for r, d in pairs))
-            except ValueError as exc:
-                raise ProfileError(str(exc), no) from None
-            if not validate_interval_preference(pref):
+            pref = tuple((int(r), int(d)) for r, d in pairs)
+            for j, (r, d) in enumerate(pref, start=1):
+                if not 0 <= r < d <= n:
+                    message = f"task {j}: window ({r},{d}) violates 0 <= r < d <= {n}"
+                    raise ProfileError(message, no)
+            if not _windows_feasible(pref):
                 raise ProfileError("windows admit no feasible schedule", no)
         entries.append((pref, mult))
     total = sum(m for _, m in entries)
     if total != v:
         raise ProfileError(f"multiplicities sum to {total}, header declares voters {v}")
-    return PreferenceProfile(mode=mode, entries=tuple(entries))
+    return ReferenceProfile(mode, n, v, tuple(entries))
 
 
-def reference_arrays(profile):
-    """The former per-consumer stacking of ``entries`` into arrays."""
-    mult = np.array([m for _, m in profile.entries], dtype=np.int64)
-    if profile.mode == "order":
-        comp = np.array([p.schedule.completions() for p, _ in profile.entries], dtype=np.int64)
+def reference_arrays(want):
+    """The former per-consumer stacking of the per-line preferences into arrays."""
+    mult = np.array([m for _, m in want.entries], dtype=np.int64)
+    if want.mode == "order":
+        comp = np.array([p.completions() for p, _ in want.entries], dtype=np.int64)
         return mult, comp
-    rel = np.array([[r for r, _ in p.windows] for p, _ in profile.entries], dtype=np.int64)
-    due = np.array([[d for _, d in p.windows] for p, _ in profile.entries], dtype=np.int64)
+    rel = np.array([[r for r, _ in p] for p, _ in want.entries], dtype=np.int64)
+    due = np.array([[d for _, d in p] for p, _ in want.entries], dtype=np.int64)
     return mult, rel, due
 
 
-def reference_serialize(profile):
-    """The former serializer, written from ``entries``."""
-    out = [f"profile {profile.mode}", f"tasks {profile.n}", f"voters {profile.v}"]
-    for pref, mult in profile.entries:
-        if isinstance(pref, OrderPreference):
-            body = " ".join(map(str, pref.schedule.order))
+def reference_serialize(want):
+    """The former serializer, written from the per-line preferences."""
+    out = [f"profile {want.mode}", f"tasks {want.n}", f"voters {want.v}"]
+    for pref, mult in want.entries:
+        if want.mode == "order":
+            body = " ".join(map(str, pref.order))
         else:
-            body = " ".join(f"({r},{d})" for r, d in pref.windows)
+            body = " ".join(f"({r},{d})" for r, d in pref)
         out.append(f"pref {mult} : {body}")
     return "\n".join(out) + "\n"
 
@@ -430,16 +455,17 @@ def random_profile_text(rng, n, mode):
 
 
 def assert_same_profile(got, want):
-    assert got == want and want == got
-    assert hash(got) == hash(want)
+    """``got`` (a parsed profile) holds exactly the reference profile ``want``."""
     assert (got.mode, got.n, got.v) == (want.mode, want.n, want.v)
     for a, b in zip(profile_arrays(got), reference_arrays(want), strict=True):
         assert a.dtype == np.int64
         assert np.array_equal(a, b)
-    assert got.entries == want.entries
+    assert ref.entries(got) == list(want.entries)
     text = serialize_profile(got)
     assert text == reference_serialize(want)
-    assert parse_profile(text) == got
+    again = parse_profile(text)
+    assert again == got and got == again
+    assert hash(again) == hash(got)
 
 
 class TestParseMatchesReference:
@@ -463,12 +489,12 @@ class TestParseMatchesReference:
     def test_constructed_profiles_equal_parsed_ones(self):
         text = random_profile_text(random.Random(5), 6, "order")
         parsed = parse_profile(text)
-        built = PreferenceProfile(mode="order", entries=reference_parse_profile(text).entries)
-        assert_same_profile(parsed, built)
-        orders = [pref.schedule.order for pref, _ in built.entries]
-        ones = PreferenceProfile(mode="order", entries=[(p, 1) for p, _ in built.entries])
+        want = reference_parse_profile(text)
+        assert_same_profile(parsed, want)
+        orders = [pref.order for pref, _ in want.entries]
+        ones = profile_of("order", [(order, 1) for order in orders])
         assert PreferenceProfile.from_orders(orders) == ones
-        assert ones != parsed or all(m == 1 for _, m in built.entries)
+        assert ones != parsed or all(m == 1 for _, m in want.entries)
 
     @pytest.mark.parametrize(
         "orders, message",
@@ -490,13 +516,6 @@ class TestParseMatchesReference:
                 arr[0] = 1
         with pytest.raises(AttributeError):
             profile.n = 3
-
-    def test_entries_are_built_once_on_demand(self):
-        profile = parse_profile("profile order\ntasks 2\nvoters 3\npref 2 : 1 2\npref 1 : 2 1\n")
-        assert profile._entries is None
-        entries = profile.entries
-        assert profile.entries is entries
-        assert [(p.schedule.order, m) for p, m in entries] == [((1, 2), 2), ((2, 1), 1)]
 
 
 def _wide_case(lines, k, bad):
@@ -573,8 +592,8 @@ class TestErrorsAtScale:
     def test_int_tokens_keep_int_acceptance(self):
         text = "profile order\ntasks 3\nvoters 1\npref 1 : +2 1 03\n"
         profile = parse_profile(text)
-        assert profile.entries[0][0].schedule.order == (2, 1, 3)
-        assert profile == reference_parse_profile(text)
+        assert ref.entries(profile)[0][0].order == (2, 1, 3)
+        assert_same_profile(profile, reference_parse_profile(text))
 
     def test_crlf_and_comments_mid_body(self):
         plain = "profile order\ntasks 3\nvoters 3\npref 2 : 1 2 3\npref 1 : 3 1 2\n"
@@ -582,11 +601,12 @@ class TestErrorsAtScale:
             "# header comment\r\nprofile order\r\ntasks 3\r\nvoters 3\r\n"
             "pref 2 : 1 2 3  # trailing\r\n# between entries\r\n\r\npref 1 : 3 1 2\r\n"
         )
-        assert parse_profile(messy) == parse_profile(plain) == reference_parse_profile(messy)
+        assert parse_profile(messy) == parse_profile(plain)
+        assert_same_profile(parse_profile(messy), reference_parse_profile(messy))
 
 
 class TestParseCost:
-    def test_solvers_never_build_entries(self):
+    def test_solves_match_the_cost_recheck(self):
         text = serialize_profile(generate_profile(12, 50, 3))
         profile = parse_profile(text)
         for rule, criterion, encoding in (
@@ -596,8 +616,6 @@ class TestParseCost:
         ):
             schedule, cost = solve(profile, RuleSpec(rule, encoding))
             assert cost == profile_cost(schedule, profile, criterion, encoding)
-        emd_schedule(profile)
-        assert profile._entries is None
 
     def test_tracemalloc_peak_on_wide_profile(self):
         # n=60, v=4000: 6.4 MB here. A parser that first lists every token

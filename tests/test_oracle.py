@@ -11,7 +11,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import random_mixed_profile, random_order_profile
+from conftest import profile_of, random_mixed_profile, random_order_profile
 from consched import _kernels, cli, experiment, oracle
 from consched.axioms import (
     check_deadline_consistency,
@@ -22,14 +22,13 @@ from consched.criteria import (
     CriterionKind,
     interval_arrays,
     kendall_tau_distance,
+    pair_weight_matrix,
     profile_cost,
 )
 from consched.errors import InfeasibleError, SizeLimitError
 from consched.model import (
     EncodingKind,
-    OrderPreference,
     PrecedenceGraph,
-    PreferenceProfile,
     Schedule,
     TimeWindows,
     parse_profile,
@@ -41,17 +40,14 @@ from consched.oracle import (
     constrained_best,
     exhaustive_optimum,
     kendall_optimum,
-    pair_weight_matrix,
 )
+from references import entries
 
 
 class TestExhaustiveOptimum:
     def test_size_guard(self):
         n = ORACLE_MAX_N + 1
-        profile = PreferenceProfile(
-            mode="order",
-            entries=((OrderPreference(Schedule(tuple(range(1, n + 1)))), 1),),
-        )
+        profile = profile_of("order", [(range(1, n + 1), 1)])
         with pytest.raises(SizeLimitError):
             exhaustive_optimum(profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS)
 
@@ -251,19 +247,19 @@ def reference_oracle(profile, criterion, encoding, windows=None, graph=None, axi
         for a, b in graph.edges:
             feasible &= comp[:, a - 1] < comp[:, b - 1]
     if axiom in ("release", "deadline"):
-        voters = np.array([p.schedule.completions() for p, _ in profile.entries])
+        voters = np.array([p.completions() for p, _ in entries(profile)])
         if axiom == "release":
             feasible &= (comp >= voters.min(axis=0)).all(axis=1)
         else:
             feasible &= (comp <= voters.max(axis=0)).all(axis=1)
     elif axiom == "unanimity":
         if profile.mode == "order":
-            voters = np.array([p.schedule.completions() for p, _ in profile.entries])
+            voters = np.array([p.completions() for p, _ in entries(profile)])
             unanimous = (voters == voters[0]).all(axis=0)
             lo, hi = voters[0] - 1, voters[0]
         else:
-            rel = np.array([[r for r, _ in p.windows] for p, _ in profile.entries])
-            due = np.array([[d for _, d in p.windows] for p, _ in profile.entries])
+            rel = np.array([[r for r, _ in p] for p, _ in entries(profile)])
+            due = np.array([[d for _, d in p] for p, _ in entries(profile)])
             unanimous = (rel == rel[0]).all(axis=0) & (due == due[0]).all(axis=0)
             lo, hi = rel[0], due[0]
         for j in np.flatnonzero(unanimous):
@@ -311,8 +307,8 @@ class TestPricingMatchesPerVoterSweep:
                 assert np.array_equal(got, want), (n, criterion, encoding)
 
     def test_identical_voters_at_large_multiplicity(self):
-        pref = OrderPreference(Schedule((3, 1, 4, 2, 5)))
-        profile = PreferenceProfile(mode="order", entries=((pref, 1 << 40), (pref, 7)))
+        pref = (3, 1, 4, 2, 5)
+        profile = profile_of("order", [(pref, 1 << 40), (pref, 7)])
         perms = np.array(list(permutations(range(1, 6))), dtype=np.int64)
         for criterion in CriterionKind:
             for encoding in EncodingKind:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import sys
 
 import pytest
@@ -34,3 +35,10 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         consched.nope  # noqa: B018
     assert not hasattr(consched, "available_backends")
+
+
+@pytest.mark.parametrize("module", sorted(consched._EXPORTS))
+def test_module_all_equals_its_export_row(module):
+    home = importlib.import_module(f"consched.{module}")
+    assert sorted(home.__all__) == sorted(consched._EXPORTS[module])
+    assert len(set(home.__all__)) == len(home.__all__)

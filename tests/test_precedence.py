@@ -6,14 +6,12 @@ import random
 
 import pytest
 
-from conftest import random_order_profile, random_schedule
+from conftest import profile_of, random_order_profile, random_schedule
 from consched.criteria import CriterionKind, profile_cost
 from consched.errors import SizeLimitError
 from consched.model import (
     EncodingKind,
-    OrderPreference,
     PrecedenceGraph,
-    PreferenceProfile,
     Schedule,
     TimeWindows,
     parse_profile,
@@ -28,6 +26,7 @@ from consched.precedence import (
     solve_with_graph,
 )
 from consched.rules import RuleSpec, solve
+from references import voters
 
 
 class TestInferPrecedences:
@@ -52,10 +51,7 @@ class TestInferPrecedences:
                 for a in range(1, profile.n + 1)
                 for b in range(1, profile.n + 1)
                 if a != b
-                and all(
-                    p.schedule.completion(a) < p.schedule.completion(b)
-                    for p in profile.iter_voters()
-                )
+                and all(p.completion(a) < p.completion(b) for p in voters(profile))
             }
             assert edges == naive
 
@@ -249,10 +245,7 @@ class TestSolveWithGraph:
 
     def test_size_guard(self):
         n = DEFAULT_DP_LIMIT + 1
-        order = tuple(range(1, n + 1))
-        profile = PreferenceProfile(
-            mode="order", entries=((OrderPreference(Schedule(order)), 1),)
-        )
+        profile = profile_of("order", [(range(1, n + 1), 1)])
         graph = PrecedenceGraph(n=n, edges=frozenset())
         with pytest.raises(SizeLimitError):
             solve_with_graph(profile, graph, CriterionKind.BINARY, EncodingKind.LATE_TASKS)

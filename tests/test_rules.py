@@ -20,6 +20,7 @@ from consched.rules import (
     median_completion_times,
     solve,
 )
+from references import entries
 
 
 class TestMedians:
@@ -51,8 +52,8 @@ class TestMedians:
             want = tuple(
                 sorted(
                     t
-                    for pref, mult in profile.entries
-                    for t in [pref.schedule.completion(j)] * mult
+                    for pref, mult in entries(profile)
+                    for t in [pref.completion(j)] * mult
                 )[pick]
                 for j in range(1, n + 1)
             )
