@@ -477,15 +477,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _count(text: str) -> int:
-    """argparse type of a count: an int >= 0, with argparse's own message for a non-int."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type of an int >= low, with argparse's own message for a non-int."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _at_least(0)
+_positive = _at_least(1)
 
 
 # experiment.GENERATORS, named here so that building the parser imports no experiment.
@@ -543,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_axioms)
 
     p = sub.add_parser("gen", help="write a reproducible random profile")
-    p.add_argument("--tasks", type=int, required=True)
-    p.add_argument("--voters", type=int, required=True)
+    p.add_argument("--tasks", type=_positive, required=True)
+    p.add_argument("--voters", type=_positive, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--generator", choices=_GENERATORS, default="uniform_permutations")
     p.add_argument("--swaps", type=_count, default=0,
@@ -553,9 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ratio", help="median-rule approximation-ratio experiment")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--tasks", type=int, required=True)
-    p.add_argument("--voters", type=int, required=True)
+    p.add_argument("--trials", type=_positive, required=True)
+    p.add_argument("--tasks", type=_positive, required=True)
+    p.add_argument("--voters", type=_positive, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--generator", choices=_GENERATORS, default="uniform_permutations")
     p.add_argument("--swaps", type=_count, default=0)

@@ -138,16 +138,22 @@ def _check_size(schedule: Schedule, n: int) -> None:
         raise ValueError(f"schedule has {schedule.n} tasks, profile {n}")
 
 
+def _check_window(j: int, r: int, d: int, n: int) -> None:
+    """Raise ``ValueError`` unless task j's window (r, d) lies in 0 <= r < d <= n."""
+    if not 0 <= r < d <= n:
+        raise ValueError(f"task {j}: window ({r},{d}) violates 0 <= r < d <= {n}")
+
+
 def _check_windows(windows: tuple[tuple[int, int], ...]) -> None:
     """Raise ``ValueError`` at the first window (r, d) outside 0 <= r < d <= n.
 
-    n is the number of windows, one per task. :class:`TimeWindows` and the
-    interval-mode profile parser share this check and its message.
+    n is the number of windows, one per task. :class:`TimeWindows`, the
+    interval-mode profile parser and the time-window parser share this check
+    and its message.
     """
     n = len(windows)
     for j, (r, d) in enumerate(windows, start=1):
-        if not 0 <= r < d <= n:
-            raise ValueError(f"task {j}: window ({r},{d}) violates 0 <= r < d <= {n}")
+        _check_window(j, r, d, n)
 
 
 _INT64_MAX = 2**63 - 1
@@ -351,13 +357,17 @@ def _logical_lines(text: Union[str, IO[str]]) -> Iterable[tuple[int, str]]:
 def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     """Parse the profile file format into a validated :class:`PreferenceProfile`.
 
-    The body is read once into the profile's arrays: each order-mode line's
-    task ids go straight into one int64 buffer, and the rows are checked as
-    permutations in bulk afterwards; interval-mode lines are checked one by
-    one (bounds, then feasibility). Multiplicities stay Python integers until
-    their sum has matched the header. Errors are those of a line-by-line
-    check: the first bad line in file order is reported, with the message
-    :class:`Schedule` or the window check of :class:`TimeWindows` would give.
+    The body is read once into the profile's arrays. Order-mode lines keep
+    their task-id text until the last line is read; when every line is plain
+    (n ids of at most 18 ASCII digits, single spaces) all of them are
+    converted in one C call, otherwise line by line through ``int()``, which
+    accepts the same forms as before (``+2``, tabs, Unicode digits). The rows
+    are then checked as permutations in bulk. Interval-mode lines are checked
+    one by one (bounds, then feasibility). Multiplicities stay Python
+    integers until their sum has matched the header. Errors are those of a
+    line-by-line check: the first bad line in file order is reported, with
+    the message :class:`Schedule` or the window check of :class:`TimeWindows`
+    would give, derived from that line's text.
 
     Raises
     ------
@@ -394,7 +404,8 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
 
     nos: list[int] = []  # line number of each accepted entry
     mults: list[int] = []
-    bufs = (array("q"),) if mode == "order" else (array("q"), array("q"))
+    bodies: list[str] = []  # order mode: each line's task ids, converted after the loop
+    bufs = (array("q"), array("q"))  # interval mode: releases and due dates
     try:
         for no, line in chain((body,), lines):
             m = _PREF_RE.fullmatch(line)
@@ -404,18 +415,18 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
             if mult < 1:
                 raise ProfileError("multiplicity must be >= 1", no)
             if mode == "order":
-                _read_order_line(m.group(2).strip(), n, no, bufs[0])
+                bodies.append(m.group(2).strip())
             else:
                 _read_interval_line(m.group(2).strip(), n, no, *bufs)
             nos.append(no)
             mults.append(mult)
     except ProfileError:
-        if mode == "order":  # an earlier line's bad permutation comes first
-            _order_arrays(bufs[0], len(nos), n, nos)
+        if mode == "order":  # an earlier line's bad order comes first
+            _order_arrays(bodies, n, nos)
         raise
 
     if mode == "order":
-        arrays = {"completions": _order_arrays(bufs[0], len(nos), n, nos)}
+        arrays = {"completions": _order_arrays(bodies, n, nos)}
     else:
         arrays = {
             key: np.frombuffer(buf, dtype=np.int64).reshape(-1, n)
@@ -459,13 +470,62 @@ def _order_error(tasks: list[int], n: int, no: int) -> ProfileError:
     raise AssertionError(f"line {no} is a permutation")  # pragma: no cover
 
 
-def _order_arrays(buf: array, rows: int, n: int, nos: list[int]) -> np.ndarray:
-    """Completions of the first ``rows`` orders in ``buf``; raises on the first bad one."""
-    orders = np.frombuffer(buf, dtype=np.int64, count=rows * n).reshape(rows, n)
+def _order_arrays(bodies: list[str], n: int, nos: list[int]) -> np.ndarray:
+    """Completions of the order-mode line bodies; raises the first bad line's error.
+
+    Plain bodies are converted in one C call; any other text is read line by
+    line through ``int()``. Either way all rows are then checked as
+    permutations at once.
+    """
+    orders = _plain_orders(bodies, n)
+    if orders is None:
+        orders = _read_orders(bodies, n, nos)
+    return _check_orders(orders, bodies, nos)
+
+
+def _read_orders(bodies: list[str], n: int, nos: list[int]) -> np.ndarray:
+    """The bodies' task ids read line by line through ``int()``, as a (rows, n) array."""
+    buf = array("q")
+    for rows, (body, no) in enumerate(zip(bodies, nos)):
+        try:
+            _read_order_line(body, n, no, buf)
+        except ProfileError:  # an earlier line's bad permutation comes first
+            orders = np.frombuffer(buf, dtype=np.int64, count=rows * n).reshape(rows, n)
+            _check_orders(orders, bodies, nos)
+            raise
+    return np.frombuffer(buf, dtype=np.int64).reshape(-1, n)
+
+
+def _check_orders(orders: np.ndarray, bodies: list[str], nos: list[int]) -> np.ndarray:
+    """Completions of the orders; the first non-permutation's error comes from its text."""
     comp, bad = _completions(orders)
     if bad is not None:
-        raise _order_error(orders[bad].tolist(), n, nos[bad])
+        tasks = [int(tok) for tok in bodies[bad].split()]
+        raise _order_error(tasks, orders.shape[1], nos[bad])
     return comp
+
+
+# The shape of a plain body: digits map to "0", space and newline to themselves,
+# every other byte to "x".
+_SHAPE = bytes(48 if 48 <= b <= 57 else b if b in (10, 32) else 120 for b in range(256))
+
+
+def _plain_orders(bodies: list[str], n: int) -> Optional[np.ndarray]:
+    """The bodies' task ids as a (rows, n) int64 array read in one C call, or None.
+
+    Only plain bodies qualify: n ASCII-digit ids separated by single spaces,
+    none longer than 18 digits, so every id fits int64 and the conversion is
+    exact. Every other form that ``int()`` accepts or rejects returns None.
+    """
+    joined = "\n".join(bodies)
+    if not joined.isascii():
+        return None
+    shape = joined.encode().translate(_SHAPE)
+    if b"x" in shape or b"  " in shape or b"0" * 19 in shape:
+        return None
+    if not all(bodies) or any(body.count(" ") != n - 1 for body in bodies):
+        return None
+    return np.fromstring(joined, dtype=np.int64, sep=" ").reshape(-1, n)
 
 
 def _read_interval_line(body: str, n: int, no: int, rel: array, due: array) -> None:
@@ -515,7 +575,10 @@ def parse_precedence(text: Union[str, IO[str]], n: int) -> PrecedenceGraph:
 
 
 def parse_time_windows(text: Union[str, IO[str]], n: int) -> TimeWindows:
-    """Parse ``task <j> : <r> <d>`` lines; unlisted tasks default to (0, n)."""
+    """Parse ``task <j> : <r> <d>`` lines; unlisted tasks default to (0, n).
+
+    Each window is checked as its line is read, so every error names its line.
+    """
     windows: list[tuple[int, int]] = [(0, n)] * n
     seen: set[int] = set()
     for no, line in _logical_lines(text):
@@ -527,12 +590,13 @@ def parse_time_windows(text: Union[str, IO[str]], n: int) -> TimeWindows:
             raise ProfileError(f"task {j} outside 1..{n}", no)
         if j in seen:
             raise ProfileError(f"duplicate window for task {j}", no)
+        try:
+            _check_window(j, r, d, n)
+        except ValueError as exc:
+            raise ProfileError(str(exc), no) from None
         seen.add(j)
         windows[j - 1] = (r, d)
-    try:
-        return TimeWindows(tuple(windows))
-    except ValueError as exc:
-        raise ProfileError(str(exc)) from None
+    return TimeWindows(tuple(windows))
 
 
 # ---------------------------------------------------------------------------

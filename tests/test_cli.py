@@ -387,6 +387,21 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    def test_bad_window_names_its_line(self, capsys, tmp_path):
+        # Was "error: task 2: window (3,1) ...", the only parse error without a line.
+        path = tmp_path / "p.prof"
+        path.write_text("profile order\ntasks 5\nvoters 1\npref 1 : 1 2 3 4 5\n")
+        windows = tmp_path / "w.time"
+        windows.write_text("task 2 : 3 1\n")
+        code, out, err = run(
+            capsys,
+            ["solve", "--profile", str(path), "--rule", "distance", "--encoding", "tardiness",
+             "--time", str(windows)],
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: line 1: task 2: window (3,1) violates 0 <= r < d <= 5\n"
+
     def test_emd_ignores_constraints_with_note(self, capsys, order_profile, tmp_path):
         windows = tmp_path / "w.txt"
         windows.write_text("task 1 : 2 3\n")
@@ -551,6 +566,26 @@ class TestGen:
         assert out == ""
         assert err.startswith(f"usage: consched {command[0]}")
         assert err.endswith("error: argument --swaps: must be >= 0, got -2\n")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command, flag", [
+        ("gen", "--tasks"), ("gen", "--voters"),
+        ("ratio", "--tasks"), ("ratio", "--voters"), ("ratio", "--trials"),
+    ])
+    def test_non_positive_size_is_a_usage_error(self, capsys, command, flag, value):
+        # gen and ratio used to exit 1 with "error: empty schedule", "error:
+        # profile has no entries" or "error: trials must be >= 1".
+        sizes = {"--tasks": "3", "--voters": "2"}
+        if command == "ratio":
+            sizes["--trials"] = "2"
+        sizes[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--seed", "1", *(arg for item in sizes.items() for arg in item)])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: consched {command}")
+        assert err.endswith(f"error: argument {flag}: must be >= 1, got {value}\n")
 
     def test_non_integer_count_keeps_the_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as exc:

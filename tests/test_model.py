@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import references as ref
 from conftest import profile_of
+from consched import model
 from consched.experiment import generate_profile
 from consched.criteria import interval_arrays, profile_cost
 from consched.errors import ProfileError
@@ -295,6 +297,18 @@ class TestParseTimeWindows:
         with pytest.raises(ProfileError):
             parse_time_windows("task 1 : 2 2\n", 3)
 
+    @pytest.mark.parametrize(
+        "text, lineno, window",
+        [("task 2 : 3 1\n", 1, "task 2: window (3,1)"),
+         ("task 1 : 0 2\n# note\ntask 4 : 2 6\n", 3, "task 4: window (2,6)"),
+         ("task 3 : -1 2\ntask 5 : 4 4\n", 1, "task 3: window (-1,2)")],
+    )
+    def test_bad_window_names_its_line(self, text, lineno, window):
+        with pytest.raises(ProfileError) as exc:
+            parse_time_windows(text, 5)
+        assert exc.value.line == lineno
+        assert str(exc.value) == f"line {lineno}: {window} violates 0 <= r < d <= 5"
+
     def test_windows_and_interval_profiles_share_the_check(self):
         message = "task 2: window (2,1) violates 0 <= r < d <= 3"
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
@@ -509,6 +523,45 @@ class TestParseMatchesReference:
         text = serialize_profile(generate_profile(40, 300, 11))
         assert_same_profile(parse_profile(text), reference_parse_profile(text))
 
+    @pytest.mark.parametrize(
+        "body",
+        ["2  1 3", "2\t1 3", "+2 1 3", "2 1 \u0663", "2 1 0000000000000000003",
+         "2 1 " + "0" * 40 + "3"],
+        ids=["double space", "tab", "plus sign", "arabic-indic digit", "19 chars", "41 chars"],
+    )
+    def test_line_path_reads_what_the_c_conversion_refuses(self, body, monkeypatch):
+        # Valid for int() but not plain: the whole profile is read line by line.
+        lines = [f"pref 1 : {order}" for order in ("1 2 3", "3 1 2") * 50]
+        lines[57] = f"pref 1 : {body}"
+        text = "profile order\ntasks 3\nvoters 100\n" + "\n".join(lines) + "\n"
+        read = []
+        real = model._read_order_line
+        monkeypatch.setattr(
+            model, "_read_order_line", lambda body, *args: read.append(body) or real(body, *args)
+        )
+        got = parse_profile(text)
+        assert len(read) == 100
+        monkeypatch.undo()
+        assert_same_profile(got, reference_parse_profile(text))
+        assert ref.entries(got)[57][0].order == (2, 1, 3)
+
+    def test_serialized_profiles_take_the_c_conversion(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("plain body read line by line")
+
+        text = serialize_profile(generate_profile(60, 400, 7))
+        want = parse_profile(text)
+        monkeypatch.setattr(model, "_read_order_line", refuse)
+        assert parse_profile(text) == want
+        assert parse_profile(serialize_profile(generate_profile(1, 5, 7))).n == 1
+
+    def test_c_conversion_raises_no_warning(self):
+        text = serialize_profile(generate_profile(60, 300, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = parse_profile(text)
+        assert_same_profile(profile, reference_parse_profile(text))
+
     def test_arrays_are_read_only(self):
         profile = parse_profile("profile order\ntasks 2\nvoters 3\npref 2 : 1 2\npref 1 : 2 1\n")
         for arr in profile_arrays(profile):
@@ -530,11 +583,21 @@ _BAD_ORDER_LINES = {
     "bad prefix": lambda ids: "xref 1 : " + " ".join(ids),
     "multiplicity 0": lambda ids: "pref 0 : " + " ".join(ids),
     "wrong count": lambda ids: "pref 1 : " + " ".join(ids[:-1]),
+    # n-1 spaces, but only n-1 ids
+    "wrong count, a double space": lambda ids: "pref 1 : " + " ".join(ids[:29]) + "  "
+    + " ".join(ids[29:-1]),
     "duplicate id": lambda ids: "pref 1 : " + " ".join([ids[1]] + ids[1:]),
     "id out of range": lambda ids: "pref 1 : " + " ".join(["61"] + ids[1:]),
     "id past int64": lambda ids: "pref 1 : " + " ".join(ids[:-1] + [str(1 << 70)]),
     "non-integer": lambda ids: "pref 1 : " + " ".join(ids[:30] + ["x"] + ids[31:]),
     "interval pair": lambda ids: "pref 1 : (0,1) " + " ".join(ids[1:]),
+    "id 0": lambda ids: "pref 1 : " + " ".join(["0"] + ids[1:]),
+    "id -1": lambda ids: "pref 1 : " + " ".join(ids[:7] + ["-1"] + ids[8:]),
+    "id of 20 digits": lambda ids: "pref 1 : " + " ".join(ids[:-1] + ["9" * 20]),
+    # 2**64 + 3: an id that would read as 3 if a conversion wrapped modulo 2**64
+    "id 3 plus 2**64": lambda ids: "pref 1 : " + " ".join(
+        str(2**64 + 3) if tok == "3" else tok for tok in ids
+    ),
 }
 
 
@@ -570,6 +633,38 @@ class TestErrorsAtScale:
             parse_profile(text)
         assert got.value.line == want.value.line == 14
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("duplicate id", "non-integer"), ("non-integer", "duplicate id"),
+         ("id -1", "wrong count"), ("wrong count", "id 0"), ("id 0", "bad prefix")],
+    )
+    def test_first_bad_line_wins_on_either_conversion(self, wide_lines, first, second):
+        lines = list(wide_lines)
+        lines[3 + 5] = lines[3 + 5].replace(" ", "\t")  # a valid line that is not plain
+        for k, case in ((10, first), (3000, second)):
+            ids = lines[3 + k].split(":")[1].split()
+            lines[3 + k] = _BAD_ORDER_LINES[case](ids)
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ProfileError) as want:
+            reference_parse_profile(text)
+        for text in (text, text.replace("\t", " ")):  # with and without a line that is not plain
+            with pytest.raises(ProfileError) as got:
+                parse_profile(text)
+            assert got.value.line == want.value.line == 14
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("k", [0, 2000, 3999])
+    def test_empty_body_at_one_task(self, k):
+        lines = ["profile order", "tasks 1", "voters 4000"] + ["pref 1 : 1"] * 4000
+        lines[3 + k] = "pref 1 :"
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ProfileError) as want:
+            reference_parse_profile(text)
+        with pytest.raises(ProfileError) as got:
+            parse_profile(text)
+        assert got.value.line == want.value.line == 4 + k
+        assert str(got.value) == str(want.value) == f"line {4 + k}: expected 1 task ids, got 0"
 
     @pytest.mark.parametrize("voters", [3, 1 << 70])
     def test_multiplicity_past_int64(self, voters, tmp_path):
@@ -618,8 +713,9 @@ class TestParseCost:
             assert cost == profile_cost(schedule, profile, criterion, encoding)
 
     def test_tracemalloc_peak_on_wide_profile(self):
-        # n=60, v=4000: 6.4 MB here. A parser that first lists every token
-        # string pays about 12.7 MB for that list alone.
+        # n=60, v=4000: 6.8 MB here, with the ids' text joined for the C
+        # conversion. A parser that first lists every token string pays
+        # about 12.7 MB for that list alone.
         text = serialize_profile(generate_profile(60, 4000, 1))
         tracemalloc.start()
         try:
