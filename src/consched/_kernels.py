@@ -19,13 +19,15 @@ hungarian
     Exact min-cost perfect matching on an n x n non-negative integer matrix
     with a forbidden mask: shortest augmenting paths with potentials, O(n^3)
     (Jonker & Volgenant 1987; Crouse 2016). Each phase runs one Dijkstra
-    with lazy potentials: distances stay absolute from the start of the
-    phase, so a step costs seven NumPy calls over one row (eight with a
-    mask), and the potentials are settled once per phase. Forbidden pairs
-    are masked out of every relaxation, never priced. Ties go to the first
-    minimum in column order. The arithmetic is int64 while
-    2n * max(cost) < 2^63 - 1 and exact Python integers beyond (see
-    ``_hungarian_np`` for the bound).
+    over the reduced matrix, which is updated once per phase: distances
+    stay absolute from the start of the phase, so a step costs three NumPy
+    calls over one row (add, minimum, argmin; four with a mask), and tree
+    columns are marked by -1 rather than masked. The phase keeps no
+    predecessor array; it rebuilds only the augmenting path from the rows it
+    expanded. Forbidden pairs are raised to the sentinel before every
+    relaxation, never priced. Ties go to the first minimum in column order.
+    The arithmetic is int64 while 2n * max(cost) < 2^63 - 1 and exact
+    Python integers beyond (see ``_hungarian_np`` for the bound).
 subset_dp
     Exact DP over task subsets for precedence-constrained minimization of any
     per-(task, slot) separable cost, O(2^n * n). It sweeps the subsets one
@@ -117,19 +119,28 @@ def completions_table(n: int) -> np.ndarray:
 def _hungarian_np(cost, allowed):
     """Rows are matched one phase at a time (row i in phase i); returns slots.
 
-    A phase is a Dijkstra from row i over the reduced costs
-    ``cost[r, j] - u[r] - v[j]`` (non-negative on allowed pairs, zero on
-    matched ones). ``minv[j]`` is the tentative distance of free column j
-    from the start of the phase, and ``d`` the distance of the column that
-    joined the tree last. Expanding row r, reached through a column that
-    joined at distance d, relaxes every free allowed column j with
-    ``cost[r, j] - v[j] - u[r] + d``. The column of least ``minv`` joins
-    next (``argmin``: the first one on ties). When a free column joins, the
-    phase ends: each tree column j and its row move by ``d - joined[j]``
-    (row i by ``d``), and the path is flipped along ``way``. The textbook
-    form shifts ``u``, ``v`` and ``minv`` by every step's delta instead; its
-    comparisons are these offset by one constant, so both take the same
-    branches and break the same ties.
+    ``red`` holds the reduced costs ``cost[r, j] - u[r] - v[j]`` (non-negative
+    on allowed pairs, zero on matched ones) and changes only between phases.
+    A phase is a Dijkstra from row i. ``minv[j]`` is the distance of column j
+    from the start of the phase, and ``off`` (a 0-d array) the distance d of
+    the column that joined the tree last. Expanding row r, reached through
+    that column, takes three NumPy calls: ``red[r] + d``, a ``minimum`` into
+    ``minv`` and an ``argmin`` that picks the next column (the first on
+    ties). With a mask, a ``maximum`` with ``block[r]`` (0 where allowed,
+    ``top`` where forbidden) first raises the forbidden cells to ``top``. A
+    tree column holds -1 in ``minv``: -1 survives every minimum, and argmin
+    reads ``minv`` as uint64, where -1 is 2^64 - 1. When a free column joins,
+    the phase ends. The textbook form shifts ``u``, ``v`` and ``minv`` by
+    every step's delta; its comparisons are these offset by one constant, so
+    both take the same branches and break the same ties.
+
+    No ``way`` array is kept: the phase logs its expanded rows and their
+    distances, and rebuilds only the augmenting path, backwards from the free
+    column. A column's predecessor is the first logged row whose relaxed
+    value on an allowed pair equals the column's distance; earlier rows
+    relaxed it to more, so the textbook's strict ``<`` recorded that row.
+    Then each tree column j and its row move by ``d - joined[j]`` (row i by
+    d): the tree's rows of ``red`` drop by it and its columns rise by it.
 
     Bound. Let C be the largest entry and OPT(k) <= k*C the least cost of
     matching the first k rows. In phase i, 0 <= u <= OPT(i-1) and
@@ -137,63 +148,78 @@ def _hungarian_np(cost, allowed):
     distance, and those distances sum to the optimum. A column's distance is
     the forward minus the backward costs on its tree path plus the potential
     of the row matched to it, so ``d - u[r]`` lies in [-(i-1)*C, (i-1)*C],
-    and every relaxed value and distance in [-(i-1)*C, (2i-1)*C]. While
-    2n*C < 2^63 - 1 the kernel runs in int64, with the int64 maximum as the
-    sentinel of unreached columns; beyond, it runs the same steps on Python
-    integers. A consensus matrix has C <= (n-1)*v for v voters, so under the
-    parse bound v*n*(n+1) <= 2^63 - 1 every profile with n <= 3 stays in
-    int64, and only profiles in the top half of that range leave it.
+    every entry of ``red`` in [-(i-1)*C, i*C], and every relaxed value and
+    distance in [-(i-1)*C, (2i-1)*C]. An allowed relaxed value is at least
+    0, because ``red`` is non-negative on allowed pairs and so is d, and a
+    forbidden one is raised to ``top`` before the minimum; so -1 marks the
+    tree soundly. While 2n*C < 2^63 - 1 the kernel runs in int64, with the
+    int64 maximum as ``top``; beyond, it runs the same steps on Python
+    integers, where ``argmin`` reads -1 as ``top + 1``. A consensus matrix
+    has C <= (n-1)*v for v voters, so under the parse bound
+    v*n*(n+1) <= 2^63 - 1 every profile with n <= 3 stays in int64, and
+    only profiles in the top half of that range leave it.
     """
     n = cost.shape[0]
     bound = 2 * n * (int(cost.max()) if n else 0)
     if bound < _I64_MAX:
-        dtype, top = np.int64, _I64_MAX
+        dtype, top, red = np.int64, _I64_MAX, cost.copy()
     else:
-        dtype, top, cost = object, bound + 1, cost.astype(object)
-    u = np.zeros(n, dtype=dtype)
-    v = np.zeros(n, dtype=dtype)
-    row_of = np.full(n, -1, dtype=np.intp)  # matched row of each column
-    way = np.empty(n, dtype=np.intp)  # tree column before each column, -1 for the root
+        dtype, top, red = object, bound + 1, cost.astype(object)
+    red_rows = list(red)  # views, so the phase-end updates reach them
+    block_rows = None
+    if allowed is not None:
+        block = np.zeros((n, n), dtype=dtype)
+        block[~allowed] = top
+        block_rows = list(block)
+    row_of = [-1] * n  # matched row of each column
     minv = np.empty(n, dtype=dtype)
-    joined = np.empty(n, dtype=dtype)
-    free = np.empty(n, dtype=bool)
     cur = np.empty(n, dtype=dtype)
-    better = np.empty(n, dtype=bool)
+    off = np.zeros((), dtype=dtype)
+    if dtype is object:
+        def pick():
+            return np.where(minv < 0, top + 1, minv).argmin()
+    else:
+        pick = minv.view(np.uint64).argmin
     for i in range(n):
         minv.fill(top)
-        free.fill(True)
-        tree = []
-        r, j, d = i, -1, 0
+        off[()] = 0
+        rows, dists, tree = [i], [0], []  # expanded rows, their distances, tree columns
+        r = i
         while True:
-            np.subtract(cost[r], v, out=cur)
-            cur += d - u[r]
-            np.less(cur, minv, out=better)
-            better &= free
-            if allowed is not None:
-                better &= allowed[r]
-            np.copyto(minv, cur, where=better)
-            np.copyto(way, j, where=better)
-            j = int(minv.argmin())
+            np.add(red_rows[r], off, out=cur)
+            if block_rows is not None:
+                np.maximum(cur, block_rows[r], out=cur)
+            np.minimum(minv, cur, out=minv)
+            j = int(pick())
             d = minv[j]
             if d == top:
                 return np.full(n, -1, dtype=np.int64)
             r = row_of[j]
             if r < 0:
                 break
-            joined[j] = d
-            minv[j] = top
-            free[j] = False
+            minv[j] = -1
+            off[()] = d
+            rows.append(r)
+            dists.append(d)
             tree.append(j)
-        u[i] += d
-        if tree:
-            cols = np.array(tree, dtype=np.intp)
-            shift = d - joined[cols]
-            u[row_of[cols]] += shift
-            v[cols] -= shift
-        while j >= 0:
-            prev = int(way[j])
-            row_of[j] = row_of[prev] if prev >= 0 else i
-            j = prev
+        dist = np.array(dists, dtype=dtype)
+        shift = d - dist
+        sub = red[rows]  # the tree's rows as the phase saw them
+        ok = None if allowed is None else allowed[rows]
+        while True:  # the augmenting path, backwards from the free column j
+            hit = sub[:, j] + dist == d
+            if ok is not None:
+                hit &= ok[:, j]
+            k = int(hit.argmax())
+            row_of[j] = rows[k]
+            if k == 0:
+                break
+            j, d = tree[k - 1], dists[k]
+        sub -= shift[:, None]
+        red[rows] = sub
+        rise = np.zeros(n, dtype=dtype)  # one dense add beats a strided scatter on big trees
+        rise[tree] = shift[1:]
+        red += rise
     slots = np.empty(n, dtype=np.int64)
     slots[row_of] = np.arange(n)
     return slots
@@ -248,11 +274,11 @@ def hungarian(cost: np.ndarray, forbidden: Optional[np.ndarray] = None) -> np.nd
 
     Returns an array of -1s when the forbidden mask rules out every perfect
     matching. Forbidden pairs never appear in a returned assignment: they are
-    masked out of every relaxation, not priced, and their entries are never
-    compared. Ties go to the first minimum in column order at every step, so
-    the result is a fixed function of the matrix, and the arithmetic is exact
-    for any int64 entries (int64 while 2n * max(cost) < 2^63 - 1, Python
-    integers beyond).
+    raised to the sentinel before every relaxation and masked out of the path
+    rebuild, so their entries never decide a step. Ties go to the first
+    minimum in column order at every step, so the result is a fixed function
+    of the matrix, and the arithmetic is exact for any int64 entries (int64
+    while 2n * max(cost) < 2^63 - 1, Python integers beyond).
 
     Raises
     ------

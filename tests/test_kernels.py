@@ -168,6 +168,42 @@ class TestHungarianMatchesReference:
             want = reference_hungarian(cost, forbidden)
             assert np.array_equal(_kernels.hungarian(cost * scale, forbidden), want)
 
+    @pytest.mark.parametrize("n", [30, 36, 42])
+    def test_masked_python_integer_path_at_n_30_and_over(self, n):
+        rng = np.random.default_rng(n)
+        cost = rng.integers(0, 12, size=(n, n)).astype(np.int64)
+        forbidden = rng.random((n, n)) < 0.3
+        scale = (2**63 - 1) // int(cost.max())
+        want = reference_hungarian(cost, forbidden)
+        assert want[0] >= 0
+        assert np.array_equal(_kernels.hungarian(cost * scale, forbidden), want)
+
+    @pytest.mark.parametrize("n", [120, 160, 200])
+    def test_late_count_matrices_at_benchmark_scale(self, n):
+        rng = np.random.default_rng(n)
+        profile = generate_profile(n, 100, seed=n)
+        for windows in (None, hidden_windows(rng, n)):
+            m = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS, windows)
+            want = reference_hungarian(m.cost, m.forbidden)
+            assert want[0] >= 0
+            assert np.array_equal(_kernels.hungarian(m.cost, m.forbidden), want)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_costs_zero_to_two_at_benchmark_scale(self, n):
+        # Long trees and ties in every phase.
+        cost = np.random.default_rng(n).integers(0, 3, size=(n, n))
+        assert np.array_equal(_kernels.hungarian(cost), reference_hungarian(cost))
+
+    def test_path_rebuild_skips_forbidden_cells_at_the_final_distance(self):
+        # Row 3's phase reaches slot 2 at distance 2 through row 1, after it
+        # expanded rows 3 and 2 at distance 0. Their slot-2 cells are
+        # forbidden but also cost 2, so only the mask keeps either of them
+        # from being taken as that column's predecessor.
+        cost = np.array([[1, 2, 0], [0, 2, 0], [0, 2, 0]])
+        forbidden = np.array([[0, 0, 0], [0, 1, 0], [0, 1, 0]], dtype=bool)
+        assert reference_hungarian(cost, forbidden).tolist() == [1, 0, 2]
+        assert _kernels.hungarian(cost, forbidden).tolist() == [1, 0, 2]
+
     def test_optimum_past_two_to_the_60(self):
         cost = (1 << 61) + np.array([[1, 0], [0, 1]], dtype=np.int64)
         assert (reference_hungarian(cost) < 0).all()  # the 2^60 sentinel's false infeasible
