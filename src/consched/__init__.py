@@ -54,13 +54,13 @@ _EXPORTS = {
         "repair_steps",
         "repair_to_inferred",
         "solve_by_repair",
-        "solve_inferred",
         "solve_with_graph",
     ),
     "rules": (
         "MedianTable",
         "RuleKind",
         "RuleSpec",
+        "Solution",
         "canonical_criterion",
         "emd_schedule",
         "median_completion_times",

@@ -11,6 +11,7 @@ ratio         median-rule approximation-ratio experiment harness
 fixtures      list bundled instance files / print one's path
 
 Exit codes: 0 ok, 1 usage or parse error, 2 infeasible, 3 size limit.
+This module reads flags and files and prints; ``rules.solve`` decides what runs.
 
 Profiles are regular files; the bundled instances are addressable as
 ``fixture:<name>`` wherever a profile path is expected. ``gen`` and ``ratio``
@@ -27,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 # Set before NumPy loads: OpenBLAS spins a worker per core, and consched makes no BLAS call.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -103,131 +104,43 @@ def _load_windows(path: Optional[str], n: int) -> Optional[TimeWindows]:
         raise ProfileError(f"cannot read windows {path!r}: {exc}") from None
 
 
-def _load_precedence(path: str, n: int) -> PrecedenceGraph:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_precedence(fh, n)
-    except OSError as exc:
-        raise ProfileError(f"cannot read precedence file {path!r}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# rule routing shared by solve / check-axioms
-# ---------------------------------------------------------------------------
-
-
-def _run(method: str, solver, *args, **kwargs) -> tuple[Schedule, int, str]:
-    """Call one solver path; an InfeasibleError it raises names the path."""
-    try:
-        schedule, cost = solver(*args, **kwargs)
-    except InfeasibleError as exc:
-        exc.method = method
-        raise
-    return schedule, cost, method
-
-
-def _route(args, profile: PreferenceProfile) -> tuple[Schedule, int, str]:
-    """Resolve flags into one solver run; returns (schedule, cost, method)."""
-    from .rules import RuleKind, RuleSpec, solve
-
-    rule = RuleKind(args.rule)
-    encoding = _ENCODING_FLAGS[args.encoding] if args.encoding else None
-    windows = _load_windows(args.time, profile.n)
-    method = args.method
-
-    if rule is RuleKind.EMD:
-        if method != "auto":
-            raise ProfileError("--method applies to the distance/binary rules only")
-        if windows is not None or args.prec_mode:
-            print("note: emd ignores --time/--prec constraints", file=sys.stderr)
-        return _run("emd", solve, profile, RuleSpec(rule, encoding))
-
-    criterion = CriterionKind(rule.value)
-    if profile.mode == "order" and encoding is None:
-        raise ProfileError(f"--rule {rule.value} needs --encoding on an order-mode profile")
-    if profile.mode == "interval" and encoding is not None:
-        raise ProfileError("interval-mode profiles take no --encoding")
-
-    prec_mode = args.prec_mode
-    if prec_mode is None:
+def _load_prec(args, n: int) -> Union[None, str, PrecedenceGraph]:
+    """--prec/--prec-mode as a RuleSpec.prec: None, "inferred" or the graph read from --prec."""
+    if args.prec_mode is None:
         if args.prec:
             raise ProfileError("--prec requires --prec-mode {inferred,graph}")
-        if method == "repair":
-            raise ProfileError("--method repair requires --prec-mode inferred")
-        if method == "dp":
-            from .precedence import solve_with_graph
-
-            empty = PrecedenceGraph(n=profile.n, edges=frozenset())
-            return _run(
-                "dp", solve_with_graph,
-                profile, empty, criterion, encoding, windows, size_limit=args.dp_limit,
-            )
-        return _run("matching", solve, profile, RuleSpec(rule, encoding, windows))
-
-    from .precedence import infer_precedences, solve_by_repair, solve_with_graph
-
-    if prec_mode == "inferred":
-        if profile.mode != "order":
-            raise ProfileError("--prec-mode inferred requires an order-mode profile")
-        if args.prec:
+        return None
+    if args.prec_mode == "inferred":
+        if args.prec and args.rule != "emd":  # emd notes that it ignores all of --prec
             print("note: --prec-mode inferred derives the graph from the profile; "
                   "ignoring --prec file", file=sys.stderr)
-        prec = infer_precedences(profile)
-        graph = prec.graph
-    else:
-        if not args.prec:
-            raise ProfileError("--prec-mode graph requires --prec FILE")
-        graph = _load_precedence(args.prec, profile.n)
+        return "inferred"
+    if not args.prec:
+        raise ProfileError("--prec-mode graph requires --prec FILE")
+    try:
+        with open(args.prec, encoding="utf-8") as fh:
+            return parse_precedence(fh, n)
+    except OSError as exc:
+        raise ProfileError(f"cannot read precedence file {args.prec!r}: {exc}") from None
 
-    if method == "matching":
-        if windows is None and not graph.edges:
-            pass  # plain matching is exact here anyway
-        else:
-            print("note: --method matching ignores precedence constraints", file=sys.stderr)
-        return _run("matching", solve, profile, RuleSpec(rule, encoding, windows))
 
-    if method == "repair" or (
-        method == "auto" and prec_mode == "inferred" and criterion is CriterionKind.DISTANCE
-    ):
-        if prec_mode != "inferred":
-            raise ProfileError("--method repair applies to inferred precedences only")
-        if windows is not None:
-            raise ProfileError("matching+repair does not honor --time; use --method dp")
-        if criterion is not CriterionKind.DISTANCE:
-            print(
-                "note: repair guarantees optimality for the distance criterion only",
-                file=sys.stderr,
-            )
-        return _run("matching+repair", solve_by_repair, profile, prec, criterion, encoding)
+def _print_notes(notes: Sequence[str]) -> None:
+    for note in notes:
+        print(f"note: {note}", file=sys.stderr)
 
-    return _run(
-        "dp", solve_with_graph,
-        profile, graph, criterion, encoding, windows, size_limit=args.dp_limit,
+
+def _solve(args, profile: PreferenceProfile):
+    """The rule flags as one ``rules.solve`` request; its notes go to stderr."""
+    from .rules import RuleSpec, solve
+
+    encoding = _ENCODING_FLAGS[args.encoding] if args.encoding else None
+    windows = _load_windows(args.time, profile.n)
+    prec = _load_prec(args, profile.n)
+    solution = solve(
+        profile, RuleSpec(args.rule, encoding, windows, prec, args.method, args.dp_limit)
     )
-
-
-def _emit_solution(args, profile, schedule: Schedule, cost: int, method: str) -> None:
-    # Printed costs are always recomputed from the schedule, independently of
-    # whatever the solver reported; a mismatch would be a bug worth crashing on.
-    if method == "emd":
-        from .rules import canonical_criterion
-
-        enc = _ENCODING_FLAGS[args.encoding] if args.encoding else EncodingKind.TARDINESS
-        crit = canonical_criterion(enc)
-        check = profile_cost(schedule, profile, crit, enc)
-    else:
-        enc = _ENCODING_FLAGS[args.encoding] if args.encoding else None
-        check = profile_cost(schedule, profile, CriterionKind(args.rule), enc)
-    if check != cost:
-        raise AssertionError(f"solver cost {cost} != recomputed cost {check}")
-    if args.format == "json":
-        print(json.dumps(
-            {"schedule": list(schedule.order), "cost": cost, "method": method, "feasible": True}
-        ))
-    else:
-        print(f"schedule: {schedule}")
-        print(f"cost: {cost}")
-        print(f"method: {method}")
+    _print_notes(solution.notes)
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +151,24 @@ def _emit_solution(args, profile, schedule: Schedule, cost: int, method: str) ->
 def cmd_solve(args) -> int:
     profile = _load_profile(args.profile)
     try:
-        schedule, cost, method = _route(args, profile)
+        solution = _solve(args, profile)
     except InfeasibleError as exc:
         if args.format == "json":
             print(json.dumps(
                 {"schedule": None, "cost": None, "method": exc.method, "feasible": False}
             ))
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    _emit_solution(args, profile, schedule, cost, method)
+        raise
+    if args.format == "json":
+        print(json.dumps({
+            "schedule": list(solution.schedule.order),
+            "cost": solution.cost,
+            "method": solution.method,
+            "feasible": True,
+        }))
+    else:
+        print(f"schedule: {solution.schedule}")
+        print(f"cost: {solution.cost}")
+        print(f"method: {solution.method}")
     return EXIT_OK
 
 
@@ -280,22 +202,16 @@ def cmd_oracle(args) -> int:
     encoding = _ENCODING_FLAGS[args.encoding] if args.encoding else None
     criterion = CriterionKind(args.rule)
     if args.axiom_filter:
-        if args.time or args.prec:
+        if args.time or args.prec or args.prec_mode:
             raise ProfileError("--axiom-filter cannot be combined with --time/--prec")
         result = constrained_best(profile, criterion, encoding, axiom=args.axiom_filter)
     else:
         windows = _load_windows(args.time, profile.n)
-        graph = None
-        if args.prec_mode == "inferred":
+        graph = _load_prec(args, profile.n)
+        if graph == "inferred":
             from .precedence import infer_precedences
 
             graph = infer_precedences(profile).graph
-        elif args.prec_mode == "graph":
-            if not args.prec:
-                raise ProfileError("--prec-mode graph requires --prec FILE")
-            graph = _load_precedence(args.prec, profile.n)
-        elif args.prec:
-            raise ProfileError("--prec requires --prec-mode {inferred,graph}")
         result = exhaustive_optimum(profile, criterion, encoding, windows, graph)
     if args.format == "json":
         print(json.dumps({
@@ -322,7 +238,8 @@ def cmd_check_axioms(args) -> int:
     )
 
     profile = _load_profile(args.profile)
-    schedule, cost, method = _route(args, profile)
+    solution = _solve(args, profile)
+    schedule = solution.schedule
     reports = []
     if profile.mode == "order":
         reports.append(check_release_consistency(schedule, profile))
@@ -332,8 +249,8 @@ def cmd_check_axioms(args) -> int:
     if args.format == "json":
         print(json.dumps({
             "schedule": list(schedule.order),
-            "cost": cost,
-            "method": method,
+            "cost": solution.cost,
+            "method": solution.method,
             "axioms": {
                 r.axiom: [
                     {"task": v.task, "window": list(v.window), "got": v.got}
@@ -345,7 +262,7 @@ def cmd_check_axioms(args) -> int:
         return EXIT_OK
 
     print(f"schedule: {schedule}")
-    print(f"cost: {cost}")
+    print(f"cost: {solution.cost}")
     for r in reports:
         if r.ok:
             print(f"{r.axiom}: PASS")
@@ -496,8 +413,10 @@ _count = _at_least(0)
 _positive = _at_least(1)
 
 
-# experiment.GENERATORS, named here so that building the parser imports no experiment.
+# experiment.GENERATORS and rules.METHODS, named here so that building the
+# parser imports neither module.
 _GENERATORS = ("uniform_permutations", "mallows_like_swap_noise")
+_METHODS = ("auto", "matching", "dp", "repair")
 
 
 def _add_format(p) -> None:
@@ -511,7 +430,7 @@ def _add_rule_flags(p) -> None:
     p.add_argument("--time", metavar="FILE", help="global time-window file")
     p.add_argument("--prec", metavar="FILE", help="precedence edge file (graph mode)")
     p.add_argument("--prec-mode", choices=("inferred", "graph"))
-    p.add_argument("--method", choices=("auto", "matching", "dp", "repair"), default="auto")
+    p.add_argument("--method", choices=_METHODS, default="auto")
     p.add_argument("--dp-limit", type=_count, default=DEFAULT_DP_LIMIT,
                    help=f"subset-DP size guard (default {DEFAULT_DP_LIMIT})")
 
@@ -588,18 +507,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("fixtures path requires a fixture name")
     try:
         return args.func(args)
-    except ProfileError as exc:
+    except ValueError as exc:  # ProfileError included
+        _print_notes(getattr(exc, "notes", ()))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:
+        _print_notes(getattr(exc, "notes", ()))
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

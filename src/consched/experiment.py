@@ -214,8 +214,8 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
                             f"slot {y}: emd {emd_late[y - 1]} > {bound} (optimum {opt})",
                         )
         else:
-            _, t_opt = solve(profile, RuleSpec("distance", EncodingKind.TARDINESS))
-            _, dev_opt = solve(profile, RuleSpec("distance", EncodingKind.DEVIATION))
+            t_opt = solve(profile, RuleSpec("distance", EncodingKind.TARDINESS)).cost
+            dev_opt = solve(profile, RuleSpec("distance", EncodingKind.DEVIATION)).cost
 
         if t_opt == 0:
             report.zero_tardiness_opt += 1

@@ -1,15 +1,18 @@
 """Precedence-constraint machinery.
 
-Two settings:
+Two settings, and ``rules.solve`` picks the path for each:
 
 * **inferred** — the constraint graph is read off the profile itself: edge
   a -> b whenever *every* voter completes a before b. That relation is
   transitive and acyclic by construction. For the distance criterion the
   constrained optimum costs no more than the unconstrained one, and is reached
   by repairing any matching optimum with at most n^2 pairwise swaps
-  (``repair_to_inferred``); for the binary criterion no such guarantee exists
-  (there are profiles where every late-count optimum violates an inferred
-  edge), so those requests go through the exact subset DP.
+  (``solve_by_repair``). That covers all five encodings: under the distance
+  criterion late_tasks yields the tardiness windows and exact_position the
+  deviation windows, and tardiness, earliness and deviation optima coincide
+  pointwise, so the swap argument applies to each. For the binary criterion
+  no such guarantee exists (there are profiles where every late-count optimum
+  violates an inferred edge), so those requests go through the exact subset DP.
 
 * **graph** — an externally imposed acyclic graph that the preferences need
   not reflect. Exact minimization is NP-hard for the named objectives even on
@@ -31,7 +34,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import DEFAULT_DP_LIMIT
 from .assignment import build_cost_matrix, min_cost_assignment
-from .criteria import CriterionKind, _as_criterion
+from .criteria import CriterionKind
 from .errors import InfeasibleError, SizeLimitError
 from .model import (
     EncodingKind,
@@ -39,9 +42,7 @@ from .model import (
     PreferenceProfile,
     Schedule,
     TimeWindows,
-    _as_encoding,
 )
-from .rules import canonical_criterion
 
 __all__ = [
     "InferredPrecedences",
@@ -49,7 +50,6 @@ __all__ = [
     "repair_steps",
     "repair_to_inferred",
     "solve_by_repair",
-    "solve_inferred",
     "solve_with_graph",
 ]
 
@@ -133,36 +133,12 @@ def solve_by_repair(
     The cost is summed from the cells of the cost matrix the matching ran on,
     so a recheck with ``profile_cost`` is an independent computation. Optimal
     among the schedules satisfying ``prec`` for the distance criterion only
-    (see :func:`solve_inferred`).
+    (see the module docstring).
     """
     matrix = build_cost_matrix(profile, criterion, encoding)
     schedule, _ = min_cost_assignment(matrix)
     repaired = repair_to_inferred(schedule, prec)
     return repaired, matrix.price(repaired)
-
-
-def solve_inferred(
-    profile: PreferenceProfile,
-    encoding: Union[EncodingKind, str],
-    criterion: Optional[Union[CriterionKind, str]] = None,
-) -> tuple[Schedule, int]:
-    """Optimal schedule among those satisfying the profile's inferred edges.
-
-    ``criterion`` defaults to the encoding's canonical criterion. Distance
-    requests run matching + repair (cost equals the unconstrained optimum:
-    under this criterion late_tasks yields the tardiness windows and
-    exact_position the deviation windows, and tardiness/earliness/deviation
-    optima coincide pointwise, so the swap argument covers all five
-    encodings). Binary requests run the exact subset DP on the inferred
-    graph — their constrained optimum can strictly exceed the unconstrained
-    one.
-    """
-    encoding = _as_encoding(encoding)
-    criterion = canonical_criterion(encoding) if criterion is None else _as_criterion(criterion)
-    prec = infer_precedences(profile)
-    if criterion is CriterionKind.DISTANCE:
-        return solve_by_repair(profile, prec, criterion, encoding)
-    return solve_with_graph(profile, prec.graph, criterion, encoding)
 
 
 def solve_with_graph(

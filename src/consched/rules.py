@@ -1,4 +1,4 @@
-"""User-facing aggregation rules.
+"""User-facing aggregation rules and the one solve planner.
 
 Three rules turn a preference profile into one schedule:
 
@@ -13,9 +13,14 @@ distance criterion, the late-task count and the exact-position miss count
 from the binary criterion. ``canonical_criterion`` maps each encoding to the
 criterion that defines its named rule.
 
-The exact rules always route through the assignment reduction (never through
-EMD, even when EMD happens to be optimal) and honor optional global time
-windows. EMD ignores windows and requires an order-mode profile.
+``solve`` is the one place that picks the algorithm. A ``RuleSpec`` mirrors
+the ``consched solve`` flags; ``solve`` checks it, runs one path, rechecks the
+cost with ``profile_cost`` and returns a ``Solution`` naming the path: ``emd``
+(which ignores windows and precedences), ``matching`` (the assignment
+reduction, never EMD even where EMD is optimal; windows only),
+``matching+repair`` (``auto``'s exact path for distance under inferred
+precedences) or ``dp`` (the exact subset DP; ``auto``'s path for every other
+precedence request).
 """
 
 from __future__ import annotations
@@ -26,13 +31,23 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._kernels import DEFAULT_DP_LIMIT
 from .assignment import build_cost_matrix, min_cost_assignment
-from .criteria import CriterionKind, _task_histogram
-from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows, _as_encoding
+from .criteria import CriterionKind, _task_histogram, profile_cost
+from .errors import InfeasibleError
+from .model import (
+    EncodingKind,
+    PrecedenceGraph,
+    PreferenceProfile,
+    Schedule,
+    TimeWindows,
+    _as_encoding,
+)
 
 __all__ = [
     "RuleKind",
     "RuleSpec",
+    "Solution",
     "MedianTable",
     "canonical_criterion",
     "median_completion_times",
@@ -61,18 +76,43 @@ def canonical_criterion(encoding: Union[EncodingKind, str]) -> CriterionKind:
     return _CANONICAL[_as_encoding(encoding)]
 
 
+METHODS = ("auto", "matching", "dp", "repair")
+
+
 @dataclass(frozen=True, slots=True)
 class RuleSpec:
-    """What to solve: rule, optional encoding, optional global windows."""
+    """What to solve and how: the fields mirror the ``consched solve`` flags.
+
+    ``prec`` is None, ``"inferred"`` or an imposed ``PrecedenceGraph``;
+    ``method`` is one of ``METHODS``; ``dp_limit`` is the subset-DP size guard.
+    """
 
     rule: Union[RuleKind, str]
     encoding: Optional[Union[EncodingKind, str]] = None
     windows: Optional[TimeWindows] = None
+    prec: Union[None, str, PrecedenceGraph] = None
+    method: str = "auto"
+    dp_limit: int = DEFAULT_DP_LIMIT
 
     def __post_init__(self):
         object.__setattr__(self, "rule", RuleKind(self.rule))
         if self.encoding is not None:
             object.__setattr__(self, "encoding", _as_encoding(self.encoding))
+        if not (self.prec is None or isinstance(self.prec, PrecedenceGraph)
+                or self.prec == "inferred"):
+            raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {self.prec!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+
+
+@dataclass(frozen=True, slots=True)
+class Solution:
+    """A solved request: schedule, rechecked exact cost, the path that ran, notes."""
+
+    schedule: Schedule
+    cost: int
+    method: str
+    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,31 +149,95 @@ def emd_schedule(profile: PreferenceProfile) -> Schedule:
     return Schedule(tuple(order))
 
 
-def solve(profile: PreferenceProfile, spec: RuleSpec) -> tuple[Schedule, int]:
-    """Run a rule on a profile; returns (schedule, exact integer cost).
+def solve(profile: PreferenceProfile, spec: RuleSpec) -> Solution:
+    """Check ``spec``, run the path it selects and recheck the cost.
 
-    distance/binary delegate to the matching reduction and return a global
-    optimum honoring ``spec.windows``; emd returns the median-order schedule
-    and its cost under the requested encoding (default: tardiness), summed
-    from the same cost matrix.
-
-    Raises
-    ------
-    InfeasibleError
-        Propagated from the matching when windows exclude every schedule.
+    Each path prices its schedule off its cost matrix, so ``profile_cost``,
+    repricing it from the profile (emd under its encoding, default tardiness),
+    is an independent recheck; a mismatch raises ``AssertionError``. A request
+    no path serves raises ``ValueError``, one no schedule satisfies
+    ``InfeasibleError``, a DP past ``spec.dp_limit`` ``SizeLimitError``; the
+    first two carry ``method`` (the path, or None) and the ``notes`` made before.
     """
     if spec.rule is RuleKind.EMD:
+        encoding = spec.encoding if spec.encoding is not None else EncodingKind.TARDINESS
+        criterion = canonical_criterion(encoding)
+    else:
+        encoding, criterion = spec.encoding, CriterionKind(spec.rule.value)
+    notes: list[str] = []
+    method = None
+    try:
+        method, constraint = _plan(profile, spec, criterion, notes)
+        if method == "emd":
+            schedule = emd_schedule(profile)
+            cost = build_cost_matrix(profile, criterion, encoding).price(schedule)
+        elif method == "matching":
+            matrix = build_cost_matrix(profile, criterion, encoding, spec.windows)
+            schedule, cost = min_cost_assignment(matrix)
+        elif method == "matching+repair":
+            from .precedence import solve_by_repair
+
+            schedule, cost = solve_by_repair(profile, constraint, criterion, encoding)
+        else:
+            from .precedence import solve_with_graph
+
+            schedule, cost = solve_with_graph(
+                profile, constraint, criterion, encoding, spec.windows, size_limit=spec.dp_limit
+            )
+    except (InfeasibleError, ValueError) as exc:
+        exc.method, exc.notes = method, tuple(notes)
+        raise
+    check = profile_cost(schedule, profile, criterion, encoding)
+    if check != cost:
+        raise AssertionError(f"solver cost {cost} != recomputed cost {check}")
+    return Solution(schedule, cost, method, tuple(notes))
+
+
+def _plan(profile: PreferenceProfile, spec: RuleSpec, criterion: CriterionKind,
+          notes: list[str]) -> tuple[str, object]:
+    """(path, the graph or inferred precedences it runs under); checks in a fixed order."""
+    method, windows = spec.method, spec.windows
+    if spec.rule is RuleKind.EMD:
+        if method != "auto":
+            raise ValueError("--method applies to the distance/binary rules only")
+        if windows is not None or spec.prec is not None:
+            notes.append("emd ignores --time/--prec constraints")
         if profile.mode != "order":
             raise ValueError("emd requires an order-mode profile")
-        encoding = spec.encoding if spec.encoding is not None else EncodingKind.TARDINESS
-        schedule = emd_schedule(profile)
-        # Priced off the cost matrix, as the matching's optimum is, so that a
-        # recheck with profile_cost is an independent computation.
-        matrix = build_cost_matrix(profile, canonical_criterion(encoding), encoding)
-        return schedule, matrix.price(schedule)
-
-    criterion = CriterionKind(spec.rule.value)
+        return "emd", None
     if profile.mode == "order" and spec.encoding is None:
-        raise ValueError(f"{spec.rule.value} rule on an order-mode profile needs an encoding")
-    matrix = build_cost_matrix(profile, criterion, spec.encoding, spec.windows)
-    return min_cost_assignment(matrix)
+        raise ValueError(f"--rule {spec.rule.value} needs --encoding on an order-mode profile")
+    if profile.mode == "interval" and spec.encoding is not None:
+        raise ValueError("interval-mode profiles take no --encoding")
+
+    if spec.prec is None:
+        if method == "repair":
+            raise ValueError("--method repair requires --prec-mode inferred")
+        if method == "dp":
+            return "dp", PrecedenceGraph(n=profile.n, edges=frozenset())
+        return "matching", None
+
+    inferred = spec.prec == "inferred"
+    if inferred:
+        from .precedence import infer_precedences
+
+        if profile.mode != "order":
+            raise ValueError("--prec-mode inferred requires an order-mode profile")
+        prec = infer_precedences(profile)
+    graph = prec.graph if inferred else spec.prec
+
+    if method == "matching":
+        if windows is not None or graph.edges:
+            notes.append("--method matching ignores precedence constraints")
+        return "matching", None
+    if method == "repair" or (
+        method == "auto" and inferred and criterion is CriterionKind.DISTANCE
+    ):
+        if not inferred:
+            raise ValueError("--method repair applies to inferred precedences only")
+        if windows is not None:
+            raise ValueError("matching+repair does not honor --time; use --method dp")
+        if criterion is not CriterionKind.DISTANCE:
+            notes.append("repair guarantees optimality for the distance criterion only")
+        return "matching+repair", prec
+    return "dp", graph

@@ -36,7 +36,6 @@ from consched import (
     profile_cost,
     repair_steps,
     solve,
-    solve_inferred,
     solve_with_graph,
     spearman_distance,
 )
@@ -67,7 +66,8 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_tail_profile_distance_story():
     t0 = time.perf_counter()
     profile = load("tail8x6")
-    schedule, cost = solve(profile, RuleSpec(rule="distance", encoding="deviation"))
+    solution = solve(profile, RuleSpec(rule="distance", encoding="deviation"))
+    schedule, cost = solution.schedule, solution.cost
     res = exhaustive_optimum(profile, DIST, DEV)
     filtered = constrained_best(profile, DIST, DEV, axiom="deadline")
     elapsed = time.perf_counter() - t0
@@ -93,7 +93,8 @@ def test_criterion_01_tail_profile_distance_story():
 def test_criterion_02_late_count_profile_unique_optimum():
     t0 = time.perf_counter()
     profile = load("late7x3")
-    schedule, cost = solve(profile, RuleSpec(rule="binary", encoding="late_tasks"))
+    solution = solve(profile, RuleSpec(rule="binary", encoding="late_tasks"))
+    schedule, cost = solution.schedule, solution.cost
     res = exhaustive_optimum(profile, BIN, LATE)
     filtered = constrained_best(profile, BIN, LATE, axiom="deadline")
     elapsed = time.perf_counter() - t0
@@ -120,7 +121,8 @@ def test_criterion_02_late_count_profile_unique_optimum():
 def test_criterion_03_interval_profile_unanimity_gap():
     t0 = time.perf_counter()
     profile = load("window8x6")
-    schedule, cost = solve(profile, RuleSpec(rule="distance"))
+    solution = solve(profile, RuleSpec(rule="distance"))
+    schedule, cost = solution.schedule, solution.cost
     filtered = constrained_best(profile, DIST, axiom="unanimity")
     flagged = check_temporal_unanimity(schedule, profile)
     elapsed = time.perf_counter() - t0
@@ -147,7 +149,8 @@ def test_criterion_04_inferred_precedence_strict_gap():
     profile = load("chain5x6")
     res = exhaustive_optimum(profile, BIN, LATE)
     inferred = infer_precedences(profile)
-    schedule, cost = solve_inferred(profile, LATE)
+    solution = solve(profile, RuleSpec("binary", LATE, prec="inferred"))
+    schedule, cost = solution.schedule, solution.cost
     elapsed = time.perf_counter() - t0
 
     unique_ok = res.optima == (Schedule((1, 2, 5, 4, 3)),)

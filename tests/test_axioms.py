@@ -141,7 +141,7 @@ class TestRulesAgainstAxioms:
             profile = profile_with_unanimous_slot(
                 rng, n, rng.randint(1, 5), task=rng.randint(1, n), slot=rng.randint(1, n)
             )
-            schedule, _ = solve(profile, RuleSpec("distance", encoding))
+            schedule = solve(profile, RuleSpec("distance", encoding)).schedule
             assert check_temporal_unanimity(schedule, profile).ok
 
     @pytest.mark.parametrize("encoding", ["late_tasks", "exact_position"])

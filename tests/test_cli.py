@@ -10,10 +10,11 @@ import sys
 
 import pytest
 
-from consched import cli, criteria, experiment
+from consched import cli, criteria, experiment, rules
 from consched.assignment import build_cost_matrix
 from consched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE
 from consched.model import Schedule, parse_profile
+from consched.rules import Solution
 
 
 def run(capsys, argv):
@@ -354,13 +355,18 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--rule", "emd"],
-            ["--rule", "emd", "--encoding", "late"],
-            ["--rule", "distance", "--encoding", "deviation"],
-            ["--rule", "binary", "--encoding", "late", "--method", "dp"],
-            ["--rule", "distance", "--encoding", "deviation", "--prec-mode", "inferred"],
-            ["--rule", "binary", "--encoding", "late", "--prec-mode", "inferred",
+            ["solve", "--rule", "emd"],
+            ["solve", "--rule", "emd", "--encoding", "late"],
+            ["solve", "--rule", "distance", "--encoding", "deviation"],
+            ["solve", "--rule", "binary", "--encoding", "late", "--method", "dp"],
+            ["solve", "--rule", "distance", "--encoding", "deviation", "--prec-mode", "inferred"],
+            ["solve", "--rule", "binary", "--encoding", "late", "--prec-mode", "inferred",
              "--method", "repair"],
+            ["check-axioms", "--rule", "emd"],
+            ["check-axioms", "--rule", "distance", "--encoding", "deviation"],
+            ["check-axioms", "--rule", "binary", "--encoding", "late", "--method", "dp"],
+            ["check-axioms", "--rule", "distance", "--encoding", "deviation",
+             "--prec-mode", "inferred"],
         ],
     )
     def test_recheck_catches_a_wrong_profile_cost(self, capsys, monkeypatch, argv):
@@ -374,7 +380,7 @@ class TestSolve:
                     if value is real:
                         monkeypatch.setattr(module, attr, lambda *a, **k: real(*a, **k) + 1)
         with pytest.raises(AssertionError, match="!= recomputed cost"):
-            cli.main(["solve", "--profile", "fixture:median4x3b", *argv])
+            cli.main([*argv, "--profile", "fixture:median4x3b"])
         capsys.readouterr()
 
     def test_parse_error_exit_1(self, capsys, tmp_path):
@@ -401,6 +407,26 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: line 1: task 2: window (3,1) violates 0 <= r < d <= 5\n"
+
+    @pytest.mark.parametrize("rule", [
+        ["--rule", "emd"], ["--rule", "binary", "--encoding", "late"],
+    ], ids=["emd", "binary"])
+    @pytest.mark.parametrize("prec, error", [
+        (["--prec", "{tmp}/dag.prec"], "--prec requires --prec-mode"),
+        (["--prec-mode", "graph"], "--prec-mode graph requires --prec FILE"),
+        (["--prec-mode", "graph", "--prec", "{tmp}/nope.prec"], "cannot read precedence file"),
+        (["--prec-mode", "graph", "--prec", "{tmp}/cycle.prec"], "cycle"),
+    ], ids=["no-mode", "no-file", "unreadable", "cyclic"])
+    def test_every_rule_checks_the_prec_flags(self, capsys, order_profile, tmp_path, rule, prec,
+                                              error):
+        # emd ignores precedences, but rejects bad --prec flags as the other rules do.
+        (tmp_path / "dag.prec").write_text("1 -> 2\n")
+        (tmp_path / "cycle.prec").write_text("1 -> 2\n2 -> 1\n")
+        prec = [arg.replace("{tmp}", str(tmp_path)) for arg in prec]
+        code, out, err = run(capsys, ["solve", "--profile", order_profile, *rule, *prec])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and error in err
 
     def test_emd_ignores_constraints_with_note(self, capsys, order_profile, tmp_path):
         windows = tmp_path / "w.txt"
@@ -461,6 +487,17 @@ class TestOracle:
         assert "1 2 3 5 6 7 4" in out
         assert "4 2 3 5 6 7 1" in out
 
+
+    @pytest.mark.parametrize("prec", [["--prec-mode", "inferred"], ["--prec-mode", "graph"]])
+    def test_axiom_filter_rejects_prec_mode(self, capsys, prec):
+        # --prec-mode was silently dropped, giving the unconstrained filtered optima.
+        code, out, err = run(capsys, [
+            "oracle", "--profile", "fixture:tail8x6", "--rule", "distance",
+            "--encoding", "deviation", "--axiom-filter", "release", *prec,
+        ])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --axiom-filter cannot be combined with --time/--prec\n"
 
     def test_negative_max_optima_is_a_usage_error(self, capsys):
         # A negative slice bound would silently drop optima from the listing.
@@ -545,7 +582,9 @@ class TestGen:
         monkeypatch.setattr(
             experiment, "emd_schedule", lambda p: seen.append(p) or Schedule((1, 2, 3))
         )
-        monkeypatch.setattr(experiment, "solve", lambda *a, **k: (None, 1))
+        monkeypatch.setattr(
+            experiment, "solve", lambda *a, **k: Solution(Schedule((1, 2, 3)), 1, "matching")
+        )
         experiment.run_ratio_experiment(experiment.ExperimentConfig(trials=3, n=3, v=4, seed=8))
         rng = experiment.Lcg(8)
         assert seen == [
@@ -597,6 +636,9 @@ class TestGen:
 
     def test_parser_offers_the_experiment_generators(self):
         assert cli._GENERATORS == experiment.GENERATORS
+
+    def test_parser_offers_the_planner_methods(self):
+        assert cli._METHODS == rules.METHODS
 
     def test_round_trip_through_solve(self, capsys, tmp_path):
         path = tmp_path / "gen.prof"
@@ -737,6 +779,8 @@ class TestFreshProcess:
         (SOLVE, {"oracle", "axioms", "experiment", "precedence"}),
         (ORACLE, {"axioms", "experiment", "precedence", "rules", "assignment"}),
         (["fixtures", "list"], {"oracle", "axioms", "experiment", "precedence", "rules"}),
+        (["solve", "--profile", "fixture:median4x3a", "--rule", "emd"],
+         {"oracle", "axioms", "experiment", "precedence"}),
     ])
     def test_a_request_loads_only_what_it_runs(self, argv, unused):
         probe = (
@@ -775,7 +819,7 @@ class TestFreshProcess:
         proc = _fresh(["-c", (
             "import os, consched\n"
             "p = consched.parse_profile('profile order\\ntasks 2\\nvoters 1\\npref 1 : 2 1\\n')\n"
-            "print(consched.solve(p, consched.RuleSpec('distance', 'deviation'))[1])\n"
+            "print(consched.solve(p, consched.RuleSpec('distance', 'deviation')).cost)\n"
             "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
         )])
         assert proc.returncode == 0, proc.stderr

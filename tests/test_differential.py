@@ -1,26 +1,37 @@
-"""Every solver path against the brute-force oracle on generated adversarial inputs.
+"""Every solve method against the brute-force oracle on generated adversarial inputs.
 
 One property test draws n <= 7, a profile whose multiplicities reach up to
 just under the v * n * (n + 1) parse bound (where the Hungarian leaves int64
-for Python integers), optional global windows and an optional DAG. Each path
-must return the oracle's best cost under the constraints it honours, with a
-schedule among the oracle's optima, or raise ``InfeasibleError`` exactly when
-the oracle finds no feasible schedule.
+for Python integers), optional global windows, and no, inferred or imposed
+precedences. ``rules.solve`` runs every method on it. Each run must take the
+documented path and return one of the oracle's optima under the constraints
+that path honours, raise ``InfeasibleError`` exactly when the oracle finds no
+feasible schedule, or refuse the combination with ``ValueError``. One CLI
+request per example must give the same outcome as its exit code and JSON.
 """
 
 from __future__ import annotations
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import profile_of
+from consched import cli
 from consched.criteria import CriterionKind, profile_cost
 from consched.errors import InfeasibleError
-from consched.model import EncodingKind, PrecedenceGraph, TimeWindows
+from consched.model import EncodingKind, PrecedenceGraph, TimeWindows, serialize_profile
 from consched.oracle import exhaustive_optimum
-from consched.precedence import infer_precedences, solve_by_repair, solve_with_graph
-from consched.rules import RuleSpec, canonical_criterion, solve
+from consched.precedence import infer_precedences
+from consched.rules import METHODS, RuleSpec, canonical_criterion, solve
+
+ENCODING_FLAG = {kind: flag for flag, kind in cli._ENCODING_FLAGS.items()}
 
 
 @st.composite
@@ -36,52 +47,119 @@ def instances(draw):
             draw(st.integers(0, n - 1).flatmap(lambda r: st.tuples(st.just(r), st.integers(r + 1, n))))
             for _ in range(n)
         ))
-    graph = None
-    if draw(st.booleans()):
+    prec = draw(st.sampled_from([None, "inferred", "graph"]))
+    if prec == "graph":
         hidden = draw(st.permutations(range(1, n + 1)))
         pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
-        graph = PrecedenceGraph(n, frozenset(
+        prec = PrecedenceGraph(n, frozenset(
             (hidden[min(a, b)], hidden[max(a, b)]) for a, b in pairs if a != b
         ))
     criterion = draw(st.sampled_from(list(CriterionKind)))
     encoding = draw(st.sampled_from(list(EncodingKind)))
-    return profile_of("order", entries), criterion, encoding, windows, graph
+    return profile_of("order", entries), criterion, encoding, windows, prec
 
 
-def agrees_with_oracle(run, profile, criterion, encoding, windows=None, graph=None):
-    try:
-        oracle = exhaustive_optimum(profile, criterion, encoding, windows, graph)
-    except InfeasibleError:
-        with pytest.raises(InfeasibleError):
-            run()
-        return
-    schedule, cost = run()
-    assert cost == oracle.best_cost
-    assert schedule in oracle.optima
-    assert profile_cost(schedule, profile, criterion, encoding) == cost
+def planned(method, prec, criterion, windows):
+    """The path ``solve`` documents for a distance/binary request; None where it refuses."""
+    if method == "matching":
+        return "matching"
+    if prec is None:
+        return {"auto": "matching", "dp": "dp", "repair": None}[method]
+    if method == "repair" or (
+        method == "auto" and prec == "inferred" and criterion is CriterionKind.DISTANCE
+    ):
+        return "matching+repair" if prec == "inferred" and windows is None else None
+    return "dp"
+
+
+def cli_request(tmp, profile, criterion, encoding, windows, prec, method):
+    def write(name, text):
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return path
+
+    argv = ["solve", "--profile", write("p.prof", serialize_profile(profile)),
+            "--rule", criterion.value, "--encoding", ENCODING_FLAG[encoding],
+            "--method", method, "--format", "json"]
+    if windows is not None:
+        lines = "".join(f"task {j} : {r} {d}\n" for j, (r, d) in enumerate(windows.windows, 1))
+        argv += ["--time", write("w.time", lines)]
+    if prec == "inferred":
+        argv += ["--prec-mode", "inferred"]
+    elif prec is not None:
+        lines = "".join(f"{a} -> {b}\n" for a, b in sorted(prec.edges))
+        argv += ["--prec-mode", "graph", "--prec", write("g.prec", lines)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(instances())
-def test_every_path_matches_the_oracle(instance):
-    profile, criterion, encoding, windows, graph = instance
-    agrees_with_oracle(  # matching
-        lambda: solve(profile, RuleSpec(criterion.value, encoding, windows)),
-        profile, criterion, encoding, windows,
-    )
-    agrees_with_oracle(  # dp
-        lambda: solve_with_graph(
-            profile, graph or PrecedenceGraph(profile.n, frozenset()), criterion, encoding, windows
-        ),
-        profile, criterion, encoding, windows, graph,
-    )
-    if criterion is CriterionKind.DISTANCE:  # matching+repair is exact for distance only
-        prec = infer_precedences(profile)
-        agrees_with_oracle(
-            lambda: solve_by_repair(profile, prec, criterion, encoding),
-            profile, criterion, encoding, graph=prec.graph,
-        )
-    emd, cost = solve(profile, RuleSpec("emd", encoding))
+@given(instances(), st.sampled_from(METHODS))
+def test_every_path_matches_the_oracle(instance, cli_method):
+    profile, criterion, encoding, windows, prec = instance
+    graph = infer_precedences(profile).graph if prec == "inferred" else prec
+    oracles = {}
+
+    def oracle(windows, graph):
+        if (windows, graph) not in oracles:
+            try:
+                found = exhaustive_optimum(profile, criterion, encoding, windows, graph)
+            except InfeasibleError:
+                found = None
+            oracles[windows, graph] = found
+        return oracles[windows, graph]
+
+    outcome = {}
+    for method in METHODS:
+        path = planned(method, prec, criterion, windows)
+        spec = RuleSpec(criterion.value, encoding, windows, prec, method)
+        if path is None:
+            with pytest.raises(ValueError):
+                solve(profile, spec)
+            outcome[method] = (cli.EXIT_USAGE, None)
+            continue
+        if path == "matching+repair":
+            best = oracle(None, graph)
+        else:
+            best = oracle(windows, graph if path == "dp" else None)
+        if best is None:
+            with pytest.raises(InfeasibleError) as exc:
+                solve(profile, spec)
+            assert exc.value.method == path
+            outcome[method] = (cli.EXIT_INFEASIBLE, {
+                "schedule": None, "cost": None, "method": path, "feasible": False,
+            })
+            continue
+        solution = solve(profile, spec)
+        assert solution.method == path
+        assert profile_cost(solution.schedule, profile, criterion, encoding) == solution.cost
+        if path == "matching+repair" and criterion is CriterionKind.BINARY:
+            # repair is exact for the distance criterion only
+            assert graph.satisfied_by(solution.schedule)
+            assert solution.cost >= best.best_cost
+        else:
+            assert solution.cost == best.best_cost
+            assert solution.schedule in best.optima
+        outcome[method] = (cli.EXIT_OK, {
+            "schedule": list(solution.schedule.order), "cost": solution.cost,
+            "method": path, "feasible": True,
+        })
+
+    emd = solve(profile, RuleSpec("emd", encoding, windows, prec))
+    assert emd.method == "emd"
+    assert bool(emd.notes) == (windows is not None or prec is not None)
     emd_criterion = canonical_criterion(encoding)
-    assert cost == profile_cost(emd, profile, emd_criterion, encoding)
-    assert cost >= exhaustive_optimum(profile, emd_criterion, encoding).best_cost
+    assert emd.cost == profile_cost(emd.schedule, profile, emd_criterion, encoding)
+    assert emd.cost >= exhaustive_optimum(profile, emd_criterion, encoding).best_cost
+
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = cli_request(tmp, profile, criterion, encoding, windows, prec, cli_method)
+    expected_code, expected_json = outcome[cli_method]
+    assert code == expected_code, err
+    if expected_json is None:
+        assert out == "" and "error: " in err
+    else:
+        assert json.loads(out) == expected_json

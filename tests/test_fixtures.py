@@ -22,7 +22,6 @@ from consched import (
     reverse_profile,
     reverse_schedule,
     solve,
-    solve_inferred,
 )
 from consched.cli import FIXTURES, fixture_text
 from references import choice_decomposition, late_at_slot
@@ -140,7 +139,8 @@ class TestLate7x3:
         assert orders(res) == {(1, 2, 3, 5, 6, 7, 4), (4, 2, 3, 5, 6, 7, 1)}
 
     def test_solver_picks_the_lex_greater_optimum(self):
-        schedule, cost = solve(load("late7x3"), RuleSpec(rule="binary", encoding="late_tasks"))
+        solution = solve(load("late7x3"), RuleSpec(rule="binary", encoding="late_tasks"))
+        schedule, cost = solution.schedule, solution.cost
         assert schedule.order == (4, 2, 3, 5, 6, 7, 1)
         assert cost == 3
 
@@ -206,7 +206,8 @@ class TestChain5x6:
 
     def test_solve_inferred_returns_feasible_costlier_schedule(self):
         profile = load("chain5x6")
-        schedule, cost = solve_inferred(profile, EncodingKind.LATE_TASKS)
+        solution = solve(profile, RuleSpec("binary", EncodingKind.LATE_TASKS, prec="inferred"))
+        schedule, cost = solution.schedule, solution.cost
         assert schedule.order == (4, 2, 5, 1, 3)
         assert cost == 7
         assert infer_precedences(profile).graph.satisfied_by(schedule)
@@ -227,7 +228,8 @@ class TestWindow8x6:
 
     def test_solver_output_flagged_by_unanimity_checker(self):
         profile = load("window8x6")
-        schedule, cost = solve(profile, RuleSpec(rule="distance"))
+        solution = solve(profile, RuleSpec(rule="distance"))
+        schedule, cost = solution.schedule, solution.cost
         assert cost == 48
         report = check_temporal_unanimity(schedule, profile)
         assert not report.ok

@@ -709,7 +709,8 @@ class TestParseCost:
             ("binary", "binary", "late_tasks"),
             ("emd", "distance", "deviation"),
         ):
-            schedule, cost = solve(profile, RuleSpec(rule, encoding))
+            solution = solve(profile, RuleSpec(rule, encoding))
+            schedule, cost = solution.schedule, solution.cost
             assert cost == profile_cost(schedule, profile, criterion, encoding)
 
     def test_tracemalloc_peak_on_wide_profile(self):

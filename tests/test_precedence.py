@@ -22,7 +22,6 @@ from consched.precedence import (
     infer_precedences,
     repair_steps,
     repair_to_inferred,
-    solve_inferred,
     solve_with_graph,
 )
 from consched.rules import RuleSpec, solve
@@ -106,7 +105,8 @@ class TestRepair:
             for seed in range(40):
                 rng = random.Random(seed)
                 profile = random_order_profile(rng, rng.randint(2, 7), rng.randint(1, 5))
-                base, base_cost = solve(profile, RuleSpec("distance", encoding))
+                solution = solve(profile, RuleSpec("distance", encoding))
+                base, base_cost = solution.schedule, solution.cost
                 prec = infer_precedences(profile)
                 fixed = repair_to_inferred(base, prec)
                 assert prec.graph.satisfied_by(fixed)
@@ -122,7 +122,8 @@ class TestSolveInferred:
         for seed in range(20):
             rng = random.Random(seed)
             profile = random_order_profile(rng, rng.randint(2, 6), rng.randint(1, 5))
-            schedule, cost = solve_inferred(profile, encoding, CriterionKind.DISTANCE)
+            solution = solve(profile, RuleSpec("distance", encoding, prec="inferred"))
+            schedule, cost = solution.schedule, solution.cost
             graph = infer_precedences(profile).graph
             assert graph.satisfied_by(schedule)
             oracle = exhaustive_optimum(
@@ -137,8 +138,8 @@ class TestSolveInferred:
         for seed in range(30):
             rng = random.Random(500 + seed)
             profile = random_order_profile(rng, rng.randint(2, 7), rng.randint(1, 5))
-            _, unconstrained = solve(profile, RuleSpec("distance", "tardiness"))
-            _, constrained = solve_inferred(profile, "tardiness")
+            unconstrained = solve(profile, RuleSpec("distance", "tardiness")).cost
+            constrained = solve(profile, RuleSpec("distance", "tardiness", prec="inferred")).cost
             assert constrained == unconstrained
 
     @pytest.mark.parametrize("encoding", [EncodingKind.LATE_TASKS, EncodingKind.EXACT_POSITION])
@@ -146,7 +147,8 @@ class TestSolveInferred:
         for seed in range(20):
             rng = random.Random(seed)
             profile = random_order_profile(rng, rng.randint(2, 6), rng.randint(1, 5))
-            schedule, cost = solve_inferred(profile, encoding)
+            solution = solve(profile, RuleSpec("binary", encoding, prec="inferred"))
+            schedule, cost = solution.schedule, solution.cost
             graph = infer_precedences(profile).graph
             assert graph.satisfied_by(schedule)
             oracle = exhaustive_optimum(profile, CriterionKind.BINARY, encoding, graph=graph)
@@ -161,7 +163,8 @@ class TestSolveInferred:
         unconstrained = exhaustive_optimum(
             profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS
         )
-        _, constrained = solve_inferred(profile, EncodingKind.LATE_TASKS)
+        spec = RuleSpec("binary", EncodingKind.LATE_TASKS, prec="inferred")
+        constrained = solve(profile, spec).cost
         assert constrained > unconstrained.best_cost
 
 
@@ -175,7 +178,7 @@ class TestSolveWithGraph:
             _, dp_cost = solve_with_graph(
                 profile, empty, CriterionKind.BINARY, EncodingKind.LATE_TASKS
             )
-            _, match_cost = solve(profile, RuleSpec("binary", "late_tasks"))
+            match_cost = solve(profile, RuleSpec("binary", "late_tasks")).cost
             assert dp_cost == match_cost
 
     def test_explicit_graph_matches_filtered_oracle(self):
@@ -240,7 +243,7 @@ class TestSolveWithGraph:
         _, dp_cost = solve_with_graph(
             profile, empty, CriterionKind.DISTANCE, EncodingKind.DEVIATION
         )
-        _, match_cost = solve(profile, RuleSpec("distance", "deviation"))
+        match_cost = solve(profile, RuleSpec("distance", "deviation")).cost
         assert dp_cost == match_cost
 
     def test_size_guard(self):

@@ -117,11 +117,13 @@ class TestSolve:
         profile = parse_profile(
             "profile order\ntasks 3\nvoters 3\npref 1 : 1 2 3\npref 1 : 2 1 3\npref 1 : 1 3 2\n"
         )
-        schedule, cost = solve(profile, RuleSpec("emd", "late_tasks"))
+        solution = solve(profile, RuleSpec("emd", "late_tasks"))
+        schedule, cost = solution.schedule, solution.cost
         assert cost == profile_cost(
             schedule, profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS
         )
-        schedule, cost = solve(profile, RuleSpec("emd"))
+        solution = solve(profile, RuleSpec("emd"))
+        schedule, cost = solution.schedule, solution.cost
         assert cost == profile_cost(
             schedule, profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS
         )
@@ -135,7 +137,8 @@ class TestSolve:
         for seed in range(25):
             rng = random.Random(seed)
             profile = random_order_profile(rng, rng.randint(2, 6), rng.randint(1, 5))
-            schedule, cost = solve(profile, RuleSpec(rule, encoding))
+            solution = solve(profile, RuleSpec(rule, encoding))
+            schedule, cost = solution.schedule, solution.cost
             oracle = exhaustive_optimum(profile, CriterionKind(rule), encoding)
             assert cost == oracle.best_cost
             assert schedule in oracle.optima
@@ -143,7 +146,8 @@ class TestSolve:
     def test_windows_are_honored(self):
         profile = parse_profile("profile order\ntasks 3\nvoters 2\npref 2 : 1 2 3\n")
         windows = TimeWindows(((2, 3), (0, 3), (0, 3)))  # task 1 pinned to slot 3
-        schedule, cost = solve(profile, RuleSpec("distance", "tardiness", windows))
+        solution = solve(profile, RuleSpec("distance", "tardiness", windows))
+        schedule, cost = solution.schedule, solution.cost
         assert schedule.completion(1) == 3
         assert cost == 4  # task 1 runs two slots past both voters, rest on time
 
@@ -152,7 +156,8 @@ class TestSolve:
             "profile interval\ntasks 3\nvoters 2\n"
             "pref 1 : (0,1) (1,2) (2,3)\npref 1 : (0,2) (0,2) (1,3)\n"
         )
-        schedule, cost = solve(profile, RuleSpec("distance"))
+        solution = solve(profile, RuleSpec("distance"))
+        schedule, cost = solution.schedule, solution.cost
         assert cost == 0
         assert schedule.order == (1, 2, 3)
 
