@@ -52,7 +52,6 @@ _EXPORTS = {
         "InferredPrecedences",
         "infer_precedences",
         "repair_steps",
-        "repair_to_inferred",
         "solve_by_repair",
         "solve_with_graph",
     ),

@@ -8,6 +8,19 @@ Global time windows remove (task, slot) pairs from the bipartite graph
 entirely — they are tracked as an explicit forbidden mask, and an instance
 whose allowed edges admit no perfect matching is reported infeasible rather
 than expensive.
+
+The matching is the shortest-augmenting-path Hungarian method with
+potentials, O(n^3) (Jonker & Volgenant 1987; Crouse 2016), in ``_hungarian``.
+Each phase runs one Dijkstra over the reduced matrix, which is updated once
+per phase: distances stay absolute from the start of the phase, so a step
+costs three NumPy calls over one row (add, minimum, argmin; four with a
+mask), and tree columns are marked by -1 rather than masked. The phase keeps
+no predecessor array; it rebuilds only the augmenting path from the rows it
+expanded. Forbidden pairs are raised to the sentinel before every
+relaxation, never priced. Ties go to the first minimum in column order, so
+the slots are a fixed function of the matrix (the tests' plain-Python
+``reference_hungarian`` pins them). The arithmetic is int64 while
+2n * max(cost) < 2^63 - 1 and exact Python integers beyond.
 """
 
 from __future__ import annotations
@@ -17,10 +30,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _kernels
 from .criteria import CriterionKind, _as_criterion, _task_histogram, interval_arrays
 from .errors import InfeasibleError
-from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows, _check_size
+from .model import _INT64_MAX, EncodingKind, PreferenceProfile, Schedule, TimeWindows, _check_size
 
 __all__ = ["CostMatrix", "build_cost_matrix", "min_cost_assignment"]
 
@@ -110,6 +122,119 @@ def build_cost_matrix(
     return CostMatrix(n=n, cost=cost, forbidden=forbidden)
 
 
+def _hungarian(cost: np.ndarray, forbidden: Optional[np.ndarray]) -> np.ndarray:
+    """Min-cost perfect matching of a ``CostMatrix``; slots[j] = 0-based slot of row j.
+
+    Returns all -1s when ``forbidden`` rules out every perfect matching. Rows
+    are matched one phase at a time (row i in phase i).
+
+    ``red`` holds the reduced costs ``cost[r, j] - u[r] - v[j]`` (non-negative
+    on allowed pairs, zero on matched ones) and changes only between phases.
+    A phase is a Dijkstra from row i. ``minv[j]`` is the distance of column j
+    from the start of the phase, and ``off`` (a 0-d array) the distance d of
+    the column that joined the tree last. Expanding row r, reached through
+    that column, takes three NumPy calls: ``red[r] + d``, a ``minimum`` into
+    ``minv`` and an ``argmin`` that picks the next column (the first on
+    ties). With a mask, a ``maximum`` with ``block[r]`` (0 where allowed,
+    ``top`` where forbidden) first raises the forbidden cells to ``top``. A
+    tree column holds -1 in ``minv``: -1 survives every minimum, and argmin
+    reads ``minv`` as uint64, where -1 is 2^64 - 1. When a free column joins,
+    the phase ends. The textbook form shifts ``u``, ``v`` and ``minv`` by
+    every step's delta; its comparisons are these offset by one constant, so
+    both take the same branches and break the same ties.
+
+    No ``way`` array is kept: the phase logs its expanded rows and their
+    distances, and rebuilds only the augmenting path, backwards from the free
+    column. A column's predecessor is the first logged row whose relaxed
+    value on an allowed pair equals the column's distance; earlier rows
+    relaxed it to more, so the textbook's strict ``<`` recorded that row.
+    Then each tree column j and its row move by ``d - joined[j]`` (row i by
+    d): the tree's rows of ``red`` drop by it and its columns rise by it.
+
+    Bound. Let C be the largest entry and OPT(k) <= k*C the least cost of
+    matching the first k rows. In phase i, 0 <= u <= OPT(i-1) and
+    0 <= -v <= OPT(i-1): a phase raises each potential by at most its final
+    distance, and those distances sum to the optimum. A column's distance is
+    the forward minus the backward costs on its tree path plus the potential
+    of the row matched to it, so ``d - u[r]`` lies in [-(i-1)*C, (i-1)*C],
+    every entry of ``red`` in [-(i-1)*C, i*C], and every relaxed value and
+    distance in [-(i-1)*C, (2i-1)*C]. An allowed relaxed value is at least
+    0, because ``red`` is non-negative on allowed pairs and so is d, and a
+    forbidden one is raised to ``top`` before the minimum; so -1 marks the
+    tree soundly. While 2n*C < 2^63 - 1 the kernel runs in int64, with the
+    int64 maximum as ``top``; beyond, it runs the same steps on Python
+    integers, where ``argmin`` reads -1 as ``top + 1``. A consensus matrix
+    has C <= (n-1)*v for v voters, so under the parse bound
+    v*n*(n+1) <= 2^63 - 1 every profile with n <= 3 stays in int64, and
+    only profiles in the top half of that range leave it.
+    """
+    n = cost.shape[0]
+    allowed = None if forbidden is None or not forbidden.any() else ~forbidden
+    bound = 2 * n * int(cost.max())
+    if bound < _INT64_MAX:
+        dtype, top, red = np.int64, _INT64_MAX, cost.copy()
+    else:
+        dtype, top, red = object, bound + 1, cost.astype(object)
+    red_rows = list(red)  # views, so the phase-end updates reach them
+    block_rows = None
+    if allowed is not None:
+        block = np.zeros((n, n), dtype=dtype)
+        block[~allowed] = top
+        block_rows = list(block)
+    row_of = [-1] * n  # matched row of each column
+    minv = np.empty(n, dtype=dtype)
+    cur = np.empty(n, dtype=dtype)
+    off = np.zeros((), dtype=dtype)
+    if dtype is object:
+        def pick():
+            return np.where(minv < 0, top + 1, minv).argmin()
+    else:
+        pick = minv.view(np.uint64).argmin
+    for i in range(n):
+        minv.fill(top)
+        off[()] = 0
+        rows, dists, tree = [i], [0], []  # expanded rows, their distances, tree columns
+        r = i
+        while True:
+            np.add(red_rows[r], off, out=cur)
+            if block_rows is not None:
+                np.maximum(cur, block_rows[r], out=cur)
+            np.minimum(minv, cur, out=minv)
+            j = int(pick())
+            d = minv[j]
+            if d == top:
+                return np.full(n, -1, dtype=np.int64)
+            r = row_of[j]
+            if r < 0:
+                break
+            minv[j] = -1
+            off[()] = d
+            rows.append(r)
+            dists.append(d)
+            tree.append(j)
+        dist = np.array(dists, dtype=dtype)
+        shift = d - dist
+        sub = red[rows]  # the tree's rows as the phase saw them
+        ok = None if allowed is None else allowed[rows]
+        while True:  # the augmenting path, backwards from the free column j
+            hit = sub[:, j] + dist == d
+            if ok is not None:
+                hit &= ok[:, j]
+            k = int(hit.argmax())
+            row_of[j] = rows[k]
+            if k == 0:
+                break
+            j, d = tree[k - 1], dists[k]
+        sub -= shift[:, None]
+        red[rows] = sub
+        rise = np.zeros(n, dtype=dtype)  # one dense add beats a strided scatter on big trees
+        rise[tree] = shift[1:]
+        red += rise
+    slots = np.empty(n, dtype=np.int64)
+    slots[row_of] = np.arange(n)
+    return slots
+
+
 def min_cost_assignment(matrix: CostMatrix) -> tuple[Schedule, int]:
     """Minimum-total-cost schedule avoiding forbidden pairs, O(n^3).
 
@@ -122,7 +247,7 @@ def min_cost_assignment(matrix: CostMatrix) -> tuple[Schedule, int]:
     InfeasibleError
         When no perfect matching avoids all forbidden pairs.
     """
-    slots = _kernels.hungarian(matrix.cost, matrix.forbidden)
+    slots = _hungarian(matrix.cost, matrix.forbidden)
     if slots[0] < 0:
         raise InfeasibleError("time windows admit no feasible schedule")
     order = np.empty(matrix.n, dtype=np.int64)

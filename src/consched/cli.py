@@ -33,9 +33,8 @@ from typing import Optional, Sequence, Union
 # Set before NumPy loads: OpenBLAS spins a worker per core, and consched makes no BLAS call.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from ._kernels import DEFAULT_DP_LIMIT  # noqa: E402
 from .criteria import CriterionKind, profile_cost  # noqa: E402
-from .errors import InfeasibleError, ProfileError, SizeLimitError  # noqa: E402
+from .errors import DEFAULT_DP_LIMIT, InfeasibleError, ProfileError, SizeLimitError  # noqa: E402
 from .model import (  # noqa: E402
     EncodingKind,
     PrecedenceGraph,

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the default size guard of the subset DP."""
 
 from __future__ import annotations
 
@@ -24,3 +24,6 @@ class InfeasibleError(Exception):
 
 class SizeLimitError(Exception):
     """Instance exceeds a solver's configured size guard."""
+
+
+DEFAULT_DP_LIMIT = 20  # largest n the subset DP runs without an explicit size_limit

@@ -291,24 +291,19 @@ class PrecedenceGraph:
         if self.topological_order() is None:
             raise ValueError("precedence graph has a cycle")
 
-    def predecessors(self, task: int) -> set[int]:
-        return {a for a, b in self.edges if b == task}
-
-    def successors(self, task: int) -> set[int]:
-        return {b for a, b in self.edges if a == task}
-
     def topological_order(self) -> list[int] | None:
-        """Kahn's algorithm; None when a cycle prevents any order."""
-        indeg = {t: 0 for t in range(1, self.n + 1)}
-        for _, b in self.edges:
+        """Kahn's algorithm, smallest ready id first, O(E + n log n); None on a cycle."""
+        succ: list[list[int]] = [[] for _ in range(self.n + 1)]
+        indeg = [0] * (self.n + 1)
+        for a, b in self.edges:
+            succ[a].append(b)
             indeg[b] += 1
-        ready = [t for t in range(1, self.n + 1) if indeg[t] == 0]
-        heapq.heapify(ready)
+        ready = [t for t in range(1, self.n + 1) if indeg[t] == 0]  # sorted, so a heap
         out: list[int] = []
         while ready:
             t = heapq.heappop(ready)
             out.append(t)
-            for s in self.successors(t):
+            for s in succ[t]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
                     heapq.heappush(ready, s)
@@ -333,10 +328,6 @@ class TimeWindows:
     @property
     def n(self) -> int:
         return len(self.windows)
-
-    def allows(self, task: int, slot: int) -> bool:
-        r, d = self.windows[task - 1]
-        return r < slot <= d
 
 
 # ---------------------------------------------------------------------------

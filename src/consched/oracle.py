@@ -11,7 +11,7 @@ per call in ``_completion_costs``: T[j, c-1] = sum over voters k of
 mult_k * f(rel_kj, due_kj, c), where f is the per-voter late/early (distance)
 or outside-the-window (binary) formula of ``criteria``, broadcast over all n
 completions c. A permutation's cost is then sum_j T[j, comp[j] - 1], gathered
-column by column from the cached ``_kernels.completions_table``. The
+column by column from the cached ``completions_table``. The
 pairwise (Kendall) objective is gathered the same way, one pair of columns
 at a time, from the pair-weight matrix.
 
@@ -25,11 +25,11 @@ the oracle and the polynomial solvers is therefore a genuine cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
 
-from . import _kernels
 from .criteria import CriterionKind, _as_criterion, interval_arrays, pair_weight_matrix
 from .errors import InfeasibleError, SizeLimitError
 from .model import (
@@ -66,15 +66,41 @@ def _guard(n: int) -> None:
         raise SizeLimitError(f"oracle enumerates at most {ORACLE_MAX_N}! schedules, got n={n}")
 
 
-def _result(perms: np.ndarray, costs: np.ndarray, feasible: np.ndarray) -> OracleResult:
+@lru_cache(maxsize=None)
+def completions_table(n: int) -> np.ndarray:
+    """Every permutation of 1..n in lexicographic order, as completion times.
+
+    Row p lists the slot of each task in the p-th permutation: out[p, j] is
+    the slot of task j+1, int8, shape (n!, n). Built recursively: the block
+    of permutations that start with task i is the (n-1) table relabelled
+    onto the other tasks by the monotone map k -> k + (k >= i), which keeps
+    the block in lexicographic order; in it task i completes at 1 and every
+    other task one slot later than its counterpart. The cached array is
+    shared by every caller and therefore read-only. ``_guard`` keeps
+    n <= ORACLE_MAX_N.
+    """
+    if n == 0:
+        out = np.zeros((1, 0), dtype=np.int8)  # the one empty permutation
+    else:
+        sub = completions_table(n - 1)
+        out = np.empty((n * len(sub), n), dtype=np.int8)
+        for i, block in enumerate(np.split(out, n), start=1):
+            block[:, i - 1] = 1
+            np.add(sub[:, : i - 1], 1, out=block[:, : i - 1])
+            np.add(sub[:, i - 1 :], 1, out=block[:, i:])
+    out.flags.writeable = False
+    return out
+
+
+def _result(comp: np.ndarray, costs: np.ndarray, feasible: np.ndarray) -> OracleResult:
+    """The optima are the cheapest feasible rows of ``comp``, in row order."""
     searched = int(feasible.sum())
     if searched == 0:
         raise InfeasibleError("no permutation satisfies the constraints")
     masked = np.where(feasible, costs, np.iinfo(np.int64).max)
     best = int(masked.min())
-    optima = tuple(
-        Schedule(tuple(int(t) for t in row)) for row in perms[masked == best]
-    )
+    orders = np.argsort(comp[masked == best], axis=1) + 1  # the slot-t task is at column t-1
+    optima = tuple(Schedule(tuple(row)) for row in orders.tolist())
     return OracleResult(best_cost=best, optima=optima, searched=searched)
 
 
@@ -128,7 +154,7 @@ def exhaustive_optimum(
     _guard(profile.n)
     criterion = _as_criterion(criterion)
     n = profile.n
-    comp = _kernels.completions_table(n)
+    comp = completions_table(n)
     if windows is not None:
         if windows.n != n:
             raise ValueError(f"windows cover {windows.n} tasks, profile has {n}")
@@ -142,7 +168,7 @@ def exhaustive_optimum(
         for a, b in graph.edges:
             feasible &= comp[:, a - 1] < comp[:, b - 1]
     costs = _costs(profile, criterion, encoding, comp)
-    return _result(_kernels.perm_table(n), costs, feasible)
+    return _result(comp, costs, feasible)
 
 
 def constrained_best(
@@ -165,7 +191,7 @@ def constrained_best(
         raise ValueError(f"the {axiom} filter needs an order-mode profile")
     criterion = _as_criterion(criterion)
     n = profile.n
-    comp = _kernels.completions_table(n)
+    comp = completions_table(n)
     # an order-mode voter's window is its own slot: (C - 1, C]
     own = EncodingKind.EXACT_POSITION if profile.mode == "order" else None
     rel, due, _ = interval_arrays(profile, own)
@@ -177,7 +203,7 @@ def constrained_best(
         unanimous = (rel == rel[0]).all(axis=0) & (due == due[0]).all(axis=0)
         feasible = _inside(comp, rel[0], due[0], np.flatnonzero(unanimous))
     costs = _costs(profile, criterion, encoding, comp)
-    return _result(_kernels.perm_table(n), costs, feasible)
+    return _result(comp, costs, feasible)
 
 
 def kendall_optimum(profile: PreferenceProfile) -> OracleResult:
@@ -190,10 +216,10 @@ def kendall_optimum(profile: PreferenceProfile) -> OracleResult:
     """
     _guard(profile.n)
     n = profile.n
-    comp = _kernels.completions_table(n)
+    comp = completions_table(n)
     w = pair_weight_matrix(profile)
     costs = np.zeros(len(comp), dtype=np.int64)
     for a in range(n):
         for b in range(a + 1, n):
             costs += np.where(comp[:, a] < comp[:, b], w[b, a], w[a, b])
-    return _result(_kernels.perm_table(n), costs, np.ones(len(comp), dtype=bool))
+    return _result(comp, costs, np.ones(len(comp), dtype=bool))

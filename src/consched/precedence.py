@@ -31,11 +31,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import DEFAULT_DP_LIMIT
 from .assignment import build_cost_matrix, min_cost_assignment
 from .criteria import CriterionKind
-from .errors import InfeasibleError, SizeLimitError
+from .errors import DEFAULT_DP_LIMIT, InfeasibleError, SizeLimitError
 from .model import (
     EncodingKind,
     PrecedenceGraph,
@@ -48,7 +46,6 @@ __all__ = [
     "InferredPrecedences",
     "infer_precedences",
     "repair_steps",
-    "repair_to_inferred",
     "solve_by_repair",
     "solve_with_graph",
 ]
@@ -116,12 +113,6 @@ def repair_steps(
     return Schedule(tuple(order)), swaps
 
 
-def repair_to_inferred(schedule: Schedule, prec: InferredPrecedences) -> Schedule:
-    """The schedule after the swap-repair procedure; satisfies every edge."""
-    repaired, _ = repair_steps(schedule, prec)
-    return repaired
-
-
 def solve_by_repair(
     profile: PreferenceProfile,
     prec: InferredPrecedences,
@@ -137,7 +128,7 @@ def solve_by_repair(
     """
     matrix = build_cost_matrix(profile, criterion, encoding)
     schedule, _ = min_cost_assignment(matrix)
-    repaired = repair_to_inferred(schedule, prec)
+    repaired = repair_steps(schedule, prec)[0]
     return repaired, matrix.price(repaired)
 
 
@@ -176,8 +167,64 @@ def solve_with_graph(
     allowed = (
         ~matrix.forbidden if matrix.forbidden is not None else np.ones((n, n), dtype=bool)
     )
-    slot_order = _kernels.subset_dp(matrix.cost, pred_mask, allowed)
+    slot_order = _subset_dp(matrix.cost, pred_mask, allowed)
     if slot_order[0] < 0:
         raise InfeasibleError("no schedule satisfies the precedence graph and windows")
     schedule = Schedule(tuple(int(j) + 1 for j in slot_order))
     return schedule, matrix.price(schedule)
+
+
+def _subset_dp(cost: np.ndarray, pred_mask: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Optimal precedence-feasible slot order; order[k] = task at slot k+1.
+
+    ``pred_mask[j]`` holds one bit per predecessor of task j; ``allowed[j, k]``
+    says task j may occupy slot k+1. Returns all -1s when infeasible, and
+    raises :class:`SizeLimitError` when the 2^n-entry tables cannot be
+    allocated.
+
+    f(A) = min over feasible last tasks j of f(A \\ {j}) + cost[j, |A| - 1].
+    f is filled one popcount layer at a time (|A| = 1..n), so the Python loop
+    runs n^2 times instead of 2^n: for each layer k and each task j in
+    ascending order it prices j as the last of every k-subset at once, and
+    replaces the running best only on a strictly smaller value. Ties
+    therefore go to the smallest j, exactly as a per-subset scan in ascending
+    j breaks them (``reference_subset_dp`` in the tests).
+    Reachable subsets are tracked in a boolean array rather than with a cost
+    sentinel, so no optimum, however large, is mistaken for infeasible.
+    """
+    n = cost.shape[0]
+    size = 1 << n
+    try:  # NumPy refuses a size past its index range with ValueError
+        popcnt = np.bitwise_count(np.arange(size, dtype=np.uint64))  # uint8
+        f = np.zeros(size, dtype=np.int64)
+        reach = np.zeros(size, dtype=np.bool_)
+        choice = np.full(size, -1, dtype=np.int8)
+    except (MemoryError, ValueError) as exc:
+        raise SizeLimitError(f"the subset DP's 2^{n}-entry tables do not fit: {exc}") from None
+    reach[0] = True
+    for k in range(1, n + 1):
+        layer = np.flatnonzero(popcnt == k)
+        for j in range(n):  # ascending j with a strict < keeps the first minimum
+            bit = 1 << j
+            pred = int(pred_mask[j])
+            if not allowed[j, k - 1] or pred & bit:
+                continue
+            need = bit | pred  # j is in the mask and its predecessors in the rest
+            masks = layer[(layer & need) == need]
+            masks = masks[reach[masks ^ bit]]
+            vals = f[masks ^ bit] + cost[j, k - 1]
+            better = ~reach[masks] | (vals < f[masks])
+            masks = masks[better]
+            f[masks] = vals[better]
+            reach[masks] = True
+            choice[masks] = j
+    order = np.full(n, -1, dtype=np.int64)
+    full = size - 1
+    if not reach[full]:
+        return order
+    mask = full
+    for k in range(n, 0, -1):
+        j = int(choice[mask])
+        order[k - 1] = j
+        mask ^= 1 << j
+    return order

@@ -19,8 +19,8 @@ cost with ``profile_cost`` and returns a ``Solution`` naming the path: ``emd``
 (which ignores windows and precedences), ``matching`` (the assignment
 reduction, never EMD even where EMD is optimal; windows only),
 ``matching+repair`` (``auto``'s exact path for distance under inferred
-precedences) or ``dp`` (the exact subset DP; ``auto``'s path for every other
-precedence request).
+precedences without windows) or ``dp`` (the exact subset DP; ``auto``'s path
+for every other precedence request).
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._kernels import DEFAULT_DP_LIMIT
 from .assignment import build_cost_matrix, min_cost_assignment
 from .criteria import CriterionKind, _task_histogram, profile_cost
-from .errors import InfeasibleError
+from .errors import DEFAULT_DP_LIMIT, InfeasibleError
 from .model import (
     EncodingKind,
     PrecedenceGraph,
@@ -231,7 +230,7 @@ def _plan(profile: PreferenceProfile, spec: RuleSpec, criterion: CriterionKind,
             notes.append("--method matching ignores precedence constraints")
         return "matching", None
     if method == "repair" or (
-        method == "auto" and inferred and criterion is CriterionKind.DISTANCE
+        method == "auto" and inferred and criterion is CriterionKind.DISTANCE and windows is None
     ):
         if not inferred:
             raise ValueError("--method repair applies to inferred precedences only")

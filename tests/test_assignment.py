@@ -75,9 +75,9 @@ class TestCostMatrixMatchesBroadcast:
             assert np.array_equal(
                 m.cost, reference_cost(profile, criterion, EncodingKind.TARDINESS)
             )
-            for task in range(1, n + 1):
+            for task, (r, d) in enumerate(windows.windows, start=1):
                 for slot in range(1, n + 1):
-                    assert m.forbidden[task - 1, slot - 1] == (not windows.allows(task, slot))
+                    assert m.forbidden[task - 1, slot - 1] == (not r < slot <= d)
 
     @pytest.mark.parametrize("criterion", list(CriterionKind))
     @pytest.mark.parametrize("encoding", list(EncodingKind))
@@ -145,9 +145,9 @@ class TestBuildCostMatrix:
             profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, windows=windows
         )
         assert m.forbidden is not None
-        for task in range(1, 4):
+        for task, (r, d) in enumerate(windows.windows, start=1):
             for slot in range(1, 4):
-                assert m.forbidden[task - 1, slot - 1] == (not windows.allows(task, slot))
+                assert m.forbidden[task - 1, slot - 1] == (not r < slot <= d)
 
     def test_interval_mode_needs_no_encoding(self):
         profile = parse_profile(
@@ -213,7 +213,7 @@ class TestMinCostAssignment:
             )
             assert total == oracle.best_cost
             assert schedule in oracle.optima
-            assert windows.allows(task, schedule.completion(task))
+            assert r < schedule.completion(task) <= d
 
     def test_infeasible_windows_raise(self):
         profile = parse_profile("profile order\ntasks 3\nvoters 1\npref 1 : 1 2 3\n")

@@ -13,7 +13,9 @@ import pytest
 from consched import cli, criteria, experiment, rules
 from consched.assignment import build_cost_matrix
 from consched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE
-from consched.model import Schedule, parse_profile
+from consched.model import Schedule, parse_profile, parse_time_windows
+from consched.oracle import exhaustive_optimum
+from consched.precedence import infer_precedences
 from consched.rules import Solution
 
 
@@ -87,6 +89,30 @@ class TestSolve:
         assert payload["method"] == "matching+repair"
         assert payload["schedule"] == [1, 3, 2, 4]
         assert payload["cost"] == 8
+
+    def test_inferred_distance_with_windows_runs_the_dp(self, capsys, tmp_path):
+        # Task 3 must take slot 1 or 2, and every voter completes task 4 before
+        # it, so the windowed matching optimum (26) breaks an inferred edge.
+        windows = tmp_path / "w.txt"
+        windows.write_text("task 3 : 0 2\n")
+        code, out, _ = run(
+            capsys,
+            [
+                "solve", "--profile", "fixture:late7x3", "--rule", "distance",
+                "--encoding", "deviation", "--prec-mode", "inferred",
+                "--time", str(windows), "--format", "json",
+            ],
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["method"] == "dp"
+        profile = parse_profile(cli.fixture_text("late7x3"))
+        best = exhaustive_optimum(
+            profile, "distance", "deviation", parse_time_windows("task 3 : 0 2\n", 7),
+            infer_precedences(profile).graph,
+        )
+        assert payload["cost"] == best.best_cost == 28
+        assert Schedule(tuple(payload["schedule"])) in best.optima
 
     def test_dp_optimum_at_two_to_the_60_is_feasible(self, capsys, tmp_path):
         # The true optimum, 4 * 2**58, must not be mistaken for unreachable.
@@ -779,6 +805,9 @@ class TestFreshProcess:
         (SOLVE, {"oracle", "axioms", "experiment", "precedence"}),
         (ORACLE, {"axioms", "experiment", "precedence", "rules", "assignment"}),
         (["fixtures", "list"], {"oracle", "axioms", "experiment", "precedence", "rules"}),
+        (["eval", "--profile", "fixture:late7x3", "--schedule", "4 2 3 5 6 7 1",
+          "--criterion", "binary", "--encoding", "late"],
+         {"assignment", "precedence", "rules", "oracle", "axioms", "experiment"}),
         (["solve", "--profile", "fixture:median4x3a", "--rule", "emd"],
          {"oracle", "axioms", "experiment", "precedence"}),
     ])

@@ -67,6 +67,7 @@ def planned(method, prec, criterion, windows):
         return {"auto": "matching", "dp": "dp", "repair": None}[method]
     if method == "repair" or (
         method == "auto" and prec == "inferred" and criterion is CriterionKind.DISTANCE
+        and windows is None
     ):
         return "matching+repair" if prec == "inferred" and windows is None else None
     return "dp"

@@ -1,4 +1,4 @@
-"""Kernels: the cached permutation tables and the plain-Python tie-break references."""
+"""Kernels: the oracle's cached permutation table and the plain-Python tie-break references."""
 
 from __future__ import annotations
 
@@ -8,51 +8,65 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from consched import _kernels
-from consched.assignment import build_cost_matrix
+from consched.assignment import CostMatrix, _hungarian, build_cost_matrix, min_cost_assignment
 from consched.experiment import generate_profile
 from consched.criteria import CriterionKind
-from consched.model import EncodingKind, Schedule, TimeWindows
+from consched.errors import SizeLimitError
+from consched.model import EncodingKind, PreferenceProfile, Schedule, TimeWindows
+from consched.oracle import ORACLE_MAX_N, completions_table, exhaustive_optimum
+from consched.precedence import _subset_dp
 
 scipy_linear_sum = pytest.importorskip("scipy.optimize").linear_sum_assignment
 
 
+def hungarian(cost, forbidden=None):
+    """The matching's slots on a matrix that passed ``CostMatrix``'s checks."""
+    m = CostMatrix(len(cost), cost, forbidden)
+    return _hungarian(m.cost, m.forbidden)
+
+
+def orders(comp):
+    """The permutations a completions table holds: slot t's task at column t-1."""
+    return np.argsort(comp, axis=1) + 1
+
+
 class TestPermTable:
     def test_lexicographic_and_complete(self):
-        table = _kernels.perm_table(3)
-        assert table.tolist() == [
+        assert orders(completions_table(3)).tolist() == [
             [1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1],
         ]
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_itertools_permutations(self, n):
-        want = np.array(list(permutations(range(1, n + 1))), dtype=np.int8)
-        got = _kernels.perm_table(n)
+        want = np.array(list(permutations(range(1, n + 1))))
+        got = completions_table(n)
         assert got.dtype == np.int8
-        assert np.array_equal(got, want)
+        assert np.array_equal(orders(got), want)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_completions_invert_every_row(self, n):
-        comp = _kernels.completions_table(n)
-        assert comp.dtype == np.int8
+        comp = completions_table(n)
+        perms = np.array(list(permutations(range(1, n + 1))))
         # the slot of task j is one past the position of j in the order
-        assert np.array_equal(comp, np.argsort(_kernels.perm_table(n), axis=1) + 1)
+        assert np.array_equal(comp, np.argsort(perms, axis=1) + 1)
 
     def test_size_guard(self):
-        for n in (0, 11):
-            with pytest.raises(ValueError):
-                _kernels.perm_table(n)
-            with pytest.raises(ValueError):
-                _kernels.completions_table(n)
+        # The oracle refuses n > ORACLE_MAX_N before it builds a table.
+        n = ORACLE_MAX_N + 1
+        profile = PreferenceProfile.from_orders(np.arange(1, n + 1)[None, :])
+        built = completions_table.cache_info().currsize
+        with pytest.raises(SizeLimitError):
+            exhaustive_optimum(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)
+        assert completions_table.cache_info().currsize == built
 
     def test_completions_invert_orders(self):
-        table = _kernels.perm_table(4)
-        comp = _kernels.completions_table(4)
+        table = list(permutations(range(1, 5)))
+        comp = completions_table(4)
         row = random.Random(0).randrange(len(table))
-        schedule = Schedule(tuple(int(x) for x in table[row]))
+        schedule = Schedule(table[row])
         assert tuple(int(c) for c in comp[row]) == schedule.completions()
 
-    @pytest.mark.parametrize("table", [_kernels.perm_table, _kernels.completions_table])
+    @pytest.mark.parametrize("table", [completions_table])
     def test_cached_tables_are_read_only(self, table):
         cached = table(4)
         assert table(4) is cached
@@ -138,7 +152,7 @@ class TestHungarianMatchesReference:
             cost = rng.integers(0, 12, size=(n, n)).astype(np.int64)
             forbidden = rng.random((n, n)) < (0.0, 0.15, 0.4)[trial % 3]
             want = reference_hungarian(cost, forbidden)
-            got = _kernels.hungarian(cost, forbidden)
+            got = hungarian(cost, forbidden)
             assert np.array_equal(got, want), f"trial {trial}"
             infeasible += want[0] < 0
         assert 6 <= infeasible <= 60  # both outcomes are exercised
@@ -154,7 +168,7 @@ class TestHungarianMatchesReference:
                 m = build_cost_matrix(profile, criterion, encoding, windows)
                 want = reference_hungarian(m.cost, m.forbidden)
                 assert want[0] >= 0
-                assert np.array_equal(_kernels.hungarian(m.cost, m.forbidden), want)
+                assert np.array_equal(hungarian(m.cost, m.forbidden), want)
 
     def test_scaled_costs_take_the_same_steps_in_exact_integers(self):
         # Scaling every entry by K > 0 scales every comparison, so the slots
@@ -166,7 +180,7 @@ class TestHungarianMatchesReference:
             forbidden = rng.random((n, n)) < 0.2
             scale = (2**63 - 1) // max(1, int(cost.max()))
             want = reference_hungarian(cost, forbidden)
-            assert np.array_equal(_kernels.hungarian(cost * scale, forbidden), want)
+            assert np.array_equal(hungarian(cost * scale, forbidden), want)
 
     @pytest.mark.parametrize("n", [30, 36, 42])
     def test_masked_python_integer_path_at_n_30_and_over(self, n):
@@ -176,7 +190,7 @@ class TestHungarianMatchesReference:
         scale = (2**63 - 1) // int(cost.max())
         want = reference_hungarian(cost, forbidden)
         assert want[0] >= 0
-        assert np.array_equal(_kernels.hungarian(cost * scale, forbidden), want)
+        assert np.array_equal(hungarian(cost * scale, forbidden), want)
 
     @pytest.mark.parametrize("n", [120, 160, 200])
     def test_late_count_matrices_at_benchmark_scale(self, n):
@@ -186,13 +200,13 @@ class TestHungarianMatchesReference:
             m = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS, windows)
             want = reference_hungarian(m.cost, m.forbidden)
             assert want[0] >= 0
-            assert np.array_equal(_kernels.hungarian(m.cost, m.forbidden), want)
+            assert np.array_equal(hungarian(m.cost, m.forbidden), want)
 
     @pytest.mark.parametrize("n", [150, 200])
     def test_costs_zero_to_two_at_benchmark_scale(self, n):
         # Long trees and ties in every phase.
         cost = np.random.default_rng(n).integers(0, 3, size=(n, n))
-        assert np.array_equal(_kernels.hungarian(cost), reference_hungarian(cost))
+        assert np.array_equal(hungarian(cost), reference_hungarian(cost))
 
     def test_path_rebuild_skips_forbidden_cells_at_the_final_distance(self):
         # Row 3's phase reaches slot 2 at distance 2 through row 1, after it
@@ -202,19 +216,16 @@ class TestHungarianMatchesReference:
         cost = np.array([[1, 2, 0], [0, 2, 0], [0, 2, 0]])
         forbidden = np.array([[0, 0, 0], [0, 1, 0], [0, 1, 0]], dtype=bool)
         assert reference_hungarian(cost, forbidden).tolist() == [1, 0, 2]
-        assert _kernels.hungarian(cost, forbidden).tolist() == [1, 0, 2]
+        assert hungarian(cost, forbidden).tolist() == [1, 0, 2]
 
     def test_optimum_past_two_to_the_60(self):
         cost = (1 << 61) + np.array([[1, 0], [0, 1]], dtype=np.int64)
         assert (reference_hungarian(cost) < 0).all()  # the 2^60 sentinel's false infeasible
-        assert _kernels.hungarian(cost).tolist() == [1, 0]
+        assert hungarian(cost).tolist() == [1, 0]
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ValueError, match="non-negative"):
-            _kernels.hungarian(np.array([[0, -1], [2, 3]]))
-
-    def test_empty_matrix(self):
-        assert _kernels.hungarian(np.zeros((0, 0), dtype=np.int64)).tolist() == []
+            min_cost_assignment(CostMatrix(2, np.array([[0, -1], [2, 3]])))
 
 
 def reference_subset_dp(cost, pred_mask, allowed):
@@ -266,7 +277,7 @@ class TestSubsetDpTies:
                         pred_mask[j] |= 1 << p
             allowed = rng.random((n, n)) >= rng.choice([0.0, 0.1, 0.3])
             want = reference_subset_dp(cost.tolist(), pred_mask.tolist(), allowed.tolist())
-            got = _kernels.subset_dp(cost, pred_mask, allowed)
+            got = _subset_dp(cost, pred_mask, allowed)
             assert np.array_equal(got, want), f"trial {trial}"
             infeasible += want[0] < 0
         assert 20 <= infeasible <= 220  # both outcomes are well exercised
@@ -278,7 +289,7 @@ class TestKernelsAgainstReference:
         rng = np.random.default_rng(300 + seed)
         n = int(rng.integers(2, 40))
         cost = rng.integers(0, 1000, size=(n, n)).astype(np.int64)
-        slots = _kernels.hungarian(cost, None)
+        slots = hungarian(cost, None)
         assert sorted(slots.tolist()) == list(range(n))
         rows, cols = scipy_linear_sum(cost)
         assert cost[np.arange(n), slots].sum() == cost[rows, cols].sum()
@@ -287,14 +298,14 @@ class TestKernelsAgainstReference:
         cost = np.zeros((3, 3), dtype=np.int64)
         forbidden = np.zeros((3, 3), dtype=np.bool_)
         forbidden[0, :2] = True  # task 1 only fits slot 3
-        slots = _kernels.hungarian(cost, forbidden)
+        slots = hungarian(cost, forbidden)
         assert slots[0] == 2
 
     def test_hungarian_reports_infeasible(self):
         cost = np.zeros((3, 3), dtype=np.int64)
         forbidden = np.zeros((3, 3), dtype=np.bool_)
         forbidden[:, 0] = True  # nobody may take slot 1
-        slots = _kernels.hungarian(cost, forbidden)
+        slots = hungarian(cost, forbidden)
         assert (slots < 0).all()
 
     def test_subset_dp_is_brute_force_optimal(self):
@@ -308,7 +319,7 @@ class TestKernelsAgainstReference:
                     if rng.random() < 0.3:
                         pred_mask[j] |= 1 << p
             allowed = rng.random((n, n)) < 0.85
-            slot_order = _kernels.subset_dp(cost, pred_mask, np.ascontiguousarray(allowed))
+            slot_order = _subset_dp(cost, pred_mask, np.ascontiguousarray(allowed))
 
             best = None
             for perm in permutations(range(n)):  # perm[t] = task in slot t

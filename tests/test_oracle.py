@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import profile_of, random_mixed_profile, random_order_profile
-from consched import _kernels, cli, experiment, oracle
+from consched import cli, experiment, oracle
 from consched.axioms import (
     check_deadline_consistency,
     check_release_consistency,
@@ -295,7 +295,7 @@ class TestPricingMatchesPerVoterSweep:
     def test_cost_vector_equals_sweep(self, n):
         rng = random.Random(600 + n)
         perms = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
-        comp = _kernels.completions_table(n)
+        comp = oracle.completions_table(n)
         for _ in range(2):
             for profile, criterion, encoding in _cases(rng, n):
                 rel, due, mult = interval_arrays(profile, encoding)
@@ -316,7 +316,7 @@ class TestPricingMatchesPerVoterSweep:
                 want = reference_perm_costs(
                     perms, rel, due, mult, criterion is CriterionKind.BINARY
                 )
-                got = oracle._costs(profile, criterion, encoding, _kernels.completions_table(5))
+                got = oracle._costs(profile, criterion, encoding, oracle.completions_table(5))
                 assert np.array_equal(got, want)
                 res = exhaustive_optimum(profile, criterion, encoding)
                 assert res == reference_oracle(profile, criterion, encoding)
@@ -325,14 +325,14 @@ class TestPricingMatchesPerVoterSweep:
     def test_perm_costs_match_profile_cost(self):
         rng = random.Random(3)
         profile = random_order_profile(rng, 5, 4)
-        perms = _kernels.perm_table(5)
-        comp = _kernels.completions_table(5)
+        perms = list(permutations(range(1, 6)))
+        comp = oracle.completions_table(5)
         for encoding in (EncodingKind.TARDINESS, EncodingKind.EXACT_POSITION):
             dist = oracle._costs(profile, CriterionKind.DISTANCE, encoding, comp)
             binary = oracle._costs(profile, CriterionKind.BINARY, encoding, comp)
             for _ in range(10):
                 row = rng.randrange(len(perms))
-                s = Schedule(tuple(int(x) for x in perms[row]))
+                s = Schedule(perms[row])
                 assert dist[row] == profile_cost(s, profile, CriterionKind.DISTANCE, encoding)
                 assert binary[row] == profile_cost(s, profile, CriterionKind.BINARY, encoding)
 
@@ -383,8 +383,7 @@ class TestScale:
     def test_peak_memory_stays_small(self):
         # The per-voter sweep over int64 completions peaked at ~80 MB here.
         profile = experiment.generate_profile(9, 20, seed=1)
-        _kernels.perm_table.cache_clear()  # measure the cold call, tables included
-        _kernels.completions_table.cache_clear()
+        oracle.completions_table.cache_clear()  # measure the cold call, the table included
         tracemalloc.start()
         try:
             exhaustive_optimum(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import profile_of, random_order_profile, random_schedule
 from consched.criteria import CriterionKind, profile_cost
-from consched.errors import SizeLimitError
+from consched.errors import DEFAULT_DP_LIMIT, SizeLimitError
 from consched.model import (
     EncodingKind,
     PrecedenceGraph,
@@ -17,13 +17,7 @@ from consched.model import (
     parse_profile,
 )
 from consched.oracle import exhaustive_optimum
-from consched.precedence import (
-    DEFAULT_DP_LIMIT,
-    infer_precedences,
-    repair_steps,
-    repair_to_inferred,
-    solve_with_graph,
-)
+from consched.precedence import infer_precedences, repair_steps, solve_with_graph
 from consched.rules import RuleSpec, solve
 from references import voters
 
@@ -108,7 +102,7 @@ class TestRepair:
                 solution = solve(profile, RuleSpec("distance", encoding))
                 base, base_cost = solution.schedule, solution.cost
                 prec = infer_precedences(profile)
-                fixed = repair_to_inferred(base, prec)
+                fixed, _ = repair_steps(base, prec)
                 assert prec.graph.satisfied_by(fixed)
                 assert (
                     profile_cost(fixed, profile, CriterionKind.DISTANCE, encoding)
