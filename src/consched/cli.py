@@ -206,12 +206,8 @@ def cmd_oracle(args) -> int:
         result = constrained_best(profile, criterion, encoding, axiom=args.axiom_filter)
     else:
         windows = _load_windows(args.time, profile.n)
-        graph = _load_prec(args, profile.n)
-        if graph == "inferred":
-            from .precedence import infer_precedences
-
-            graph = infer_precedences(profile).graph
-        result = exhaustive_optimum(profile, criterion, encoding, windows, graph)
+        prec = _load_prec(args, profile.n)
+        result = exhaustive_optimum(profile, criterion, encoding, windows, prec)
     if args.format == "json":
         print(json.dumps({
             "best_cost": result.best_cost,

@@ -1,23 +1,23 @@
 """Brute-force reference solver: the ground truth everything else is tested against.
 
-Enumerates every permutation of 1..n (lexicographically, hard guard n <= 10),
-filters by window/precedence feasibility or by an axiom's conclusion, and
-returns the exact minimum with *all* minimizers in lexicographic order and the
-number of feasible permutations examined.
+Prices every permutation of 1..n (hard guard n <= 10) under windows,
+precedences or an axiom's conclusion, and returns the exact minimum, *all*
+minimizers in lexicographic order and the number of feasible permutations.
 
-Both rules are sums over tasks of a cost that depends only on the task and its
-completion time, so every permutation is priced from one n x n table built
-per call in ``_completion_costs``: T[j, c-1] = sum over voters k of
-mult_k * f(rel_kj, due_kj, c), where f is the per-voter late/early (distance)
-or outside-the-window (binary) formula of ``criteria``, broadcast over all n
-completions c. A permutation's cost is then sum_j T[j, comp[j] - 1], gathered
-column by column from the cached ``completions_table``. The
-pairwise (Kendall) objective is gathered the same way, one pair of columns
-at a time, from the pair-weight matrix.
+Every objective is a sum of steps: running task i directly ahead of the set R
+of tasks that fill the last |R| slots costs step[R, i]. For the two rules that
+is the multiplicity-weighted per-voter late/early (distance) or
+outside-the-window (binary) formula of ``criteria`` at completion n - |R|; for
+the pairwise (Kendall) objective, the weight of the voters who complete some
+b in R before i. ``_lex_costs`` prices all n! permutations in lexicographic
+order with one recursion over subsets by size (about e * n! sums). A window,
+an axiom's filter or a precedence a -> b with a in R sets the step to -1, and
+so every permutation that takes it; costs are never negative. The optima are
+the ranks of the cheapest entries, decoded in factorial base (``_unrank``).
 
 The oracle stays independent of the assignment reduction: it evaluates the
 window formula directly instead of reading per-task prefix sums off release
-and due histograms (``assignment.build_cost_matrix``), and it enumerates every
+and due histograms (``assignment.build_cost_matrix``), and it prices every
 schedule instead of running the matching or the subset DP. Agreement between
 the oracle and the polynomial solvers is therefore a genuine cross-check.
 """
@@ -25,7 +25,6 @@ the oracle and the polynomial solvers is therefore a genuine cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -66,81 +65,88 @@ def _guard(n: int) -> None:
         raise SizeLimitError(f"oracle enumerates at most {ORACLE_MAX_N}! schedules, got n={n}")
 
 
-@lru_cache(maxsize=None)
-def completions_table(n: int) -> np.ndarray:
-    """Every permutation of 1..n in lexicographic order, as completion times.
+def _members(n: int) -> np.ndarray:
+    """members[R, j]: task j+1 belongs to the set with bit mask R; shape (2^n, n)."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
 
-    Row p lists the slot of each task in the p-th permutation: out[p, j] is
-    the slot of task j+1, int8, shape (n!, n). Built recursively: the block
-    of permutations that start with task i is the (n-1) table relabelled
-    onto the other tasks by the monotone map k -> k + (k >= i), which keeps
-    the block in lexicographic order; in it task i completes at 1 and every
-    other task one slot later than its counterpart. The cached array is
-    shared by every caller and therefore read-only. ``_guard`` keeps
-    n <= ORACLE_MAX_N.
+
+def _lex_costs(step: np.ndarray) -> np.ndarray:
+    """Cost of every permutation of 1..n in lexicographic order; -1 where infeasible.
+
+    ``step`` has shape (2^n, n). Layer k holds, per k-set S in ascending mask
+    order, the costs of S's permutations on the last k slots: over i in S
+    ascending, step[S - {i}, i] + the costs of S - {i}. ``row`` finds a set's row.
     """
-    if n == 0:
-        out = np.zeros((1, 0), dtype=np.int8)  # the one empty permutation
-    else:
-        sub = completions_table(n - 1)
-        out = np.empty((n * len(sub), n), dtype=np.int8)
-        for i, block in enumerate(np.split(out, n), start=1):
-            block[:, i - 1] = 1
-            np.add(sub[:, : i - 1], 1, out=block[:, : i - 1])
-            np.add(sub[:, i - 1 :], 1, out=block[:, i:])
-    out.flags.writeable = False
-    return out
+    n = step.shape[1]
+    members = _members(n)
+    size = members.sum(axis=1)
+    row = np.zeros(1 << n, dtype=np.int64)
+    costs = np.zeros((1, 1), dtype=np.int64)  # the empty set's one permutation
+    forbids = bool((step < 0).any())
+    for k in range(1, n + 1):
+        sets = np.flatnonzero(size == k)
+        row[sets] = np.arange(len(sets))
+        tasks = np.nonzero(members[sets])[1].reshape(-1, k)  # each set's tasks, ascending
+        out = np.empty((len(sets), k, costs.shape[1]), dtype=np.int64)
+        for p in range(k):  # the block of permutations that run each set's p-th task first
+            first = tasks[:, p]
+            rest = sets ^ (1 << first)
+            tail, head = costs[row[rest]], step[rest, first]
+            np.add(tail, head[:, None], out=out[:, p])
+            if forbids:
+                np.copyto(out[:, p], -1, where=(tail < 0) | (head < 0)[:, None])
+        costs = out.reshape(len(sets), -1)
+    return costs[0]
 
 
-def _result(comp: np.ndarray, costs: np.ndarray, feasible: np.ndarray) -> OracleResult:
-    """The optima are the cheapest feasible rows of ``comp``, in row order."""
-    searched = int(feasible.sum())
+def _unrank(ranks: np.ndarray, n: int) -> np.ndarray:
+    """The permutations of 1..n at lexicographic ``ranks``, one per row (int8)."""
+    perm = np.empty((len(ranks), n), dtype=np.int8)
+    for k in range(n - 1, -1, -1):  # Lehmer code: digit k counts the smaller tasks after slot k
+        ranks, perm[:, k] = np.divmod(ranks, n - k)
+    for k in range(n - 2, -1, -1):  # slot k keeps its digit; the later slots skip past it
+        after = perm[:, k + 1:]
+        after += after >= perm[:, k, None]
+    return perm + 1
+
+
+def _result(step: np.ndarray) -> OracleResult:
+    """The cheapest permutations under ``step`` that it does not forbid, in rank order."""
+    costs = _lex_costs(step)
+    feasible = costs >= 0
+    searched = int(np.count_nonzero(feasible))
     if searched == 0:
         raise InfeasibleError("no permutation satisfies the constraints")
-    masked = np.where(feasible, costs, np.iinfo(np.int64).max)
-    best = int(masked.min())
-    orders = np.argsort(comp[masked == best], axis=1) + 1  # the slot-t task is at column t-1
+    best = int(costs.min(where=feasible, initial=np.iinfo(np.int64).max))
+    orders = _unrank(np.flatnonzero(costs == best), step.shape[1])
     optima = tuple(Schedule(tuple(row)) for row in orders.tolist())
     return OracleResult(best_cost=best, optima=optima, searched=searched)
 
 
-def _completion_costs(
-    profile: PreferenceProfile,
-    criterion: CriterionKind,
-    encoding: Optional[Union[EncodingKind, str]],
-) -> np.ndarray:
-    """T[j, c-1]: multiplicity-weighted cost of completing task j+1 at time c."""
+def _steps(profile: PreferenceProfile, criterion: Union[CriterionKind, str],
+           encoding: Optional[Union[EncodingKind, str]]) -> np.ndarray:
+    """step[R, j]: multiplicity-weighted cost of completing task j+1 at n - |R|.
+
+    Row R is column n - |R| - 1 of the per-(task, completion) table; the full
+    set's row (completion 0) is never read.
+    """
     rel, due, mult = interval_arrays(profile, encoding)
-    c = np.arange(1, profile.n + 1, dtype=np.int64)
+    n = profile.n
+    c = np.arange(1, n + 1, dtype=np.int64)
     rel, due = rel[:, :, None], due[:, :, None]
-    if criterion is CriterionKind.BINARY:
+    if _as_criterion(criterion) is CriterionKind.BINARY:
         per_voter = (c > due) | (c <= rel)
     else:
         per_voter = np.maximum(c - due, 0) + np.maximum(rel - c + 1, 0)
-    return (mult[:, None, None] * per_voter).sum(axis=0)
+    table = (mult[:, None, None] * per_voter).sum(axis=0)
+    return table.T[n - 1 - _members(n).sum(axis=1)]
 
 
-def _costs(
-    profile: PreferenceProfile,
-    criterion: CriterionKind,
-    encoding: Optional[Union[EncodingKind, str]],
-    comp: np.ndarray,
-) -> np.ndarray:
-    """Profile cost of every permutation whose completion times are ``comp``."""
-    table = _completion_costs(profile, criterion, encoding)
-    costs = np.zeros(len(comp), dtype=np.int64)
-    for j in range(profile.n):
-        costs += table[j, comp[:, j] - 1]
-    return costs
-
-
-def _inside(comp: np.ndarray, lo, hi, tasks) -> np.ndarray:
-    """Rows that complete every task j+1 in ``tasks`` at a time in (lo[j], hi[j]]."""
-    feasible = np.ones(len(comp), dtype=bool)
-    for j in tasks:
-        col = comp[:, j]
-        feasible &= (col > lo[j]) & (col <= hi[j])
-    return feasible
+def _forbid_outside(step: np.ndarray, lo, hi) -> None:
+    """Forbid every task j+1 from completing outside (lo[j], hi[j]]."""
+    n = step.shape[1]
+    done = n - _members(n).sum(axis=1, keepdims=True)
+    step[(done <= lo) | (done > hi)] = -1
 
 
 def exhaustive_optimum(
@@ -148,27 +154,31 @@ def exhaustive_optimum(
     criterion: Union[CriterionKind, str],
     encoding: Optional[Union[EncodingKind, str]] = None,
     windows: Optional[TimeWindows] = None,
-    graph: Optional[PrecedenceGraph] = None,
+    graph: Union[None, str, PrecedenceGraph] = None,
 ) -> OracleResult:
-    """Exact minimum over all window/precedence-feasible permutations."""
+    """Exact minimum over all window/precedence-feasible permutations.
+
+    ``graph`` takes what ``RuleSpec.prec`` does: None, ``"inferred"`` (the
+    profile's unanimous-order graph) or an imposed ``PrecedenceGraph``.
+    """
     _guard(profile.n)
-    criterion = _as_criterion(criterion)
     n = profile.n
-    comp = completions_table(n)
-    if windows is not None:
-        if windows.n != n:
-            raise ValueError(f"windows cover {windows.n} tasks, profile has {n}")
-        lo, hi = zip(*windows.windows)
-        feasible = _inside(comp, lo, hi, range(n))
-    else:
-        feasible = np.ones(len(comp), dtype=bool)
+    if windows is not None and windows.n != n:
+        raise ValueError(f"windows cover {windows.n} tasks, profile has {n}")
     if graph is not None:
+        from .precedence import _resolve_precedences
+
+        graph = _resolve_precedences(profile, graph)
         if graph.n != n:
             raise ValueError(f"graph covers {graph.n} tasks, profile has {n}")
-        for a, b in graph.edges:
-            feasible &= comp[:, a - 1] < comp[:, b - 1]
-    costs = _costs(profile, criterion, encoding, comp)
-    return _result(comp, costs, feasible)
+    step = _steps(profile, criterion, encoding)
+    if windows is not None:
+        _forbid_outside(step, *np.array(windows.windows, dtype=np.int64).T)
+    if graph is not None:
+        members = _members(n)
+        for a, b in graph.edges:  # b may not run ahead of a set that still holds a
+            step[members[:, a - 1], b - 1] = -1
+    return _result(step)
 
 
 def constrained_best(
@@ -189,37 +199,27 @@ def constrained_best(
         raise ValueError(f"axiom must be one of {_AXIOM_FILTERS}, got {axiom!r}")
     if axiom != "unanimity" and profile.mode != "order":
         raise ValueError(f"the {axiom} filter needs an order-mode profile")
-    criterion = _as_criterion(criterion)
     n = profile.n
-    comp = completions_table(n)
     # an order-mode voter's window is its own slot: (C - 1, C]
     own = EncodingKind.EXACT_POSITION if profile.mode == "order" else None
     rel, due, _ = interval_arrays(profile, own)
+    step = _steps(profile, criterion, encoding)
     if axiom == "release":
-        feasible = _inside(comp, rel.min(axis=0), [n] * n, range(n))
+        _forbid_outside(step, rel.min(axis=0), n)
     elif axiom == "deadline":
-        feasible = _inside(comp, [0] * n, due.max(axis=0), range(n))
+        _forbid_outside(step, 0, due.max(axis=0))
     else:
         unanimous = (rel == rel[0]).all(axis=0) & (due == due[0]).all(axis=0)
-        feasible = _inside(comp, rel[0], due[0], np.flatnonzero(unanimous))
-    costs = _costs(profile, criterion, encoding, comp)
-    return _result(comp, costs, feasible)
+        _forbid_outside(step, np.where(unanimous, rel[0], 0), np.where(unanimous, due[0], n))
+    return _result(step)
 
 
 def kendall_optimum(profile: PreferenceProfile) -> OracleResult:
     """Exact minimizers of the summed pairwise-disagreement distance.
 
-    A schedule that completes task a before task b disagrees with the
-    w[b, a] voters who complete b before a, so every permutation is priced
-    pair by pair from ``pair_weight_matrix`` and two columns of the
-    completions table.
+    Running task i ahead of the set R disagrees with the w[b, i] voters who
+    complete b before i, for every b in R, so the step is the sum of w's
+    rows over R (``pair_weight_matrix``).
     """
     _guard(profile.n)
-    n = profile.n
-    comp = completions_table(n)
-    w = pair_weight_matrix(profile)
-    costs = np.zeros(len(comp), dtype=np.int64)
-    for a in range(n):
-        for b in range(a + 1, n):
-            costs += np.where(comp[:, a] < comp[:, b], w[b, a], w[a, b])
-    return _result(comp, costs, np.ones(len(comp), dtype=bool))
+    return _result(_members(profile.n) @ pair_weight_matrix(profile))

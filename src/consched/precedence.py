@@ -32,7 +32,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .assignment import build_cost_matrix, min_cost_assignment
-from .criteria import CriterionKind
+from .criteria import CriterionKind, pair_weight_matrix
 from .errors import DEFAULT_DP_LIMIT, InfeasibleError, SizeLimitError
 from .model import (
     EncodingKind,
@@ -59,14 +59,29 @@ class InferredPrecedences:
 
 
 def infer_precedences(profile: PreferenceProfile) -> InferredPrecedences:
-    """Extract the unanimous-order graph of an order-mode profile, O(v * n^2)."""
+    """Extract the unanimous-order graph of an order-mode profile, O(distinct * n^2).
+
+    a -> b exactly when ``pair_weight_matrix`` gives w[a, b] == v: every
+    multiplicity is at least 1, so all v voters complete a before b.
+    """
     if profile.mode != "order":
         raise ValueError("inferred precedences require an order-mode profile")
-    comps = profile.completions
-    always_before = (comps[:, :, None] < comps[:, None, :]).all(axis=0)
-    a_idx, b_idx = np.nonzero(always_before)
+    a_idx, b_idx = np.nonzero(pair_weight_matrix(profile) == profile.v)
     edges = frozenset((int(a) + 1, int(b) + 1) for a, b in zip(a_idx, b_idx))
     return InferredPrecedences(PrecedenceGraph(n=profile.n, edges=edges))
+
+
+def _resolve_precedences(
+    profile: PreferenceProfile, prec: Union[None, str, PrecedenceGraph]
+) -> Optional[PrecedenceGraph]:
+    """The graph a request runs under: ``prec`` itself, or for ``"inferred"`` the profile's."""
+    if prec is None or isinstance(prec, PrecedenceGraph):
+        return prec
+    if prec != "inferred":
+        raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {prec!r}")
+    if profile.mode != "order":
+        raise ValueError("--prec-mode inferred requires an order-mode profile")
+    return infer_precedences(profile).graph
 
 
 def repair_steps(

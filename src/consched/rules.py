@@ -216,14 +216,10 @@ def _plan(profile: PreferenceProfile, spec: RuleSpec, criterion: CriterionKind,
             return "dp", PrecedenceGraph(n=profile.n, edges=frozenset())
         return "matching", None
 
-    inferred = spec.prec == "inferred"
-    if inferred:
-        from .precedence import infer_precedences
+    from .precedence import InferredPrecedences, _resolve_precedences
 
-        if profile.mode != "order":
-            raise ValueError("--prec-mode inferred requires an order-mode profile")
-        prec = infer_precedences(profile)
-    graph = prec.graph if inferred else spec.prec
+    inferred = spec.prec == "inferred"
+    graph = _resolve_precedences(profile, spec.prec)
 
     if method == "matching":
         if windows is not None or graph.edges:
@@ -238,5 +234,5 @@ def _plan(profile: PreferenceProfile, spec: RuleSpec, criterion: CriterionKind,
             raise ValueError("matching+repair does not honor --time; use --method dp")
         if criterion is not CriterionKind.DISTANCE:
             notes.append("repair guarantees optimality for the distance criterion only")
-        return "matching+repair", prec
+        return "matching+repair", InferredPrecedences(graph)
     return "dp", graph

@@ -63,6 +63,11 @@ def random_order_profile(rng: random.Random, n: int, v: int) -> PreferenceProfil
     return profile_of("order", entries)
 
 
+def latin_square(n: int) -> PreferenceProfile:
+    """The n cyclic shifts of 1..n: every task completes at every slot exactly once."""
+    return profile_of("order", [([(j + k) % n + 1 for j in range(n)], 1) for k in range(n)])
+
+
 def random_schedule(rng: random.Random, n: int) -> Schedule:
     perm = list(range(1, n + 1))
     rng.shuffle(perm)

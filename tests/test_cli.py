@@ -7,13 +7,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from math import factorial
 
 import pytest
 
+from conftest import latin_square
 from consched import cli, criteria, experiment, rules
 from consched.assignment import build_cost_matrix
 from consched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE
-from consched.model import Schedule, parse_profile, parse_time_windows
+from consched.model import Schedule, parse_profile, parse_time_windows, serialize_profile
 from consched.oracle import exhaustive_optimum
 from consched.precedence import infer_precedences
 from consched.rules import Solution
@@ -524,6 +527,59 @@ class TestOracle:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: --axiom-filter cannot be combined with --time/--prec\n"
+
+    def test_every_permutation_ties(self, capsys, tmp_path):
+        # Seven cyclic shifts put every task at every slot once, so under the
+        # deviation encoding all 7! schedules cost the same.
+        path = tmp_path / "latin.prof"
+        path.write_text(serialize_profile(latin_square(7)))
+        code, out, _ = run(capsys, [
+            "oracle", "--profile", str(path), "--rule", "distance", "--encoding", "deviation",
+            "--max-optima", "3", "--format", "json",
+        ])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["optima_count"] == payload["searched"] == factorial(7)
+        assert payload["optima"] == [[1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 7, 6],
+                                     [1, 2, 3, 4, 6, 5, 7]]
+
+    def test_windows_and_precedences_admitting_no_schedule_exit_2(self, capsys, tmp_path):
+        # Task 1 must finish last, yet it precedes task 2.
+        (tmp_path / "w.txt").write_text("task 1 : 3 4\n")
+        (tmp_path / "g.txt").write_text("1 -> 2\n")
+        flags = ["--profile", "fixture:median4x3a", "--rule", "distance",
+                 "--encoding", "deviation", "--time", str(tmp_path / "w.txt"),
+                 "--prec-mode", "graph", "--prec", str(tmp_path / "g.txt")]
+        for command in ("oracle", "solve"):
+            code, out, err = run(capsys, [command, *flags])
+            assert code == EXIT_INFEASIBLE, command
+            assert out == ""
+            assert err.startswith("infeasible: "), err
+
+    @pytest.mark.parametrize("command", ["oracle", "solve"])
+    def test_inferred_precedences_on_an_interval_profile_exit_1(self, capsys, command):
+        code, out, err = run(capsys, [
+            command, "--profile", "fixture:window8x6", "--rule", "binary",
+            "--prec-mode", "inferred",
+        ])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --prec-mode inferred requires an order-mode profile\n"
+
+    def test_n10_json_searches_every_schedule_in_bounded_memory(self, capsys, tmp_path):
+        path = tmp_path / "ten.prof"
+        path.write_text(serialize_profile(experiment.generate_profile(10, 20, seed=2)))
+        tracemalloc.start()
+        try:
+            code = cli.main(["oracle", "--profile", str(path), "--rule", "distance",
+                             "--encoding", "deviation", "--format", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["searched"] == factorial(10)
+        # Pricing from a cached 10! x 10 completions table peaked at 101 MB here.
+        assert peak < 80 * 2**20
 
     def test_negative_max_optima_is_a_usage_error(self, capsys):
         # A negative slice bound would silently drop optima from the listing.

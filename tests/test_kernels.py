@@ -1,19 +1,21 @@
-"""Kernels: the oracle's cached permutation table and the plain-Python tie-break references."""
+"""Kernels: the oracle's lexicographic pricing and the plain-Python tie-break references."""
 
 from __future__ import annotations
 
 import random
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
 
+from consched import oracle
 from consched.assignment import CostMatrix, _hungarian, build_cost_matrix, min_cost_assignment
 from consched.experiment import generate_profile
 from consched.criteria import CriterionKind
 from consched.errors import SizeLimitError
 from consched.model import EncodingKind, PreferenceProfile, Schedule, TimeWindows
-from consched.oracle import ORACLE_MAX_N, completions_table, exhaustive_optimum
+from consched.oracle import ORACLE_MAX_N, exhaustive_optimum
 from consched.precedence import _subset_dp
 
 scipy_linear_sum = pytest.importorskip("scipy.optimize").linear_sum_assignment
@@ -25,56 +27,78 @@ def hungarian(cost, forbidden=None):
     return _hungarian(m.cost, m.forbidden)
 
 
-def orders(comp):
-    """The permutations a completions table holds: slot t's task at column t-1."""
-    return np.argsort(comp, axis=1) + 1
+def spelled(n, digit):
+    """A step table whose costs spell each permutation as a base-(n+1) number.
+
+    Running task i+1 at completion c adds ``digit(i, c)`` times (n+1) to the
+    power ``place(i, c)``; ``digit`` returns (digit, place) arrays over
+    (set, task), so every cost decodes back to the permutation it prices.
+    """
+    members = oracle._members(n)
+    done = n - members.sum(axis=1, keepdims=True)
+    value, place = digit(np.arange(n)[None, :], done)
+    return (value * (n + 1) ** place).astype(np.int64)
+
+
+def decode(costs, n):
+    """The base-(n+1) digits of each cost, most significant first."""
+    return (costs[:, None] // (n + 1) ** np.arange(n - 1, -1, -1)) % (n + 1)
+
+
+def lex_orders(n):
+    """The recursion's costs with slot t's task in digit t: its orders, in row order."""
+    return decode(oracle._lex_costs(spelled(n, lambda task, done: (task + 1, n - done))), n)
+
+
+def lex_completions(n):
+    """The recursion's costs with task j's completion in digit j: its completions."""
+    return decode(oracle._lex_costs(spelled(n, lambda task, done: (done, n - 1 - task))), n)
 
 
 class TestPermTable:
+    """The lexicographic subset recursion and the factorial-base unranking."""
+
     def test_lexicographic_and_complete(self):
-        assert orders(completions_table(3)).tolist() == [
-            [1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1],
-        ]
+        want = [[1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
+        assert lex_orders(3).tolist() == want
+        assert oracle._unrank(np.arange(6), 3).tolist() == want
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_itertools_permutations(self, n):
         want = np.array(list(permutations(range(1, n + 1))))
-        got = completions_table(n)
+        assert np.array_equal(lex_orders(n), want)
+        got = oracle._unrank(np.arange(factorial(n)), n)
         assert got.dtype == np.int8
-        assert np.array_equal(orders(got), want)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_completions_invert_every_row(self, n):
-        comp = completions_table(n)
         perms = np.array(list(permutations(range(1, n + 1))))
         # the slot of task j is one past the position of j in the order
-        assert np.array_equal(comp, np.argsort(perms, axis=1) + 1)
+        assert np.array_equal(lex_completions(n), np.argsort(perms, axis=1) + 1)
 
-    def test_size_guard(self):
-        # The oracle refuses n > ORACLE_MAX_N before it builds a table.
+    def test_size_guard(self, monkeypatch):
+        # The oracle refuses n > ORACLE_MAX_N before it prices anything.
         n = ORACLE_MAX_N + 1
         profile = PreferenceProfile.from_orders(np.arange(1, n + 1)[None, :])
-        built = completions_table.cache_info().currsize
+        monkeypatch.setattr(oracle, "_lex_costs", None)
         with pytest.raises(SizeLimitError):
             exhaustive_optimum(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)
-        assert completions_table.cache_info().currsize == built
 
     def test_completions_invert_orders(self):
         table = list(permutations(range(1, 5)))
-        comp = completions_table(4)
         row = random.Random(0).randrange(len(table))
         schedule = Schedule(table[row])
-        assert tuple(int(c) for c in comp[row]) == schedule.completions()
+        assert tuple(lex_completions(4)[row].tolist()) == schedule.completions()
+        assert tuple(oracle._unrank(np.array([row]), 4)[0].tolist()) == table[row]
 
-    @pytest.mark.parametrize("table", [completions_table])
-    def test_cached_tables_are_read_only(self, table):
-        cached = table(4)
-        assert table(4) is cached
-        with pytest.raises(ValueError):
-            cached[0, 0] = 4
-        with pytest.raises(ValueError):
-            cached[:, 1] += 1
-        assert table(4)[0].tolist() == [1, 2, 3, 4]
+    def test_a_forbidden_step_forbids_every_permutation_that_takes_it(self):
+        step = np.zeros((1 << 4, 4), dtype=np.int64)
+        step[0b0001, 1] = -1  # task 2 directly ahead of task 1 in the last two slots
+        costs = oracle._lex_costs(step)
+        ends = [perm[2:] == (2, 1) for perm in permutations(range(1, 5))]
+        assert np.array_equal(costs < 0, ends)
+        assert set(costs.tolist()) == {-1, 0}
 
 
 def reference_hungarian(cost, forbidden=None):

@@ -11,7 +11,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import profile_of, random_mixed_profile, random_order_profile
+from conftest import latin_square, profile_of, random_mixed_profile, random_order_profile
 from consched import cli, experiment, oracle
 from consched.axioms import (
     check_deadline_consistency,
@@ -41,6 +41,7 @@ from consched.oracle import (
     exhaustive_optimum,
     kendall_optimum,
 )
+from consched.precedence import infer_precedences
 from references import entries
 
 
@@ -221,7 +222,7 @@ def reference_perm_costs(perms, rel, due, mult, binary):
     """The oracle's former pricing: one sweep over all permutations per voter.
 
     ``perms`` holds one order per row; completions are recovered by argsort,
-    so neither the cached tables nor the per-(task, completion) table is used.
+    so neither the subset recursion nor the per-(task, completion) table is used.
     """
     comp = np.argsort(perms, axis=1) + 1
     out = np.zeros(len(perms), dtype=np.int64)
@@ -290,19 +291,23 @@ def _random_windows(rng, n):
     )
 
 
+def lex_costs(profile, criterion, encoding):
+    """Every permutation's cost, in lexicographic order, from the oracle's subset recursion."""
+    return oracle._lex_costs(oracle._steps(profile, criterion, encoding))
+
+
 class TestPricingMatchesPerVoterSweep:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cost_vector_equals_sweep(self, n):
         rng = random.Random(600 + n)
         perms = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
-        comp = oracle.completions_table(n)
         for _ in range(2):
             for profile, criterion, encoding in _cases(rng, n):
                 rel, due, mult = interval_arrays(profile, encoding)
                 want = reference_perm_costs(
                     perms, rel, due, mult, criterion is CriterionKind.BINARY
                 )
-                got = oracle._costs(profile, criterion, encoding, comp)
+                got = lex_costs(profile, criterion, encoding)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want), (n, criterion, encoding)
 
@@ -316,7 +321,7 @@ class TestPricingMatchesPerVoterSweep:
                 want = reference_perm_costs(
                     perms, rel, due, mult, criterion is CriterionKind.BINARY
                 )
-                got = oracle._costs(profile, criterion, encoding, oracle.completions_table(5))
+                got = lex_costs(profile, criterion, encoding)
                 assert np.array_equal(got, want)
                 res = exhaustive_optimum(profile, criterion, encoding)
                 assert res == reference_oracle(profile, criterion, encoding)
@@ -326,10 +331,9 @@ class TestPricingMatchesPerVoterSweep:
         rng = random.Random(3)
         profile = random_order_profile(rng, 5, 4)
         perms = list(permutations(range(1, 6)))
-        comp = oracle.completions_table(5)
         for encoding in (EncodingKind.TARDINESS, EncodingKind.EXACT_POSITION):
-            dist = oracle._costs(profile, CriterionKind.DISTANCE, encoding, comp)
-            binary = oracle._costs(profile, CriterionKind.BINARY, encoding, comp)
+            dist = lex_costs(profile, CriterionKind.DISTANCE, encoding)
+            binary = lex_costs(profile, CriterionKind.BINARY, encoding)
             for _ in range(10):
                 row = rng.randrange(len(perms))
                 s = Schedule(perms[row])
@@ -379,11 +383,74 @@ class TestResultMatchesReference:
                 assert got == reference_oracle(profile, criterion, encoding, axiom=axiom)
 
 
+class TestEdgeCases:
+    @pytest.mark.parametrize("criterion, encoding", [
+        (CriterionKind.DISTANCE, EncodingKind.DEVIATION),
+        (CriterionKind.BINARY, EncodingKind.EXACT_POSITION),
+    ])
+    def test_every_permutation_ties_in_itertools_order(self, criterion, encoding):
+        # Every task completes at every slot once across the seven voters, so
+        # a task's cost does not depend on its slot and every schedule ties.
+        profile = latin_square(7)
+        res = exhaustive_optimum(profile, criterion, encoding)
+        assert res.searched == len(res.optima) == factorial(7)
+        assert res.optima == tuple(Schedule(p) for p in permutations(range(1, 8)))
+        assert res == reference_oracle(profile, criterion, encoding)
+
+    def test_one_task(self):
+        order = profile_of("order", [((1,), 3)])
+        interval = profile_of("interval", [(((0, 1),), 2)])
+        one = OracleResult(best_cost=0, optima=(Schedule((1,)),), searched=1)
+        for profile, encodings in ((order, list(EncodingKind)), (interval, [None])):
+            for criterion in CriterionKind:
+                for encoding in encodings:
+                    assert exhaustive_optimum(profile, criterion, encoding) == one
+                    assert exhaustive_optimum(
+                        profile, criterion, encoding, TimeWindows(((0, 1),)),
+                        PrecedenceGraph(n=1, edges=frozenset()),
+                    ) == one
+                    assert constrained_best(profile, criterion, encoding, "unanimity") == one
+        for axiom in ("release", "deadline"):
+            assert constrained_best(order, CriterionKind.BINARY, "late_tasks", axiom) == one
+        assert kendall_optimum(order) == one
+        inferred = exhaustive_optimum(order, CriterionKind.DISTANCE, "tardiness", graph="inferred")
+        assert inferred == one
+
+    def test_windows_and_precedences_admitting_no_schedule(self):
+        profile = random_order_profile(random.Random(4), 5, 3)
+        windows = TimeWindows(((4, 5), (0, 5), (0, 5), (0, 5), (0, 5)))  # task 1 last
+        graph = PrecedenceGraph(n=5, edges=frozenset({(1, 3)}))
+        for criterion in CriterionKind:
+            with pytest.raises(InfeasibleError):
+                exhaustive_optimum(profile, criterion, "deviation", windows, graph)
+            with pytest.raises(InfeasibleError):
+                reference_oracle(profile, criterion, "deviation", windows, graph)
+
+    def test_inferred_graph_equals_the_graph_it_names(self):
+        for seed in range(6):
+            rng = random.Random(1600 + seed)
+            profile = random_mixed_profile(rng, rng.randint(1, 7), "order")
+            graph = infer_precedences(profile).graph
+            for criterion in CriterionKind:
+                got = exhaustive_optimum(profile, criterion, "late_tasks", graph="inferred")
+                assert got == exhaustive_optimum(profile, criterion, "late_tasks", graph=graph)
+                assert got == reference_oracle(profile, criterion, "late_tasks", graph=graph)
+
+    def test_inferred_graph_needs_an_order_profile(self):
+        profile = parse_profile("profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (1,2)\n")
+        with pytest.raises(ValueError, match="requires an order-mode profile"):
+            exhaustive_optimum(profile, CriterionKind.BINARY, graph="inferred")
+
+    def test_a_graph_named_other_than_inferred_is_a_value_error(self):
+        profile = parse_profile("profile order\ntasks 2\nvoters 1\npref 1 : 1 2\n")
+        with pytest.raises(ValueError, match="prec must be None, 'inferred' or a PrecedenceGraph"):
+            exhaustive_optimum(profile, CriterionKind.BINARY, "late_tasks", graph="graph")
+
+
 class TestScale:
     def test_peak_memory_stays_small(self):
         # The per-voter sweep over int64 completions peaked at ~80 MB here.
         profile = experiment.generate_profile(9, 20, seed=1)
-        oracle.completions_table.cache_clear()  # measure the cold call, the table included
         tracemalloc.start()
         try:
             exhaustive_optimum(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from conftest import profile_of, random_order_profile, random_schedule
+from conftest import profile_of, random_mixed_profile, random_order_profile, random_schedule
 from consched.criteria import CriterionKind, profile_cost
 from consched.errors import DEFAULT_DP_LIMIT, SizeLimitError
 from consched.model import (
@@ -57,6 +58,30 @@ class TestInferPrecedences:
                 for c, d in edges:
                     if b == c:
                         assert (a, d) in edges
+
+    @staticmethod
+    def always_before(profile):
+        """Edges from the (distinct, n, n) comparison of every voter's completions."""
+        comps = profile.completions
+        a_idx, b_idx = np.nonzero((comps[:, :, None] < comps[:, None, :]).all(axis=0))
+        return {(int(a) + 1, int(b) + 1) for a, b in zip(a_idx, b_idx)}
+
+    def test_pair_weights_match_the_full_comparison_with_multiplicities(self):
+        for seed in range(40):
+            rng = random.Random(200 + seed)
+            profile = random_mixed_profile(rng, rng.randint(1, 9), "order")
+            assert infer_precedences(profile).graph.edges == self.always_before(profile)
+
+    def test_identical_voters_yield_a_complete_dag(self):
+        order = (4, 1, 5, 3, 2)
+        profile = profile_of("order", [(order, 1 << 40), (order, 3)])
+        edges = infer_precedences(profile).graph.edges
+        assert edges == {(a, b) for i, a in enumerate(order) for b in order[i + 1:]}
+        assert edges == self.always_before(profile)
+
+    def test_one_task_has_no_edges(self):
+        profile = profile_of("order", [((1,), 2)])
+        assert infer_precedences(profile).graph.edges == frozenset()
 
     def test_interval_mode_rejected(self):
         profile = parse_profile("profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (1,2)\n")
