@@ -11,16 +11,21 @@ than expensive.
 
 The matching is the shortest-augmenting-path Hungarian method with
 potentials, O(n^3) (Jonker & Volgenant 1987; Crouse 2016), in ``_hungarian``.
-Each phase runs one Dijkstra over the reduced matrix, which is updated once
-per phase: distances stay absolute from the start of the phase, so a step
-costs three NumPy calls over one row (add, minimum, argmin; four with a
-mask), and tree columns are marked by -1 rather than masked. The phase keeps
-no predecessor array; it rebuilds only the augmenting path from the rows it
-expanded. Forbidden pairs are raised to the sentinel before every
-relaxation, never priced. Ties go to the first minimum in column order, so
-the slots are a fixed function of the matrix (the tests' plain-Python
+Each phase runs one Dijkstra over one n x n matrix, ``cost - v`` less the
+column potentials, whose tree columns are updated once per phase; the row
+potentials stay Python integers and enter each step through its scalar
+offset. Distances stay absolute from the start of the phase, so a step is
+three NumPy calls over one row (add, minimum, argmin) with or without
+windows, and tree columns are marked by -1 rather than masked. Forbidden
+pairs are written into that matrix once, at a pinned cost above every
+optimum, so no relaxation through one can beat an allowed distance; a phase
+whose least value reached is a forbidden one reports infeasible. The phase
+keeps no predecessor array; it rebuilds only the augmenting path from the
+rows it expanded. Ties go to the first minimum in column order, so the slots
+are a fixed function of the matrix (the tests' plain-Python
 ``reference_hungarian`` pins them). The arithmetic is int64 while
-2n * max(cost) < 2^63 - 1 and exact Python integers beyond.
+n * C < 2^62, with C the largest allowed entry, and exact Python integers
+beyond.
 """
 
 from __future__ import annotations
@@ -128,107 +133,110 @@ def _hungarian(cost: np.ndarray, forbidden: Optional[np.ndarray]) -> np.ndarray:
     Returns all -1s when ``forbidden`` rules out every perfect matching. Rows
     are matched one phase at a time (row i in phase i).
 
-    ``red`` holds the reduced costs ``cost[r, j] - u[r] - v[j]`` (non-negative
-    on allowed pairs, zero on matched ones) and changes only between phases.
-    A phase is a Dijkstra from row i. ``minv[j]`` is the distance of column j
-    from the start of the phase, and ``off`` (a 0-d array) the distance d of
-    the column that joined the tree last. Expanding row r, reached through
-    that column, takes three NumPy calls: ``red[r] + d``, a ``minimum`` into
-    ``minv`` and an ``argmin`` that picks the next column (the first on
-    ties). With a mask, a ``maximum`` with ``block[r]`` (0 where allowed,
-    ``top`` where forbidden) first raises the forbidden cells to ``top``. A
-    tree column holds -1 in ``minv``: -1 survives every minimum, and argmin
-    reads ``minv`` as uint64, where -1 is 2^64 - 1. When a free column joins,
-    the phase ends. The textbook form shifts ``u``, ``v`` and ``minv`` by
-    every step's delta; its comparisons are these offset by one constant, so
-    both take the same branches and break the same ties.
+    ``red`` holds ``cost[r, j] - v[j]``, the cost less the column potential,
+    and ``u`` holds the row potentials as Python integers. A forbidden cell
+    holds ``pin - v[j]``, as if it cost ``pin = n*C + 1``, where C is the
+    largest allowed entry; forbidden entries are never read. A phase is a
+    Dijkstra from row i. ``minv[j]`` is the distance of column j from the
+    start of the phase, and ``off`` (a 0-d array) is ``d - u[r]`` for the
+    row r being expanded, reached at distance d. A step takes three NumPy
+    calls: ``red[r] + off``, a ``minimum`` into ``minv`` and an ``argmin``
+    that picks the next column (the first on ties). On an allowed cell
+    ``red[r, j] + off`` is the reduced cost ``cost[r, j] - u[r] - v[j]``
+    plus d, which the textbook form, shifting ``u``, ``v`` and ``minv`` by
+    every step's delta, offsets by one constant per step; so both take the
+    same branches and break the same ties. A tree column holds -1 in
+    ``minv``: -1 survives every minimum, and argmin reads ``minv`` as uint64,
+    where -1 is 2^64 - 1. The phase ends when a free column joins; it reports
+    infeasible when the least value reached is a forbidden one, at least
+    ``limit = pin - spent``, with ``spent`` the sum of the earlier phases'
+    final distances.
 
-    No ``way`` array is kept: the phase logs its expanded rows and their
-    distances, and rebuilds only the augmenting path, backwards from the free
-    column. A column's predecessor is the first logged row whose relaxed
-    value on an allowed pair equals the column's distance; earlier rows
+    No ``way`` array is kept: the phase logs its expanded rows with their
+    distances and offsets, and rebuilds only the augmenting path, backwards
+    from the free column. A column's predecessor is the first logged row whose relaxed
+    value ``red[r, j] + d - u[r]`` equals the column's distance; earlier rows
     relaxed it to more, so the textbook's strict ``<`` recorded that row.
-    Then each tree column j and its row move by ``d - joined[j]`` (row i by
-    d): the tree's rows of ``red`` drop by it and its columns rise by it.
+    Then each tree row's ``u`` and each tree column of ``red`` rise by
+    ``d - joined`` (row i's ``u`` by d).
 
-    Bound. Let C be the largest entry and OPT(k) <= k*C the least cost of
-    matching the first k rows. In phase i, 0 <= u <= OPT(i-1) and
-    0 <= -v <= OPT(i-1): a phase raises each potential by at most its final
-    distance, and those distances sum to the optimum. A column's distance is
-    the forward minus the backward costs on its tree path plus the potential
-    of the row matched to it, so ``d - u[r]`` lies in [-(i-1)*C, (i-1)*C],
-    every entry of ``red`` in [-(i-1)*C, i*C], and every relaxed value and
-    distance in [-(i-1)*C, (2i-1)*C]. An allowed relaxed value is at least
-    0, because ``red`` is non-negative on allowed pairs and so is d, and a
-    forbidden one is raised to ``top`` before the minimum; so -1 marks the
-    tree soundly. While 2n*C < 2^63 - 1 the kernel runs in int64, with the
-    int64 maximum as ``top``; beyond, it runs the same steps on Python
-    integers, where ``argmin`` reads -1 as ``top + 1``. A consensus matrix
-    has C <= (n-1)*v for v voters, so under the parse bound
-    v*n*(n+1) <= 2^63 - 1 every profile with n <= 3 stays in int64, and
-    only profiles in the top half of that range leave it.
+    Bound. Let OPT(k) <= k*C be the least cost of matching the first k rows
+    over allowed cells. In phase i, ``spent`` is OPT(i-1) (the dual
+    objective), and 0 <= u <= OPT(i-1) and 0 <= -v <= OPT(i-1), because a
+    phase raises a potential by at most its final distance. An allowed
+    relaxed value is at least 0, and a forbidden one at least
+    ``pin - OPT(i-1) = limit``, since d >= 0. When rows 1..i can be matched,
+    every distance the phase picks is at most OPT(i) - OPT(i-1) < limit: no
+    forbidden value is ever the least, not even on a tie, and none equals a
+    picked distance in the rebuild. When they cannot, no free column is
+    reachable over allowed cells, so the phase ends on a value of at least
+    ``limit``. Every distance expanded is below ``limit``, so ``off`` lies in
+    [-OPT(i-1), limit), the allowed cells of ``red`` in [0, C + OPT(i-1)],
+    the forbidden ones in [pin, pin + OPT(i-1)], and every relaxed value in
+    [0, 2*pin). The kernel runs in int64 while 2*pin - 1 <= 2^63 - 1, that
+    is n*C < 2^62, with the int64 maximum as ``top``; beyond, it runs the
+    same steps on Python integers, where ``argmin`` reads -1 as
+    ``top = 2*pin``. A consensus matrix has C <= (n-1)*v for v voters, so
+    under the parse bound v*n*(n+1) <= 2^63 - 1 every profile with n <= 3
+    stays in int64, and only profiles in the top half of that range leave it.
     """
     n = cost.shape[0]
-    allowed = None if forbidden is None or not forbidden.any() else ~forbidden
-    bound = 2 * n * int(cost.max())
-    if bound < _INT64_MAX:
+    masked = forbidden is not None and forbidden.any()
+    pin = n * int(cost.max(initial=0, where=~forbidden) if masked else cost.max()) + 1
+    if 2 * pin - 1 <= _INT64_MAX:
         dtype, top, red = np.int64, _INT64_MAX, cost.copy()
     else:
-        dtype, top, red = object, bound + 1, cost.astype(object)
+        dtype, top, red = object, 2 * pin, cost.astype(object)
+    if masked:
+        red[forbidden] = pin
     red_rows = list(red)  # views, so the phase-end updates reach them
-    block_rows = None
-    if allowed is not None:
-        block = np.zeros((n, n), dtype=dtype)
-        block[~allowed] = top
-        block_rows = list(block)
+    u = [0] * n
     row_of = [-1] * n  # matched row of each column
     minv = np.empty(n, dtype=dtype)
     cur = np.empty(n, dtype=dtype)
     off = np.zeros((), dtype=dtype)
     if dtype is object:
         def pick():
-            return np.where(minv < 0, top + 1, minv).argmin()
+            return np.where(minv < 0, top, minv).argmin()
     else:
         pick = minv.view(np.uint64).argmin
+    add, minimum = np.add, np.minimum  # local names for the hot loop
+    spent = 0
     for i in range(n):
         minv.fill(top)
         off[()] = 0
-        rows, dists, tree = [i], [0], []  # expanded rows, their distances, tree columns
+        limit = pin - spent
+        rows, dists, offs, tree = [i], [0], [0], []  # expanded rows, distances, offsets; tree columns
         r = i
         while True:
-            np.add(red_rows[r], off, out=cur)
-            if block_rows is not None:
-                np.maximum(cur, block_rows[r], out=cur)
-            np.minimum(minv, cur, out=minv)
+            add(red_rows[r], off, out=cur)
+            minimum(minv, cur, out=minv)
             j = int(pick())
-            d = minv[j]
-            if d == top:
+            d = minv.item(j)
+            if d >= limit:
                 return np.full(n, -1, dtype=np.int64)
             r = row_of[j]
             if r < 0:
                 break
             minv[j] = -1
-            off[()] = d
+            off[()] = o = d - u[r]
+            offs.append(o)
             rows.append(r)
             dists.append(d)
             tree.append(j)
-        dist = np.array(dists, dtype=dtype)
-        shift = d - dist
-        sub = red[rows]  # the tree's rows as the phase saw them
-        ok = None if allowed is None else allowed[rows]
+        spent += d
+        at = np.array(rows)
+        base = np.array(offs, dtype=dtype)
+        rise = np.zeros(n, dtype=dtype)  # one dense add beats a strided scatter on big trees
+        rise[tree] = d - np.array(dists[1:], dtype=dtype)
+        for r, dr in zip(rows, dists):
+            u[r] += d - dr
         while True:  # the augmenting path, backwards from the free column j
-            hit = sub[:, j] + dist == d
-            if ok is not None:
-                hit &= ok[:, j]
-            k = int(hit.argmax())
+            k = int((red[at, j] + base == d).argmax())
             row_of[j] = rows[k]
             if k == 0:
                 break
             j, d = tree[k - 1], dists[k]
-        sub -= shift[:, None]
-        red[rows] = sub
-        rise = np.zeros(n, dtype=dtype)  # one dense add beats a strided scatter on big trees
-        rise[tree] = shift[1:]
         red += rise
     slots = np.empty(n, dtype=np.int64)
     slots[row_of] = np.arange(n)

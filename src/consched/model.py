@@ -156,6 +156,14 @@ def _check_windows(windows: tuple[tuple[int, int], ...]) -> None:
         _check_window(j, r, d, n)
 
 
+def _check_edge(a: int, b: int, n: int) -> None:
+    """Raise ``ValueError`` unless edge (a, b) joins two distinct tasks of 1..n."""
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"edge ({a},{b}) outside task range 1..{n}")
+    if a == b:
+        raise ValueError(f"self-loop on task {a}")
+
+
 _INT64_MAX = 2**63 - 1
 
 
@@ -284,10 +292,7 @@ class PrecedenceGraph:
         edges = frozenset((int(a), int(b)) for a, b in self.edges)
         object.__setattr__(self, "edges", edges)
         for a, b in edges:
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"edge ({a},{b}) outside task range 1..{self.n}")
-            if a == b:
-                raise ValueError(f"self-loop on task {a}")
+            _check_edge(a, b, self.n)
         if self.topological_order() is None:
             raise ValueError("precedence graph has a cycle")
 
@@ -552,13 +557,22 @@ def serialize_profile(profile: PreferenceProfile) -> str:
 
 
 def parse_precedence(text: Union[str, IO[str]], n: int) -> PrecedenceGraph:
-    """Parse an edge list (one ``a -> b`` per line) into a PrecedenceGraph."""
+    """Parse an edge list (one ``a -> b`` per line) into a PrecedenceGraph.
+
+    Each edge is checked as its line is read, so a bad edge names its line; a
+    cycle belongs to the whole file and is reported without one.
+    """
     edges = set()
     for no, line in _logical_lines(text):
         m = re.fullmatch(r"(\d+)\s*->\s*(\d+)", line)
         if not m:
             raise ProfileError(f"expected '<a> -> <b>', got {line!r}", no)
-        edges.add((int(m.group(1)), int(m.group(2))))
+        a, b = int(m.group(1)), int(m.group(2))
+        try:
+            _check_edge(a, b, n)
+        except ValueError as exc:
+            raise ProfileError(str(exc), no) from None
+        edges.add((a, b))
     try:
         return PrecedenceGraph(n=n, edges=frozenset(edges))
     except ValueError as exc:

@@ -437,6 +437,26 @@ class TestSolve:
         assert out == ""
         assert err == "error: line 1: task 2: window (3,1) violates 0 <= r < d <= 5\n"
 
+    @pytest.mark.parametrize("edges, error", [
+        ("1 -> 2\n2 -> 9\n", "line 2: edge (2,9) outside task range 1..3"),
+        ("# c\n3 -> 3\n", "line 2: self-loop on task 3"),
+        ("1 -> 2\n2 -> 1\n", "precedence graph has a cycle"),
+    ], ids=["range", "self-loop", "cycle"])
+    def test_bad_edge_names_its_line(self, capsys, tmp_path, edges, error):
+        # Range and self-loop errors had no line; a cycle has none to name.
+        path = tmp_path / "p.prof"
+        path.write_text("profile order\ntasks 3\nvoters 1\npref 1 : 1 2 3\n")
+        prec = tmp_path / "g.prec"
+        prec.write_text(edges)
+        code, out, err = run(
+            capsys,
+            ["solve", "--profile", str(path), "--rule", "binary", "--encoding", "late",
+             "--prec-mode", "graph", "--prec", str(prec)],
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {error}\n"
+
     @pytest.mark.parametrize("rule", [
         ["--rule", "emd"], ["--rule", "binary", "--encoding", "late"],
     ], ids=["emd", "binary"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -13,7 +14,7 @@ from consched import oracle
 from consched.assignment import CostMatrix, _hungarian, build_cost_matrix, min_cost_assignment
 from consched.experiment import generate_profile
 from consched.criteria import CriterionKind
-from consched.errors import SizeLimitError
+from consched.errors import InfeasibleError, SizeLimitError
 from consched.model import EncodingKind, PreferenceProfile, Schedule, TimeWindows
 from consched.oracle import ORACLE_MAX_N, exhaustive_optimum
 from consched.precedence import _subset_dp
@@ -152,6 +153,26 @@ def reference_hungarian(cost, forbidden=None):
     return slots
 
 
+def traced_peak(matrix):
+    """The kernel's slots on a ``CostMatrix`` and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        slots = _hungarian(matrix.cost, matrix.forbidden)
+        return slots, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def largest_allowed(cost, forbidden=None):
+    """C of the kernel's bound: the largest entry over the allowed cells only."""
+    return int(cost.max() if forbidden is None else cost[~forbidden].max())
+
+
+def int64_edge(n, top):
+    """The largest scale s with n * (top * s) < 2^62, the kernel's last int64 size."""
+    return (2**62 - 1) // (n * top)
+
+
 def hidden_windows(rng, n):
     """Windows of a few slots around a hidden schedule on about half the tasks."""
     hidden = rng.permutation(n)  # hidden[j] = 0-based slot of task j + 1
@@ -216,6 +237,27 @@ class TestHungarianMatchesReference:
         assert want[0] >= 0
         assert np.array_equal(hungarian(cost * scale, forbidden), want)
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_last_int64_size_and_first_python_integer_size(self, masked):
+        # Entries of 9..11 keep the optimum within a fifth of n*C, the sum
+        # the bound allows for; scales s and s + 1 straddle n*C = 2^62.
+        n = 60
+        rng = np.random.default_rng(62)
+        cost = rng.integers(9, 12, size=(n, n)).astype(np.int64)
+        forbidden = rng.random((n, n)) < 0.3 if masked else None
+        want = reference_hungarian(cost, forbidden)
+        assert want[0] >= 0
+        top = largest_allowed(cost, forbidden)
+        edge = int64_edge(n, top)
+        assert n * top * edge < 2**62 <= n * top * (edge + 1)
+        peaks = []
+        for scale in (edge, edge + 1):
+            slots, peak = traced_peak(CostMatrix(n, cost * scale, forbidden))
+            assert np.array_equal(slots, want), f"scale {scale}"
+            peaks.append(peak)
+        # Python integers take a boxed object per cell: the path switched there.
+        assert 2 * peaks[0] < peaks[1]
+
     @pytest.mark.parametrize("n", [120, 160, 200])
     def test_late_count_matrices_at_benchmark_scale(self, n):
         rng = np.random.default_rng(n)
@@ -250,6 +292,75 @@ class TestHungarianMatchesReference:
     def test_rejects_negative_costs(self):
         with pytest.raises(ValueError, match="non-negative"):
             min_cost_assignment(CostMatrix(2, np.array([[0, -1], [2, 3]])))
+
+
+class TestPinnedMask:
+    """Forbidden cells live in the reduced matrix at ``pin = n*C + 1``, C over allowed cells."""
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["int64", "python-int"])
+    def test_column_reachable_only_through_forbidden_cells_near_the_bound(self, offset):
+        # Rows 1..n-1 fit the other columns, so only the last phase fails,
+        # after the earlier phases spent OPT(n-1) of the pin. The last row is
+        # cheap, so rows it reaches relax the dead column below the pin
+        # itself: only ``pin - spent`` tells those values from allowed ones.
+        n, dead = 40, 17
+        rng = np.random.default_rng(dead)
+        cost = rng.integers(9, 12, size=(n, n)).astype(np.int64)
+        cost[-1] = rng.integers(0, 3, size=n)
+        forbidden = rng.random((n, n)) < 0.2
+        forbidden[:, dead] = True
+        live = np.delete(np.arange(n), dead)
+        assert reference_hungarian(cost[:-1][:, live], forbidden[:-1][:, live])[0] >= 0
+        assert (reference_hungarian(cost, forbidden) < 0).all()
+        scale = int64_edge(n, largest_allowed(cost, forbidden)) + offset
+        matrix = CostMatrix(n, cost * scale, forbidden)
+        assert (_hungarian(matrix.cost, matrix.forbidden) < 0).all()
+        with pytest.raises(InfeasibleError):
+            min_cost_assignment(matrix)
+
+    @pytest.mark.parametrize("offset", [None, 0, 1], ids=["unscaled", "int64", "python-int"])
+    def test_forbidden_cells_in_the_tree_columns_of_every_phase(self, offset):
+        # Every matching costs the same and each row prefers the lowest
+        # column, so phase i's tree is exactly columns 0..i-1: column 0 rises
+        # in every phase after the first, and the forbidden cells below the
+        # diagonal climb with their columns, phase after phase.
+        n = 40
+        rows, cols = np.indices((n, n))
+        cost = cols.astype(np.int64)
+        forbidden = (cols < rows - 1) & (np.random.default_rng(n).random((n, n)) < 0.5)
+        assert forbidden[:, 0].sum() > n // 3
+        want = reference_hungarian(cost, forbidden)
+        scale = 1 if offset is None else int64_edge(n, n - 1) + offset
+        assert np.array_equal(hungarian(cost * scale, forbidden), want)
+
+    @staticmethod
+    def windowed_matrix(n=200):
+        """A masked consensus matrix: tardiness, v=100, windows on about half the tasks."""
+        profile = generate_profile(n, 100, seed=1)
+        windows = hidden_windows(np.random.default_rng(n), n)
+        return build_cost_matrix(profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, windows)
+
+    def test_forbidden_entries_are_never_read(self):
+        # C ranges over allowed cells only: int64-maximum entries behind the
+        # mask neither change the slots nor push the kernel onto Python integers.
+        m = self.windowed_matrix()
+        n = m.n
+        want = _hungarian(m.cost, m.forbidden)
+        assert want[0] >= 0
+        loud = CostMatrix(n, np.where(m.forbidden, np.iinfo(np.int64).max, m.cost), m.forbidden)
+        slots, peak = traced_peak(loud)
+        assert np.array_equal(slots, want)
+        assert peak < 2 * n * n * 8
+
+    def test_peak_memory_below_two_matrices(self):
+        # One n x n int64 matrix (``red``) and O(n) vectors; there is no
+        # second matrix for the mask and no gather of the tree's rows.
+        m = self.windowed_matrix()
+        n = m.n
+        assert m.forbidden.any()
+        slots, peak = traced_peak(m)
+        assert np.array_equal(slots, reference_hungarian(m.cost, m.forbidden))
+        assert peak < 2 * n * n * 8
 
 
 def reference_subset_dp(cost, pred_mask, allowed):

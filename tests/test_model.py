@@ -315,6 +315,31 @@ class TestPrecedenceGraph:
         with pytest.raises(ProfileError):
             parse_precedence(text, 3)
 
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [("1 -> 2\n2 -> 9\n", 2, "edge (2,9) outside task range 1..3"),
+         ("0 -> 2\n", 1, "edge (0,2) outside task range 1..3"),
+         ("# c\n1 -> 2\n\n3 -> 3\n", 4, "self-loop on task 3"),
+         ("2 -> 2\n1 -> 7\n", 1, "self-loop on task 2")],
+    )
+    def test_bad_edge_names_its_line(self, text, lineno, message):
+        with pytest.raises(ProfileError) as exc:
+            parse_precedence(text, 3)
+        assert exc.value.line == lineno
+        assert str(exc.value) == f"line {lineno}: {message}"
+
+    def test_cycle_is_a_whole_file_error(self):
+        with pytest.raises(ProfileError) as exc:
+            parse_precedence("1 -> 2\n2 -> 3\n3 -> 1\n", 3)
+        assert exc.value.line is None
+        assert str(exc.value) == "precedence graph has a cycle"
+
+    def test_graph_and_parser_share_the_edge_check(self):
+        for edges, message in [({(2, 9)}, "edge (2,9) outside task range 1..3"),
+                               ({(3, 3)}, "self-loop on task 3")]:
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                PrecedenceGraph(n=3, edges=frozenset(edges))
+
 
 class TestParseTimeWindows:
     def test_defaults_to_whole_horizon(self):
