@@ -15,6 +15,7 @@ _EXPORTS = {
     "axioms": (
         "AxiomReport",
         "Violation",
+        "axiom_windows",
         "check_deadline_consistency",
         "check_release_consistency",
         "check_temporal_unanimity",
@@ -38,8 +39,6 @@ _EXPORTS = {
         "parse_precedence",
         "parse_profile",
         "parse_time_windows",
-        "reverse_profile",
-        "reverse_schedule",
         "serialize_profile",
     ),
     "oracle": (

@@ -1,19 +1,22 @@
-"""Axiom checkers for rule outputs.
+"""The paper's three axioms as time windows, and checkers for rule outputs.
 
-Each checker takes a (schedule, profile) pair, detects the tasks for which
-the axiom's premise holds, and reports every premise-holding task whose
-completion time falls outside the implied window:
+Each axiom says: when every voter's preference meets a time constraint on a
+task, the consensus schedule must meet it too. Its conclusion is therefore
+one window (release, deadline] per task, a :class:`TimeWindows`
+(``axiom_windows``):
 
-* release-date consistency — if every voter completes task j at or after t,
-  the output must too (premise holds for every task with t = min over
-  voters);
-* deadline consistency — symmetric with the max over voters;
-* temporal unanimity — if all voters give task j the identical window (order
-  mode: the identical completion slot), the output must place j inside it.
+* release-date consistency (order mode) — every voter completes task j at or
+  after its earliest slot t, so the output may not complete it earlier:
+  (t - 1, n];
+* deadline consistency (order mode) — symmetric with the latest slot t: (0, t];
+* temporal unanimity — a task to which all voters give the identical window
+  (order mode: the identical completion slot c, read as (c - 1, c]) must land
+  inside it; every other task gets (0, n], which is no constraint.
 
-Checkers are empirical: they judge one concrete output, they do not prove a
-rule compliant. Reports are uniform: a violation records the task, the
-required window (lo, hi] and the actual completion time.
+The brute-force oracle's axiom filter (``oracle.constrained_best``) searches
+inside these windows. The checkers are empirical: they judge one concrete
+output, they do not prove a rule compliant. A violation records the task, its
+window (lo, hi] and the actual completion time.
 """
 
 from __future__ import annotations
@@ -22,15 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PreferenceProfile, Schedule, _check_size
+from .criteria import interval_arrays
+from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows, _check_size
 
 __all__ = [
     "Violation",
     "AxiomReport",
+    "axiom_windows",
     "check_release_consistency",
     "check_deadline_consistency",
     "check_temporal_unanimity",
 ]
+
+# Flag name -> report name; release and deadline are defined on order-mode profiles only.
+AXIOMS = {
+    "release": "release_date_consistency",
+    "deadline": "deadline_consistency",
+    "unanimity": "temporal_unanimity",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,58 +64,56 @@ class AxiomReport:
         return not self.violations
 
 
-def _completion_bounds(profile: PreferenceProfile) -> tuple[list[int], list[int]]:
-    """(min, max) completion time per task across an order profile's voters."""
-    comp = profile.completions
-    return comp.min(axis=0).tolist(), comp.max(axis=0).tolist()
+def axiom_windows(profile: PreferenceProfile, axiom: str) -> TimeWindows:
+    """The window every task must complete in under the axiom's conclusion.
+
+    ``axiom`` is a key of ``AXIOMS``. An order-mode voter's window is its own
+    slot (C - 1, C]; an interval-mode voter's is its stated (r, d).
+    """
+    if axiom not in AXIOMS:
+        raise ValueError(f"axiom must be one of {tuple(AXIOMS)}, got {axiom!r}")
+    if axiom != "unanimity" and profile.mode != "order":
+        raise ValueError(f"the {axiom} filter needs an order-mode profile")
+    own = EncodingKind.EXACT_POSITION if profile.mode == "order" else None
+    rel, due, _ = interval_arrays(profile, own)
+    n = profile.n
+    if axiom == "release":
+        lo, hi = rel.min(axis=0), np.full(n, n)
+    elif axiom == "deadline":
+        lo, hi = np.zeros(n, dtype=np.int64), due.max(axis=0)
+    else:
+        unanimous = (rel == rel[0]).all(axis=0) & (due == due[0]).all(axis=0)
+        lo, hi = np.where(unanimous, rel[0], 0), np.where(unanimous, due[0], n)
+    return TimeWindows(tuple(zip(lo.tolist(), hi.tolist())))
+
+
+def _check_axiom(schedule: Schedule, profile: PreferenceProfile, axiom: str) -> AxiomReport:
+    """Every task, in id order, that the schedule completes outside its axiom window."""
+    windows = axiom_windows(profile, axiom).windows
+    _check_size(schedule, profile.n)
+    violations = tuple(
+        Violation(task=j, window=window, got=got)
+        for j, (window, got) in enumerate(zip(windows, schedule.completions()), start=1)
+        if not window[0] < got <= window[1]
+    )
+    return AxiomReport(AXIOMS[axiom], violations)
 
 
 def check_release_consistency(schedule: Schedule, profile: PreferenceProfile) -> AxiomReport:
-    """Flag tasks the output completes before every voter does."""
-    if profile.mode != "order":
-        raise ValueError("release-date consistency is defined on order-mode profiles")
-    _check_size(schedule, profile.n)
-    lo, _ = _completion_bounds(profile)
-    violations = tuple(
-        Violation(task=j, window=(lo[j - 1] - 1, profile.n), got=schedule.completion(j))
-        for j in range(1, profile.n + 1)
-        if schedule.completion(j) < lo[j - 1]
-    )
-    return AxiomReport("release_date_consistency", violations)
+    """Flag tasks the output completes before every voter does (order mode)."""
+    return _check_axiom(schedule, profile, "release")
 
 
 def check_deadline_consistency(schedule: Schedule, profile: PreferenceProfile) -> AxiomReport:
-    """Flag tasks the output completes after every voter does."""
-    if profile.mode != "order":
-        raise ValueError("deadline consistency is defined on order-mode profiles")
-    _check_size(schedule, profile.n)
-    _, hi = _completion_bounds(profile)
-    violations = tuple(
-        Violation(task=j, window=(0, hi[j - 1]), got=schedule.completion(j))
-        for j in range(1, profile.n + 1)
-        if schedule.completion(j) > hi[j - 1]
-    )
-    return AxiomReport("deadline_consistency", violations)
+    """Flag tasks the output completes after every voter does (order mode)."""
+    return _check_axiom(schedule, profile, "deadline")
 
 
 def check_temporal_unanimity(schedule: Schedule, profile: PreferenceProfile) -> AxiomReport:
     """Flag unanimously-windowed tasks scheduled outside their window.
 
     Order mode: the premise is an identical completion slot c across voters,
-    read as the window (c-1, c). Interval mode: identical (r, d) pairs.
+    read as the window (c-1, c]. Interval mode: identical (r, d) pairs.
     Tasks without a unanimous window never appear in the report.
     """
-    _check_size(schedule, profile.n)
-    if profile.mode == "order":
-        comp = profile.completions
-        rel, due = comp - 1, comp
-    else:
-        rel, due = profile.release, profile.due
-    unanimous = (rel == rel[0]).all(axis=0) & (due == due[0]).all(axis=0)
-    violations = []
-    for j in (np.flatnonzero(unanimous) + 1).tolist():
-        window = (int(rel[0, j - 1]), int(due[0, j - 1]))
-        got = schedule.completion(j)
-        if not window[0] < got <= window[1]:
-            violations.append(Violation(task=j, window=window, got=got))
-    return AxiomReport("temporal_unanimity", tuple(violations))
+    return _check_axiom(schedule, profile, "unanimity")

@@ -58,8 +58,6 @@ __all__ = [
     "serialize_profile",
     "parse_precedence",
     "parse_time_windows",
-    "reverse_schedule",
-    "reverse_profile",
 ]
 
 
@@ -313,10 +311,6 @@ class PrecedenceGraph:
                 if indeg[s] == 0:
                     heapq.heappush(ready, s)
         return out if len(out) == self.n else None
-
-    def satisfied_by(self, schedule: Schedule) -> bool:
-        comp = schedule.completions()
-        return all(comp[a - 1] < comp[b - 1] for a, b in self.edges)
 
 
 @dataclass(frozen=True, slots=True)
@@ -631,19 +625,3 @@ def _windows_feasible(windows) -> bool:
             return False  # tightest released task already missed its window
     return True
 
-
-def reverse_schedule(schedule: Schedule) -> Schedule:
-    """The same tasks in reverse slot order."""
-    return Schedule(tuple(reversed(schedule.order)))
-
-
-def reverse_profile(profile: PreferenceProfile) -> PreferenceProfile:
-    """Reverse every preferred schedule of an order-mode profile.
-
-    The task completing at c completes at n + 1 - c in the reversed schedule.
-    """
-    if profile.mode != "order":
-        raise ValueError("reverse_profile requires an order-mode profile")
-    return PreferenceProfile._from_arrays(
-        "order", profile.v, profile.mult, completions=profile.n + 1 - profile.completions
-    )

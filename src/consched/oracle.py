@@ -1,8 +1,8 @@
 """Brute-force reference solver: the ground truth everything else is tested against.
 
-Prices every permutation of 1..n (hard guard n <= 10) under windows,
-precedences or an axiom's conclusion, and returns the exact minimum, *all*
-minimizers in lexicographic order and the number of feasible permutations.
+Prices every permutation of 1..n (hard guard n <= 10) under windows or
+precedences, and returns the exact minimum, *all* minimizers in lexicographic
+order and the number of feasible permutations.
 
 Every objective is a sum of steps: running task i directly ahead of the set R
 of tasks that fill the last |R| slots costs step[R, i]. For the two rules that
@@ -10,10 +10,12 @@ is the multiplicity-weighted per-voter late/early (distance) or
 outside-the-window (binary) formula of ``criteria`` at completion n - |R|; for
 the pairwise (Kendall) objective, the weight of the voters who complete some
 b in R before i. ``_lex_costs`` prices all n! permutations in lexicographic
-order with one recursion over subsets by size (about e * n! sums). A window,
-an axiom's filter or a precedence a -> b with a in R sets the step to -1, and
-so every permutation that takes it; costs are never negative. The optima are
-the ranks of the cheapest entries, decoded in factorial base (``_unrank``).
+order with one recursion over subsets by size (about e * n! sums). A window
+or a precedence a -> b with a in R sets the step to -1, and so every
+permutation that takes it; costs are never negative. An axiom's filter
+(``constrained_best``) is its conclusion as windows, ``axioms.axiom_windows``.
+The optima are the ranks of the cheapest entries, decoded in factorial base
+(``_unrank``).
 
 The oracle stays independent of the assignment reduction: it evaluates the
 window formula directly instead of reading per-task prefix sums off release
@@ -47,8 +49,6 @@ __all__ = [
 ]
 
 ORACLE_MAX_N = 10
-
-_AXIOM_FILTERS = ("release", "deadline", "unanimity")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,8 +142,9 @@ def _steps(profile: PreferenceProfile, criterion: Union[CriterionKind, str],
     return table.T[n - 1 - _members(n).sum(axis=1)]
 
 
-def _forbid_outside(step: np.ndarray, lo, hi) -> None:
-    """Forbid every task j+1 from completing outside (lo[j], hi[j]]."""
+def _forbid_outside(step: np.ndarray, windows: TimeWindows) -> None:
+    """Forbid every task j+1 from completing outside its window (r, d]."""
+    lo, hi = np.array(windows.windows, dtype=np.int64).T
     n = step.shape[1]
     done = n - _members(n).sum(axis=1, keepdims=True)
     step[(done <= lo) | (done > hi)] = -1
@@ -173,7 +174,7 @@ def exhaustive_optimum(
             raise ValueError(f"graph covers {graph.n} tasks, profile has {n}")
     step = _steps(profile, criterion, encoding)
     if windows is not None:
-        _forbid_outside(step, *np.array(windows.windows, dtype=np.int64).T)
+        _forbid_outside(step, windows)
     if graph is not None:
         members = _members(n)
         for a, b in graph.edges:  # b may not run ahead of a set that still holds a
@@ -192,25 +193,14 @@ def constrained_best(
     ``axiom`` is one of ``release``/``deadline`` (order-mode profiles: the
     output may not complete a task before the earliest / after the latest
     voter does) or ``unanimity`` (either mode: tasks with one unanimous
-    window must land inside it).
+    window must land inside it); ``axioms.axiom_windows`` gives the windows.
     """
     _guard(profile.n)
-    if axiom not in _AXIOM_FILTERS:
-        raise ValueError(f"axiom must be one of {_AXIOM_FILTERS}, got {axiom!r}")
-    if axiom != "unanimity" and profile.mode != "order":
-        raise ValueError(f"the {axiom} filter needs an order-mode profile")
-    n = profile.n
-    # an order-mode voter's window is its own slot: (C - 1, C]
-    own = EncodingKind.EXACT_POSITION if profile.mode == "order" else None
-    rel, due, _ = interval_arrays(profile, own)
+    from .axioms import axiom_windows
+
+    windows = axiom_windows(profile, axiom)
     step = _steps(profile, criterion, encoding)
-    if axiom == "release":
-        _forbid_outside(step, rel.min(axis=0), n)
-    elif axiom == "deadline":
-        _forbid_outside(step, 0, due.max(axis=0))
-    else:
-        unanimous = (rel == rel[0]).all(axis=0) & (due == due[0]).all(axis=0)
-        _forbid_outside(step, np.where(unanimous, rel[0], 0), np.where(unanimous, due[0], n))
+    _forbid_outside(step, windows)
     return _result(step)
 
 

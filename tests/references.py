@@ -5,7 +5,9 @@ are the scalar definitions they replace, written one voter and one task at a
 time in plain Python, and the tests hold the array forms to them. ``entries``
 is the per-voter view they walk: one preference per distinct entry, a
 :class:`Schedule` in order mode and a tuple of (release, due) windows, one
-per task, in interval mode.
+per task, in interval mode. The reversal and precedence helpers at the end
+check the paper's symmetries and the solvers' feasibility; the library does
+not need them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from consched.model import EncodingKind, Schedule
+from consched.model import EncodingKind, PreferenceProfile, Schedule
 
 
 def entries(profile) -> list[tuple]:
@@ -125,3 +127,26 @@ def kendall_tau_distance(schedule: Schedule, profile) -> int:
         )
         total += mult * disagreements
     return total
+
+
+def reverse_schedule(schedule: Schedule) -> Schedule:
+    """The same tasks in reverse slot order."""
+    return Schedule(tuple(reversed(schedule.order)))
+
+
+def reverse_profile(profile) -> PreferenceProfile:
+    """Reverse every preferred schedule of an order-mode profile.
+
+    The task completing at c completes at n + 1 - c in the reversed schedule.
+    """
+    if profile.mode != "order":
+        raise ValueError("reverse_profile requires an order-mode profile")
+    return PreferenceProfile._from_arrays(
+        "order", profile.v, profile.mult, completions=profile.n + 1 - profile.completions
+    )
+
+
+def satisfied_by(graph, schedule: Schedule) -> bool:
+    """Every edge (a, b) of the precedence graph has a complete before b."""
+    comp = schedule.completions()
+    return all(comp[a - 1] < comp[b - 1] for a, b in graph.edges)

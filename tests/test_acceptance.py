@@ -41,7 +41,7 @@ from consched import (
 )
 from consched import cli, experiment
 from consched.cli import fixture_text
-from references import entries, late_at_slot
+from references import entries, late_at_slot, satisfied_by
 
 DIST, BIN = CriterionKind.DISTANCE, CriterionKind.BINARY
 DEV, TAR, EAR = EncodingKind.DEVIATION, EncodingKind.TARDINESS, EncodingKind.EARLINESS
@@ -154,8 +154,8 @@ def test_criterion_04_inferred_precedence_strict_gap():
     elapsed = time.perf_counter() - t0
 
     unique_ok = res.optima == (Schedule((1, 2, 5, 4, 3)),)
-    violates = not inferred.graph.satisfied_by(Schedule((1, 2, 5, 4, 3)))
-    feasible = inferred.graph.satisfied_by(schedule)
+    violates = not satisfied_by(inferred.graph, Schedule((1, 2, 5, 4, 3)))
+    feasible = satisfied_by(inferred.graph, schedule)
     gap_ok = cost > res.best_cost
     ok = unique_ok and violates and feasible and gap_ok and elapsed < 1.0
     report(
@@ -297,7 +297,7 @@ def test_criterion_09_repair_preserves_cost_within_swap_budget():
             repaired, swaps = repair_steps(schedule, inferred)
             repaired_cost = profile_cost(repaired, profile, DIST, encoding)
             if not (
-                inferred.graph.satisfied_by(repaired)
+                satisfied_by(inferred.graph, repaired)
                 and repaired_cost == cost
                 and len(swaps) <= n * n
             ):
@@ -330,7 +330,7 @@ def test_criterion_10_graph_dp_equals_filtered_oracle():
         for criterion, encoding in ((DIST, TAR), (DIST, DEV), (BIN, LATE)):
             schedule, cost = solve_with_graph(profile, graph, criterion, encoding)
             best = exhaustive_optimum(profile, criterion, encoding, graph=graph).best_cost
-            if cost != best or not graph.satisfied_by(schedule):
+            if cost != best or not satisfied_by(graph, schedule):
                 mismatches.append((trial, encoding.value, cost, best))
     ok = not mismatches
     report(

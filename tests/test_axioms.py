@@ -8,21 +8,17 @@ import pytest
 
 import references as ref
 from conftest import profile_of, random_mixed_profile, random_order_profile, random_schedule
-from consched import axioms
 from consched.axioms import (
     AxiomReport,
     Violation,
+    axiom_windows,
     check_deadline_consistency,
     check_release_consistency,
     check_temporal_unanimity,
 )
-from consched.model import (
-    Schedule,
-    parse_profile,
-    reverse_profile,
-    reverse_schedule,
-)
+from consched.model import Schedule, parse_profile
 from consched.rules import RuleSpec, emd_schedule, solve
+from references import reverse_profile, reverse_schedule
 
 
 def profile_with_unanimous_slot(rng: random.Random, n: int, v: int, task: int, slot: int):
@@ -258,7 +254,11 @@ class TestArrayCheckersMatchReference:
         else:
             profile = random_mixed_profile(rng, n, "order")
         lo, hi = reference_completion_bounds(profile)
-        assert axioms._completion_bounds(profile) == (lo, hi)
+        assert axiom_windows(profile, "release").windows == tuple((a - 1, n) for a in lo)
+        assert axiom_windows(profile, "deadline").windows == tuple((0, b) for b in hi)
+        assert axiom_windows(profile, "unanimity").windows == tuple(
+            (a - 1, a) if a == b else (0, n) for a, b in zip(lo, hi)
+        )
         for _ in range(5):
             schedule = random_schedule(rng, n)
             assert _report_key(check_temporal_unanimity(schedule, profile)) == _report_key(

@@ -13,7 +13,7 @@ from math import factorial
 import pytest
 
 from conftest import latin_square
-from consched import cli, criteria, experiment, rules
+from consched import axioms, cli, criteria, experiment, rules
 from consched.assignment import build_cost_matrix
 from consched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE
 from consched.model import Schedule, parse_profile, parse_time_windows, serialize_profile
@@ -512,6 +512,16 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    @pytest.mark.parametrize("encoding", [[], ["--encoding", "tardiness"]])
+    def test_schedule_size_mismatch_names_both_sizes(self, capsys, order_profile, encoding):
+        code, out, err = run(capsys, [
+            "eval", "--profile", order_profile, "--schedule", "1 2",
+            "--criterion", "distance", *encoding,
+        ])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: schedule has 2 tasks, profile 3\n"
+
 
 class TestOracle:
     def test_axiom_filter_reports_constrained_best(self, capsys):
@@ -547,6 +557,28 @@ class TestOracle:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: --axiom-filter cannot be combined with --time/--prec\n"
+
+    @pytest.mark.parametrize("axiom", ["release", "deadline"])
+    def test_order_axiom_filter_on_an_interval_profile_exit_1(self, capsys, axiom):
+        code, out, err = run(capsys, [
+            "oracle", "--profile", "fixture:window8x6", "--rule", "binary",
+            "--axiom-filter", axiom,
+        ])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: the {axiom} filter needs an order-mode profile\n"
+
+    @pytest.mark.parametrize("axiom", ["release", "deadline"])
+    def test_size_guard_comes_before_the_axiom_check(self, capsys, tmp_path, axiom):
+        path = tmp_path / "eleven.prof"
+        windows = " ".join(f"({j},{j + 1})" for j in range(11))
+        path.write_text(f"profile interval\ntasks 11\nvoters 1\npref 1 : {windows}\n")
+        code, out, err = run(capsys, [
+            "oracle", "--profile", str(path), "--rule", "binary", "--axiom-filter", axiom,
+        ])
+        assert code == EXIT_SIZE_LIMIT
+        assert out == ""
+        assert err.startswith("size limit: ")
 
     def test_every_permutation_ties(self, capsys, tmp_path):
         # Seven cyclic shifts put every task at every slot once, so under the
@@ -741,6 +773,9 @@ class TestGen:
 
     def test_parser_offers_the_planner_methods(self):
         assert cli._METHODS == rules.METHODS
+
+    def test_parser_offers_the_axioms(self):
+        assert cli._AXIOMS == tuple(axioms.AXIOMS)
 
     def test_round_trip_through_solve(self, capsys, tmp_path):
         path = tmp_path / "gen.prof"

@@ -30,6 +30,7 @@ from consched.model import EncodingKind, PrecedenceGraph, TimeWindows, serialize
 from consched.oracle import exhaustive_optimum
 from consched.precedence import infer_precedences
 from consched.rules import METHODS, RuleSpec, canonical_criterion, solve
+from references import satisfied_by
 
 ENCODING_FLAG = {kind: flag for flag, kind in cli._ENCODING_FLAGS.items()}
 
@@ -139,7 +140,7 @@ def test_every_path_matches_the_oracle(instance, cli_method):
         assert profile_cost(solution.schedule, profile, criterion, encoding) == solution.cost
         if path == "matching+repair" and criterion is CriterionKind.BINARY:
             # repair is exact for the distance criterion only
-            assert graph.satisfied_by(solution.schedule)
+            assert satisfied_by(graph, solution.schedule)
             assert solution.cost >= best.best_cost
         else:
             assert solution.cost == best.best_cost

@@ -19,12 +19,16 @@ from consched import (
     parse_profile,
     profile_cost,
     RuleSpec,
-    reverse_profile,
-    reverse_schedule,
     solve,
 )
 from consched.cli import FIXTURES, fixture_text
-from references import choice_decomposition, late_at_slot
+from references import (
+    choice_decomposition,
+    late_at_slot,
+    reverse_profile,
+    reverse_schedule,
+    satisfied_by,
+)
 
 DIST, BIN = CriterionKind.DISTANCE, CriterionKind.BINARY
 
@@ -210,7 +214,7 @@ class TestChain5x6:
         schedule, cost = solution.schedule, solution.cost
         assert schedule.order == (4, 2, 5, 1, 3)
         assert cost == 7
-        assert infer_precedences(profile).graph.satisfied_by(schedule)
+        assert satisfied_by(infer_precedences(profile).graph, schedule)
 
 
 class TestWindow8x6:

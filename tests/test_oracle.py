@@ -14,6 +14,7 @@ import pytest
 from conftest import latin_square, profile_of, random_mixed_profile, random_order_profile
 from consched import cli, experiment, oracle
 from consched.axioms import (
+    axiom_windows,
     check_deadline_consistency,
     check_release_consistency,
     check_temporal_unanimity,
@@ -381,6 +382,8 @@ class TestResultMatchesReference:
                     continue
                 got = constrained_best(profile, criterion, encoding, axiom=axiom)
                 assert got == reference_oracle(profile, criterion, encoding, axiom=axiom)
+                windows = axiom_windows(profile, axiom)
+                assert exhaustive_optimum(profile, criterion, encoding, windows=windows) == got
 
 
 class TestEdgeCases:

@@ -20,7 +20,7 @@ from consched.model import (
 from consched.oracle import exhaustive_optimum
 from consched.precedence import infer_precedences, repair_steps, solve_with_graph
 from consched.rules import RuleSpec, solve
-from references import voters
+from references import satisfied_by, voters
 
 
 class TestInferPrecedences:
@@ -114,7 +114,7 @@ class TestRepair:
             prec = infer_precedences(profile)
             start = random_schedule(rng, n)
             fixed, swaps = repair_steps(start, prec)
-            assert prec.graph.satisfied_by(fixed)
+            assert satisfied_by(prec.graph, fixed)
             assert len(swaps) <= n * n
 
     def test_repair_preserves_distance_optimality(self):
@@ -128,7 +128,7 @@ class TestRepair:
                 base, base_cost = solution.schedule, solution.cost
                 prec = infer_precedences(profile)
                 fixed, _ = repair_steps(base, prec)
-                assert prec.graph.satisfied_by(fixed)
+                assert satisfied_by(prec.graph, fixed)
                 assert (
                     profile_cost(fixed, profile, CriterionKind.DISTANCE, encoding)
                     == base_cost
@@ -144,7 +144,7 @@ class TestSolveInferred:
             solution = solve(profile, RuleSpec("distance", encoding, prec="inferred"))
             schedule, cost = solution.schedule, solution.cost
             graph = infer_precedences(profile).graph
-            assert graph.satisfied_by(schedule)
+            assert satisfied_by(graph, schedule)
             oracle = exhaustive_optimum(
                 profile, CriterionKind.DISTANCE, encoding, graph=graph
             )
@@ -169,7 +169,7 @@ class TestSolveInferred:
             solution = solve(profile, RuleSpec("binary", encoding, prec="inferred"))
             schedule, cost = solution.schedule, solution.cost
             graph = infer_precedences(profile).graph
-            assert graph.satisfied_by(schedule)
+            assert satisfied_by(graph, schedule)
             oracle = exhaustive_optimum(profile, CriterionKind.BINARY, encoding, graph=graph)
             assert cost == oracle.best_cost
 
@@ -221,7 +221,7 @@ class TestSolveWithGraph:
                 profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, graph=graph
             )
             assert cost == oracle.best_cost
-            assert graph.satisfied_by(schedule)
+            assert satisfied_by(graph, schedule)
 
     def test_windows_and_graph_combine(self):
         for seed in range(15):
