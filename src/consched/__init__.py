@@ -55,7 +55,6 @@ _EXPORTS = {
         "solve_with_graph",
     ),
     "rules": (
-        "MedianTable",
         "RuleKind",
         "RuleSpec",
         "Solution",

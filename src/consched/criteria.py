@@ -171,11 +171,13 @@ def _task_histogram(values: np.ndarray, mult: np.ndarray, bins: int) -> np.ndarr
 
     ``values`` has shape (distinct voters, n) with values in 0..bins-1; the
     result has shape (n, bins) and ``hist[j, x]`` sums ``mult[i]`` over the
-    rows i with ``values[i, j] == x``. Counts are added with ``np.add.at``
-    in int64 (a weighted ``bincount`` would sum in float64 and round).
+    rows i with ``values[i, j] == x``. An unweighted ``bincount`` counts each
+    row once, exactly (weights would sum in float64 and round past 2^53);
+    ``np.add.at`` adds ``mult - 1`` in int64 for the rows of multiplicity > 1.
     """
     n = values.shape[1]
-    hist = np.zeros(n * bins, dtype=np.int64)
     idx = values + np.arange(0, n * bins, bins, dtype=np.int64)
-    np.add.at(hist, idx, np.broadcast_to(mult[:, None], idx.shape))
+    hist = np.bincount(idx.ravel(), minlength=n * bins).astype(np.int64, copy=False)
+    heavy = mult > 1
+    np.add.at(hist, idx[heavy], (mult[heavy] - 1)[:, None])
     return hist.reshape(n, bins)

@@ -41,7 +41,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from typing import IO, Iterable, Optional, Union
 
 import numpy as np
@@ -347,13 +347,12 @@ def _logical_lines(text: Union[str, IO[str]]) -> Iterable[tuple[int, str]]:
 def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     """Parse the profile file format into a validated :class:`PreferenceProfile`.
 
-    The body is read once into the profile's arrays. Order-mode lines keep
-    their task-id text until the last line is read; when every line is plain
-    (n ids of at most 18 ASCII digits, single spaces) all of them are
-    converted in one C call, otherwise line by line through ``int()``, which
-    accepts the same forms as before (``+2``, tabs, Unicode digits). The rows
-    are then checked as permutations in bulk. Interval-mode lines are checked
-    one by one (bounds, then feasibility). Multiplicities stay Python
+    The body has two ways in. A plain order-mode body (``pref <m> : <ids>``
+    lines in ASCII with single spaces, no comment or blank line) is read in
+    one pass by :func:`_plain_body`. Any other body, and any invalid one, is
+    read line by line by :func:`_read_body`; its order-mode ids are
+    converted in one C call when plain, otherwise through ``int()``, which
+    accepts ``+2``, tabs and Unicode digits. Multiplicities stay Python
     integers until their sum has matched the header. Errors are those of a
     line-by-line check: the first bad line in file order is reported, with
     the message :class:`Schedule` or the window check of :class:`TimeWindows`
@@ -367,13 +366,12 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
         infeasible interval windows, mode mixing, task-count mismatches, or
         multiplicities not summing to the declared voter count.
     """
-    lines = _logical_lines(text)
-    header = list(islice(lines, 3))
-    body = next(lines, None)
-    if body is None:
+    raw = text if isinstance(text, str) else text.read()
+    header = list(islice(_logical_lines(raw), 4))  # frees its split of the text on return
+    if len(header) < 4:
         raise ProfileError("profile needs a 3-line header and at least one pref line")
 
-    (no1, l1), (no2, l2), (no3, l3) = header
+    (no1, l1), (no2, l2), (no3, l3), body = header
     m = re.fullmatch(r"profile\s+(order|interval)", l1)
     if not m:
         raise ProfileError("expected 'profile order' or 'profile interval'", no1)
@@ -392,12 +390,48 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
         raise ProfileError("voter count must be >= 1", no3)
     _check_cost_bound(n, v, no3)
 
+    plain = _plain_body(raw, body[0], n) if mode == "order" else None
+    mults, arrays = plain or _read_body(islice(_logical_lines(raw), 3, None), mode, n)
+    total = sum(mults)
+    if total != v:
+        raise ProfileError(f"multiplicities sum to {total}, header declares voters {v}")
+    # every multiplicity lies in 1..v, and v passed the int64 cost bound
+    return PreferenceProfile._from_arrays(mode, v, np.array(mults, dtype=np.int64), **arrays)
+
+
+# A plain line's head after its line break. Its multiplicity has at most 18 digits,
+# so converting all of them before the body is checked cannot raise.
+_PLAIN_HEAD = re.compile(r"\npref ([0-9]{1,18}) : ")
+
+
+def _plain_body(raw: str, start: int, n: int) -> Optional[tuple[list[int], dict]]:
+    """Multiplicities and completions of a plain order-mode body, else None.
+
+    The body is ``raw`` from line ``start`` on: one regex split cuts every
+    line's head, and :func:`_plain_orders` refuses a line without one. A
+    multiplicity of 0 or a row that is not a permutation also returns None.
+    """
+    head, *parts = _PLAIN_HEAD.split(raw)
+    mults = list(map(int, parts[::2]))
+    if len((head + "\n").splitlines()) != start - 1 or min(mults) < 1:
+        return None
+    parts[-1] = parts[-1].removesuffix("\n")  # the file's last line break
+    orders = _plain_orders(parts[1::2], n)
+    del parts  # the ids' text, before the permutation check's arrays
+    if orders is None:
+        return None
+    comp, bad = _completions(orders)
+    return None if bad is not None else (mults, {"completions": comp})
+
+
+def _read_body(lines: Iterable[tuple[int, str]], mode: str, n: int) -> tuple[list[int], dict]:
+    """Multiplicities and arrays of any body, read line by line; the first bad line raises."""
     nos: list[int] = []  # line number of each accepted entry
     mults: list[int] = []
     bodies: list[str] = []  # order mode: each line's task ids, converted after the loop
     bufs = (array("q"), array("q"))  # interval mode: releases and due dates
     try:
-        for no, line in chain((body,), lines):
+        for no, line in lines:
             m = _PREF_RE.fullmatch(line)
             if not m:
                 raise ProfileError(f"expected 'pref <mult> : ...', got {line!r}", no)
@@ -414,19 +448,10 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
         if mode == "order":  # an earlier line's bad order comes first
             _order_arrays(bodies, n, nos)
         raise
-
     if mode == "order":
-        arrays = {"completions": _order_arrays(bodies, n, nos)}
-    else:
-        arrays = {
-            key: np.frombuffer(buf, dtype=np.int64).reshape(-1, n)
-            for key, buf in zip(("release", "due"), bufs)
-        }
-    total = sum(mults)
-    if total != v:
-        raise ProfileError(f"multiplicities sum to {total}, header declares voters {v}")
-    # every multiplicity lies in 1..v, and v passed the int64 cost bound
-    return PreferenceProfile._from_arrays(mode, v, np.array(mults, dtype=np.int64), **arrays)
+        return mults, {"completions": _order_arrays(bodies, n, nos)}
+    release, due = (np.frombuffer(buf, dtype=np.int64).reshape(-1, n) for buf in bufs)
+    return mults, {"release": release, "due": due}
 
 
 _PREF_RE = re.compile(r"pref\s+(\d+)\s*:\s*(.*)")
@@ -495,26 +520,26 @@ def _check_orders(orders: np.ndarray, bodies: list[str], nos: list[int]) -> np.n
     return comp
 
 
-# The shape of a plain body: digits map to "0", space and newline to themselves,
-# every other byte to "x".
-_SHAPE = bytes(48 if 48 <= b <= 57 else b if b in (10, 32) else 120 for b in range(256))
-
-
 def _plain_orders(bodies: list[str], n: int) -> Optional[np.ndarray]:
     """The bodies' task ids as a (rows, n) int64 array read in one C call, or None.
 
     Only plain bodies qualify: n ASCII-digit ids separated by single spaces,
     none longer than 18 digits, so every id fits int64 and the conversion is
-    exact. Every other form that ``int()`` accepts or rejects returns None.
+    exact; the bytes between ids are checked in bulk. Every other form that
+    ``int()`` accepts or rejects returns None.
     """
     joined = "\n".join(bodies)
     if not joined.isascii():
         return None
-    shape = joined.encode().translate(_SHAPE)
-    if b"x" in shape or b"  " in shape or b"0" * 19 in shape:
+    text = np.frombuffer(b"\n" + joined.encode() + b"\n", dtype=np.uint8)
+    seps = np.flatnonzero(text - 48 > 9)  # every byte but a digit (uint8 wraps below 48)
+    # With the count right, n - 1 spaces per row leave every newline at a row's end.
+    if seps.size != len(bodies) * n + 1 or (text[seps[1:]].reshape(-1, n)[:, :-1] != 32).any():
         return None
-    if not all(bodies) or any(body.count(" ") != n - 1 for body in bodies):
+    gaps = np.diff(seps)  # an id's digit count plus one
+    if gaps.min(initial=2) < 2 or gaps.max(initial=2) > 19:
         return None
+    del text, seps, gaps  # before the conversion's array, which would raise the peak
     return np.fromstring(joined, dtype=np.int64, sep=" ").reshape(-1, n)
 
 

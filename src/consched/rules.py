@@ -47,7 +47,6 @@ __all__ = [
     "RuleKind",
     "RuleSpec",
     "Solution",
-    "MedianTable",
     "canonical_criterion",
     "median_completion_times",
     "emd_schedule",
@@ -114,20 +113,8 @@ class Solution:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class MedianTable:
-    """Per-task median completion time across voters (1 <= median_j <= n)."""
-
-    median: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.median)
-        if any(not 1 <= m <= n for m in self.median):
-            raise ValueError("medians must lie in 1..n")
-
-
-def median_completion_times(profile: PreferenceProfile) -> MedianTable:
-    """ceil(v/2)-th smallest completion time of each task (lower median).
+def median_completion_times(profile: PreferenceProfile) -> tuple[int, ...]:
+    """ceil(v/2)-th smallest completion time of each task (lower median), in 1..n.
 
     Read off a per-task histogram of completion times weighted by
     multiplicity: the median is the first slot whose cumulative count passes
@@ -138,12 +125,12 @@ def median_completion_times(profile: PreferenceProfile) -> MedianTable:
     pick = (profile.v - 1) // 2  # 0-based index of the ceil(v/2)-th order statistic
     hist = _task_histogram(profile.completions, profile.mult, profile.n + 1)
     counts = np.cumsum(hist, axis=1)
-    return MedianTable(tuple((counts > pick).argmax(axis=1).tolist()))
+    return tuple((counts > pick).argmax(axis=1).tolist())
 
 
 def emd_schedule(profile: PreferenceProfile) -> Schedule:
     """Tasks by (median completion time ascending, task id ascending)."""
-    medians = median_completion_times(profile).median
+    medians = median_completion_times(profile)
     order = sorted(range(1, profile.n + 1), key=lambda j: (medians[j - 1], j))
     return Schedule(tuple(order))
 

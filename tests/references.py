@@ -5,18 +5,28 @@ are the scalar definitions they replace, written one voter and one task at a
 time in plain Python, and the tests hold the array forms to them. ``entries``
 is the per-voter view they walk: one preference per distinct entry, a
 :class:`Schedule` in order mode and a tuple of (release, due) windows, one
-per task, in interval mode. The reversal and precedence helpers at the end
-check the paper's symmetries and the solvers' feasibility; the library does
-not need them.
+per task, in interval mode. The reversal and precedence helpers check the
+paper's symmetries and the solvers' feasibility; the library does not need
+them. ``reference_parse_profile`` is the profile parser written one line at a
+time, which the array parser must match, errors included.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from consched.model import EncodingKind, PreferenceProfile, Schedule
+from consched.errors import ProfileError
+from consched.model import (
+    _PAIR_RE,
+    EncodingKind,
+    PreferenceProfile,
+    Schedule,
+    _check_cost_bound,
+    _windows_feasible,
+)
 
 
 def entries(profile) -> list[tuple]:
@@ -150,3 +160,83 @@ def satisfied_by(graph, schedule: Schedule) -> bool:
     """Every edge (a, b) of the precedence graph has a complete before b."""
     comp = schedule.completions()
     return all(comp[a - 1] < comp[b - 1] for a, b in graph.edges)
+
+
+@dataclass(frozen=True)
+class ReferenceProfile:
+    """What the former parser built: one preference per pref line, with its multiplicity."""
+
+    mode: str
+    n: int
+    v: int
+    entries: tuple
+
+
+def reference_parse_profile(text):
+    """The former parser: one validated Schedule or window tuple per line.
+
+    Each line is checked in full, in file order, before the next is read.
+    """
+    lines = []
+    for no, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            lines.append((no, line))
+    if len(lines) < 4:
+        raise ProfileError("profile needs a 3-line header and at least one pref line")
+    (no1, l1), (no2, l2), (no3, l3) = lines[0], lines[1], lines[2]
+    m = re.fullmatch(r"profile\s+(order|interval)", l1)
+    if not m:
+        raise ProfileError("expected 'profile order' or 'profile interval'", no1)
+    mode = m.group(1)
+    m = re.fullmatch(r"tasks\s+(\d+)", l2)
+    if not m:
+        raise ProfileError("expected 'tasks <n>'", no2)
+    n = int(m.group(1))
+    if n < 1:
+        raise ProfileError("task count must be >= 1", no2)
+    m = re.fullmatch(r"voters\s+(\d+)", l3)
+    if not m:
+        raise ProfileError("expected 'voters <v>'", no3)
+    v = int(m.group(1))
+    if v < 1:
+        raise ProfileError("voter count must be >= 1", no3)
+    _check_cost_bound(n, v, no3)
+    entries = []
+    for no, line in lines[3:]:
+        m = re.fullmatch(r"pref\s+(\d+)\s*:\s*(.*)", line)
+        if not m:
+            raise ProfileError(f"expected 'pref <mult> : ...', got {line!r}", no)
+        mult = int(m.group(1))
+        if mult < 1:
+            raise ProfileError("multiplicity must be >= 1", no)
+        body = m.group(2).strip()
+        if mode == "order":
+            if "(" in body:
+                raise ProfileError("interval pair in an order-mode profile", no)
+            try:
+                tasks = [int(tok) for tok in body.split()]
+            except ValueError:
+                raise ProfileError(f"non-integer task id in {body!r}", no) from None
+            if len(tasks) != n:
+                raise ProfileError(f"expected {n} task ids, got {len(tasks)}", no)
+            try:
+                pref = Schedule(tuple(tasks))
+            except ValueError as exc:
+                raise ProfileError(str(exc), no) from None
+        else:
+            pairs = _PAIR_RE.findall(body)
+            if len(pairs) != n or _PAIR_RE.sub("", body).strip():
+                raise ProfileError(f"expected {n} '(r,d)' pairs", no)
+            pref = tuple((int(r), int(d)) for r, d in pairs)
+            for j, (r, d) in enumerate(pref, start=1):
+                if not 0 <= r < d <= n:
+                    message = f"task {j}: window ({r},{d}) violates 0 <= r < d <= {n}"
+                    raise ProfileError(message, no)
+            if not _windows_feasible(pref):
+                raise ProfileError("windows admit no feasible schedule", no)
+        entries.append((pref, mult))
+    total = sum(m for _, m in entries)
+    if total != v:
+        raise ProfileError(f"multiplicities sum to {total}, header declares voters {v}")
+    return ReferenceProfile(mode, n, v, tuple(entries))

@@ -170,8 +170,8 @@ def test_criterion_04_inferred_precedence_strict_gap():
 
 def test_criterion_05_median_fixtures_and_checker_reports():
     profile_a, profile_b = load("median4x3a"), load("median4x3b")
-    medians_a = median_completion_times(profile_a).median
-    medians_b = median_completion_times(profile_b).median
+    medians_a = median_completion_times(profile_a)
+    medians_b = median_completion_times(profile_b)
     emd_a, emd_b = emd_schedule(profile_a), emd_schedule(profile_b)
     release = check_release_consistency(emd_a, profile_a)
     deadline = check_deadline_consistency(emd_b, profile_b)

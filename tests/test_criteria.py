@@ -19,6 +19,7 @@ from consched.axioms import (
 )
 from consched.criteria import (
     CriterionKind,
+    _task_histogram,
     interval_arrays,
     kendall_tau_distance,
     late_counts,
@@ -332,3 +333,36 @@ class TestIntervalArrays:
         assert dist == profile_cost(s, profile, CriterionKind.DISTANCE, encoding)
         binary = int((mult[:, None] * ((comp > due) | (comp <= rel))).sum())
         assert binary == profile_cost(s, profile, CriterionKind.BINARY, encoding)
+
+
+def python_histogram(values, mult, bins):
+    """hist[j][x]: the multiplicities of the rows whose task j reads x, in Python ints."""
+    hist = [[0] * bins for _ in values[0]]
+    for row, m in zip(values, mult):
+        for j, x in enumerate(row):
+            hist[j][x] += m
+    return hist
+
+
+class TestTaskHistogram:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_python_counting(self, seed):
+        # Rows of multiplicity 1 mix with heavy ones up to 2**60, where float64
+        # weights would round; 7 rows keep every count inside int64.
+        rng = random.Random(seed)
+        n, rows = rng.randint(1, 8), rng.randint(1, 7)
+        bins = n + 1
+        values = [[rng.randrange(bins) for _ in range(n)] for _ in range(rows)]
+        mult = [rng.choice((1, 1, 2, 5, (1 << 60) - rng.randrange(1 << 20))) for _ in range(rows)]
+        hist = _task_histogram(np.array(values, dtype=np.int64), np.array(mult), bins)
+        assert hist.dtype == np.int64 and hist.shape == (n, bins)
+        assert hist.tolist() == python_histogram(values, mult, bins)
+
+    def test_counts_past_float_precision(self):
+        values = np.zeros((3, 2), dtype=np.int64)
+        mult = [(1 << 60) + 1, 1, (1 << 60) + 3]
+        want = (1 << 61) + 5
+        hist = _task_histogram(values, np.array(mult), 1)
+        assert hist.dtype == np.int64 and hist.tolist() == [[want], [want]]
+        # the float64 sum a weighted bincount makes
+        assert int(np.bincount([0, 0, 0], weights=mult)[0]) != want

@@ -166,7 +166,7 @@ class TestLate7x3:
 class TestMedianFixtures:
     def test_first_profile_median_and_emd(self):
         profile = load("median4x3a")
-        assert median_completion_times(profile).median == (2, 3, 3, 4)
+        assert median_completion_times(profile) == (2, 3, 3, 4)
         schedule = emd_schedule(profile)
         assert schedule.order == (1, 2, 3, 4)
         release = check_release_consistency(schedule, profile)
@@ -176,7 +176,7 @@ class TestMedianFixtures:
 
     def test_second_profile_median_and_emd(self):
         profile = load("median4x3b")
-        assert median_completion_times(profile).median == (3, 1, 2, 2)
+        assert median_completion_times(profile) == (3, 1, 2, 2)
         schedule = emd_schedule(profile)
         assert schedule.order == (2, 3, 4, 1)
         deadline = check_deadline_consistency(schedule, profile)

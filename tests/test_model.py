@@ -8,25 +8,20 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references as ref
 from conftest import profile_of
-from consched import model
+from consched import cli, model
 from consched.experiment import generate_profile
 from consched.criteria import interval_arrays, profile_cost
 from consched.errors import ProfileError
 from consched.model import (
-    _PAIR_RE,
-    _check_cost_bound,
-    _logical_lines,
-    _windows_feasible,
     EncodingKind,
     PrecedenceGraph,
     PreferenceProfile,
@@ -38,7 +33,7 @@ from consched.model import (
     serialize_profile,
 )
 from consched.rules import RuleSpec, solve
-from references import reverse_profile, reverse_schedule, satisfied_by
+from references import reference_parse_profile, reverse_profile, reverse_schedule, satisfied_by
 
 perms = st.integers(2, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -392,79 +387,6 @@ class TestProfileConstruction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReferenceProfile:
-    """What the former parser built: one preference per pref line, with its multiplicity."""
-
-    mode: str
-    n: int
-    v: int
-    entries: tuple
-
-
-def reference_parse_profile(text):
-    """The former parser: one validated Schedule or window tuple per line."""
-    lines = list(_logical_lines(text))
-    if len(lines) < 4:
-        raise ProfileError("profile needs a 3-line header and at least one pref line")
-    (no1, l1), (no2, l2), (no3, l3) = lines[0], lines[1], lines[2]
-    m = re.fullmatch(r"profile\s+(order|interval)", l1)
-    if not m:
-        raise ProfileError("expected 'profile order' or 'profile interval'", no1)
-    mode = m.group(1)
-    m = re.fullmatch(r"tasks\s+(\d+)", l2)
-    if not m:
-        raise ProfileError("expected 'tasks <n>'", no2)
-    n = int(m.group(1))
-    if n < 1:
-        raise ProfileError("task count must be >= 1", no2)
-    m = re.fullmatch(r"voters\s+(\d+)", l3)
-    if not m:
-        raise ProfileError("expected 'voters <v>'", no3)
-    v = int(m.group(1))
-    if v < 1:
-        raise ProfileError("voter count must be >= 1", no3)
-    _check_cost_bound(n, v, no3)
-    entries = []
-    for no, line in lines[3:]:
-        m = re.fullmatch(r"pref\s+(\d+)\s*:\s*(.*)", line)
-        if not m:
-            raise ProfileError(f"expected 'pref <mult> : ...', got {line!r}", no)
-        mult = int(m.group(1))
-        if mult < 1:
-            raise ProfileError("multiplicity must be >= 1", no)
-        body = m.group(2).strip()
-        if mode == "order":
-            if "(" in body:
-                raise ProfileError("interval pair in an order-mode profile", no)
-            try:
-                tasks = [int(tok) for tok in body.split()]
-            except ValueError:
-                raise ProfileError(f"non-integer task id in {body!r}", no) from None
-            if len(tasks) != n:
-                raise ProfileError(f"expected {n} task ids, got {len(tasks)}", no)
-            try:
-                pref = Schedule(tuple(tasks))
-            except ValueError as exc:
-                raise ProfileError(str(exc), no) from None
-        else:
-            pairs = _PAIR_RE.findall(body)
-            if len(pairs) != n or _PAIR_RE.sub("", body).strip():
-                raise ProfileError(f"expected {n} '(r,d)' pairs", no)
-            pref = tuple((int(r), int(d)) for r, d in pairs)
-            for j, (r, d) in enumerate(pref, start=1):
-                if not 0 <= r < d <= n:
-                    message = f"task {j}: window ({r},{d}) violates 0 <= r < d <= {n}"
-                    raise ProfileError(message, no)
-            if not _windows_feasible(pref):
-                raise ProfileError("windows admit no feasible schedule", no)
-        entries.append((pref, mult))
-    total = sum(m for _, m in entries)
-    if total != v:
-        raise ProfileError(f"multiplicities sum to {total}, header declares voters {v}")
-    return ReferenceProfile(mode, n, v, tuple(entries))
-
-
 def reference_arrays(want):
     """The former per-consumer stacking of the per-line preferences into arrays."""
     mult = np.array([m for _, m in want.entries], dtype=np.int64)
@@ -538,6 +460,54 @@ def assert_same_profile(got, want):
     assert hash(again) == hash(got)
 
 
+# Each edit rewrites one pref line, held as its parts: into another form the
+# parser accepts, plain or not, or into one of the errors a line can carry.
+_EDITS = {
+    "comment line": lambda line, n: {**line, "pre": "# a comment\n"},
+    "blank line": lambda line, n: {**line, "pre": "  \n"},
+    "trailing comment": lambda line, n: {**line, "post": "  # note"},
+    "trailing space": lambda line, n: {**line, "post": " "},
+    "tab": lambda line, n: {**line, "join": "\t"},
+    "double space": lambda line, n: {**line, "join": "  "},
+    "loose head": lambda line, n: {**line, "sep": "  :"},
+    "stray colon": lambda line, n: {**line, "ids": [line["ids"][0] + ":", *line["ids"][1:]]},
+    "plus sign": lambda line, n: {**line, "ids": ["+" + line["ids"][0], *line["ids"][1:]]},
+    "leading zeros": lambda line, n: {**line, "ids": ["00" + line["ids"][0], *line["ids"][1:]]},
+    "unicode digits": lambda line, n: {
+        **line, "ids": ["".join(chr(0x660 + int(c)) for c in line["ids"][0]), *line["ids"][1:]]
+    },
+    "19 digits": lambda line, n: {**line, "ids": [line["ids"][0].zfill(19), *line["ids"][1:]]},
+    "19-digit id": lambda line, n: {**line, "ids": ["1" + "0" * 18, *line["ids"][1:]]},
+    "id past int64": lambda line, n: {**line, "ids": [*line["ids"][:-1], "9" * 19]},
+    "multiplicity 0": lambda line, n: {**line, "mult": "0"},
+    "multiplicity 0-padded": lambda line, n: {**line, "mult": "0" + line["mult"]},
+    "multiplicity off the sum": lambda line, n: {**line, "mult": str(int(line["mult"]) + 1)},
+    "one id short": lambda line, n: {**line, "ids": line["ids"][:-1]},
+    "one id over": lambda line, n: {**line, "ids": [*line["ids"], line["ids"][0]]},
+    "duplicate id": lambda line, n: {**line, "ids": [line["ids"][-1], *line["ids"][1:]]},
+    "id 0": lambda line, n: {**line, "ids": ["0", *line["ids"][1:]]},
+    "id n+1": lambda line, n: {**line, "ids": [*line["ids"][:-1], str(n + 1)]},
+}
+
+
+@st.composite
+def perturbed_order_profiles(draw):
+    """A valid order profile's text with up to three edits, and CRLF or LF line ends."""
+    n = draw(st.integers(1, 6))
+    prefs = draw(st.lists(st.tuples(st.permutations(range(1, n + 1)), st.integers(1, 5)),
+                          min_size=1, max_size=6))
+    lines = [{"pre": "", "mult": str(m), "sep": " : ", "ids": [str(t) for t in order],
+              "join": " ", "post": ""} for order, m in prefs]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = _EDITS[draw(st.sampled_from(sorted(_EDITS)))](lines[k], n)
+    body = [f"{x['pre']}pref {x['mult']}{x['sep']}{x['join'].join(x['ids'])}{x['post']}"
+            for x in lines]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    header = ["profile order", f"tasks {n}", f"voters {sum(m for _, m in prefs)}"]
+    return "\n".join(header + body).replace("\n", end) + draw(st.sampled_from(["", end]))
+
+
 class TestParseMatchesReference:
     @pytest.mark.parametrize("mode", ["order", "interval"])
     @pytest.mark.parametrize("seed", range(20))
@@ -601,15 +571,31 @@ class TestParseMatchesReference:
         assert_same_profile(got, reference_parse_profile(text))
         assert ref.entries(got)[57][0].order == (2, 1, 3)
 
-    def test_serialized_profiles_take_the_c_conversion(self, monkeypatch):
+    def test_serialized_profiles_take_the_c_conversion(self, capsys, monkeypatch):
+        # What `consched gen` and serialize_profile write is read in one pass,
+        # never line by line.
         def refuse(*args):
             raise AssertionError("plain body read line by line")
 
-        text = serialize_profile(generate_profile(60, 400, 7))
-        want = parse_profile(text)
-        monkeypatch.setattr(model, "_read_order_line", refuse)
-        assert parse_profile(text) == want
-        assert parse_profile(serialize_profile(generate_profile(1, 5, 7))).n == 1
+        assert cli.main(["gen", "--tasks", "60", "--voters", "400", "--seed", "7"]) == 0
+        texts = [capsys.readouterr().out, serialize_profile(generate_profile(60, 400, 7)),
+                 serialize_profile(generate_profile(1, 5, 7))]
+        wants = [reference_parse_profile(text) for text in texts]
+        monkeypatch.setattr(model, "_read_body", refuse)
+        for text, want in zip(texts, wants):
+            assert_same_profile(parse_profile(text), want)
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(perturbed_order_profiles())
+    def test_perturbed_order_profiles(self, text):
+        try:
+            want = reference_parse_profile(text)
+        except ProfileError as exc:
+            with pytest.raises(ProfileError) as got:
+                parse_profile(text)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        else:
+            assert_same_profile(parse_profile(text), want)
 
     def test_c_conversion_raises_no_warning(self):
         text = serialize_profile(generate_profile(60, 300, 2))

@@ -12,7 +12,6 @@ from consched.model import EncodingKind, Schedule, TimeWindows, parse_profile
 from consched.oracle import exhaustive_optimum
 from consched.precedence import infer_precedences
 from consched.rules import (
-    MedianTable,
     RuleKind,
     RuleSpec,
     canonical_criterion,
@@ -26,7 +25,7 @@ from references import entries, satisfied_by
 class TestMedians:
     def test_single_voter_medians_are_their_completions(self):
         profile = parse_profile("profile order\ntasks 3\nvoters 1\npref 1 : 3 1 2\n")
-        assert median_completion_times(profile).median == (2, 3, 1)
+        assert median_completion_times(profile) == (2, 3, 1)
 
     def test_even_voter_count_takes_lower_median(self):
         # task 1 completions: (1, 2, 3, 4) -> lower median 2
@@ -34,14 +33,14 @@ class TestMedians:
             "profile order\ntasks 4\nvoters 4\n"
             "pref 1 : 1 2 3 4\npref 1 : 2 1 3 4\npref 1 : 3 2 1 4\npref 1 : 4 2 3 1\n"
         )
-        assert median_completion_times(profile).median[0] == 2
+        assert median_completion_times(profile)[0] == 2
 
     def test_multiplicity_expands_before_the_median(self):
         profile = parse_profile(
             "profile order\ntasks 2\nvoters 3\npref 2 : 1 2\npref 1 : 2 1\n"
         )
         # task 1 completions (1, 1, 2) -> median 1; task 2 (2, 2, 1) -> 2
-        assert median_completion_times(profile).median == (1, 2)
+        assert median_completion_times(profile) == (1, 2)
 
     def test_matches_list_expansion_median(self):
         for seed in range(100):
@@ -57,16 +56,20 @@ class TestMedians:
                 )[pick]
                 for j in range(1, n + 1)
             )
-            assert median_completion_times(profile).median == want
+            assert median_completion_times(profile) == want
 
     def test_interval_mode_rejected(self):
         profile = parse_profile("profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (1,2)\n")
         with pytest.raises(ValueError):
             median_completion_times(profile)
 
-    def test_median_table_validates_range(self):
-        with pytest.raises(ValueError):
-            MedianTable(median=(1, 3))  # 3 > n = 2
+    def test_medians_lie_in_one_to_n(self):
+        for seed in range(50):
+            rng = random.Random(seed)
+            n = rng.randint(1, 9)
+            medians = median_completion_times(random_mixed_profile(rng, n))
+            assert isinstance(medians, tuple) and len(medians) == n
+            assert all(type(m) is int and 1 <= m <= n for m in medians)
 
 
 class TestEmdSchedule:
@@ -75,7 +78,7 @@ class TestEmdSchedule:
             "profile order\ntasks 4\nvoters 3\n"
             "pref 1 : 2 1 3 4\npref 1 : 3 1 2 4\npref 1 : 4 1 2 3\n"
         )
-        assert median_completion_times(profile).median == (2, 3, 3, 4)
+        assert median_completion_times(profile) == (2, 3, 3, 4)
         # tasks 2 and 3 tie at median 3: ascending id puts 2 first
         assert emd_schedule(profile).order == (1, 2, 3, 4)
 
