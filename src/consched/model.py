@@ -41,8 +41,8 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
-from typing import IO, Iterable, Optional, Union
+from itertools import chain, islice
+from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class Schedule:
     _completed_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = tuple(int(t) for t in self.order)
+        order = tuple(map(int, self.order))
         object.__setattr__(self, "order", order)
         n = len(order)
         if n == 0:
@@ -334,44 +334,66 @@ class TimeWindows:
 # ---------------------------------------------------------------------------
 
 _PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+# Every line boundary str.splitlines knows, so lines cut lazily are numbered alike.
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
-def _logical_lines(text: Union[str, IO[str]]) -> Iterable[tuple[int, str]]:
+def _logical_lines(text: Union[str, IO[str]]) -> Iterator[tuple[int, int, str]]:
+    """Number, start offset and text of each line not blank once its ``#`` comment is cut.
+
+    Lines are cut one at a time where :meth:`str.splitlines` cuts them, so a
+    reader that stops early never splits the rest of the text.
+    """
     raw = text if isinstance(text, str) else text.read()
-    for no, line in enumerate(raw.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+    no = pos = 0
+    while pos < len(raw):
+        brk = _LINE_BREAK.search(raw, pos)
+        end, after = brk.span() if brk else (len(raw), len(raw))
+        no += 1
+        line = raw[pos:end].split("#", 1)[0].strip()
         if line:
-            yield no, line
+            yield no, pos, line
+        pos = after
+
+
+def _ints(digits: Iterable[str], no: int) -> list[int]:
+    """``int()`` of each string of digits; one too long for ``int()`` raises on line ``no``."""
+    try:
+        return list(map(int, digits))
+    except ValueError:  # a string of digits fails only past Python's int digit limit
+        raise ProfileError("number has too many digits", no) from None
 
 
 def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     """Parse the profile file format into a validated :class:`PreferenceProfile`.
 
-    The body has two ways in. A plain order-mode body (``pref <m> : <ids>``
-    lines in ASCII with single spaces, no comment or blank line) is read in
-    one pass by :func:`_plain_body`. Any other body, and any invalid one, is
-    read line by line by :func:`_read_body`; its order-mode ids are
-    converted in one C call when plain, otherwise through ``int()``, which
-    accepts ``+2``, tabs and Unicode digits. Multiplicities stay Python
-    integers until their sum has matched the header. Errors are those of a
-    line-by-line check: the first bad line in file order is reported, with
-    the message :class:`Schedule` or the window check of :class:`TimeWindows`
-    would give, derived from that line's text.
+    The header is read line by line up to the first body line. The body has
+    two readers, which share one error rule. A plain order-mode body (``pref
+    <m> : <ids>`` lines in ASCII with single spaces, no comment or blank
+    line) is read in one pass over the text by :func:`_plain_body`. Any
+    other body is read line by line by :func:`_read_body`. The bulk readers
+    return None rather than raise: every error about an order-mode line's
+    task ids is raised by :func:`_check_order_line`, which reads ids through
+    ``int()`` (accepting ``+2``, tabs and Unicode digits) and takes its
+    message from :class:`Schedule`. Multiplicities stay Python integers until
+    their sum has matched the header. The first bad line in file order is
+    reported.
 
     Raises
     ------
     ProfileError
         On any syntax or semantic violation, with the offending line number:
         bad header order, duplicate tasks in a permutation, malformed or
-        infeasible interval windows, mode mixing, task-count mismatches, or
-        multiplicities not summing to the declared voter count.
+        infeasible interval windows, mode mixing, task-count mismatches, a
+        number too long for ``int()``, or multiplicities not summing to the
+        declared voter count.
     """
     raw = text if isinstance(text, str) else text.read()
-    header = list(islice(_logical_lines(raw), 4))  # frees its split of the text on return
+    header = list(islice(_logical_lines(raw), 4))
     if len(header) < 4:
         raise ProfileError("profile needs a 3-line header and at least one pref line")
 
-    (no1, l1), (no2, l2), (no3, l3), body = header
+    (no1, _, l1), (no2, _, l2), (no3, _, l3), (start, offset, _) = header
     m = re.fullmatch(r"profile\s+(order|interval)", l1)
     if not m:
         raise ProfileError("expected 'profile order' or 'profile interval'", no1)
@@ -379,19 +401,19 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     m = re.fullmatch(r"tasks\s+(\d+)", l2)
     if not m:
         raise ProfileError("expected 'tasks <n>'", no2)
-    n = int(m.group(1))
+    (n,) = _ints(m.groups(), no2)
     if n < 1:
         raise ProfileError("task count must be >= 1", no2)
     m = re.fullmatch(r"voters\s+(\d+)", l3)
     if not m:
         raise ProfileError("expected 'voters <v>'", no3)
-    v = int(m.group(1))
+    (v,) = _ints(m.groups(), no3)
     if v < 1:
         raise ProfileError("voter count must be >= 1", no3)
     _check_cost_bound(n, v, no3)
 
-    plain = _plain_body(raw, body[0], n) if mode == "order" else None
-    mults, arrays = plain or _read_body(islice(_logical_lines(raw), 3, None), mode, n)
+    plain = _plain_body(raw, offset, n) if mode == "order" else None
+    mults, arrays = plain or _read_body(raw.splitlines(), start, mode, n)
     total = sum(mults)
     if total != v:
         raise ProfileError(f"multiplicities sum to {total}, header declares voters {v}")
@@ -400,20 +422,21 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
 
 
 # A plain line's head after its line break. Its multiplicity has at most 18 digits,
-# so converting all of them before the body is checked cannot raise.
+# so converting all of them cannot raise.
 _PLAIN_HEAD = re.compile(r"\npref ([0-9]{1,18}) : ")
 
 
-def _plain_body(raw: str, start: int, n: int) -> Optional[tuple[list[int], dict]]:
+def _plain_body(raw: str, offset: int, n: int) -> Optional[tuple[list[int], dict]]:
     """Multiplicities and completions of a plain order-mode body, else None.
 
-    The body is ``raw`` from line ``start`` on: one regex split cuts every
-    line's head, and :func:`_plain_orders` refuses a line without one. A
-    multiplicity of 0 or a row that is not a permutation also returns None.
+    The body is ``raw`` from ``offset`` on: one regex split cuts every line's
+    head, and :func:`_plain_orders` refuses a line without one. A first body
+    line without a plain head, a multiplicity of 0 or a row that is not a
+    permutation also returns None.
     """
     head, *parts = _PLAIN_HEAD.split(raw)
     mults = list(map(int, parts[::2]))
-    if len((head + "\n").splitlines()) != start - 1 or min(mults) < 1:
+    if len(head) != offset - 1 or min(mults) < 1:  # the first cut is not at the first body line
         return None
     parts[-1] = parts[-1].removesuffix("\n")  # the file's last line break
     orders = _plain_orders(parts[1::2], n)
@@ -424,18 +447,32 @@ def _plain_body(raw: str, start: int, n: int) -> Optional[tuple[list[int], dict]
     return None if bad is not None else (mults, {"completions": comp})
 
 
-def _read_body(lines: Iterable[tuple[int, str]], mode: str, n: int) -> tuple[list[int], dict]:
-    """Multiplicities and arrays of any body, read line by line; the first bad line raises."""
+_PREF_RE = re.compile(r"pref\s+(\d+)\s*:\s*(.*)")
+
+
+def _read_body(lines: list[str], start: int, mode: str, n: int) -> tuple[list[int], dict]:
+    """Multiplicities and arrays of the body from line ``start`` on; the first bad line raises.
+
+    A bad head, multiplicity or interval line ends the loop. Order-mode ids
+    are converted after it, so the ids of the lines before it raise first.
+    """
     nos: list[int] = []  # line number of each accepted entry
     mults: list[int] = []
     bodies: list[str] = []  # order mode: each line's task ids, converted after the loop
     bufs = (array("q"), array("q"))  # interval mode: releases and due dates
+    error = None
     try:
-        for no, line in lines:
+        for no, line in enumerate(islice(lines, start - 1, None), start):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
             m = _PREF_RE.fullmatch(line)
             if not m:
                 raise ProfileError(f"expected 'pref <mult> : ...', got {line!r}", no)
-            mult = int(m.group(1))
+            try:
+                mult = int(m.group(1))
+            except ValueError:  # past Python's int digit limit
+                raise ProfileError("number has too many digits", no) from None
             if mult < 1:
                 raise ProfileError("multiplicity must be >= 1", no)
             if mode == "order":
@@ -444,80 +481,39 @@ def _read_body(lines: Iterable[tuple[int, str]], mode: str, n: int) -> tuple[lis
                 _read_interval_line(m.group(2).strip(), n, no, *bufs)
             nos.append(no)
             mults.append(mult)
-    except ProfileError:
-        if mode == "order":  # an earlier line's bad order comes first
-            _order_arrays(bodies, n, nos)
-        raise
+    except ProfileError as exc:
+        error = exc
     if mode == "order":
-        return mults, {"completions": _order_arrays(bodies, n, nos)}
-    release, due = (np.frombuffer(buf, dtype=np.int64).reshape(-1, n) for buf in bufs)
-    return mults, {"release": release, "due": due}
+        orders = _plain_orders(bodies, n)  # None unless every line's ids are plain
+        comp, bad = (None, 0) if orders is None else _completions(orders)
+        if bad is not None:  # line by line: the first bad line's ids raise
+            rows = array("q")
+            for body, no in zip(bodies, nos):
+                rows.extend(_check_order_line(body, n, no))
+            comp = np.frombuffer(rows, dtype=np.int64).reshape(-1, n)
+        arrays = {"completions": comp}
+    else:
+        release, due = (np.frombuffer(buf, dtype=np.int64).reshape(-1, n) for buf in bufs)
+        arrays = {"release": release, "due": due}
+    if error is not None:
+        raise error
+    return mults, arrays
 
 
-_PREF_RE = re.compile(r"pref\s+(\d+)\s*:\s*(.*)")
-
-
-def _read_order_line(body: str, n: int, no: int, buf: array) -> None:
-    """Append one order-mode line's task ids to ``buf`` (permutations are checked later)."""
+def _check_order_line(body: str, n: int, no: int) -> tuple[int, ...]:
+    """Completion times of one order-mode line's task ids; every error about them raises here."""
     if "(" in body:
         raise ProfileError("interval pair in an order-mode profile", no)
-    toks = body.split()
     try:
-        buf.extend(map(int, toks))
-    except (ValueError, OverflowError):
-        try:
-            tasks = [int(tok) for tok in toks]
-        except ValueError:
-            raise ProfileError(f"non-integer task id in {body!r}", no) from None
-        raise _order_error(tasks, n, no) from None  # an id beyond int64
-    if len(toks) != n:
-        raise ProfileError(f"expected {n} task ids, got {len(toks)}", no)
-
-
-def _order_error(tasks: list[int], n: int, no: int) -> ProfileError:
-    """The error of a line whose integer task ids are not a permutation of 1..n."""
+        tasks = tuple(map(int, body.split()))
+    except ValueError:
+        raise ProfileError(f"non-integer task id in {body!r}", no) from None
     if len(tasks) != n:
-        return ProfileError(f"expected {n} task ids, got {len(tasks)}", no)
+        raise ProfileError(f"expected {n} task ids, got {len(tasks)}", no)
     try:
-        Schedule(tuple(tasks))
+        return Schedule(tasks).completions()
     except ValueError as exc:
-        return ProfileError(str(exc), no)
-    raise AssertionError(f"line {no} is a permutation")  # pragma: no cover
-
-
-def _order_arrays(bodies: list[str], n: int, nos: list[int]) -> np.ndarray:
-    """Completions of the order-mode line bodies; raises the first bad line's error.
-
-    Plain bodies are converted in one C call; any other text is read line by
-    line through ``int()``. Either way all rows are then checked as
-    permutations at once.
-    """
-    orders = _plain_orders(bodies, n)
-    if orders is None:
-        orders = _read_orders(bodies, n, nos)
-    return _check_orders(orders, bodies, nos)
-
-
-def _read_orders(bodies: list[str], n: int, nos: list[int]) -> np.ndarray:
-    """The bodies' task ids read line by line through ``int()``, as a (rows, n) array."""
-    buf = array("q")
-    for rows, (body, no) in enumerate(zip(bodies, nos)):
-        try:
-            _read_order_line(body, n, no, buf)
-        except ProfileError:  # an earlier line's bad permutation comes first
-            orders = np.frombuffer(buf, dtype=np.int64, count=rows * n).reshape(rows, n)
-            _check_orders(orders, bodies, nos)
-            raise
-    return np.frombuffer(buf, dtype=np.int64).reshape(-1, n)
-
-
-def _check_orders(orders: np.ndarray, bodies: list[str], nos: list[int]) -> np.ndarray:
-    """Completions of the orders; the first non-permutation's error comes from its text."""
-    comp, bad = _completions(orders)
-    if bad is not None:
-        tasks = [int(tok) for tok in bodies[bad].split()]
-        raise _order_error(tasks, orders.shape[1], nos[bad])
-    return comp
+        raise ProfileError(str(exc), no) from None
 
 
 def _plain_orders(bodies: list[str], n: int) -> Optional[np.ndarray]:
@@ -548,15 +544,16 @@ def _read_interval_line(body: str, n: int, no: int, rel: array, due: array) -> N
     pairs = _PAIR_RE.findall(body)
     if len(pairs) != n or _PAIR_RE.sub("", body).strip():
         raise ProfileError(f"expected {n} '(r,d)' pairs", no)
-    windows = tuple((int(r), int(d)) for r, d in pairs)
+    bounds = _ints(chain.from_iterable(pairs), no)
+    windows = tuple(zip(bounds[::2], bounds[1::2]))
     try:
         _check_windows(windows)
     except ValueError as exc:
         raise ProfileError(str(exc), no) from None
     if not _windows_feasible(windows):
         raise ProfileError("windows admit no feasible schedule", no)
-    rel.extend(r for r, _ in windows)
-    due.extend(d for _, d in windows)
+    rel.extend(bounds[::2])
+    due.extend(bounds[1::2])
 
 
 def serialize_profile(profile: PreferenceProfile) -> str:
@@ -582,11 +579,11 @@ def parse_precedence(text: Union[str, IO[str]], n: int) -> PrecedenceGraph:
     cycle belongs to the whole file and is reported without one.
     """
     edges = set()
-    for no, line in _logical_lines(text):
+    for no, _, line in _logical_lines(text):
         m = re.fullmatch(r"(\d+)\s*->\s*(\d+)", line)
         if not m:
             raise ProfileError(f"expected '<a> -> <b>', got {line!r}", no)
-        a, b = int(m.group(1)), int(m.group(2))
+        a, b = _ints(m.groups(), no)
         try:
             _check_edge(a, b, n)
         except ValueError as exc:
@@ -605,11 +602,11 @@ def parse_time_windows(text: Union[str, IO[str]], n: int) -> TimeWindows:
     """
     windows: list[tuple[int, int]] = [(0, n)] * n
     seen: set[int] = set()
-    for no, line in _logical_lines(text):
+    for no, _, line in _logical_lines(text):
         m = re.fullmatch(r"task\s+(\d+)\s*:\s*(-?\d+)\s+(-?\d+)", line)
         if not m:
             raise ProfileError(f"expected 'task <j> : <r> <d>', got {line!r}", no)
-        j, r, d = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        j, r, d = _ints(m.groups(), no)
         if not 1 <= j <= n:
             raise ProfileError(f"task {j} outside 1..{n}", no)
         if j in seen:

@@ -457,6 +457,38 @@ class TestSolve:
         assert out == ""
         assert err == f"error: {error}\n"
 
+    _HUGE = "9" * 5000  # past Python's 4,300-digit int() limit
+    _ORDER3 = "profile order\ntasks 3\nvoters 1\npref 1 : 1 2 3\n"
+
+    @pytest.mark.parametrize("profile, windows, edges, error", [
+        (f"profile order\ntasks {_HUGE}\nvoters 1\npref 1 : 1\n", "", "",
+         "line 2: number has too many digits"),
+        (f"profile order\ntasks 3\nvoters {_HUGE}\npref 1 : 1 2 3\n", "", "",
+         "line 3: number has too many digits"),
+        (f"profile order\ntasks 3\nvoters 1\npref {_HUGE} : 1 2 3\n", "", "",
+         "line 4: number has too many digits"),
+        (f"profile order\ntasks 3\nvoters 1\npref 1 : 1 2 {_HUGE}\n", "", "",
+         f"line 4: non-integer task id in '1 2 {_HUGE}'"),
+        (f"profile interval\ntasks 2\nvoters 1\npref 1 : (0,2) (0,{_HUGE})\n", "", "",
+         "line 4: number has too many digits"),
+        (_ORDER3, f"# c\ntask 2 : 0 {_HUGE}\n", "", "line 2: number has too many digits"),
+        (_ORDER3, "", f"1 -> 2\n{_HUGE} -> 3\n", "line 2: number has too many digits"),
+    ], ids=["tasks", "voters", "multiplicity", "task id", "interval pair", "window", "edge"])
+    def test_number_past_the_int_digit_limit_names_its_line(self, capsys, tmp_path, profile,
+                                                             windows, edges, error):
+        # Each used to end in Python's bare "Exceeds the limit (4300 digits) ..." ValueError.
+        for name, text in (("p.prof", profile), ("w.time", windows), ("g.prec", edges)):
+            (tmp_path / name).write_text(text)
+        code, out, err = run(
+            capsys,
+            ["solve", "--profile", str(tmp_path / "p.prof"), "--rule", "binary", "--encoding",
+             "late", "--time", str(tmp_path / "w.time"), "--prec-mode", "graph", "--prec",
+             str(tmp_path / "g.prec")],
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {error}\n"
+
     @pytest.mark.parametrize("rule", [
         ["--rule", "emd"], ["--rule", "binary", "--encoding", "late"],
     ], ids=["emd", "binary"])

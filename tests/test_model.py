@@ -508,6 +508,32 @@ def perturbed_order_profiles(draw):
     return "\n".join(header + body).replace("\n", end) + draw(st.sampled_from(["", end]))
 
 
+# Every line boundary that str.splitlines knows.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def broken_lines(draw, lines, ends):
+    """``lines`` with blank and comment lines among them, each ended by a draw from ``ends``."""
+    out = []
+    for line in lines:
+        out += draw(st.lists(st.sampled_from(["", "  ", "# note"]), max_size=2))
+        out.append(line)
+    return "".join(line + draw(ends) for line in out)
+
+
+def assert_parses_like_reference(text):
+    """``parse_profile`` gives the reference's profile, or its error message and line."""
+    try:
+        want = reference_parse_profile(text)
+    except ProfileError as exc:
+        with pytest.raises(ProfileError) as got:
+            parse_profile(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        assert_same_profile(parse_profile(text), want)
+
+
 class TestParseMatchesReference:
     @pytest.mark.parametrize("mode", ["order", "interval"])
     @pytest.mark.parametrize("seed", range(20))
@@ -561,9 +587,9 @@ class TestParseMatchesReference:
         lines[57] = f"pref 1 : {body}"
         text = "profile order\ntasks 3\nvoters 100\n" + "\n".join(lines) + "\n"
         read = []
-        real = model._read_order_line
+        real = model._check_order_line
         monkeypatch.setattr(
-            model, "_read_order_line", lambda body, *args: read.append(body) or real(body, *args)
+            model, "_check_order_line", lambda body, *args: read.append(body) or real(body, *args)
         )
         got = parse_profile(text)
         assert len(read) == 100
@@ -588,14 +614,38 @@ class TestParseMatchesReference:
     @settings(derandomize=True, max_examples=400, deadline=None, database=None)
     @given(perturbed_order_profiles())
     def test_perturbed_order_profiles(self, text):
-        try:
-            want = reference_parse_profile(text)
-        except ProfileError as exc:
-            with pytest.raises(ProfileError) as got:
-                parse_profile(text)
-            assert (str(got.value), got.value.line) == (str(exc), exc.line)
-        else:
-            assert_same_profile(parse_profile(text), want)
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("brk", _LINE_BREAKS, ids=ascii)
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_line_numbers_follow_splitlines(self, brk, data):
+        # The header, the windows and the edges are cut into lines lazily, the
+        # body by one str.splitlines; both must number lines as splitlines does.
+        ends = st.sampled_from([brk, brk, "\n", "\r"])
+        prefs = data.draw(st.lists(st.tuples(st.permutations([1, 2, 3]), st.integers(1, 3)),
+                                   min_size=1, max_size=4))
+        lines = ["profile order", "tasks 3", f"voters {sum(m for _, m in prefs)}"]
+        lines += [f"pref {m} : {' '.join(map(str, order))}" for order, m in prefs]
+        if data.draw(st.booleans()):
+            bad = data.draw(st.sampled_from(
+                ["tasks x", "xref 1 : 1 2 3", "pref 0 : 1 2 3", "pref 1 : 1 1 2", "pref 1 : 1 2"]
+            ))
+            lines[data.draw(st.integers(0, len(lines) - 1))] = bad
+        assert_parses_like_reference(data.draw(broken_lines(lines, ends)))
+
+        edges = ["1 -> 2", "2 -> 3"]
+        windows = ["task 3 : 1 3", "task 1 : 0 2"]
+        for parse, lines, bad in ((parse_precedence, edges, "3 -> 3"),
+                                  (parse_time_windows, windows, "task 9 : 0 1")):
+            if data.draw(st.booleans()):
+                lines = [*lines, bad]
+                text = data.draw(broken_lines(data.draw(st.permutations(lines)), ends))
+                with pytest.raises(ProfileError) as got:
+                    parse(text, 3)
+                assert got.value.line == text.splitlines().index(bad) + 1
+            else:
+                assert parse(data.draw(broken_lines(lines, ends)), 3) == parse("\n".join(lines), 3)
 
     def test_c_conversion_raises_no_warning(self):
         text = serialize_profile(generate_profile(60, 300, 2))
@@ -653,6 +703,8 @@ class TestErrorsAtScale:
     @pytest.mark.parametrize("case", sorted(_BAD_ORDER_LINES))
     def test_one_bad_line_in_4000(self, wide_lines, case, k):
         text, lineno = _wide_case(wide_lines, k, _BAD_ORDER_LINES[case])
+        # the whole-text reader refuses the body rather than raise
+        assert model._plain_body(text, len("\n".join(wide_lines[:3])) + 1, 60) is None
         with pytest.raises(ProfileError) as want:
             reference_parse_profile(text)
         with pytest.raises(ProfileError) as got:
@@ -756,7 +808,7 @@ class TestParseCost:
             assert cost == profile_cost(schedule, profile, criterion, encoding)
 
     def test_tracemalloc_peak_on_wide_profile(self):
-        # n=60, v=4000: 6.8 MB here, with the ids' text joined for the C
+        # n=60, v=4000: 5.9 MB here, with the ids' text joined for the C
         # conversion. A parser that first lists every token string pays
         # about 12.7 MB for that list alone.
         text = serialize_profile(generate_profile(60, 4000, 1))
