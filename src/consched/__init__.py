@@ -47,13 +47,7 @@ _EXPORTS = {
         "exhaustive_optimum",
         "kendall_optimum",
     ),
-    "precedence": (
-        "InferredPrecedences",
-        "infer_precedences",
-        "repair_steps",
-        "solve_by_repair",
-        "solve_with_graph",
-    ),
+    "precedence": ("infer_precedences", "repair_steps", "solve_with_graph"),
     "rules": (
         "RuleKind",
         "RuleSpec",

@@ -74,6 +74,14 @@ class Lcg:
 GENERATORS = ("uniform_permutations", "mallows_like_swap_noise")
 
 
+def _check_generator(generator: str, swaps: int) -> None:
+    """Refuse an unknown generator, and swaps for a generator that draws none."""
+    if generator not in GENERATORS:
+        raise ValueError(f"unknown generator {generator!r}")
+    if swaps > 0 and generator != "mallows_like_swap_noise":
+        raise ValueError(f"swaps apply to mallows_like_swap_noise only, not {generator}")
+
+
 def generate_profile(
     n: int, v: int, seed: int, generator: str = "uniform_permutations", swaps: int = 0
 ) -> PreferenceProfile:
@@ -82,10 +90,9 @@ def generate_profile(
     ``uniform_permutations`` draws independent uniform permutations.
     ``mallows_like_swap_noise`` starts every voter at the identity permutation
     and applies ``swaps`` adjacent transpositions at LCG-drawn positions (0
-    swaps means v identical voters).
+    swaps means v identical voters). Other generators take no swaps.
     """
-    if generator not in GENERATORS:
-        raise ValueError(f"unknown generator {generator!r}")
+    _check_generator(generator, swaps)
     return _draw_profile(Lcg(seed), n, v, generator, swaps)
 
 
@@ -124,8 +131,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}")
+        _check_generator(self.generator, self.swaps)
 
 
 @dataclass

@@ -506,7 +506,9 @@ def _check_order_line(body: str, n: int, no: int) -> tuple[int, ...]:
         raise ProfileError("interval pair in an order-mode profile", no)
     try:
         tasks = tuple(map(int, body.split()))
-    except ValueError:
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # Python's int digit limit
+            raise ProfileError("number has too many digits", no) from None
         raise ProfileError(f"non-integer task id in {body!r}", no) from None
     if len(tasks) != n:
         raise ProfileError(f"expected {n} task ids, got {len(tasks)}", no)

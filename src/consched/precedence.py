@@ -7,7 +7,7 @@ Two settings, and ``rules.solve`` picks the path for each:
   transitive and acyclic by construction. For the distance criterion the
   constrained optimum costs no more than the unconstrained one, and is reached
   by repairing any matching optimum with at most n^2 pairwise swaps
-  (``solve_by_repair``). That covers all five encodings: under the distance
+  (``repair_steps``). That covers all five encodings: under the distance
   criterion late_tasks yields the tardiness windows and exact_position the
   deviation windows, and tardiness, earliness and deviation optima coincide
   pointwise, so the swap argument applies to each. For the binary criterion
@@ -21,45 +21,28 @@ Two settings, and ``rules.solve`` picks the path for each:
 
 The DP's validity rests on per-(task, slot) separability of both criteria:
 scheduling set A in the first |A| slots costs f(A) = min over feasible last
-tasks j of f(A \\ {j}) + cost(j, |A|).
+tasks j of f(A \\ {j}) + cost(j, |A|). ``rules.solve`` builds the cost matrix
+and prices the result; this module only orders tasks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .assignment import build_cost_matrix, min_cost_assignment
-from .criteria import CriterionKind, pair_weight_matrix
+from .criteria import pair_weight_matrix
 from .errors import DEFAULT_DP_LIMIT, InfeasibleError, SizeLimitError
-from .model import (
-    EncodingKind,
-    PrecedenceGraph,
-    PreferenceProfile,
-    Schedule,
-    TimeWindows,
-)
+from .model import PrecedenceGraph, PreferenceProfile, Schedule
 
-__all__ = [
-    "InferredPrecedences",
-    "infer_precedences",
-    "repair_steps",
-    "solve_by_repair",
-    "solve_with_graph",
-]
+if TYPE_CHECKING:
+    from .assignment import CostMatrix
+
+__all__ = ["infer_precedences", "repair_steps", "solve_with_graph"]
 
 
-@dataclass(frozen=True, slots=True)
-class InferredPrecedences:
-    """Graph with an edge a -> b iff every voter completes a before b."""
-
-    graph: PrecedenceGraph
-
-
-def infer_precedences(profile: PreferenceProfile) -> InferredPrecedences:
-    """Extract the unanimous-order graph of an order-mode profile, O(distinct * n^2).
+def infer_precedences(profile: PreferenceProfile) -> PrecedenceGraph:
+    """The unanimous-order graph of an order-mode profile, O(distinct * n^2).
 
     a -> b exactly when ``pair_weight_matrix`` gives w[a, b] == v: every
     multiplicity is at least 1, so all v voters complete a before b.
@@ -68,7 +51,7 @@ def infer_precedences(profile: PreferenceProfile) -> InferredPrecedences:
         raise ValueError("inferred precedences require an order-mode profile")
     a_idx, b_idx = np.nonzero(pair_weight_matrix(profile) == profile.v)
     edges = frozenset((int(a) + 1, int(b) + 1) for a, b in zip(a_idx, b_idx))
-    return InferredPrecedences(PrecedenceGraph(n=profile.n, edges=edges))
+    return PrecedenceGraph(n=profile.n, edges=edges)
 
 
 def _resolve_precedences(
@@ -81,13 +64,13 @@ def _resolve_precedences(
         raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {prec!r}")
     if profile.mode != "order":
         raise ValueError("--prec-mode inferred requires an order-mode profile")
-    return infer_precedences(profile).graph
+    return infer_precedences(profile)
 
 
 def repair_steps(
-    schedule: Schedule, prec: InferredPrecedences
+    schedule: Schedule, graph: PrecedenceGraph
 ) -> tuple[Schedule, list[tuple[int, int]]]:
-    """Drive a schedule into inferred-feasibility; returns (result, swap log).
+    """Drive a schedule into feasibility under an inferred graph; returns (result, swap log).
 
     Processes vertices one at a time — always the smallest task id among the
     vertices with no successor in the not-yet-processed part of the graph —
@@ -96,7 +79,6 @@ def repair_steps(
     task that precedes x unanimously, so on a deviation- or tardiness-optimal
     input every swap preserves optimality. At most n^2 swaps (asserted).
     """
-    graph = prec.graph
     n = schedule.n
     if graph.n != n:
         raise ValueError(f"graph covers {graph.n} tasks, schedule has {n}")
@@ -128,34 +110,13 @@ def repair_steps(
     return Schedule(tuple(order)), swaps
 
 
-def solve_by_repair(
-    profile: PreferenceProfile,
-    prec: InferredPrecedences,
-    criterion: Union[CriterionKind, str],
-    encoding: Optional[Union[EncodingKind, str]] = None,
-) -> tuple[Schedule, int]:
-    """A matching optimum repaired to satisfy ``prec``, and its exact cost.
-
-    The cost is summed from the cells of the cost matrix the matching ran on,
-    so a recheck with ``profile_cost`` is an independent computation. Optimal
-    among the schedules satisfying ``prec`` for the distance criterion only
-    (see the module docstring).
-    """
-    matrix = build_cost_matrix(profile, criterion, encoding)
-    schedule, _ = min_cost_assignment(matrix)
-    repaired = repair_steps(schedule, prec)[0]
-    return repaired, matrix.price(repaired)
-
-
 def solve_with_graph(
-    profile: PreferenceProfile,
-    graph: PrecedenceGraph,
-    criterion: Union[CriterionKind, str],
-    encoding: Optional[Union[EncodingKind, str]] = None,
-    windows: Optional[TimeWindows] = None,
-    size_limit: int = DEFAULT_DP_LIMIT,
+    matrix: CostMatrix, graph: PrecedenceGraph, size_limit: int = DEFAULT_DP_LIMIT
 ) -> tuple[Schedule, int]:
-    """Exact optimum under an imposed acyclic graph via subset DP, O(2^n * n).
+    """Exact optimum of ``matrix`` under an acyclic graph via subset DP, O(2^n * n).
+
+    The matrix's forbidden cells (time windows) are never used; returns the
+    schedule and its cost on ``matrix``.
 
     Raises
     ------
@@ -168,14 +129,13 @@ def solve_with_graph(
         With windows that admit no precedence-feasible completion (never
         happens for an acyclic graph without windows).
     """
-    n = profile.n
+    n = matrix.n
     if graph.n != n:
-        raise ValueError(f"graph covers {graph.n} tasks, profile has {n}")
+        raise ValueError(f"graph covers {graph.n} tasks, cost matrix has {n}")
     if n > size_limit:
         raise SizeLimitError(f"n={n} exceeds the subset-DP limit {size_limit}")
     if n >= 63:
         raise SizeLimitError(f"n={n} exceeds the subset DP's int64 bit-mask limit 62")
-    matrix = build_cost_matrix(profile, criterion, encoding, windows)
     pred_mask = np.zeros(n, dtype=np.int64)
     for a, b in graph.edges:
         pred_mask[b - 1] |= 1 << (a - 1)

@@ -14,7 +14,8 @@ from the binary criterion. ``canonical_criterion`` maps each encoding to the
 criterion that defines its named rule.
 
 ``solve`` is the one place that picks the algorithm. A ``RuleSpec`` mirrors
-the ``consched solve`` flags; ``solve`` checks it, runs one path, rechecks the
+the ``consched solve`` flags; ``solve`` checks it, builds the request's one
+cost matrix, runs one path on it, prices the schedule from it, rechecks the
 cost with ``profile_cost`` and returns a ``Solution`` naming the path: ``emd``
 (which ignores windows and precedences), ``matching`` (the assignment
 reduction, never EMD even where EMD is optimal; windows only),
@@ -138,8 +139,9 @@ def emd_schedule(profile: PreferenceProfile) -> Schedule:
 def solve(profile: PreferenceProfile, spec: RuleSpec) -> Solution:
     """Check ``spec``, run the path it selects and recheck the cost.
 
-    Each path prices its schedule off its cost matrix, so ``profile_cost``,
-    repricing it from the profile (emd under its encoding, default tardiness),
+    Every path runs on, and is priced from, the request's one cost matrix
+    (built without windows for emd), so ``profile_cost``, repricing the
+    schedule from the profile (emd under its encoding, default tardiness),
     is an independent recheck; a mismatch raises ``AssertionError``. A request
     no path serves raises ``ValueError``, one no schedule satisfies
     ``InfeasibleError``, a DP past ``spec.dp_limit`` ``SizeLimitError``; the
@@ -153,23 +155,22 @@ def solve(profile: PreferenceProfile, spec: RuleSpec) -> Solution:
     notes: list[str] = []
     method = None
     try:
-        method, constraint = _plan(profile, spec, criterion, notes)
+        method, graph = _plan(profile, spec, criterion, notes)
+        windows = None if method == "emd" else spec.windows
+        matrix = build_cost_matrix(profile, criterion, encoding, windows)
         if method == "emd":
             schedule = emd_schedule(profile)
-            cost = build_cost_matrix(profile, criterion, encoding).price(schedule)
-        elif method == "matching":
-            matrix = build_cost_matrix(profile, criterion, encoding, spec.windows)
-            schedule, cost = min_cost_assignment(matrix)
-        elif method == "matching+repair":
-            from .precedence import solve_by_repair
-
-            schedule, cost = solve_by_repair(profile, constraint, criterion, encoding)
-        else:
+        elif method == "dp":
             from .precedence import solve_with_graph
 
-            schedule, cost = solve_with_graph(
-                profile, constraint, criterion, encoding, spec.windows, size_limit=spec.dp_limit
-            )
+            schedule = solve_with_graph(matrix, graph, spec.dp_limit)[0]
+        else:
+            schedule = min_cost_assignment(matrix)[0]
+            if method == "matching+repair":
+                from .precedence import repair_steps
+
+                schedule = repair_steps(schedule, graph)[0]
+        cost = matrix.price(schedule)
     except (InfeasibleError, ValueError) as exc:
         exc.method, exc.notes = method, tuple(notes)
         raise
@@ -180,8 +181,8 @@ def solve(profile: PreferenceProfile, spec: RuleSpec) -> Solution:
 
 
 def _plan(profile: PreferenceProfile, spec: RuleSpec, criterion: CriterionKind,
-          notes: list[str]) -> tuple[str, object]:
-    """(path, the graph or inferred precedences it runs under); checks in a fixed order."""
+          notes: list[str]) -> tuple[str, Optional[PrecedenceGraph]]:
+    """(path, the precedence graph it runs under or None); checks in a fixed order."""
     method, windows = spec.method, spec.windows
     if spec.rule is RuleKind.EMD:
         if method != "auto":
@@ -203,7 +204,7 @@ def _plan(profile: PreferenceProfile, spec: RuleSpec, criterion: CriterionKind,
             return "dp", PrecedenceGraph(n=profile.n, edges=frozenset())
         return "matching", None
 
-    from .precedence import InferredPrecedences, _resolve_precedences
+    from .precedence import _resolve_precedences
 
     inferred = spec.prec == "inferred"
     graph = _resolve_precedences(profile, spec.prec)
@@ -221,5 +222,5 @@ def _plan(profile: PreferenceProfile, spec: RuleSpec, criterion: CriterionKind,
             raise ValueError("matching+repair does not honor --time; use --method dp")
         if criterion is not CriterionKind.DISTANCE:
             notes.append("repair guarantees optimality for the distance criterion only")
-        return "matching+repair", InferredPrecedences(graph)
+        return "matching+repair", graph
     return "dp", graph

@@ -216,7 +216,9 @@ def reference_parse_profile(text):
                 raise ProfileError("interval pair in an order-mode profile", no)
             try:
                 tasks = [int(tok) for tok in body.split()]
-            except ValueError:
+            except ValueError as exc:
+                if str(exc).startswith("Exceeds the limit"):  # Python's int digit limit
+                    raise ProfileError("number has too many digits", no) from None
                 raise ProfileError(f"non-integer task id in {body!r}", no) from None
             if len(tasks) != n:
                 raise ProfileError(f"expected {n} task ids, got {len(tasks)}", no)

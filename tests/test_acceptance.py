@@ -154,8 +154,8 @@ def test_criterion_04_inferred_precedence_strict_gap():
     elapsed = time.perf_counter() - t0
 
     unique_ok = res.optima == (Schedule((1, 2, 5, 4, 3)),)
-    violates = not satisfied_by(inferred.graph, Schedule((1, 2, 5, 4, 3)))
-    feasible = satisfied_by(inferred.graph, schedule)
+    violates = not satisfied_by(inferred, Schedule((1, 2, 5, 4, 3)))
+    feasible = satisfied_by(inferred, schedule)
     gap_ok = cost > res.best_cost
     ok = unique_ok and violates and feasible and gap_ok and elapsed < 1.0
     report(
@@ -297,7 +297,7 @@ def test_criterion_09_repair_preserves_cost_within_swap_budget():
             repaired, swaps = repair_steps(schedule, inferred)
             repaired_cost = profile_cost(repaired, profile, DIST, encoding)
             if not (
-                satisfied_by(inferred.graph, repaired)
+                satisfied_by(inferred, repaired)
                 and repaired_cost == cost
                 and len(swaps) <= n * n
             ):
@@ -328,7 +328,8 @@ def test_criterion_10_graph_dp_equals_filtered_oracle():
         )
         graph = PrecedenceGraph(n=n, edges=edges)
         for criterion, encoding in ((DIST, TAR), (DIST, DEV), (BIN, LATE)):
-            schedule, cost = solve_with_graph(profile, graph, criterion, encoding)
+            matrix = build_cost_matrix(profile, criterion, encoding)
+            schedule, cost = solve_with_graph(matrix, graph)
             best = exhaustive_optimum(profile, criterion, encoding, graph=graph).best_cost
             if cost != best or not satisfied_by(graph, schedule):
                 mismatches.append((trial, encoding.value, cost, best))
@@ -365,7 +366,7 @@ def test_criterion_12_hardness_substituted_by_properties():
     profile = load("chain5x6")
     unconstrained = exhaustive_optimum(profile, BIN, LATE).best_cost
     constrained = exhaustive_optimum(
-        profile, BIN, LATE, graph=infer_precedences(profile).graph
+        profile, BIN, LATE, graph=infer_precedences(profile)
     ).best_cost
     gap_ok = constrained > unconstrained
     report(

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -112,7 +113,7 @@ class TestSolve:
         profile = parse_profile(cli.fixture_text("late7x3"))
         best = exhaustive_optimum(
             profile, "distance", "deviation", parse_time_windows("task 3 : 0 2\n", 7),
-            infer_precedences(profile).graph,
+            infer_precedences(profile),
         )
         assert payload["cost"] == best.best_cost == 28
         assert Schedule(tuple(payload["schedule"])) in best.optima
@@ -468,7 +469,7 @@ class TestSolve:
         (f"profile order\ntasks 3\nvoters 1\npref {_HUGE} : 1 2 3\n", "", "",
          "line 4: number has too many digits"),
         (f"profile order\ntasks 3\nvoters 1\npref 1 : 1 2 {_HUGE}\n", "", "",
-         f"line 4: non-integer task id in '1 2 {_HUGE}'"),
+         "line 4: number has too many digits"),
         (f"profile interval\ntasks 2\nvoters 1\npref 1 : (0,2) (0,{_HUGE})\n", "", "",
          "line 4: number has too many digits"),
         (_ORDER3, f"# c\ntask 2 : 0 {_HUGE}\n", "", "line 2: number has too many digits"),
@@ -772,6 +773,19 @@ class TestGen:
         assert err.startswith(f"usage: consched {command[0]}")
         assert err.endswith("error: argument --swaps: must be >= 0, got -2\n")
 
+    @pytest.mark.parametrize("command", [
+        ["gen", "--tasks", "4", "--voters", "2", "--seed", "1"],
+        ["ratio", "--trials", "2", "--tasks", "4", "--voters", "2", "--seed", "1"],
+    ])
+    def test_swaps_without_the_swap_generator_are_refused(self, capsys, command):
+        # gen used to write "swaps 3" into the header and draw no swap at all.
+        code, out, err = run(capsys, [*command, "--swaps", "3"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: swaps apply to mallows_like_swap_noise only, not uniform_permutations\n"
+        )
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command, flag", [
         ("gen", "--tasks"), ("gen", "--voters"),
@@ -944,17 +958,28 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['consched']\n"
 
+    # Every module but ``cli``, which the probe runs as ``__main__``.
+    MODULES = {"assignment", "axioms", "criteria", "errors", "experiment", "model", "oracle",
+               "precedence", "rules"}
+
     @pytest.mark.parametrize("argv, unused", [
         (SOLVE, {"oracle", "axioms", "experiment", "precedence"}),
         (ORACLE, {"axioms", "experiment", "precedence", "rules", "assignment"}),
-        (["fixtures", "list"], {"oracle", "axioms", "experiment", "precedence", "rules"}),
+        (["fixtures", "list"],
+         {"oracle", "axioms", "experiment", "precedence", "rules", "assignment"}),
         (["eval", "--profile", "fixture:late7x3", "--schedule", "4 2 3 5 6 7 1",
           "--criterion", "binary", "--encoding", "late"],
          {"assignment", "precedence", "rules", "oracle", "axioms", "experiment"}),
         (["solve", "--profile", "fixture:median4x3a", "--rule", "emd"],
          {"oracle", "axioms", "experiment", "precedence"}),
+        (SOLVE + ["--prec-mode", "inferred"], {"oracle", "axioms", "experiment"}),
+        (SOLVE + ["--prec-mode", "graph", "--prec", "{tmp}/g.txt", "--method", "dp"],
+         {"oracle", "axioms", "experiment"}),
+        (ORACLE + ["--axiom-filter", "release"],
+         {"experiment", "precedence", "rules", "assignment"}),
     ])
-    def test_a_request_loads_only_what_it_runs(self, argv, unused):
+    def test_a_request_loads_only_what_it_runs(self, files, argv, unused):
+        argv = [arg.replace("{tmp}", str(files)) for arg in argv]
         probe = (
             "import runpy, sys\n"
             f"sys.argv = ['consched', *{argv!r}]\n"
@@ -966,9 +991,11 @@ class TestFreshProcess:
         )
         proc = _fresh(["-c", probe])
         assert proc.returncode == 0, proc.stderr
-        loaded = set(eval(proc.stdout.splitlines()[-1]))
-        assert loaded & unused == set()
-        assert "model" in loaded
+        assert set(eval(proc.stdout.splitlines()[-1])) == self.MODULES - unused
+
+    def test_the_module_list_is_the_package(self):
+        package = Path(cli.__file__).parent
+        assert {p.stem for p in package.glob("*.py")} == self.MODULES | {"__init__", "cli"}
 
     THREADS = (
         "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'), "

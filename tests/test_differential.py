@@ -102,7 +102,7 @@ def cli_request(tmp, profile, criterion, encoding, windows, prec, method):
 @given(instances(), st.sampled_from(METHODS))
 def test_every_path_matches_the_oracle(instance, cli_method):
     profile, criterion, encoding, windows, prec = instance
-    graph = infer_precedences(profile).graph if prec == "inferred" else prec
+    graph = infer_precedences(profile) if prec == "inferred" else prec
     oracles = {}
 
     def oracle(windows, graph):

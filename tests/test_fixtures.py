@@ -189,7 +189,7 @@ class TestChain5x6:
 
     def test_inferred_edges(self):
         inferred = infer_precedences(load("chain5x6"))
-        assert set(inferred.graph.edges) == {(1, 3), (2, 3), (2, 5), (4, 5)}
+        assert set(inferred.edges) == {(1, 3), (2, 3), (2, 5), (4, 5)}
 
     def test_unconstrained_optimum_is_unique_and_violates(self):
         profile = load("chain5x6")
@@ -203,7 +203,7 @@ class TestChain5x6:
         profile = load("chain5x6")
         inferred = infer_precedences(profile)
         res = exhaustive_optimum(
-            profile, BIN, EncodingKind.LATE_TASKS, graph=inferred.graph
+            profile, BIN, EncodingKind.LATE_TASKS, graph=inferred
         )
         assert res.best_cost == 7
         assert orders(res) == {(1, 2, 4, 5, 3), (1, 4, 2, 5, 3), (4, 2, 5, 1, 3)}
@@ -214,7 +214,7 @@ class TestChain5x6:
         schedule, cost = solution.schedule, solution.cost
         assert schedule.order == (4, 2, 5, 1, 3)
         assert cost == 7
-        assert satisfied_by(infer_precedences(profile).graph, schedule)
+        assert satisfied_by(infer_precedences(profile), schedule)
 
 
 class TestWindow8x6:

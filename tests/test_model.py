@@ -460,6 +460,16 @@ def assert_same_profile(got, want):
     assert hash(again) == hash(got)
 
 
+def _ids(edit):
+    """An edit of a line's ids that reads one of them; an empty id list passes unchanged."""
+    return lambda line, n: {**line, "ids": edit(line["ids"])} if line["ids"] else line
+
+
+def _unicode_digits(token):
+    """``token`` with each ASCII digit written as its Arabic-Indic digit."""
+    return "".join(chr(0x660 + int(c)) if "0" <= c <= "9" else c for c in token)
+
+
 # Each edit rewrites one pref line, held as its parts: into another form the
 # parser accepts, plain or not, or into one of the errors a line can carry.
 _EDITS = {
@@ -470,21 +480,19 @@ _EDITS = {
     "tab": lambda line, n: {**line, "join": "\t"},
     "double space": lambda line, n: {**line, "join": "  "},
     "loose head": lambda line, n: {**line, "sep": "  :"},
-    "stray colon": lambda line, n: {**line, "ids": [line["ids"][0] + ":", *line["ids"][1:]]},
-    "plus sign": lambda line, n: {**line, "ids": ["+" + line["ids"][0], *line["ids"][1:]]},
-    "leading zeros": lambda line, n: {**line, "ids": ["00" + line["ids"][0], *line["ids"][1:]]},
-    "unicode digits": lambda line, n: {
-        **line, "ids": ["".join(chr(0x660 + int(c)) for c in line["ids"][0]), *line["ids"][1:]]
-    },
-    "19 digits": lambda line, n: {**line, "ids": [line["ids"][0].zfill(19), *line["ids"][1:]]},
+    "stray colon": _ids(lambda ids: [ids[0] + ":", *ids[1:]]),
+    "plus sign": _ids(lambda ids: ["+" + ids[0], *ids[1:]]),
+    "leading zeros": _ids(lambda ids: ["00" + ids[0], *ids[1:]]),
+    "unicode digits": _ids(lambda ids: [_unicode_digits(ids[0]), *ids[1:]]),
+    "19 digits": _ids(lambda ids: [ids[0].zfill(19), *ids[1:]]),
     "19-digit id": lambda line, n: {**line, "ids": ["1" + "0" * 18, *line["ids"][1:]]},
     "id past int64": lambda line, n: {**line, "ids": [*line["ids"][:-1], "9" * 19]},
     "multiplicity 0": lambda line, n: {**line, "mult": "0"},
     "multiplicity 0-padded": lambda line, n: {**line, "mult": "0" + line["mult"]},
     "multiplicity off the sum": lambda line, n: {**line, "mult": str(int(line["mult"]) + 1)},
     "one id short": lambda line, n: {**line, "ids": line["ids"][:-1]},
-    "one id over": lambda line, n: {**line, "ids": [*line["ids"], line["ids"][0]]},
-    "duplicate id": lambda line, n: {**line, "ids": [line["ids"][-1], *line["ids"][1:]]},
+    "one id over": _ids(lambda ids: [*ids, ids[0]]),
+    "duplicate id": _ids(lambda ids: [ids[-1], *ids[1:]]),
     "id 0": lambda line, n: {**line, "ids": ["0", *line["ids"][1:]]},
     "id n+1": lambda line, n: {**line, "ids": [*line["ids"][:-1], str(n + 1)]},
 }

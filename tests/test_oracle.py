@@ -433,7 +433,7 @@ class TestEdgeCases:
         for seed in range(6):
             rng = random.Random(1600 + seed)
             profile = random_mixed_profile(rng, rng.randint(1, 7), "order")
-            graph = infer_precedences(profile).graph
+            graph = infer_precedences(profile)
             for criterion in CriterionKind:
                 got = exhaustive_optimum(profile, criterion, "late_tasks", graph="inferred")
                 assert got == exhaustive_optimum(profile, criterion, "late_tasks", graph=graph)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import profile_of, random_mixed_profile, random_order_profile, random_schedule
+from consched.assignment import build_cost_matrix
 from consched.criteria import CriterionKind, profile_cost
 from consched.errors import DEFAULT_DP_LIMIT, SizeLimitError
 from consched.model import (
@@ -26,20 +27,20 @@ from references import satisfied_by, voters
 class TestInferPrecedences:
     def test_unanimous_profile_yields_full_chain(self):
         profile = parse_profile("profile order\ntasks 3\nvoters 2\npref 2 : 2 3 1\n")
-        edges = infer_precedences(profile).graph.edges
+        edges = infer_precedences(profile).edges
         assert edges == {(2, 3), (2, 1), (3, 1)}
 
     def test_opposed_voters_yield_no_edges(self):
         profile = parse_profile(
             "profile order\ntasks 3\nvoters 2\npref 1 : 1 2 3\npref 1 : 3 2 1\n"
         )
-        assert infer_precedences(profile).graph.edges == frozenset()
+        assert infer_precedences(profile).edges == frozenset()
 
     def test_matches_naive_double_loop(self):
         for seed in range(30):
             rng = random.Random(seed)
             profile = random_order_profile(rng, rng.randint(2, 7), rng.randint(1, 5))
-            edges = infer_precedences(profile).graph.edges
+            edges = infer_precedences(profile).edges
             naive = {
                 (a, b)
                 for a in range(1, profile.n + 1)
@@ -53,7 +54,7 @@ class TestInferPrecedences:
         for seed in range(30):
             rng = random.Random(100 + seed)
             profile = random_order_profile(rng, rng.randint(3, 7), rng.randint(1, 4))
-            edges = infer_precedences(profile).graph.edges
+            edges = infer_precedences(profile).edges
             for a, b in edges:
                 for c, d in edges:
                     if b == c:
@@ -70,18 +71,18 @@ class TestInferPrecedences:
         for seed in range(40):
             rng = random.Random(200 + seed)
             profile = random_mixed_profile(rng, rng.randint(1, 9), "order")
-            assert infer_precedences(profile).graph.edges == self.always_before(profile)
+            assert infer_precedences(profile).edges == self.always_before(profile)
 
     def test_identical_voters_yield_a_complete_dag(self):
         order = (4, 1, 5, 3, 2)
         profile = profile_of("order", [(order, 1 << 40), (order, 3)])
-        edges = infer_precedences(profile).graph.edges
+        edges = infer_precedences(profile).edges
         assert edges == {(a, b) for i, a in enumerate(order) for b in order[i + 1:]}
         assert edges == self.always_before(profile)
 
     def test_one_task_has_no_edges(self):
         profile = profile_of("order", [((1,), 2)])
-        assert infer_precedences(profile).graph.edges == frozenset()
+        assert infer_precedences(profile).edges == frozenset()
 
     def test_interval_mode_rejected(self):
         profile = parse_profile("profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (1,2)\n")
@@ -114,7 +115,7 @@ class TestRepair:
             prec = infer_precedences(profile)
             start = random_schedule(rng, n)
             fixed, swaps = repair_steps(start, prec)
-            assert satisfied_by(prec.graph, fixed)
+            assert satisfied_by(prec, fixed)
             assert len(swaps) <= n * n
 
     def test_repair_preserves_distance_optimality(self):
@@ -128,7 +129,7 @@ class TestRepair:
                 base, base_cost = solution.schedule, solution.cost
                 prec = infer_precedences(profile)
                 fixed, _ = repair_steps(base, prec)
-                assert satisfied_by(prec.graph, fixed)
+                assert satisfied_by(prec, fixed)
                 assert (
                     profile_cost(fixed, profile, CriterionKind.DISTANCE, encoding)
                     == base_cost
@@ -143,7 +144,7 @@ class TestSolveInferred:
             profile = random_order_profile(rng, rng.randint(2, 6), rng.randint(1, 5))
             solution = solve(profile, RuleSpec("distance", encoding, prec="inferred"))
             schedule, cost = solution.schedule, solution.cost
-            graph = infer_precedences(profile).graph
+            graph = infer_precedences(profile)
             assert satisfied_by(graph, schedule)
             oracle = exhaustive_optimum(
                 profile, CriterionKind.DISTANCE, encoding, graph=graph
@@ -168,7 +169,7 @@ class TestSolveInferred:
             profile = random_order_profile(rng, rng.randint(2, 6), rng.randint(1, 5))
             solution = solve(profile, RuleSpec("binary", encoding, prec="inferred"))
             schedule, cost = solution.schedule, solution.cost
-            graph = infer_precedences(profile).graph
+            graph = infer_precedences(profile)
             assert satisfied_by(graph, schedule)
             oracle = exhaustive_optimum(profile, CriterionKind.BINARY, encoding, graph=graph)
             assert cost == oracle.best_cost
@@ -194,9 +195,8 @@ class TestSolveWithGraph:
             n = rng.randint(2, 6)
             profile = random_order_profile(rng, n, rng.randint(1, 4))
             empty = PrecedenceGraph(n=n, edges=frozenset())
-            _, dp_cost = solve_with_graph(
-                profile, empty, CriterionKind.BINARY, EncodingKind.LATE_TASKS
-            )
+            matrix = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
+            _, dp_cost = solve_with_graph(matrix, empty)
             match_cost = solve(profile, RuleSpec("binary", "late_tasks")).cost
             assert dp_cost == match_cost
 
@@ -215,7 +215,7 @@ class TestSolveWithGraph:
             except ValueError:
                 continue  # sampled a cycle through transitivity
             schedule, cost = solve_with_graph(
-                profile, graph, CriterionKind.DISTANCE, EncodingKind.TARDINESS
+                build_cost_matrix(profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS), graph
             )
             oracle = exhaustive_optimum(
                 profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, graph=graph
@@ -233,9 +233,10 @@ class TestSolveWithGraph:
             windows = TimeWindows(
                 tuple((0, n - 1) if j == a else (0, n) for j in range(1, n + 1))
             )
-            schedule, cost = solve_with_graph(
-                profile, graph, CriterionKind.DISTANCE, EncodingKind.TARDINESS, windows
+            matrix = build_cost_matrix(
+                profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, windows
             )
+            schedule, cost = solve_with_graph(matrix, graph)
             oracle = exhaustive_optimum(
                 profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, windows, graph
             )
@@ -250,8 +251,9 @@ class TestSolveWithGraph:
             empty = PrecedenceGraph(n=n, edges=frozenset())
             a, b = rng.sample(range(1, n + 1), 2)
             one = PrecedenceGraph(n=n, edges=frozenset({(a, b)}))
-            _, free = solve_with_graph(profile, empty, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
-            _, bound = solve_with_graph(profile, one, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
+            matrix = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
+            _, free = solve_with_graph(matrix, empty)
+            _, bound = solve_with_graph(matrix, one)
             assert bound >= free
 
     def test_empty_graph_at_the_size_limit_equals_matching(self):
@@ -259,9 +261,8 @@ class TestSolveWithGraph:
         n = DEFAULT_DP_LIMIT
         profile = random_order_profile(random.Random(2020), n, 7)
         empty = PrecedenceGraph(n=n, edges=frozenset())
-        _, dp_cost = solve_with_graph(
-            profile, empty, CriterionKind.DISTANCE, EncodingKind.DEVIATION
-        )
+        matrix = build_cost_matrix(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)
+        _, dp_cost = solve_with_graph(matrix, empty)
         match_cost = solve(profile, RuleSpec("distance", "deviation")).cost
         assert dp_cost == match_cost
 
@@ -269,13 +270,13 @@ class TestSolveWithGraph:
         n = DEFAULT_DP_LIMIT + 1
         profile = profile_of("order", [(range(1, n + 1), 1)])
         graph = PrecedenceGraph(n=n, edges=frozenset())
+        matrix = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
         with pytest.raises(SizeLimitError):
-            solve_with_graph(profile, graph, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
+            solve_with_graph(matrix, graph)
 
     def test_size_limit_is_adjustable(self):
         profile = parse_profile("profile order\ntasks 3\nvoters 1\npref 1 : 1 2 3\n")
         graph = PrecedenceGraph(n=3, edges=frozenset())
+        matrix = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
         with pytest.raises(SizeLimitError):
-            solve_with_graph(
-                profile, graph, CriterionKind.BINARY, EncodingKind.LATE_TASKS, size_limit=2
-            )
+            solve_with_graph(matrix, graph, size_limit=2)

@@ -91,7 +91,7 @@ class TestEmdSchedule:
             rng = random.Random(seed)
             profile = random_order_profile(rng, rng.randint(2, 7), rng.randint(1, 5))
             schedule = emd_schedule(profile)
-            assert satisfied_by(infer_precedences(profile).graph, schedule)
+            assert satisfied_by(infer_precedences(profile), schedule)
 
 
 class TestRuleSpec:
