@@ -70,15 +70,21 @@ def profile_cost(
 
     Prices every distinct entry at the schedule's completions in one array
     pass (an entry's row sum is at most n^2), then weights by multiplicity
-    with Python integers, so the total is exact at any size.
+    with Python integers, so the total is exact at any size. Beyond the
+    window arrays, one (distinct, n) buffer holds each term in turn.
     """
     _check_size(schedule, profile.n)
     rel, due, mult = interval_arrays(profile, encoding)
     comp = np.array(schedule.completions(), dtype=np.int64)
     if _as_criterion(criterion) is CriterionKind.BINARY:
-        per_entry = ((comp > due) | (comp <= rel)).sum(axis=1)
+        miss = np.greater(comp, due)
+        miss |= np.less_equal(comp, rel)
+        per_entry = miss.sum(axis=1)
     else:
-        per_entry = (np.maximum(comp - due, 0) + np.maximum(rel - comp + 1, 0)).sum(axis=1)
+        gap = np.subtract(comp, due)  # past the due date where positive
+        per_entry = np.maximum(gap, 0, out=gap).sum(axis=1)
+        np.subtract(rel, comp - 1, out=gap)  # before the release where positive
+        per_entry += np.maximum(gap, 0, out=gap).sum(axis=1)
     return sum(map(operator.mul, mult.tolist(), per_entry.tolist()))
 
 
@@ -147,9 +153,12 @@ def interval_arrays(
     profile's entry order. Interval-mode profiles return their own read-only
     arrays. Order-mode profiles derive the windows from the profile's
     completions C with the encoding's formula (see
-    :class:`consched.model.EncodingKind`) in O(distinct * n) array time.
-    Shared by the cost matrix, the cost recheck and the brute-force oracle,
-    so all of them evaluate the same windows.
+    :class:`consched.model.EncodingKind`) in O(distinct * n) array time. A
+    bound that is one date for every voter and task (release 0 for
+    tardiness and late_tasks, due n for earliness) is a read-only
+    zero-stride view of that date (``np.broadcast_to``), so it allocates
+    nothing. Shared by the cost matrix, the cost recheck and the brute-force
+    oracle, so all of them evaluate the same windows.
     """
     if profile.mode == "order":
         if encoding is None:
@@ -159,8 +168,8 @@ def interval_arrays(
         if encoding in (EncodingKind.DEVIATION, EncodingKind.EXACT_POSITION):
             return comp - 1, comp, mult
         if encoding in (EncodingKind.TARDINESS, EncodingKind.LATE_TASKS):
-            return np.zeros_like(comp), comp, mult
-        return comp - 1, np.full_like(comp, profile.n), mult  # EARLINESS
+            return np.broadcast_to(np.int64(0), comp.shape), comp, mult
+        return comp - 1, np.broadcast_to(np.int64(profile.n), comp.shape), mult  # EARLINESS
     if encoding is not None:
         raise ValueError("interval-mode profiles take no encoding")
     return profile.release, profile.due, profile.mult
@@ -171,11 +180,17 @@ def _task_histogram(values: np.ndarray, mult: np.ndarray, bins: int) -> np.ndarr
 
     ``values`` has shape (distinct voters, n) with values in 0..bins-1; the
     result has shape (n, bins) and ``hist[j, x]`` sums ``mult[i]`` over the
-    rows i with ``values[i, j] == x``. An unweighted ``bincount`` counts each
-    row once, exactly (weights would sum in float64 and round past 2^53);
+    rows i with ``values[i, j] == x``. A zero-stride view holds one date for
+    every voter and task, so its histogram is the total multiplicity in that
+    date's column. Otherwise an unweighted ``bincount`` counts each row once,
+    exactly (weights would sum in float64 and round past 2^53), and
     ``np.add.at`` adds ``mult - 1`` in int64 for the rows of multiplicity > 1.
     """
     n = values.shape[1]
+    if not any(values.strides):
+        hist = np.zeros((n, bins), dtype=np.int64)
+        hist[:, values.flat[0]] = mult.sum()
+        return hist
     idx = values + np.arange(0, n * bins, bins, dtype=np.int64)
     hist = np.bincount(idx.ravel(), minlength=n * bins).astype(np.int64, copy=False)
     heavy = mult > 1

@@ -75,9 +75,11 @@ GENERATORS = ("uniform_permutations", "mallows_like_swap_noise")
 
 
 def _check_generator(generator: str, swaps: int) -> None:
-    """Refuse an unknown generator, and swaps for a generator that draws none."""
+    """Refuse an unknown generator, negative swaps, and swaps for a generator that draws none."""
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}")
+    if swaps < 0:
+        raise ValueError(f"swaps must be >= 0, got {swaps}")
     if swaps > 0 and generator != "mallows_like_swap_noise":
         raise ValueError(f"swaps apply to mallows_like_swap_noise only, not {generator}")
 

@@ -230,9 +230,11 @@ class PreferenceProfile:
             raise ValueError("profile has no entries")
         if not n:
             raise ValueError("empty schedule")
-        comp, bad = _completions(orders)
-        if bad is not None:
-            Schedule(tuple(orders[bad].tolist()))  # raises the reason
+        in_range = ((orders >= 1) & (orders <= n)).all(axis=1)
+        comp = _completions(np.clip(orders, 1, n))
+        bad = np.flatnonzero(~(in_range & comp.all(axis=1)))
+        if bad.size:
+            Schedule(tuple(orders[bad[0]].tolist()))  # raises the reason
         _check_cost_bound(n, v)
         return cls._from_arrays("order", v, np.ones(v, dtype=np.int64), completions=comp)
 
@@ -263,20 +265,18 @@ class PreferenceProfile:
         )
 
 
-def _completions(orders: np.ndarray) -> tuple[np.ndarray, Optional[int]]:
-    """Completion times of each row of an int64 orders array, and its first bad row.
+def _completions(orders: np.ndarray) -> np.ndarray:
+    """Completion times of each row of a (rows, n) array of task ids in 1..n.
 
-    One argsort per row: for a permutation of 1..n, the ids in sorted order
-    are exactly 1..n and the sorting indices are the completion times minus
-    one. The second value is the index of the first row that is not such a
-    permutation, or None.
+    One scatter, ``comp[row, id - 1] = slot``. A row of n ids in 1..n is a
+    permutation exactly when no id repeats, that is when every task gets a
+    slot: a row that is not one keeps a completion time of 0.
     """
-    n = orders.shape[1]
-    idx = np.argsort(orders, axis=1)
-    ok = (np.take_along_axis(orders, idx, axis=1) == np.arange(1, n + 1)).all(axis=1)
-    bad = np.flatnonzero(~ok)
-    idx += 1
-    return idx, (int(bad[0]) if bad.size else None)
+    rows, n = orders.shape
+    flat = np.add(orders, np.arange(-1, rows * n - 1, n)[:, None], dtype=np.intp)
+    comp = np.zeros((rows, n), dtype=np.int64)
+    np.put(comp, flat, np.arange(1, n + 1))  # the slots repeat along every row
+    return comp
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,14 +370,15 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     The header is read line by line up to the first body line. The body has
     two readers, which share one error rule. A plain order-mode body (``pref
     <m> : <ids>`` lines in ASCII with single spaces, no comment or blank
-    line) is read in one pass over the text by :func:`_plain_body`. Any
-    other body is read line by line by :func:`_read_body`. The bulk readers
-    return None rather than raise: every error about an order-mode line's
-    task ids is raised by :func:`_check_order_line`, which reads ids through
-    ``int()`` (accepting ``+2``, tabs and Unicode digits) and takes its
-    message from :class:`Schedule`. Multiplicities stay Python integers until
-    their sum has matched the header. The first bad line in file order is
-    reported.
+    line) is read straight from its bytes to the completions array by
+    :func:`_plain_body`, with no per-line step. Any other body is read line
+    by line by :func:`_read_body`, which hands the ids of its lines to the
+    same bulk reader first. The bulk reader returns None rather than raise:
+    every error about an order-mode line's task ids is raised by
+    :func:`_check_order_line`, which reads ids through ``int()`` (accepting
+    ``+2``, tabs and Unicode digits) and takes its message from
+    :class:`Schedule`. Multiplicities stay Python integers until their sum
+    has matched the header. The first bad line in file order is reported.
 
     Raises
     ------
@@ -421,30 +422,71 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     return PreferenceProfile._from_arrays(mode, v, np.array(mults, dtype=np.int64), **arrays)
 
 
-# A plain line's head after its line break. Its multiplicity has at most 18 digits,
-# so converting all of them cannot raise.
-_PLAIN_HEAD = re.compile(r"\npref ([0-9]{1,18}) : ")
-
-
 def _plain_body(raw: str, offset: int, n: int) -> Optional[tuple[list[int], dict]]:
     """Multiplicities and completions of a plain order-mode body, else None.
 
-    The body is ``raw`` from ``offset`` on: one regex split cuts every line's
-    head, and :func:`_plain_orders` refuses a line without one. A first body
-    line without a plain head, a multiplicity of 0 or a row that is not a
-    permutation also returns None.
+    The body is ``raw`` from the line break before ``offset`` on. It is plain
+    when every line is ``pref <m> : <t1> ... <tn>`` in ASCII with single
+    spaces and ``\\n`` line breaks. With no per-line step, every separator
+    (every byte but a digit) is found once and checked against one line's
+    template, every number is read by :func:`_digit_runs` and each row is
+    inverted by :func:`_completions`. A multiplicity of 0, a number of over
+    18 digits, an id outside 1..n or a row that is not a permutation also
+    returns None; the reader never raises.
     """
-    head, *parts = _PLAIN_HEAD.split(raw)
-    mults = list(map(int, parts[::2]))
-    if len(head) != offset - 1 or min(mults) < 1:  # the first cut is not at the first body line
+    body = raw[offset - 1:]
+    if not body.isascii():
         return None
-    parts[-1] = parts[-1].removesuffix("\n")  # the file's last line break
-    orders = _plain_orders(parts[1::2], n)
-    del parts  # the ids' text, before the permutation check's arrays
-    if orders is None:
+    d = np.frombuffer((body if body.endswith("\n") else body + "\n").encode(), dtype=np.uint8) - 48
+    del body
+    seps = np.flatnonzero(d > 9)
+    width = n + 8  # a line's separators: its line break, "pref ", " : " and n - 1 spaces
+    lines, extra = divmod(seps.size - 1, width)
+    if extra or not lines:
         return None
-    comp, bad = _completions(orders)
-    return None if bad is not None else (mults, {"completions": comp})
+    # The separators before and after each field: the multiplicity is field 5,
+    # the ids fields 8.., and the line's last id ends at the next line break.
+    before, after = seps[:-1].reshape(lines, width), seps[1:].reshape(lines, width)
+    template = np.frombuffer(b"\npref  : " + b" " * (n - 1), dtype=np.uint8) - 48
+    if (
+        (d[before] != template).any()
+        or (after[:, :5] - before[:, :5] != 1).any()  # "\npref " with nothing between
+        or (after[:, 6:8] - before[:, 6:8] != 1).any()  # " : "
+    ):
+        return None
+    d[seps] = 0
+    del seps
+    mult = _digit_runs(d, before[:, 5], after[:, 5])
+    ids = _digit_runs(d, before[:, 8:], after[:, 8:])
+    del d, before, after
+    if mult is None or ids is None or mult.min() < 1 or ids.min() < 1 or ids.max() > n:
+        return None
+    comp = _completions(ids)
+    return (mult.tolist(), {"completions": comp}) if comp.all() else None
+
+
+def _digit_runs(d: np.ndarray, before: np.ndarray, after: np.ndarray) -> Optional[np.ndarray]:
+    """The number written between each pair of separator positions, or None.
+
+    ``d`` holds the text's bytes less 48, with every separator set to 0.
+    Only runs of 1 to 18 digits qualify, so every number fits int64. The
+    digits are read one position at a time, from the longest run's first
+    digit to the last digit of all: one Horner step (value = 10 * value +
+    digit) per position. A position left of a shorter run reads its leading
+    separator, whose 0 keeps the value 0. Numbers of at most 4 digits are
+    summed in int16, and the loop refills its temporaries in place.
+    """
+    pos = np.subtract(after, before)  # each run's length plus one
+    top = int(pos.max()) - 1
+    if pos.min() < 2 or top > 18:
+        return None
+    value = np.zeros(pos.shape, dtype=np.int16 if top <= 4 else np.intp)
+    digit = np.empty(pos.shape, dtype=np.uint8)
+    for k in range(top, 0, -1):
+        np.maximum(np.subtract(after, k, out=pos), before, out=pos)
+        value *= 10
+        value += np.take(d, pos, out=digit)
+    return value
 
 
 _PREF_RE = re.compile(r"pref\s+(\d+)\s*:\s*(.*)")
@@ -484,13 +526,17 @@ def _read_body(lines: list[str], start: int, mode: str, n: int) -> tuple[list[in
     except ProfileError as exc:
         error = exc
     if mode == "order":
-        orders = _plain_orders(bodies, n)  # None unless every line's ids are plain
-        comp, bad = (None, 0) if orders is None else _completions(orders)
-        if bad is not None:  # line by line: the first bad line's ids raise
+        # The bulk reader reads the accepted lines' ids, written as plain lines of
+        # multiplicity 1. If it refuses them, they are read line by line, and the
+        # first bad line raises.
+        plain = _plain_body("".join("\npref 1 : " + body for body in bodies), 1, n)
+        if plain is None:
             rows = array("q")
             for body, no in zip(bodies, nos):
                 rows.extend(_check_order_line(body, n, no))
             comp = np.frombuffer(rows, dtype=np.int64).reshape(-1, n)
+        else:
+            comp = plain[1]["completions"]
         arrays = {"completions": comp}
     else:
         release, due = (np.frombuffer(buf, dtype=np.int64).reshape(-1, n) for buf in bufs)
@@ -500,8 +546,12 @@ def _read_body(lines: list[str], start: int, mode: str, n: int) -> tuple[list[in
     return mults, arrays
 
 
-def _check_order_line(body: str, n: int, no: int) -> tuple[int, ...]:
-    """Completion times of one order-mode line's task ids; every error about them raises here."""
+def _check_order_line(body: str, n: int, no: int) -> list[int]:
+    """Completion times of one order-mode line's task ids; every error about them raises here.
+
+    Each id is converted once. A line that is not a permutation of 1..n
+    raises with the message of :class:`Schedule`.
+    """
     if "(" in body:
         raise ProfileError("interval pair in an order-mode profile", no)
     try:
@@ -512,33 +562,16 @@ def _check_order_line(body: str, n: int, no: int) -> tuple[int, ...]:
         raise ProfileError(f"non-integer task id in {body!r}", no) from None
     if len(tasks) != n:
         raise ProfileError(f"expected {n} task ids, got {len(tasks)}", no)
-    try:
-        return Schedule(tasks).completions()
-    except ValueError as exc:
-        raise ProfileError(str(exc), no) from None
-
-
-def _plain_orders(bodies: list[str], n: int) -> Optional[np.ndarray]:
-    """The bodies' task ids as a (rows, n) int64 array read in one C call, or None.
-
-    Only plain bodies qualify: n ASCII-digit ids separated by single spaces,
-    none longer than 18 digits, so every id fits int64 and the conversion is
-    exact; the bytes between ids are checked in bulk. Every other form that
-    ``int()`` accepts or rejects returns None.
-    """
-    joined = "\n".join(bodies)
-    if not joined.isascii():
-        return None
-    text = np.frombuffer(b"\n" + joined.encode() + b"\n", dtype=np.uint8)
-    seps = np.flatnonzero(text - 48 > 9)  # every byte but a digit (uint8 wraps below 48)
-    # With the count right, n - 1 spaces per row leave every newline at a row's end.
-    if seps.size != len(bodies) * n + 1 or (text[seps[1:]].reshape(-1, n)[:, :-1] != 32).any():
-        return None
-    gaps = np.diff(seps)  # an id's digit count plus one
-    if gaps.min(initial=2) < 2 or gaps.max(initial=2) > 19:
-        return None
-    del text, seps, gaps  # before the conversion's array, which would raise the peak
-    return np.fromstring(joined, dtype=np.int64, sep=" ").reshape(-1, n)
+    comp = [0] * n  # n >= 1, so min and max have ids to read
+    if 1 <= min(tasks) and max(tasks) <= n:
+        for slot, task in enumerate(tasks, start=1):
+            comp[task - 1] = slot
+    if 0 in comp:  # an id out of range, or a repeated one
+        try:
+            Schedule(tasks)
+        except ValueError as exc:
+            raise ProfileError(str(exc), no) from None
+    return comp
 
 
 def _read_interval_line(body: str, n: int, no: int, rel: array, due: array) -> None:

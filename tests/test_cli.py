@@ -773,6 +773,17 @@ class TestGen:
         assert err.startswith(f"usage: consched {command[0]}")
         assert err.endswith("error: argument --swaps: must be >= 0, got -2\n")
 
+    def test_generate_profile_refuses_negative_swaps(self):
+        # It used to draw no swap and return v identity voters.
+        with pytest.raises(ValueError, match=r"^swaps must be >= 0, got -5$"):
+            experiment.generate_profile(4, 3, 1, "mallows_like_swap_noise", -5)
+
+    def test_experiment_config_refuses_negative_swaps(self):
+        with pytest.raises(ValueError, match=r"^swaps must be >= 0, got -1$"):
+            experiment.ExperimentConfig(
+                trials=2, n=4, v=3, seed=1, generator="mallows_like_swap_noise", swaps=-1
+            )
+
     @pytest.mark.parametrize("command", [
         ["gen", "--tasks", "4", "--voters", "2", "--seed", "1"],
         ["ratio", "--trials", "2", "--tasks", "4", "--voters", "2", "--seed", "1"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from consched.criteria import (
     profile_cost,
     spearman_distance,
 )
+from consched.experiment import generate_profile
 from consched.model import EncodingKind, Schedule, parse_profile
 from references import binary_task_cost, choice_decomposition, distance_task_cost, late_at_slot
 
@@ -335,6 +337,51 @@ class TestIntervalArrays:
         assert binary == profile_cost(s, profile, CriterionKind.BINARY, encoding)
 
 
+def traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, in bytes (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def wide_profile():
+    return generate_profile(60, 4000, 1)
+
+
+class TestWindowMemory:
+    @pytest.mark.parametrize("encoding", ["tardiness", "late_tasks", "earliness"])
+    def test_constant_bounds_allocate_nothing(self, wide_profile, encoding):
+        # A fresh (v, n) int64 array of the constant bound would take 1.9 MB;
+        # earliness's release C - 1 is the one (v, n) array left to allocate.
+        (rel, due, _), peak = traced_peak(lambda: interval_arrays(wide_profile, encoding))
+        comp, n = wide_profile.completions, wide_profile.n
+        assert peak < 64 * 2**10 + (comp.nbytes if encoding == "earliness" else 0)
+        constant, date = (due, n) if encoding == "earliness" else (rel, 0)
+        assert constant.shape == comp.shape and not any(constant.strides)
+        assert not constant.flags.writeable
+        assert (constant == date).all()
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    @pytest.mark.parametrize("encoding", list(EncodingKind))
+    def test_recheck_peak(self, wide_profile, criterion, encoding):
+        v, n = wide_profile.completions.shape
+        schedule = Schedule(tuple(range(n, 0, -1)))
+        cost, peak = traced_peak(lambda: profile_cost(schedule, wide_profile, criterion, encoding))
+        assert peak < 2.5 * v * n * 8
+        rel, due, mult = interval_arrays(wide_profile, encoding)
+        c = np.arange(n, 0, -1)
+        if criterion is CriterionKind.BINARY:
+            per_voter = (c > due) | (c <= rel)
+        else:
+            per_voter = np.maximum(c - due, 0) + np.maximum(rel - c + 1, 0)
+        assert cost == int((mult[:, None] * per_voter).sum())
+
+
 def python_histogram(values, mult, bins):
     """hist[j][x]: the multiplicities of the rows whose task j reads x, in Python ints."""
     hist = [[0] * bins for _ in values[0]]
@@ -357,6 +404,14 @@ class TestTaskHistogram:
         hist = _task_histogram(np.array(values, dtype=np.int64), np.array(mult), bins)
         assert hist.dtype == np.int64 and hist.shape == (n, bins)
         assert hist.tolist() == python_histogram(values, mult, bins)
+
+    @pytest.mark.parametrize("date", [0, 3, 5])
+    def test_constant_view_counts_like_a_full_array(self, date):
+        mult = np.array([1, (1 << 60) + 1, 4])
+        view = np.broadcast_to(np.int64(date), (3, 5))
+        hist = _task_histogram(view, mult, 6)
+        assert hist.dtype == np.int64
+        assert hist.tolist() == python_histogram(view.tolist(), mult.tolist(), 6)
 
     def test_counts_past_float_precision(self):
         values = np.zeros((3, 2), dtype=np.int64)

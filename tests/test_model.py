@@ -542,6 +542,21 @@ def assert_parses_like_reference(text):
         assert_same_profile(parse_profile(text), want)
 
 
+def _refuse(*args):
+    raise AssertionError("plain body read line by line")
+
+
+# Task counts at which the longest id gains a digit, and the ones just past.
+_DIGIT_COUNT_BOUNDARIES = [1, 9, 10, 99, 100, 101, 999, 1000]
+
+
+def _with_ids(n, edit):
+    """A generated 3-voter profile on n tasks, its second line's ids rewritten by ``edit``."""
+    lines = serialize_profile(generate_profile(n, 3, n)).splitlines()
+    lines[4] = "pref 1 : " + " ".join(edit(lines[4].split(":")[1].split()))
+    return "\n".join(lines) + "\n"
+
+
 class TestParseMatchesReference:
     @pytest.mark.parametrize("mode", ["order", "interval"])
     @pytest.mark.parametrize("seed", range(20))
@@ -605,19 +620,38 @@ class TestParseMatchesReference:
         assert_same_profile(got, reference_parse_profile(text))
         assert ref.entries(got)[57][0].order == (2, 1, 3)
 
-    def test_serialized_profiles_take_the_c_conversion(self, capsys, monkeypatch):
-        # What `consched gen` and serialize_profile write is read in one pass,
-        # never line by line.
-        def refuse(*args):
-            raise AssertionError("plain body read line by line")
-
+    def test_serialized_profiles_take_the_byte_reader(self, capsys, monkeypatch):
+        # What `consched gen` and serialize_profile write is read in one pass
+        # over the body's bytes, never line by line.
         assert cli.main(["gen", "--tasks", "60", "--voters", "400", "--seed", "7"]) == 0
         texts = [capsys.readouterr().out, serialize_profile(generate_profile(60, 400, 7)),
                  serialize_profile(generate_profile(1, 5, 7))]
         wants = [reference_parse_profile(text) for text in texts]
-        monkeypatch.setattr(model, "_read_body", refuse)
+        monkeypatch.setattr(model, "_read_body", _refuse)
         for text, want in zip(texts, wants):
             assert_same_profile(parse_profile(text), want)
+
+    @pytest.mark.parametrize("n", _DIGIT_COUNT_BOUNDARIES)
+    @pytest.mark.parametrize("width", [0, 2, 4, 5, 18])
+    def test_digit_count_boundaries_take_the_byte_reader(self, n, width, monkeypatch):
+        # A line's first and last id zero-padded to `width` characters (0: as
+        # written). Ids of up to 4 digits are summed in int16, longer ones in intp.
+        text = _with_ids(n, lambda ids: [tok.zfill(width) if k in (0, len(ids) - 1) else tok
+                                         for k, tok in enumerate(ids)])
+        want = reference_parse_profile(text)
+        monkeypatch.setattr(model, "_read_body", _refuse)
+        assert_same_profile(parse_profile(text), want)
+
+    @pytest.mark.parametrize("n", _DIGIT_COUNT_BOUNDARIES)
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda ids: [ids[0].zfill(19), *ids[1:]], lambda ids: [*ids[:-1], "9" * 18],
+         lambda ids: [*ids[:-1], "9" * 19], lambda ids: ["1" + "0" * 17, *ids[1:]],
+         lambda ids: [*ids[:-1], str(len(ids) + 1).zfill(4)]],
+        ids=["19 chars, leading zeros", "18 digits", "19 digits", "10**17", "id n+1"],
+    )
+    def test_long_ids_read_like_the_reference(self, n, edit):
+        assert_parses_like_reference(_with_ids(n, edit))
 
     @settings(derandomize=True, max_examples=400, deadline=None, database=None)
     @given(perturbed_order_profiles())
@@ -655,7 +689,7 @@ class TestParseMatchesReference:
             else:
                 assert parse(data.draw(broken_lines(lines, ends)), 3) == parse("\n".join(lines), 3)
 
-    def test_c_conversion_raises_no_warning(self):
+    def test_byte_reader_raises_no_warning(self):
         text = serialize_profile(generate_profile(60, 300, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -816,9 +850,10 @@ class TestParseCost:
             assert cost == profile_cost(schedule, profile, criterion, encoding)
 
     def test_tracemalloc_peak_on_wide_profile(self):
-        # n=60, v=4000: 5.9 MB here, with the ids' text joined for the C
-        # conversion. A parser that first lists every token string pays
-        # about 12.7 MB for that list alone.
+        # n=60, v=4000: 5.5 MB here, while the ids are read: the body's bytes,
+        # the separator positions and the digit reader's buffers. A parser
+        # that first lists every token string pays about 12.7 MB for that
+        # list alone.
         text = serialize_profile(generate_profile(60, 4000, 1))
         tracemalloc.start()
         try:
