@@ -25,6 +25,7 @@ rest of what it runs when it runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -32,6 +33,11 @@ from typing import Optional, Sequence, Union
 
 # Set before NumPy loads: OpenBLAS spins a worker per core, and consched makes no BLAS call.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# A request keeps almost everything it imports until it exits, so collections
+# during start-up walk the whole heap for next to nothing; ``run`` turns the
+# collector back on.
+if __name__ == "__main__":
+    gc.disable()
 
 from .criteria import CriterionKind, profile_cost  # noqa: E402
 from .errors import DEFAULT_DP_LIMIT, InfeasibleError, ProfileError, SizeLimitError  # noqa: E402
@@ -502,5 +508,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_SIZE_LIMIT
 
 
+def run() -> int:
+    """The process entry of ``python -m consched.cli`` and the ``consched`` script.
+
+    A request keeps almost everything it imports until it exits, so
+    collecting it is wasted work. The start-up heap is frozen into the
+    collector's permanent generation before the command, and whatever is
+    still alive is frozen again after it, so neither the command's
+    collections nor the full collections at interpreter shutdown walk those
+    objects. The command runs with the collector on, so whatever cycles a
+    long command makes (``ratio`` runs thousands of trials) are still freed.
+    ``main`` leaves the caller's collector alone.
+    """
+    gc.freeze()
+    gc.enable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

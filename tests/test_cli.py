@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -912,11 +914,33 @@ def test_installed_entry_point_smoke():
     assert payload["schedule"] == [4, 2, 5, 1, 3]
 
 
+def test_the_console_script_is_the_process_entry():
+    # Python 3.10 has no tomllib, so the target is read with a text match.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\nconsched = "([\w.]+):(\w+)"$', text, re.M)
+    assert target is not None
+    module, name = target.groups()
+    assert getattr(importlib.import_module(module), name) is cli.run
+
+
 def _fresh(args, env=None):
     """``python <args>`` in a new interpreter with ``OPENBLAS_NUM_THREADS`` unset."""
     clean = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           timeout=120, env={**clean, **(env or {})})
+
+
+def _entry_probe(argv, then):
+    """A ``-c`` program: the request ``python -m consched.cli <argv>`` in process, then ``then``."""
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = ['consched', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('consched.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        + then
+    )
 
 
 class TestFreshProcess:
@@ -930,6 +954,9 @@ class TestFreshProcess:
     def files(self, tmp_path):
         (tmp_path / "g.txt").write_text("1 -> 2\n3 -> 4\n")
         (tmp_path / "w.txt").write_text("task 1 : 0 3\n")
+        (tmp_path / "tight.txt").write_text("task 1 : 0 1\ntask 2 : 0 1\n")
+        (tmp_path / "bad.prof").write_text(
+            "profile order\ntasks 3\nvoters 2\npref 1 : 1 2 2\npref 1 : 3 2 1\n")
         return tmp_path
 
     SOLVE = ["solve", "--profile", "fixture:chain5x6", "--rule", "binary", "--encoding", "late"]
@@ -963,6 +990,18 @@ class TestFreshProcess:
         assert code == EXIT_OK
         assert proc.stdout == out
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["solve", "--profile", "{tmp}/bad.prof", "--rule", "binary", "--encoding", "late"],
+         EXIT_USAGE),
+        (SOLVE + ["--time", "{tmp}/tight.txt"], EXIT_INFEASIBLE),
+        (SOLVE + ["--method", "dp", "--dp-limit", "0"], EXIT_SIZE_LIMIT),
+    ])
+    def test_every_exit_class_runs_cold(self, capsys, files, argv, expected):
+        argv = [arg.replace("{tmp}", str(files)) for arg in argv]
+        proc = _fresh(["-m", "consched.cli", *argv])
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)
+        assert proc.returncode == expected
+
     def test_import_consched_loads_no_numpy_and_no_submodule(self):
         proc = _fresh(["-c", "import sys, consched; print(sorted("
                        "m for m in sys.modules if m == 'numpy' or m.startswith('consched')))"])
@@ -991,16 +1030,8 @@ class TestFreshProcess:
     ])
     def test_a_request_loads_only_what_it_runs(self, files, argv, unused):
         argv = [arg.replace("{tmp}", str(files)) for arg in argv]
-        probe = (
-            "import runpy, sys\n"
-            f"sys.argv = ['consched', *{argv!r}]\n"
-            "try:\n"
-            "    runpy.run_module('consched.cli', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "print(sorted(m[9:] for m in sys.modules if m.startswith('consched.')))\n"
-        )
-        proc = _fresh(["-c", probe])
+        proc = _fresh(["-c", _entry_probe(
+            argv, "print(sorted(m[9:] for m in sys.modules if m.startswith('consched.')))\n")])
         assert proc.returncode == 0, proc.stderr
         assert set(eval(proc.stdout.splitlines()[-1])) == self.MODULES - unused
 
@@ -1024,6 +1055,21 @@ class TestFreshProcess:
                       env={"OPENBLAS_NUM_THREADS": "2"})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[0] == "2"
+
+    def test_the_entry_freezes_the_start_up_heap_and_keeps_the_collector_on(self):
+        proc = _fresh(["-c", _entry_probe(
+            self.SOLVE, "import gc; print(gc.isenabled(), gc.get_freeze_count() > 0)\n")])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True True"
+
+    def test_main_keeps_the_callers_collector(self):
+        proc = _fresh(["-c", (
+            "import gc, consched.cli\n"
+            f"code = consched.cli.main({self.SOLVE!r})\n"
+            "print(code, gc.isenabled(), gc.get_freeze_count())\n"
+        )])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True 0"
 
     def test_library_leaves_the_environment_alone(self):
         proc = _fresh(["-c", (
