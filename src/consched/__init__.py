@@ -49,8 +49,6 @@ _EXPORTS = {
     ),
     "precedence": ("infer_precedences", "repair_steps", "solve_with_graph"),
     "rules": (
-        "RuleKind",
-        "RuleSpec",
         "Solution",
         "canonical_criterion",
         "emd_schedule",

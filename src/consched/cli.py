@@ -109,7 +109,7 @@ def _load_windows(path: Optional[str], n: int) -> Optional[TimeWindows]:
 
 
 def _load_prec(args, n: int) -> Union[None, str, PrecedenceGraph]:
-    """--prec/--prec-mode as a RuleSpec.prec: None, "inferred" or the graph read from --prec."""
+    """--prec/--prec-mode as solve's ``prec``: None, "inferred" or the graph read from --prec."""
     if args.prec_mode is None:
         if args.prec:
             raise ProfileError("--prec requires --prec-mode {inferred,graph}")
@@ -131,14 +131,12 @@ def _print_notes(notes: Sequence[str]) -> None:
 
 def _solve(args, profile: PreferenceProfile):
     """The rule flags as one ``rules.solve`` request; its notes go to stderr."""
-    from .rules import RuleSpec, solve
+    from .rules import solve
 
     encoding = _ENCODING_FLAGS[args.encoding] if args.encoding else None
     windows = _load_windows(args.time, profile.n)
     prec = _load_prec(args, profile.n)
-    solution = solve(
-        profile, RuleSpec(args.rule, encoding, windows, prec, args.method, args.dp_limit)
-    )
+    solution = solve(profile, args.rule, encoding, windows, prec, args.method, args.dp_limit)
     _print_notes(solution.notes)
     return solution
 
@@ -400,9 +398,10 @@ _count = _at_least(0)
 _positive = _at_least(1)
 
 
-# experiment.GENERATORS, rules.METHODS and axioms.AXIOMS, named here so that
-# building the parser imports none of these modules.
+# experiment.GENERATORS, rules.RULES, rules.METHODS and axioms.AXIOMS, named here
+# so that building the parser imports none of these modules.
 _GENERATORS = ("uniform_permutations", "mallows_like_swap_noise")
+_RULES = ("distance", "binary", "emd")
 _METHODS = ("auto", "matching", "dp", "repair")
 _AXIOMS = ("release", "deadline", "unanimity")
 
@@ -412,7 +411,7 @@ def _add_format(p) -> None:
 
 
 def _add_rule_flags(p) -> None:
-    p.add_argument("--rule", required=True, choices=("distance", "binary", "emd"))
+    p.add_argument("--rule", required=True, choices=_RULES)
     p.add_argument("--encoding", choices=sorted(_ENCODING_FLAGS))
     p.add_argument("--profile", required=True, metavar="FILE")
     p.add_argument("--time", metavar="FILE", help="global time-window file")

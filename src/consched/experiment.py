@@ -26,7 +26,7 @@ from .criteria import (
 )
 from .model import EncodingKind, PreferenceProfile, serialize_profile
 from .oracle import exhaustive_optimum, kendall_optimum
-from .rules import RuleSpec, emd_schedule, solve
+from .rules import emd_schedule, solve
 
 __all__ = [
     "GENERATORS",
@@ -222,8 +222,8 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
                             f"slot {y}: emd {emd_late[y - 1]} > {bound} (optimum {opt})",
                         )
         else:
-            t_opt = solve(profile, RuleSpec("distance", EncodingKind.TARDINESS)).cost
-            dev_opt = solve(profile, RuleSpec("distance", EncodingKind.DEVIATION)).cost
+            t_opt = solve(profile, "distance", EncodingKind.TARDINESS).cost
+            dev_opt = solve(profile, "distance", EncodingKind.DEVIATION).cost
 
         if t_opt == 0:
             report.zero_tardiness_opt += 1

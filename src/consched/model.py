@@ -37,6 +37,7 @@ File formats (UTF-8, line oriented, ``#`` starts a comment):
 from __future__ import annotations
 
 import heapq
+import operator
 import re
 from array import array
 from dataclasses import dataclass, field
@@ -92,6 +93,14 @@ def _as_encoding(encoding: Union["EncodingKind", str]) -> "EncodingKind":
         raise ValueError(f"unknown encoding {encoding!r} (expected one of: {valid})") from None
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``operator.index`` of each value; one that is not an integer raises ``ValueError``."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Schedule:
     """A permutation of task ids; position t-1 holds the task completing at t."""
@@ -100,7 +109,7 @@ class Schedule:
     _completed_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = tuple(map(int, self.order))
+        order = _integers(self.order, "schedule")
         object.__setattr__(self, "order", order)
         n = len(order)
         if n == 0:
@@ -220,9 +229,10 @@ class PreferenceProfile:
 
         Row i lists voter i's preferred schedule, task ids in slot order.
         Rows are checked in bulk, and the first row that is not a permutation
-        of 1..n raises the same ``ValueError`` as :class:`Schedule` would.
+        of 1..n raises the same ``ValueError`` as :class:`Schedule` would. An
+        array that does not hold integers raises ``ValueError`` too.
         """
-        orders = np.asarray(orders, dtype=np.int64)
+        orders = np.asarray(orders)
         if orders.ndim != 2:
             raise ValueError(f"orders must be a (voters, n) array, got shape {orders.shape}")
         v, n = orders.shape
@@ -230,6 +240,8 @@ class PreferenceProfile:
             raise ValueError("profile has no entries")
         if not n:
             raise ValueError("empty schedule")
+        if not np.issubdtype(orders.dtype, np.integer):
+            raise ValueError(f"orders must be integers, got dtype {orders.dtype}")
         in_range = ((orders >= 1) & (orders <= n)).all(axis=1)
         comp = _completions(np.clip(orders, 1, n))
         bad = np.flatnonzero(~(in_range & comp.all(axis=1)))
@@ -287,7 +299,7 @@ class PrecedenceGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        edges = frozenset((int(a), int(b)) for a, b in self.edges)
+        edges = frozenset(_integers(edge, "edge") for edge in self.edges)
         object.__setattr__(self, "edges", edges)
         for a, b in edges:
             _check_edge(a, b, self.n)
@@ -320,7 +332,7 @@ class TimeWindows:
     windows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        windows = tuple((int(r), int(d)) for r, d in self.windows)
+        windows = tuple(_integers(window, "window") for window in self.windows)
         object.__setattr__(self, "windows", windows)
         _check_windows(windows)
 

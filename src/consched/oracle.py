@@ -142,14 +142,6 @@ def _steps(profile: PreferenceProfile, criterion: Union[CriterionKind, str],
     return table.T[n - 1 - _members(n).sum(axis=1)]
 
 
-def _forbid_outside(step: np.ndarray, windows: TimeWindows) -> None:
-    """Forbid every task j+1 from completing outside its window (r, d]."""
-    lo, hi = np.array(windows.windows, dtype=np.int64).T
-    n = step.shape[1]
-    done = n - _members(n).sum(axis=1, keepdims=True)
-    step[(done <= lo) | (done > hi)] = -1
-
-
 def exhaustive_optimum(
     profile: PreferenceProfile,
     criterion: Union[CriterionKind, str],
@@ -159,7 +151,7 @@ def exhaustive_optimum(
 ) -> OracleResult:
     """Exact minimum over all window/precedence-feasible permutations.
 
-    ``graph`` takes what ``RuleSpec.prec`` does: None, ``"inferred"`` (the
+    ``graph`` takes what ``solve``'s ``prec`` does: None, ``"inferred"`` (the
     profile's unanimous-order graph) or an imposed ``PrecedenceGraph``.
     """
     _guard(profile.n)
@@ -173,8 +165,10 @@ def exhaustive_optimum(
         if graph.n != n:
             raise ValueError(f"graph covers {graph.n} tasks, profile has {n}")
     step = _steps(profile, criterion, encoding)
-    if windows is not None:
-        _forbid_outside(step, windows)
+    if windows is not None:  # task j+1 may not complete outside its window (r, d]
+        lo, hi = np.array(windows.windows, dtype=np.int64).T
+        done = n - _members(n).sum(axis=1, keepdims=True)
+        step[(done <= lo) | (done > hi)] = -1
     if graph is not None:
         members = _members(n)
         for a, b in graph.edges:  # b may not run ahead of a set that still holds a
@@ -195,13 +189,10 @@ def constrained_best(
     voter does) or ``unanimity`` (either mode: tasks with one unanimous
     window must land inside it); ``axioms.axiom_windows`` gives the windows.
     """
-    _guard(profile.n)
+    _guard(profile.n)  # a profile too large fails on its size first, whatever the axiom
     from .axioms import axiom_windows
 
-    windows = axiom_windows(profile, axiom)
-    step = _steps(profile, criterion, encoding)
-    _forbid_outside(step, windows)
-    return _result(step)
+    return exhaustive_optimum(profile, criterion, encoding, axiom_windows(profile, axiom))
 
 
 def kendall_optimum(profile: PreferenceProfile) -> OracleResult:

@@ -120,6 +120,8 @@ def solve_with_graph(
 
     Raises
     ------
+    ValueError
+        When ``size_limit`` is not an int >= 0.
     SizeLimitError
         When n exceeds ``size_limit`` (default 20); pass a larger limit to
         override deliberately. Also, whatever the limit, when n >= 63 (the
@@ -129,6 +131,8 @@ def solve_with_graph(
         With windows that admit no precedence-feasible completion (never
         happens for an acyclic graph without windows).
     """
+    if not isinstance(size_limit, int) or size_limit < 0:
+        raise ValueError(f"size_limit must be an int >= 0, got {size_limit!r}")
     n = matrix.n
     if graph.n != n:
         raise ValueError(f"graph covers {graph.n} tasks, cost matrix has {n}")

@@ -13,8 +13,8 @@ distance criterion, the late-task count and the exact-position miss count
 from the binary criterion. ``canonical_criterion`` maps each encoding to the
 criterion that defines its named rule.
 
-``solve`` is the one place that picks the algorithm. A ``RuleSpec`` mirrors
-the ``consched solve`` flags; ``solve`` checks it, builds the request's one
+``solve`` is the one place that picks the algorithm. Its arguments mirror
+the ``consched solve`` flags; ``solve`` checks them, builds the request's one
 cost matrix, runs one path on it, prices the schedule from it, rechecks the
 cost with ``profile_cost`` and returns a ``Solution`` naming the path: ``emd``
 (which ignores windows and precedences), ``matching`` (the assignment
@@ -27,7 +27,6 @@ for every other precedence request).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
@@ -45,20 +44,12 @@ from .model import (
 )
 
 __all__ = [
-    "RuleKind",
-    "RuleSpec",
     "Solution",
     "canonical_criterion",
     "median_completion_times",
     "emd_schedule",
     "solve",
 ]
-
-
-class RuleKind(str, Enum):
-    DISTANCE = "distance"
-    BINARY = "binary"
-    EMD = "emd"
 
 
 _CANONICAL = {
@@ -75,33 +66,8 @@ def canonical_criterion(encoding: Union[EncodingKind, str]) -> CriterionKind:
     return _CANONICAL[_as_encoding(encoding)]
 
 
+RULES = ("distance", "binary", "emd")
 METHODS = ("auto", "matching", "dp", "repair")
-
-
-@dataclass(frozen=True, slots=True)
-class RuleSpec:
-    """What to solve and how: the fields mirror the ``consched solve`` flags.
-
-    ``prec`` is None, ``"inferred"`` or an imposed ``PrecedenceGraph``;
-    ``method`` is one of ``METHODS``; ``dp_limit`` is the subset-DP size guard.
-    """
-
-    rule: Union[RuleKind, str]
-    encoding: Optional[Union[EncodingKind, str]] = None
-    windows: Optional[TimeWindows] = None
-    prec: Union[None, str, PrecedenceGraph] = None
-    method: str = "auto"
-    dp_limit: int = DEFAULT_DP_LIMIT
-
-    def __post_init__(self):
-        object.__setattr__(self, "rule", RuleKind(self.rule))
-        if self.encoding is not None:
-            object.__setattr__(self, "encoding", _as_encoding(self.encoding))
-        if not (self.prec is None or isinstance(self.prec, PrecedenceGraph)
-                or self.prec == "inferred"):
-            raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {self.prec!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,68 +102,89 @@ def emd_schedule(profile: PreferenceProfile) -> Schedule:
     return Schedule(tuple(order))
 
 
-def solve(profile: PreferenceProfile, spec: RuleSpec) -> Solution:
-    """Check ``spec``, run the path it selects and recheck the cost.
+def solve(
+    profile: PreferenceProfile,
+    rule: str,
+    encoding: Optional[Union[EncodingKind, str]] = None,
+    windows: Optional[TimeWindows] = None,
+    prec: Union[None, str, PrecedenceGraph] = None,
+    method: str = "auto",
+    dp_limit: int = DEFAULT_DP_LIMIT,
+) -> Solution:
+    """Check the request, run the path it selects and recheck the cost.
 
-    Every path runs on, and is priced from, the request's one cost matrix
-    (built without windows for emd), so ``profile_cost``, repricing the
-    schedule from the profile (emd under its encoding, default tardiness),
-    is an independent recheck; a mismatch raises ``AssertionError``. A request
-    no path serves raises ``ValueError``, one no schedule satisfies
-    ``InfeasibleError``, a DP past ``spec.dp_limit`` ``SizeLimitError``; the
-    first two carry ``method`` (the path, or None) and the ``notes`` made before.
+    The arguments mirror the ``consched solve`` flags: ``rule`` is one of
+    ``RULES``, ``prec`` is None, ``"inferred"`` or an imposed
+    ``PrecedenceGraph``, ``method`` is one of ``METHODS`` and ``dp_limit`` is
+    the subset-DP size guard. Every path runs on, and is priced from, the
+    request's one cost matrix (built without windows for emd), so
+    ``profile_cost``, repricing the schedule from the profile (emd under its
+    encoding, default tardiness), is an independent recheck; a mismatch raises
+    ``AssertionError``. A request no path serves raises ``ValueError``, one no
+    schedule satisfies ``InfeasibleError``, a DP past ``dp_limit``
+    ``SizeLimitError``; the first two carry ``method`` (the path, or None) and
+    the ``notes`` made before.
     """
-    if spec.rule is RuleKind.EMD:
-        encoding = spec.encoding if spec.encoding is not None else EncodingKind.TARDINESS
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
+    if encoding is not None:
+        encoding = _as_encoding(encoding)
+    if not (prec is None or isinstance(prec, PrecedenceGraph) or prec == "inferred"):
+        raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {prec!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if rule == "emd":
+        encoding = encoding if encoding is not None else EncodingKind.TARDINESS
         criterion = canonical_criterion(encoding)
     else:
-        encoding, criterion = spec.encoding, CriterionKind(spec.rule.value)
+        criterion = CriterionKind(rule)
     notes: list[str] = []
-    method = None
+    path = None
     try:
-        method, graph = _plan(profile, spec, criterion, notes)
-        windows = None if method == "emd" else spec.windows
+        path, graph = _plan(profile, rule, encoding, windows, prec, method, criterion, notes)
+        windows = None if path == "emd" else windows
         matrix = build_cost_matrix(profile, criterion, encoding, windows)
-        if method == "emd":
+        if path == "emd":
             schedule = emd_schedule(profile)
-        elif method == "dp":
+        elif path == "dp":
             from .precedence import solve_with_graph
 
-            schedule = solve_with_graph(matrix, graph, spec.dp_limit)[0]
+            schedule = solve_with_graph(matrix, graph, dp_limit)[0]
         else:
             schedule = min_cost_assignment(matrix)[0]
-            if method == "matching+repair":
+            if path == "matching+repair":
                 from .precedence import repair_steps
 
                 schedule = repair_steps(schedule, graph)[0]
         cost = matrix.price(schedule)
     except (InfeasibleError, ValueError) as exc:
-        exc.method, exc.notes = method, tuple(notes)
+        exc.method, exc.notes = path, tuple(notes)
         raise
     check = profile_cost(schedule, profile, criterion, encoding)
     if check != cost:
         raise AssertionError(f"solver cost {cost} != recomputed cost {check}")
-    return Solution(schedule, cost, method, tuple(notes))
+    return Solution(schedule, cost, path, tuple(notes))
 
 
-def _plan(profile: PreferenceProfile, spec: RuleSpec, criterion: CriterionKind,
+def _plan(profile: PreferenceProfile, rule: str, encoding: Optional[EncodingKind],
+          windows: Optional[TimeWindows], prec: Union[None, str, PrecedenceGraph],
+          method: str, criterion: CriterionKind,
           notes: list[str]) -> tuple[str, Optional[PrecedenceGraph]]:
     """(path, the precedence graph it runs under or None); checks in a fixed order."""
-    method, windows = spec.method, spec.windows
-    if spec.rule is RuleKind.EMD:
+    if rule == "emd":
         if method != "auto":
             raise ValueError("--method applies to the distance/binary rules only")
-        if windows is not None or spec.prec is not None:
+        if windows is not None or prec is not None:
             notes.append("emd ignores --time/--prec constraints")
         if profile.mode != "order":
             raise ValueError("emd requires an order-mode profile")
         return "emd", None
-    if profile.mode == "order" and spec.encoding is None:
-        raise ValueError(f"--rule {spec.rule.value} needs --encoding on an order-mode profile")
-    if profile.mode == "interval" and spec.encoding is not None:
+    if profile.mode == "order" and encoding is None:
+        raise ValueError(f"--rule {rule} needs --encoding on an order-mode profile")
+    if profile.mode == "interval" and encoding is not None:
         raise ValueError("interval-mode profiles take no --encoding")
 
-    if spec.prec is None:
+    if prec is None:
         if method == "repair":
             raise ValueError("--method repair requires --prec-mode inferred")
         if method == "dp":
@@ -206,8 +193,8 @@ def _plan(profile: PreferenceProfile, spec: RuleSpec, criterion: CriterionKind,
 
     from .precedence import _resolve_precedences
 
-    inferred = spec.prec == "inferred"
-    graph = _resolve_precedences(profile, spec.prec)
+    inferred = prec == "inferred"
+    graph = _resolve_precedences(profile, prec)
 
     if method == "matching":
         if windows is not None or graph.edges:

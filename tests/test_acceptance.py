@@ -19,7 +19,6 @@ from consched import (
     CriterionKind,
     EncodingKind,
     PrecedenceGraph,
-    RuleSpec,
     Schedule,
     build_cost_matrix,
     check_deadline_consistency,
@@ -66,7 +65,7 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_tail_profile_distance_story():
     t0 = time.perf_counter()
     profile = load("tail8x6")
-    solution = solve(profile, RuleSpec(rule="distance", encoding="deviation"))
+    solution = solve(profile, rule="distance", encoding="deviation")
     schedule, cost = solution.schedule, solution.cost
     res = exhaustive_optimum(profile, DIST, DEV)
     filtered = constrained_best(profile, DIST, DEV, axiom="deadline")
@@ -93,7 +92,7 @@ def test_criterion_01_tail_profile_distance_story():
 def test_criterion_02_late_count_profile_unique_optimum():
     t0 = time.perf_counter()
     profile = load("late7x3")
-    solution = solve(profile, RuleSpec(rule="binary", encoding="late_tasks"))
+    solution = solve(profile, rule="binary", encoding="late_tasks")
     schedule, cost = solution.schedule, solution.cost
     res = exhaustive_optimum(profile, BIN, LATE)
     filtered = constrained_best(profile, BIN, LATE, axiom="deadline")
@@ -121,7 +120,7 @@ def test_criterion_02_late_count_profile_unique_optimum():
 def test_criterion_03_interval_profile_unanimity_gap():
     t0 = time.perf_counter()
     profile = load("window8x6")
-    solution = solve(profile, RuleSpec(rule="distance"))
+    solution = solve(profile, rule="distance")
     schedule, cost = solution.schedule, solution.cost
     filtered = constrained_best(profile, DIST, axiom="unanimity")
     flagged = check_temporal_unanimity(schedule, profile)
@@ -149,7 +148,7 @@ def test_criterion_04_inferred_precedence_strict_gap():
     profile = load("chain5x6")
     res = exhaustive_optimum(profile, BIN, LATE)
     inferred = infer_precedences(profile)
-    solution = solve(profile, RuleSpec("binary", LATE, prec="inferred"))
+    solution = solve(profile, "binary", LATE, prec="inferred")
     schedule, cost = solution.schedule, solution.cost
     elapsed = time.perf_counter() - t0
 

@@ -17,7 +17,7 @@ from consched.axioms import (
     check_temporal_unanimity,
 )
 from consched.model import Schedule, parse_profile
-from consched.rules import RuleSpec, emd_schedule, solve
+from consched.rules import emd_schedule, solve
 from references import reverse_profile, reverse_schedule
 
 
@@ -137,7 +137,7 @@ class TestRulesAgainstAxioms:
             profile = profile_with_unanimous_slot(
                 rng, n, rng.randint(1, 5), task=rng.randint(1, n), slot=rng.randint(1, n)
             )
-            schedule = solve(profile, RuleSpec("distance", encoding)).schedule
+            schedule = solve(profile, "distance", encoding).schedule
             assert check_temporal_unanimity(schedule, profile).ok
 
     @pytest.mark.parametrize("encoding", ["late_tasks", "exact_position"])

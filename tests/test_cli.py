@@ -833,6 +833,9 @@ class TestGen:
     def test_parser_offers_the_planner_methods(self):
         assert cli._METHODS == rules.METHODS
 
+    def test_parser_offers_the_planner_rules(self):
+        assert cli._RULES == rules.RULES
+
     def test_parser_offers_the_axioms(self):
         assert cli._AXIOMS == tuple(axioms.AXIOMS)
 
@@ -1075,8 +1078,35 @@ class TestFreshProcess:
         proc = _fresh(["-c", (
             "import os, consched\n"
             "p = consched.parse_profile('profile order\\ntasks 2\\nvoters 1\\npref 1 : 2 1\\n')\n"
-            "print(consched.solve(p, consched.RuleSpec('distance', 'deviation')).cost)\n"
+            "print(consched.solve(p, 'distance', 'deviation').cost)\n"
             "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
         )])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\nNone\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_examples_run_as_shown(capsys, tmp_path, monkeypatch):
+    block = re.search(r"```python\n(.*?)```", _readme_section("Solving"), re.S)[1]
+    (tmp_path / "voters.prof").write_text(cli.fixture_text("tail8x6"))
+    monkeypatch.chdir(tmp_path)
+    exec(block, {})
+    solution = rules.solve(cli._load_profile("fixture:tail8x6"), "distance", "deviation")
+    assert capsys.readouterr().out == (
+        f"{solution.schedule} {solution.cost} {solution.method}\n"
+    )
+
+    transcripts = re.search(r"```bash\n(.*?)```", _readme_section("CLI"), re.S)[1]
+    sessions = transcripts.split("\n\n")
+    assert len(sessions) == 2
+    for session in sessions:
+        command, *shown = session.strip("\n").split("\n")
+        assert command.startswith("$ consched ")
+        cli.main(command.split()[2:])
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in shown)

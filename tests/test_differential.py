@@ -29,7 +29,7 @@ from consched.errors import InfeasibleError
 from consched.model import EncodingKind, PrecedenceGraph, TimeWindows, serialize_profile
 from consched.oracle import exhaustive_optimum
 from consched.precedence import infer_precedences
-from consched.rules import METHODS, RuleSpec, canonical_criterion, solve
+from consched.rules import METHODS, canonical_criterion, solve
 from references import satisfied_by
 
 ENCODING_FLAG = {kind: flag for flag, kind in cli._ENCODING_FLAGS.items()}
@@ -117,10 +117,10 @@ def test_every_path_matches_the_oracle(instance, cli_method):
     outcome = {}
     for method in METHODS:
         path = planned(method, prec, criterion, windows)
-        spec = RuleSpec(criterion.value, encoding, windows, prec, method)
+        request = (criterion.value, encoding, windows, prec, method)
         if path is None:
             with pytest.raises(ValueError):
-                solve(profile, spec)
+                solve(profile, *request)
             outcome[method] = (cli.EXIT_USAGE, None)
             continue
         if path == "matching+repair":
@@ -129,13 +129,13 @@ def test_every_path_matches_the_oracle(instance, cli_method):
             best = oracle(windows, graph if path == "dp" else None)
         if best is None:
             with pytest.raises(InfeasibleError) as exc:
-                solve(profile, spec)
+                solve(profile, *request)
             assert exc.value.method == path
             outcome[method] = (cli.EXIT_INFEASIBLE, {
                 "schedule": None, "cost": None, "method": path, "feasible": False,
             })
             continue
-        solution = solve(profile, spec)
+        solution = solve(profile, *request)
         assert solution.method == path
         assert profile_cost(solution.schedule, profile, criterion, encoding) == solution.cost
         if path == "matching+repair" and criterion is CriterionKind.BINARY:
@@ -150,7 +150,7 @@ def test_every_path_matches_the_oracle(instance, cli_method):
             "method": path, "feasible": True,
         })
 
-    emd = solve(profile, RuleSpec("emd", encoding, windows, prec))
+    emd = solve(profile, "emd", encoding, windows, prec)
     assert emd.method == "emd"
     assert bool(emd.notes) == (windows is not None or prec is not None)
     emd_criterion = canonical_criterion(encoding)

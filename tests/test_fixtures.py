@@ -18,7 +18,6 @@ from consched import (
     median_completion_times,
     parse_profile,
     profile_cost,
-    RuleSpec,
     solve,
 )
 from consched.cli import FIXTURES, fixture_text
@@ -143,7 +142,7 @@ class TestLate7x3:
         assert orders(res) == {(1, 2, 3, 5, 6, 7, 4), (4, 2, 3, 5, 6, 7, 1)}
 
     def test_solver_picks_the_lex_greater_optimum(self):
-        solution = solve(load("late7x3"), RuleSpec(rule="binary", encoding="late_tasks"))
+        solution = solve(load("late7x3"), rule="binary", encoding="late_tasks")
         schedule, cost = solution.schedule, solution.cost
         assert schedule.order == (4, 2, 3, 5, 6, 7, 1)
         assert cost == 3
@@ -210,7 +209,7 @@ class TestChain5x6:
 
     def test_solve_inferred_returns_feasible_costlier_schedule(self):
         profile = load("chain5x6")
-        solution = solve(profile, RuleSpec("binary", EncodingKind.LATE_TASKS, prec="inferred"))
+        solution = solve(profile, "binary", EncodingKind.LATE_TASKS, prec="inferred")
         schedule, cost = solution.schedule, solution.cost
         assert schedule.order == (4, 2, 5, 1, 3)
         assert cost == 7
@@ -232,7 +231,7 @@ class TestWindow8x6:
 
     def test_solver_output_flagged_by_unanimity_checker(self):
         profile = load("window8x6")
-        solution = solve(profile, RuleSpec(rule="distance"))
+        solution = solve(profile, rule="distance")
         schedule, cost = solution.schedule, solution.cost
         assert cost == 48
         report = check_temporal_unanimity(schedule, profile)

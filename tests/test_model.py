@@ -32,7 +32,7 @@ from consched.model import (
     parse_time_windows,
     serialize_profile,
 )
-from consched.rules import RuleSpec, solve
+from consched.rules import solve
 from references import reference_parse_profile, reverse_profile, reverse_schedule, satisfied_by
 
 perms = st.integers(2, 7).flatmap(
@@ -380,6 +380,18 @@ class TestProfileConstruction:
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
             profile_of("order", [((1, 2), 1), ((1, 2, 3), 1)])
+
+    @pytest.mark.parametrize("build", [
+        lambda: Schedule((1.7, 2.2)),
+        lambda: TimeWindows(((0.5, 2.9), (0, 2))),
+        lambda: PrecedenceGraph(n=3, edges={(1.9, 2)}),
+        lambda: PreferenceProfile.from_orders([[1.7, 2.2]]),
+        lambda: PreferenceProfile.from_orders([["1", "2"]]),
+        lambda: PreferenceProfile.from_orders([[2**63, 1]]),
+    ], ids=["schedule", "windows", "edge", "float-orders", "str-orders", "huge-orders"])
+    def test_non_integers_are_refused_not_truncated(self, build):
+        with pytest.raises(ValueError, match="integer"):
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +857,7 @@ class TestParseCost:
             ("binary", "binary", "late_tasks"),
             ("emd", "distance", "deviation"),
         ):
-            solution = solve(profile, RuleSpec(rule, encoding))
+            solution = solve(profile, rule, encoding)
             schedule, cost = solution.schedule, solution.cost
             assert cost == profile_cost(schedule, profile, criterion, encoding)
 

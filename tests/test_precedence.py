@@ -20,7 +20,7 @@ from consched.model import (
 )
 from consched.oracle import exhaustive_optimum
 from consched.precedence import infer_precedences, repair_steps, solve_with_graph
-from consched.rules import RuleSpec, solve
+from consched.rules import solve
 from references import satisfied_by, voters
 
 
@@ -125,7 +125,7 @@ class TestRepair:
             for seed in range(40):
                 rng = random.Random(seed)
                 profile = random_order_profile(rng, rng.randint(2, 7), rng.randint(1, 5))
-                solution = solve(profile, RuleSpec("distance", encoding))
+                solution = solve(profile, "distance", encoding)
                 base, base_cost = solution.schedule, solution.cost
                 prec = infer_precedences(profile)
                 fixed, _ = repair_steps(base, prec)
@@ -142,7 +142,7 @@ class TestSolveInferred:
         for seed in range(20):
             rng = random.Random(seed)
             profile = random_order_profile(rng, rng.randint(2, 6), rng.randint(1, 5))
-            solution = solve(profile, RuleSpec("distance", encoding, prec="inferred"))
+            solution = solve(profile, "distance", encoding, prec="inferred")
             schedule, cost = solution.schedule, solution.cost
             graph = infer_precedences(profile)
             assert satisfied_by(graph, schedule)
@@ -158,8 +158,8 @@ class TestSolveInferred:
         for seed in range(30):
             rng = random.Random(500 + seed)
             profile = random_order_profile(rng, rng.randint(2, 7), rng.randint(1, 5))
-            unconstrained = solve(profile, RuleSpec("distance", "tardiness")).cost
-            constrained = solve(profile, RuleSpec("distance", "tardiness", prec="inferred")).cost
+            unconstrained = solve(profile, "distance", "tardiness").cost
+            constrained = solve(profile, "distance", "tardiness", prec="inferred").cost
             assert constrained == unconstrained
 
     @pytest.mark.parametrize("encoding", [EncodingKind.LATE_TASKS, EncodingKind.EXACT_POSITION])
@@ -167,7 +167,7 @@ class TestSolveInferred:
         for seed in range(20):
             rng = random.Random(seed)
             profile = random_order_profile(rng, rng.randint(2, 6), rng.randint(1, 5))
-            solution = solve(profile, RuleSpec("binary", encoding, prec="inferred"))
+            solution = solve(profile, "binary", encoding, prec="inferred")
             schedule, cost = solution.schedule, solution.cost
             graph = infer_precedences(profile)
             assert satisfied_by(graph, schedule)
@@ -183,8 +183,7 @@ class TestSolveInferred:
         unconstrained = exhaustive_optimum(
             profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS
         )
-        spec = RuleSpec("binary", EncodingKind.LATE_TASKS, prec="inferred")
-        constrained = solve(profile, spec).cost
+        constrained = solve(profile, "binary", EncodingKind.LATE_TASKS, prec="inferred").cost
         assert constrained > unconstrained.best_cost
 
 
@@ -197,7 +196,7 @@ class TestSolveWithGraph:
             empty = PrecedenceGraph(n=n, edges=frozenset())
             matrix = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
             _, dp_cost = solve_with_graph(matrix, empty)
-            match_cost = solve(profile, RuleSpec("binary", "late_tasks")).cost
+            match_cost = solve(profile, "binary", "late_tasks").cost
             assert dp_cost == match_cost
 
     def test_explicit_graph_matches_filtered_oracle(self):
@@ -263,7 +262,7 @@ class TestSolveWithGraph:
         empty = PrecedenceGraph(n=n, edges=frozenset())
         matrix = build_cost_matrix(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)
         _, dp_cost = solve_with_graph(matrix, empty)
-        match_cost = solve(profile, RuleSpec("distance", "deviation")).cost
+        match_cost = solve(profile, "distance", "deviation").cost
         assert dp_cost == match_cost
 
     def test_size_guard(self):
@@ -280,3 +279,10 @@ class TestSolveWithGraph:
         matrix = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
         with pytest.raises(SizeLimitError):
             solve_with_graph(matrix, graph, size_limit=2)
+
+    @pytest.mark.parametrize("limit", ["5", -1])
+    def test_size_limit_must_be_a_count(self, limit):
+        profile = random_order_profile(random.Random(7), 7, 3)
+        with pytest.raises(ValueError, match="size_limit must be an int >= 0") as exc:
+            solve(profile, "distance", "deviation", method="dp", dp_limit=limit)
+        assert exc.value.method == "dp"

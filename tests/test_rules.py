@@ -12,8 +12,6 @@ from consched.model import EncodingKind, Schedule, TimeWindows, parse_profile
 from consched.oracle import exhaustive_optimum
 from consched.precedence import infer_precedences
 from consched.rules import (
-    RuleKind,
-    RuleSpec,
     canonical_criterion,
     emd_schedule,
     median_completion_times,
@@ -94,38 +92,32 @@ class TestEmdSchedule:
             assert satisfied_by(infer_precedences(profile), schedule)
 
 
-class TestRuleSpec:
-    def test_strings_are_normalized(self):
-        spec = RuleSpec("distance", "tardiness")
-        assert spec.rule is RuleKind.DISTANCE
-        assert spec.encoding is EncodingKind.TARDINESS
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError):
-            RuleSpec("fastest")
-
-
 class TestSolve:
+    def test_unknown_rule_rejected(self):
+        profile = parse_profile("profile order\ntasks 2\nvoters 1\npref 1 : 1 2\n")
+        with pytest.raises(ValueError, match="unknown rule 'fastest'"):
+            solve(profile, "fastest")
+
     def test_emd_needs_order_mode(self):
         profile = parse_profile("profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (1,2)\n")
         with pytest.raises(ValueError):
-            solve(profile, RuleSpec("emd"))
+            solve(profile, "emd")
 
     def test_exact_rules_need_encoding_on_order_mode(self):
         profile = parse_profile("profile order\ntasks 2\nvoters 1\npref 1 : 1 2\n")
         with pytest.raises(ValueError, match="encoding"):
-            solve(profile, RuleSpec("distance"))
+            solve(profile, "distance")
 
     def test_emd_cost_uses_canonical_criterion(self):
         profile = parse_profile(
             "profile order\ntasks 3\nvoters 3\npref 1 : 1 2 3\npref 1 : 2 1 3\npref 1 : 1 3 2\n"
         )
-        solution = solve(profile, RuleSpec("emd", "late_tasks"))
+        solution = solve(profile, "emd", "late_tasks")
         schedule, cost = solution.schedule, solution.cost
         assert cost == profile_cost(
             schedule, profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS
         )
-        solution = solve(profile, RuleSpec("emd"))
+        solution = solve(profile, "emd")
         schedule, cost = solution.schedule, solution.cost
         assert cost == profile_cost(
             schedule, profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS
@@ -140,7 +132,7 @@ class TestSolve:
         for seed in range(25):
             rng = random.Random(seed)
             profile = random_order_profile(rng, rng.randint(2, 6), rng.randint(1, 5))
-            solution = solve(profile, RuleSpec(rule, encoding))
+            solution = solve(profile, rule, encoding)
             schedule, cost = solution.schedule, solution.cost
             oracle = exhaustive_optimum(profile, CriterionKind(rule), encoding)
             assert cost == oracle.best_cost
@@ -149,7 +141,7 @@ class TestSolve:
     def test_windows_are_honored(self):
         profile = parse_profile("profile order\ntasks 3\nvoters 2\npref 2 : 1 2 3\n")
         windows = TimeWindows(((2, 3), (0, 3), (0, 3)))  # task 1 pinned to slot 3
-        solution = solve(profile, RuleSpec("distance", "tardiness", windows))
+        solution = solve(profile, "distance", "tardiness", windows)
         schedule, cost = solution.schedule, solution.cost
         assert schedule.completion(1) == 3
         assert cost == 4  # task 1 runs two slots past both voters, rest on time
@@ -159,7 +151,7 @@ class TestSolve:
             "profile interval\ntasks 3\nvoters 2\n"
             "pref 1 : (0,1) (1,2) (2,3)\npref 1 : (0,2) (0,2) (1,3)\n"
         )
-        solution = solve(profile, RuleSpec("distance"))
+        solution = solve(profile, "distance")
         schedule, cost = solution.schedule, solution.cost
         assert cost == 0
         assert schedule.order == (1, 2, 3)
