@@ -30,43 +30,53 @@ beyond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .criteria import CriterionKind, _as_criterion, _task_histogram, interval_arrays
 from .errors import InfeasibleError
-from .model import _INT64_MAX, EncodingKind, PreferenceProfile, Schedule, TimeWindows, _check_size
+from .model import (
+    _INT64_MAX,
+    EncodingKind,
+    PreferenceProfile,
+    Schedule,
+    TimeWindows,
+    _check_size,
+    _count,
+    _Record,
+)
 
 __all__ = ["CostMatrix", "build_cost_matrix", "min_cost_assignment"]
 
 
-@dataclass(eq=False)
-class CostMatrix:
+class CostMatrix(_Record):
     """cost[j-1][t-1] = total dissatisfaction if task j completes at slot t.
 
     ``forbidden`` marks window-excluded pairs; those cells carry no cost
-    semantics and are never read by the solver. Treat instances as immutable.
+    semantics and are never read by the solver. The fields cannot be
+    reassigned, and a matrix equals only itself.
     """
 
-    n: int
-    cost: np.ndarray
-    forbidden: Optional[np.ndarray] = None
+    __slots__ = _fields = ("n", "cost", "forbidden")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        cost = np.asarray(self.cost)
+    def __init__(self, n: int, cost: np.ndarray, forbidden: Optional[np.ndarray] = None):
+        n = _count(n, "cost matrix n")
+        cost = np.asarray(cost)
         if not np.issubdtype(cost.dtype, np.integer):
             raise ValueError(f"cost matrix must be integral, got dtype {cost.dtype}")
-        self.cost = cost.astype(np.int64)
-        if self.cost.shape != (self.n, self.n):
-            raise ValueError(f"cost matrix must be {self.n}x{self.n}")
-        if (self.cost < 0).any():
+        cost = cost.astype(np.int64)
+        if cost.shape != (n, n):
+            raise ValueError(f"cost matrix must be {n}x{n}")
+        if (cost < 0).any():
             raise ValueError("cost matrix entries must be non-negative")
-        if self.forbidden is not None:
-            self.forbidden = np.asarray(self.forbidden, dtype=bool)
-            if self.forbidden.shape != (self.n, self.n):
-                raise ValueError(f"forbidden mask must be {self.n}x{self.n}")
+        if forbidden is not None:
+            forbidden = np.asarray(forbidden, dtype=bool)
+            if forbidden.shape != (n, n):
+                raise ValueError(f"forbidden mask must be {n}x{n}")
+        self._fill(n, cost, forbidden)
 
     def price(self, schedule: Schedule) -> int:
         """Sum of cost[j-1][t-1] over the tasks j of a schedule and their slots t."""

@@ -21,12 +21,10 @@ window (lo, hi] and the actual completion time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .criteria import interval_arrays
-from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows, _check_size
+from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows, _check_size, _Record
 
 __all__ = [
     "Violation",
@@ -45,19 +43,20 @@ AXIOMS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(_Record):
     """Task completed at ``got`` instead of inside (window[0], window[1]]."""
 
-    task: int
-    window: tuple[int, int]
-    got: int
+    __slots__ = _fields = ("task", "window", "got")
+
+    def __init__(self, task: int, window: tuple[int, int], got: int):
+        self._fill(task, window, got)
 
 
-@dataclass(frozen=True, slots=True)
-class AxiomReport:
-    axiom: str
-    violations: tuple[Violation, ...]
+class AxiomReport(_Record):
+    __slots__ = _fields = ("axiom", "violations")
+
+    def __init__(self, axiom: str, violations: tuple[Violation, ...]):
+        self._fill(axiom, violations)
 
     @property
     def ok(self) -> bool:

@@ -17,9 +17,15 @@ Profiles are regular files; the bundled instances are addressable as
 ``fixture:<name>`` wherever a profile path is expected. ``gen`` and ``ratio``
 run :mod:`consched.experiment`, which also specifies the random generator.
 
-Each request is its own process, so this module imports at start-up only
-what every profile-reading subcommand needs; each subcommand imports the
-rest of what it runs when it runs.
+Each request is its own process, which compiles every module it imports
+from source when no bytecode cache can be written. So at start-up this
+module imports only ``argparse``, ``json``, :mod:`consched.errors` and
+:mod:`consched.model` (with NumPy), and holds only what ``solve`` and
+``oracle`` run: the loaders, the fixtures table and those two handlers.
+The parser names all seven subcommands, but adds a subcommand's arguments
+only when that subcommand parses. The handlers of the other five are in
+``consched._commands``, which their parsers import, and every handler
+imports the rest of what it runs when it runs.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import gc
 import json
 import os
 import sys
+from functools import partial
 from typing import Optional, Sequence, Union
 
 # Set before NumPy loads: OpenBLAS spins a worker per core, and consched makes no BLAS call.
@@ -39,24 +46,25 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 if __name__ == "__main__":
     gc.disable()
 
-from .criteria import CriterionKind, profile_cost  # noqa: E402
-from .errors import DEFAULT_DP_LIMIT, InfeasibleError, ProfileError, SizeLimitError  # noqa: E402
+from .errors import (  # noqa: E402
+    DEFAULT_DP_LIMIT,
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_SIZE_LIMIT,
+    EXIT_USAGE,
+    InfeasibleError,
+    ProfileError,
+    SizeLimitError,
+)
 from .model import (  # noqa: E402
     EncodingKind,
     PrecedenceGraph,
     PreferenceProfile,
-    Schedule,
     TimeWindows,
     parse_precedence,
     parse_profile,
     parse_time_windows,
-    serialize_profile,
 )
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_INFEASIBLE = 2
-EXIT_SIZE_LIMIT = 3
 
 _ENCODING_FLAGS = {
     "deviation": EncodingKind.DEVIATION,
@@ -170,28 +178,8 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    profile = _load_profile(args.profile)
-    try:
-        order = tuple(int(tok) for tok in args.schedule.replace(",", " ").split())
-        schedule = Schedule(order)
-    except ValueError as exc:
-        raise ProfileError(f"bad --schedule: {exc}") from None
-    encoding = _ENCODING_FLAGS[args.encoding] if args.encoding else None
-    cost = profile_cost(schedule, profile, args.criterion, encoding)
-    if args.format == "json":
-        print(json.dumps({
-            "schedule": list(schedule.order),
-            "criterion": args.criterion,
-            "encoding": encoding.value if encoding else None,
-            "cost": cost,
-        }))
-    else:
-        print(f"cost: {cost}")
-    return EXIT_OK
-
-
 def cmd_oracle(args) -> int:
+    from .criteria import CriterionKind
     from .oracle import constrained_best, exhaustive_optimum
 
     profile = _load_profile(args.profile)
@@ -222,157 +210,28 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def cmd_check_axioms(args) -> int:
-    from .axioms import AXIOMS, _check_axiom
-
-    profile = _load_profile(args.profile)
-    solution = _solve(args, profile)
-    schedule = solution.schedule
-    checked = [axiom for axiom in AXIOMS if axiom == "unanimity" or profile.mode == "order"]
-    reports = [_check_axiom(schedule, profile, axiom) for axiom in checked]
-
-    if args.format == "json":
-        print(json.dumps({
-            "schedule": list(schedule.order),
-            "cost": solution.cost,
-            "method": solution.method,
-            "axioms": {
-                r.axiom: [
-                    {"task": v.task, "window": list(v.window), "got": v.got}
-                    for v in r.violations
-                ]
-                for r in reports
-            },
-        }))
-        return EXIT_OK
-
-    print(f"schedule: {schedule}")
-    print(f"cost: {solution.cost}")
-    for r in reports:
-        if r.ok:
-            print(f"{r.axiom}: PASS")
-        else:
-            for v in r.violations:
-                print(
-                    f"{r.axiom}: VIOLATION task={v.task} "
-                    f"window=({v.window[0]},{v.window[1]}) got={v.got}"
-                )
-    for axiom, name in AXIOMS.items():
-        if axiom not in checked:
-            print(f"{name}: SKIPPED (order-mode axiom)")
-    return EXIT_OK
-
-
-def cmd_gen(args) -> int:
-    from .experiment import generate_profile
-
-    profile = generate_profile(args.tasks, args.voters, args.seed, args.generator, args.swaps)
-    header = (
-        f"# generator {args.generator} seed {args.seed} tasks {args.tasks} "
-        f"voters {args.voters}" + (f" swaps {args.swaps}" if args.swaps else "") + "\n"
-    )
-    text = header + serialize_profile(profile)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
-def cmd_ratio(args) -> int:
-    from .experiment import ExperimentConfig, run_ratio_experiment
-
-    config = ExperimentConfig(
-        trials=args.trials,
-        n=args.tasks,
-        v=args.voters,
-        seed=args.seed,
-        generator=args.generator,
-        swaps=args.swaps,
-        exact=args.exact,
-    )
-    report = run_ratio_experiment(config)
-    if args.format == "json":
-        payload = {
-            "trials": config.trials,
-            "n": config.n,
-            "v": config.v,
-            "seed": config.seed,
-            "generator": config.generator,
-            "exact": config.exact,
-            "tardiness": {
-                "max": report.max_tardiness_ratio,
-                "mean": report.mean_tardiness_ratio,
-                "zero_optimum_trials": report.zero_tardiness_opt,
-            },
-            "deviation": {
-                "max": report.max_deviation_ratio,
-                "mean": report.mean_deviation_ratio,
-            },
-            "kendall": None if report.max_kendall_ratio is None else {
-                "max": report.max_kendall_ratio,
-                "mean": report.mean_kendall_ratio,
-                "zero_optimum_trials": report.zero_kendall_opt,
-            },
-            "slots_checked": report.slots_checked,
-            "violations": report.violations,
-        }
-        print(json.dumps(payload))
-    else:
-        mode = "exact" if config.exact else "matching"
-        print(
-            f"ratio report: trials={config.trials} n={config.n} v={config.v} "
-            f"seed={config.seed} generator={config.generator} mode={mode}"
-        )
-        print(
-            f"  tardiness : max {report.max_tardiness_ratio:.4f} "
-            f"mean {report.mean_tardiness_ratio:.4f} "
-            f"(zero-optimum trials: {report.zero_tardiness_opt})"
-        )
-        print(
-            f"  deviation : max {report.max_deviation_ratio:.4f} "
-            f"mean {report.mean_deviation_ratio:.4f}"
-        )
-        if report.max_kendall_ratio is not None:
-            print(
-                f"  kendall   : max {report.max_kendall_ratio:.4f} "
-                f"mean {report.mean_kendall_ratio:.4f} "
-                f"(zero-optimum trials: {report.zero_kendall_opt})"
-            )
-            print(f"  per-slot double bound: {report.slots_checked} slot checks, all bounded")
-        if report.violations:
-            print(f"  VIOLATIONS ({len(report.violations)}):")
-            for v in report.violations:
-                print(v)
-        else:
-            print("  violations: none")
-    return EXIT_OK if report.ok else 1
-
-
-def cmd_fixtures(args) -> int:
-    if args.action == "list":
-        if args.format == "json":
-            print(json.dumps({
-                name: {"description": desc, "path": str(_fixture_path(name))}
-                for name, desc in FIXTURES.items()
-            }))
-        else:
-            for name, desc in FIXTURES.items():
-                print(f"{name:12} {desc}")
-        return EXIT_OK
-    # action == "path"
-    print(_fixture_path(args.name))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the documented usage-error exit code (1, not 2)."""
+    """argparse with the documented usage-error exit code (1, not 2).
+
+    A subcommand's parser is made with ``build``, which adds its arguments
+    and sets its handler the first time the parser parses, so a request
+    builds only the subcommand it runs.
+    """
+
+    def __init__(self, *args, build=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._build is not None:
+            build, self._build = self._build, None
+            build(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -422,24 +281,24 @@ def _add_rule_flags(p) -> None:
                    help=f"subset-DP size guard (default {DEFAULT_DP_LIMIT})")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="consched", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", parents=[], help="run an aggregation rule on a profile")
+def _build_solve(p) -> None:
     _add_rule_flags(p)
     _add_format(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("eval", help="price a given schedule against a profile")
+
+def _build_eval(p) -> None:
+    from ._commands import cmd_eval
+
     p.add_argument("--profile", required=True, metavar="FILE")
     p.add_argument("--schedule", required=True, help="task ids, e.g. '1 2 3'")
     p.add_argument("--criterion", required=True, choices=("distance", "binary"))
     p.add_argument("--encoding", choices=sorted(_ENCODING_FLAGS))
     _add_format(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=partial(cmd_eval, load_profile=_load_profile, encodings=_ENCODING_FLAGS))
 
-    p = sub.add_parser("oracle", help="brute-force optimum and all optima")
+
+def _build_oracle(p) -> None:
     p.add_argument("--rule", required=True, choices=("distance", "binary"))
     p.add_argument("--encoding", choices=sorted(_ENCODING_FLAGS))
     p.add_argument("--profile", required=True, metavar="FILE")
@@ -451,12 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("check-axioms", help="run a rule and judge its output")
+
+def _build_check_axioms(p) -> None:
+    from ._commands import cmd_check_axioms
+
     _add_rule_flags(p)
     _add_format(p)
-    p.set_defaults(func=cmd_check_axioms)
+    p.set_defaults(func=partial(cmd_check_axioms, load_profile=_load_profile, solve=_solve))
 
-    p = sub.add_parser("gen", help="write a reproducible random profile")
+
+def _build_gen(p) -> None:
+    from ._commands import cmd_gen
+
     p.add_argument("--tasks", type=_positive, required=True)
     p.add_argument("--voters", type=_positive, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -466,7 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("ratio", help="median-rule approximation-ratio experiment")
+
+def _build_ratio(p) -> None:
+    from ._commands import cmd_ratio
+
     p.add_argument("--trials", type=_positive, required=True)
     p.add_argument("--tasks", type=_positive, required=True)
     p.add_argument("--voters", type=_positive, required=True)
@@ -478,12 +346,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_ratio)
 
-    p = sub.add_parser("fixtures", help="bundled instance files")
+
+def _build_fixtures(p) -> None:
+    from ._commands import cmd_fixtures
+
     p.add_argument("action", choices=("list", "path"))
     p.add_argument("name", nargs="?", help="fixture name (for 'path')")
     _add_format(p)
-    p.set_defaults(func=cmd_fixtures)
+    p.set_defaults(func=partial(cmd_fixtures, fixtures=FIXTURES, fixture_path=_fixture_path))
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="consched", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("solve", help="run an aggregation rule on a profile", build=_build_solve)
+    sub.add_parser("eval", help="price a given schedule against a profile", build=_build_eval)
+    sub.add_parser("oracle", help="brute-force optimum and all optima", build=_build_oracle)
+    sub.add_parser("check-axioms", help="run a rule and judge its output",
+                   build=_build_check_axioms)
+    sub.add_parser("gen", help="write a reproducible random profile", build=_build_gen)
+    sub.add_parser("ratio", help="median-rule approximation-ratio experiment", build=_build_ratio)
+    sub.add_parser("fixtures", help="bundled instance files", build=_build_fixtures)
     return parser
 
 

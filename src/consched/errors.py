@@ -1,4 +1,4 @@
-"""Exceptions shared across the package, and the default size guard of the subset DP."""
+"""Exceptions shared across the package, the CLI's exit codes and the DP's default size guard."""
 
 from __future__ import annotations
 
@@ -25,5 +25,12 @@ class InfeasibleError(Exception):
 class SizeLimitError(Exception):
     """Instance exceeds a solver's configured size guard."""
 
+
+# The CLI's exit code for each outcome: a ValueError (ProfileError included) is a
+# usage error, and the other two classes above have their own codes.
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_INFEASIBLE = 2
+EXIT_SIZE_LIMIT = 3
 
 DEFAULT_DP_LIMIT = 20  # largest n the subset DP runs without an explicit size_limit

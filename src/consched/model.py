@@ -39,10 +39,8 @@ from __future__ import annotations
 import heapq
 import operator
 import re
-from array import array
-from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -101,16 +99,75 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what}: {exc}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Schedule:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable records: compared, hashed, shown and pickled by ``_fields``.
+
+    It behaves as a frozen dataclass over ``_fields`` would: ``==`` holds
+    between records of the same class with equal fields, the hash is the
+    fields' tuple's, the repr is ``Name(field=value, ...)``, assigning or
+    deleting an attribute raises ``AttributeError``, and ``copy`` and
+    ``pickle`` rebuild a record through its constructor. Each subclass
+    declares its ``__slots__`` and ``_fields`` and sets them in
+    ``__init__`` with :meth:`_fill`. Such a class is created in a few
+    microseconds; a frozen dataclass takes about a millisecond, paid by
+    every request that imports it.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        """Set the fields, in ``_fields`` order."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _count(n, what: str) -> int:
+    """``operator.index(n)``; a non-integer or negative ``n`` raises ``ValueError`` naming ``what``."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0, got {n}")
+    return n
+
+
+class Schedule(_Record):
     """A permutation of task ids; position t-1 holds the task completing at t."""
 
-    order: tuple[int, ...]
-    _completed_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("order", "_completed_at")
+    _fields = ("order",)
 
-    def __post_init__(self):
-        order = _integers(self.order, "schedule")
-        object.__setattr__(self, "order", order)
+    def __init__(self, order: Iterable[int]):
+        order = _integers(order, "schedule")
         n = len(order)
         if n == 0:
             raise ValueError("empty schedule")
@@ -121,7 +178,8 @@ class Schedule:
             if completed[task - 1]:
                 raise ValueError(f"duplicate task {task} in schedule")
             completed[task - 1] = slot
-        object.__setattr__(self, "_completed_at", tuple(completed))
+        _set(self, "order", order)
+        _set(self, "_completed_at", tuple(completed))
 
     @property
     def n(self) -> int:
@@ -291,18 +349,17 @@ def _completions(orders: np.ndarray) -> np.ndarray:
     return comp
 
 
-@dataclass(frozen=True, slots=True)
-class PrecedenceGraph:
+class PrecedenceGraph(_Record):
     """Acyclic directed graph over task ids; edge (a, b): a completes before b."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("n", "edges")
 
-    def __post_init__(self):
-        edges = frozenset(_integers(edge, "edge") for edge in self.edges)
-        object.__setattr__(self, "edges", edges)
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        n = _count(n, "precedence graph n")
+        edges = frozenset(_integers(edge, "edge") for edge in edges)
         for a, b in edges:
-            _check_edge(a, b, self.n)
+            _check_edge(a, b, n)
+        self._fill(n, edges)
         if self.topological_order() is None:
             raise ValueError("precedence graph has a cycle")
 
@@ -325,16 +382,15 @@ class PrecedenceGraph:
         return out if len(out) == self.n else None
 
 
-@dataclass(frozen=True, slots=True)
-class TimeWindows:
+class TimeWindows(_Record):
     """Global per-task (release, deadline) pairs; task j may take slots r_j < t <= d_j."""
 
-    windows: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("windows",)
 
-    def __post_init__(self):
-        windows = tuple(_integers(window, "window") for window in self.windows)
-        object.__setattr__(self, "windows", windows)
+    def __init__(self, windows: tuple[tuple[int, int], ...]):
+        windows = tuple(_integers(window, "window") for window in windows)
         _check_windows(windows)
+        self._fill(windows)
 
     @property
     def n(self) -> int:
@@ -345,7 +401,6 @@ class TimeWindows:
 # Parsing / serialization
 # ---------------------------------------------------------------------------
 
-_PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 # Every line boundary str.splitlines knows, so lines cut lazily are numbered alike.
 _LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
@@ -384,12 +439,12 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     <m> : <ids>`` lines in ASCII with single spaces, no comment or blank
     line) is read straight from its bytes to the completions array by
     :func:`_plain_body`, with no per-line step. Any other body is read line
-    by line by :func:`_read_body`, which hands the ids of its lines to the
-    same bulk reader first. The bulk reader returns None rather than raise:
-    every error about an order-mode line's task ids is raised by
-    :func:`_check_order_line`, which reads ids through ``int()`` (accepting
-    ``+2``, tabs and Unicode digits) and takes its message from
-    :class:`Schedule`. Multiplicities stay Python integers until their sum
+    by line by ``_lines._read_body``, imported only then, which hands the ids
+    of its lines to the same bulk reader first. The bulk reader returns None
+    rather than raise: every error about an order-mode line's task ids is
+    raised by ``_lines._check_order_line``, which reads ids through
+    ``int()`` (accepting ``+2``, tabs and Unicode digits) and takes its
+    message from :class:`Schedule`. Multiplicities stay Python integers until their sum
     has matched the header. The first bad line in file order is reported.
 
     Raises
@@ -425,8 +480,12 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
         raise ProfileError("voter count must be >= 1", no3)
     _check_cost_bound(n, v, no3)
 
-    plain = _plain_body(raw, offset, n) if mode == "order" else None
-    mults, arrays = plain or _read_body(raw.splitlines(), start, mode, n)
+    body = _plain_body(raw, offset, n) if mode == "order" else None
+    if body is None:
+        from ._lines import _read_body
+
+        body = _read_body(raw.splitlines(), start, mode, n)
+    mults, arrays = body
     total = sum(mults)
     if total != v:
         raise ProfileError(f"multiplicities sum to {total}, header declares voters {v}")
@@ -501,108 +560,6 @@ def _digit_runs(d: np.ndarray, before: np.ndarray, after: np.ndarray) -> Optiona
     return value
 
 
-_PREF_RE = re.compile(r"pref\s+(\d+)\s*:\s*(.*)")
-
-
-def _read_body(lines: list[str], start: int, mode: str, n: int) -> tuple[list[int], dict]:
-    """Multiplicities and arrays of the body from line ``start`` on; the first bad line raises.
-
-    A bad head, multiplicity or interval line ends the loop. Order-mode ids
-    are converted after it, so the ids of the lines before it raise first.
-    """
-    nos: list[int] = []  # line number of each accepted entry
-    mults: list[int] = []
-    bodies: list[str] = []  # order mode: each line's task ids, converted after the loop
-    bufs = (array("q"), array("q"))  # interval mode: releases and due dates
-    error = None
-    try:
-        for no, line in enumerate(islice(lines, start - 1, None), start):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            m = _PREF_RE.fullmatch(line)
-            if not m:
-                raise ProfileError(f"expected 'pref <mult> : ...', got {line!r}", no)
-            try:
-                mult = int(m.group(1))
-            except ValueError:  # past Python's int digit limit
-                raise ProfileError("number has too many digits", no) from None
-            if mult < 1:
-                raise ProfileError("multiplicity must be >= 1", no)
-            if mode == "order":
-                bodies.append(m.group(2).strip())
-            else:
-                _read_interval_line(m.group(2).strip(), n, no, *bufs)
-            nos.append(no)
-            mults.append(mult)
-    except ProfileError as exc:
-        error = exc
-    if mode == "order":
-        # The bulk reader reads the accepted lines' ids, written as plain lines of
-        # multiplicity 1. If it refuses them, they are read line by line, and the
-        # first bad line raises.
-        plain = _plain_body("".join("\npref 1 : " + body for body in bodies), 1, n)
-        if plain is None:
-            rows = array("q")
-            for body, no in zip(bodies, nos):
-                rows.extend(_check_order_line(body, n, no))
-            comp = np.frombuffer(rows, dtype=np.int64).reshape(-1, n)
-        else:
-            comp = plain[1]["completions"]
-        arrays = {"completions": comp}
-    else:
-        release, due = (np.frombuffer(buf, dtype=np.int64).reshape(-1, n) for buf in bufs)
-        arrays = {"release": release, "due": due}
-    if error is not None:
-        raise error
-    return mults, arrays
-
-
-def _check_order_line(body: str, n: int, no: int) -> list[int]:
-    """Completion times of one order-mode line's task ids; every error about them raises here.
-
-    Each id is converted once. A line that is not a permutation of 1..n
-    raises with the message of :class:`Schedule`.
-    """
-    if "(" in body:
-        raise ProfileError("interval pair in an order-mode profile", no)
-    try:
-        tasks = tuple(map(int, body.split()))
-    except ValueError as exc:
-        if str(exc).startswith("Exceeds the limit"):  # Python's int digit limit
-            raise ProfileError("number has too many digits", no) from None
-        raise ProfileError(f"non-integer task id in {body!r}", no) from None
-    if len(tasks) != n:
-        raise ProfileError(f"expected {n} task ids, got {len(tasks)}", no)
-    comp = [0] * n  # n >= 1, so min and max have ids to read
-    if 1 <= min(tasks) and max(tasks) <= n:
-        for slot, task in enumerate(tasks, start=1):
-            comp[task - 1] = slot
-    if 0 in comp:  # an id out of range, or a repeated one
-        try:
-            Schedule(tasks)
-        except ValueError as exc:
-            raise ProfileError(str(exc), no) from None
-    return comp
-
-
-def _read_interval_line(body: str, n: int, no: int, rel: array, due: array) -> None:
-    """Check one interval-mode line and append its releases and due dates."""
-    pairs = _PAIR_RE.findall(body)
-    if len(pairs) != n or _PAIR_RE.sub("", body).strip():
-        raise ProfileError(f"expected {n} '(r,d)' pairs", no)
-    bounds = _ints(chain.from_iterable(pairs), no)
-    windows = tuple(zip(bounds[::2], bounds[1::2]))
-    try:
-        _check_windows(windows)
-    except ValueError as exc:
-        raise ProfileError(str(exc), no) from None
-    if not _windows_feasible(windows):
-        raise ProfileError("windows admit no feasible schedule", no)
-    rel.extend(bounds[::2])
-    due.extend(bounds[1::2])
-
-
 def serialize_profile(profile: PreferenceProfile) -> str:
     """Inverse of :func:`parse_profile` (round-trips to an equal profile)."""
     out = [f"profile {profile.mode}", f"tasks {profile.n}", f"voters {profile.v}"]
@@ -665,32 +622,3 @@ def parse_time_windows(text: Union[str, IO[str]], n: int) -> TimeWindows:
         seen.add(j)
         windows[j - 1] = (r, d)
     return TimeWindows(tuple(windows))
-
-
-# ---------------------------------------------------------------------------
-# Semantics helpers
-# ---------------------------------------------------------------------------
-
-
-def _windows_feasible(windows) -> bool:
-    """Feasibility of well-formed (r, d) windows, one per task, over slots 1..n.
-
-    Earliest-deadline-first over release-sorted tasks: walking slots 1..n and
-    always running the released task with the tightest due date yields a
-    feasible placement exactly when one exists (unit tasks, single machine).
-    """
-    n = len(windows)
-    by_release: dict[int, list[int]] = {}
-    for r, d in windows:
-        by_release.setdefault(r + 1, []).append(d)
-    ready: list[int] = []  # min-heap of due dates
-    for slot in range(1, n + 1):
-        for d in by_release.get(slot, ()):
-            heapq.heappush(ready, d)
-        if not ready:
-            return False  # idle slot: fewer released tasks than slots consumed
-        due = heapq.heappop(ready)
-        if due < slot:
-            return False  # tightest released task already missed its window
-    return True
-

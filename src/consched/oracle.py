@@ -26,7 +26,6 @@ the oracle and the polynomial solvers is therefore a genuine cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -39,6 +38,7 @@ from .model import (
     PreferenceProfile,
     Schedule,
     TimeWindows,
+    _Record,
 )
 
 __all__ = [
@@ -51,13 +51,13 @@ __all__ = [
 ORACLE_MAX_N = 10
 
 
-@dataclass(frozen=True, slots=True)
-class OracleResult:
+class OracleResult(_Record):
     """Exact minimum, every minimizer (lexicographic), and the search size."""
 
-    best_cost: int
-    optima: tuple[Schedule, ...]
-    searched: int
+    __slots__ = _fields = ("best_cost", "optima", "searched")
+
+    def __init__(self, best_cost: int, optima: tuple[Schedule, ...], searched: int):
+        self._fill(best_cost, optima, searched)
 
 
 def _guard(n: int) -> None:

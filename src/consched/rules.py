@@ -26,7 +26,6 @@ for every other precedence request).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -41,6 +40,7 @@ from .model import (
     Schedule,
     TimeWindows,
     _as_encoding,
+    _Record,
 )
 
 __all__ = [
@@ -70,14 +70,13 @@ RULES = ("distance", "binary", "emd")
 METHODS = ("auto", "matching", "dp", "repair")
 
 
-@dataclass(frozen=True, slots=True)
-class Solution:
+class Solution(_Record):
     """A solved request: schedule, rechecked exact cost, the path that ran, notes."""
 
-    schedule: Schedule
-    cost: int
-    method: str
-    notes: tuple[str, ...] = ()
+    __slots__ = _fields = ("schedule", "cost", "method", "notes")
+
+    def __init__(self, schedule: Schedule, cost: int, method: str, notes: tuple[str, ...] = ()):
+        self._fill(schedule, cost, method, notes)
 
 
 def median_completion_times(profile: PreferenceProfile) -> tuple[int, ...]:

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from consched._lines import _PAIR_RE, _windows_feasible
 from consched.errors import ProfileError
-from consched.model import (
-    _PAIR_RE,
-    EncodingKind,
-    PreferenceProfile,
-    Schedule,
-    _check_cost_bound,
-    _windows_feasible,
-)
+from consched.model import EncodingKind, PreferenceProfile, Schedule, _check_cost_bound
 
 
 def entries(profile) -> list[tuple]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,14 @@ class TestBuildCostMatrix:
             CostMatrix(n=2, cost=np.zeros((3, 2), dtype=np.int64))
         with pytest.raises(ValueError):
             CostMatrix(n=2, cost=np.zeros((2, 2), dtype=np.float64))
+
+    @pytest.mark.parametrize("n, message", [
+        (-1, "cost matrix n must be >= 0, got -1"),
+        (2.0, "cost matrix n must be an integer, got 2.0"),
+    ])
+    def test_cost_matrix_checks_n_before_the_costs(self, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CostMatrix(n=n, cost=[])
 
 
 class TestMinCostAssignment:

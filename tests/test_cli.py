@@ -903,6 +903,22 @@ class TestFixtures:
         assert "error:" in err
 
 
+# Help and usage-error text, captured from the CLI when it built every subcommand's
+# parser up front, at 80 columns on Python 3.11's argparse.
+USAGE = json.loads((Path(__file__).resolve().parent / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=lambda case: " ".join(case["argv"]) or "(none)")
+def test_help_and_usage_text_is_unchanged(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
 def test_installed_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "consched.cli", "solve", "--profile", "fixture:chain5x6",
@@ -960,6 +976,8 @@ class TestFreshProcess:
         (tmp_path / "tight.txt").write_text("task 1 : 0 1\ntask 2 : 0 1\n")
         (tmp_path / "bad.prof").write_text(
             "profile order\ntasks 3\nvoters 2\npref 1 : 1 2 2\npref 1 : 3 2 1\n")
+        (tmp_path / "spaced.prof").write_text(
+            "profile order\ntasks 3\nvoters 2\npref 1 : 1  2 3\npref 1 : 3 2 1\n")
         return tmp_path
 
     SOLVE = ["solve", "--profile", "fixture:chain5x6", "--rule", "binary", "--encoding", "late"]
@@ -1012,31 +1030,54 @@ class TestFreshProcess:
         assert proc.stdout == "['consched']\n"
 
     # Every module but ``cli``, which the probe runs as ``__main__``.
-    MODULES = {"assignment", "axioms", "criteria", "errors", "experiment", "model", "oracle",
-               "precedence", "rules"}
+    MODULES = {"_commands", "_lines", "assignment", "axioms", "criteria", "errors", "experiment",
+               "model", "oracle", "precedence", "rules"}
+    # Loaded by no request: ``_lines`` reads only bodies the byte reader refuses,
+    # and ``_commands`` holds the handlers of all but solve and oracle.
+    COLD = {"_lines", "_commands"}
 
     @pytest.mark.parametrize("argv, unused", [
-        (SOLVE, {"oracle", "axioms", "experiment", "precedence"}),
-        (ORACLE, {"axioms", "experiment", "precedence", "rules", "assignment"}),
+        (SOLVE, {"oracle", "axioms", "experiment", "precedence", *COLD}),
+        (ORACLE, {"axioms", "experiment", "precedence", "rules", "assignment", *COLD}),
         (["fixtures", "list"],
-         {"oracle", "axioms", "experiment", "precedence", "rules", "assignment"}),
+         {"oracle", "axioms", "experiment", "precedence", "rules", "assignment", "criteria",
+          "_lines"}),
+        (["fixtures", "path", "late7x3"],
+         {"oracle", "axioms", "experiment", "precedence", "rules", "assignment", "criteria",
+          "_lines"}),
         (["eval", "--profile", "fixture:late7x3", "--schedule", "4 2 3 5 6 7 1",
           "--criterion", "binary", "--encoding", "late"],
-         {"assignment", "precedence", "rules", "oracle", "axioms", "experiment"}),
+         {"assignment", "precedence", "rules", "oracle", "axioms", "experiment", "_lines"}),
         (["solve", "--profile", "fixture:median4x3a", "--rule", "emd"],
-         {"oracle", "axioms", "experiment", "precedence"}),
-        (SOLVE + ["--prec-mode", "inferred"], {"oracle", "axioms", "experiment"}),
+         {"oracle", "axioms", "experiment", "precedence", *COLD}),
+        (SOLVE + ["--prec-mode", "inferred"], {"oracle", "axioms", "experiment", *COLD}),
         (SOLVE + ["--prec-mode", "graph", "--prec", "{tmp}/g.txt", "--method", "dp"],
-         {"oracle", "axioms", "experiment"}),
+         {"oracle", "axioms", "experiment", *COLD}),
+        (SOLVE + ["--time", "{tmp}/w.txt"], {"oracle", "axioms", "experiment", "precedence", *COLD}),
         (ORACLE + ["--axiom-filter", "release"],
-         {"experiment", "precedence", "rules", "assignment"}),
+         {"experiment", "precedence", "rules", "assignment", *COLD}),
+        (["solve", "--profile", "fixture:window8x6", "--rule", "distance"],
+         {"oracle", "axioms", "experiment", "precedence", "_commands"}),
+        (["oracle", "--profile", "{tmp}/spaced.prof", "--rule", "distance",
+          "--encoding", "deviation"],
+         {"axioms", "experiment", "precedence", "rules", "assignment", "_commands"}),
+        (["check-axioms", "--profile", "fixture:median4x3a", "--rule", "emd"],
+         {"oracle", "experiment", "precedence", "_lines"}),
+        (["gen", "--tasks", "6", "--voters", "4", "--seed", "3"],
+         {"axioms", "precedence", "_lines"}),
+        (["ratio", "--trials", "2", "--tasks", "4", "--voters", "3", "--seed", "5"],
+         {"axioms", "precedence", "_lines"}),
     ])
     def test_a_request_loads_only_what_it_runs(self, files, argv, unused):
         argv = [arg.replace("{tmp}", str(files)) for arg in argv]
-        proc = _fresh(["-c", _entry_probe(
-            argv, "print(sorted(m[9:] for m in sys.modules if m.startswith('consched.')))\n")])
+        proc = _fresh(["-c", _entry_probe(argv, (
+            "print(sorted(m[9:] for m in sys.modules if m.startswith('consched.')))\n"
+            "print('dataclasses' in sys.modules)\n"))])
         assert proc.returncode == 0, proc.stderr
-        assert set(eval(proc.stdout.splitlines()[-1])) == self.MODULES - unused
+        *_, modules, dataclasses = proc.stdout.splitlines()
+        assert set(eval(modules)) == self.MODULES - unused
+        # Only the experiment harness behind gen and ratio defines dataclasses.
+        assert dataclasses == str(argv[0] in ("gen", "ratio"))
 
     def test_the_module_list_is_the_package(self):
         package = Path(cli.__file__).parent

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 import subprocess
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 
 import references as ref
 from conftest import profile_of
-from consched import cli, model
+from consched import _lines, cli, model
+from consched.assignment import CostMatrix
+from consched.axioms import AxiomReport, Violation
 from consched.experiment import generate_profile
 from consched.criteria import interval_arrays, profile_cost
 from consched.errors import ProfileError
@@ -32,7 +36,8 @@ from consched.model import (
     parse_time_windows,
     serialize_profile,
 )
-from consched.rules import solve
+from consched.oracle import OracleResult
+from consched.rules import Solution, solve
 from references import reference_parse_profile, reverse_profile, reverse_schedule, satisfied_by
 
 perms = st.integers(2, 7).flatmap(
@@ -256,6 +261,21 @@ class TestPrecedenceGraph:
         with pytest.raises(ValueError):
             PrecedenceGraph(n=2, edges=frozenset({(1, 1)}))
 
+    @pytest.mark.parametrize("n, message", [
+        (-1, "precedence graph n must be >= 0, got -1"),
+        (2.5, "precedence graph n must be an integer, got 2.5"),
+        ("3", "precedence graph n must be an integer, got '3'"),
+        (None, "precedence graph n must be an integer, got None"),
+    ])
+    def test_bad_n_is_refused_by_name(self, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PrecedenceGraph(n=n, edges=frozenset())
+
+    def test_n_is_read_as_an_int(self):
+        g = PrecedenceGraph(n=np.int64(3), edges=frozenset({(np.int64(1), 2)}))
+        assert type(g.n) is int and g == PrecedenceGraph(3, frozenset({(1, 2)}))
+        assert PrecedenceGraph(0, frozenset()).topological_order() == []
+
     def test_topological_order_respects_edges(self):
         g = PrecedenceGraph(n=4, edges=frozenset({(3, 1), (1, 4), (3, 4)}))
         topo = g.topological_order()
@@ -392,6 +412,68 @@ class TestProfileConstruction:
     def test_non_integers_are_refused_not_truncated(self, build):
         with pytest.raises(ValueError, match="integer"):
             build()
+
+
+class TestRecords:
+    """The value records behave as the frozen dataclasses they replaced did.
+
+    Each case: a factory, a record that differs from its product in one
+    field, the field names, and the repr the dataclass printed.
+    """
+
+    CASES = [
+        (lambda: Schedule((2, 1, 3)), Schedule((1, 2, 3)), ("order",),
+         "Schedule(order=(2, 1, 3))"),
+        (lambda: PrecedenceGraph(3, frozenset({(1, 2)})), PrecedenceGraph(3, frozenset()),
+         ("n", "edges"), "PrecedenceGraph(n=3, edges=frozenset({(1, 2)}))"),
+        (lambda: TimeWindows(((0, 2), (1, 3), (0, 3))), TimeWindows(((0, 3),) * 3),
+         ("windows",), "TimeWindows(windows=((0, 2), (1, 3), (0, 3)))"),
+        (lambda: CostMatrix(2, np.array([[1, 2], [3, 4]])), CostMatrix(2, np.ones((2, 2), int)),
+         ("n", "cost", "forbidden"),
+         "CostMatrix(n=2, cost=array([[1, 2],\n       [3, 4]]), forbidden=None)"),
+        (lambda: Solution(Schedule((2, 1)), 5, "matching", ("a note",)),
+         Solution(Schedule((2, 1)), 5, "matching"), ("schedule", "cost", "method", "notes"),
+         "Solution(schedule=Schedule(order=(2, 1)), cost=5, method='matching', "
+         "notes=('a note',))"),
+        (lambda: OracleResult(3, (Schedule((1, 2)), Schedule((2, 1))), 2),
+         OracleResult(3, (Schedule((1, 2)),), 2), ("best_cost", "optima", "searched"),
+         "OracleResult(best_cost=3, optima=(Schedule(order=(1, 2)), Schedule(order=(2, 1))), "
+         "searched=2)"),
+        (lambda: Violation(2, (0, 1), 2), Violation(2, (0, 1), 3), ("task", "window", "got"),
+         "Violation(task=2, window=(0, 1), got=2)"),
+        (lambda: AxiomReport("deadline_consistency", (Violation(2, (0, 1), 2),)),
+         AxiomReport("deadline_consistency", ()), ("axiom", "violations"),
+         "AxiomReport(axiom='deadline_consistency', "
+         "violations=(Violation(task=2, window=(0, 1), got=2),))"),
+    ]
+
+    @pytest.mark.parametrize("make, other, fields, shown", CASES,
+                             ids=[shown.split("(")[0] for *_, shown in CASES])
+    def test_record(self, make, other, fields, shown):
+        record, twin = make(), make()
+        assert repr(record) == shown
+        assert record == record and hash(record) == hash(record)
+        assert record != other and not record == other
+        assert record != tuple(getattr(record, name) for name in fields)
+        copies = [copy.copy(record), pickle.loads(pickle.dumps(record))]
+        if isinstance(record, CostMatrix):  # eq=False: a matrix equals only itself
+            assert record != twin and hash(record) != hash(twin)
+            for got in copies:
+                assert got != record and repr(got) == shown
+        else:
+            assert record == twin and not record != twin and hash(record) == hash(twin)
+            assert copies == [record, record]
+        for name in fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, getattr(other, name))
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        assert repr(record) == shown
+
+    def test_a_copied_schedule_keeps_its_completions(self):
+        schedule = Schedule((3, 1, 2))
+        for got in (copy.copy(schedule), pickle.loads(pickle.dumps(schedule))):
+            assert got.completions() == schedule.completions() == (2, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +704,9 @@ class TestParseMatchesReference:
         lines[57] = f"pref 1 : {body}"
         text = "profile order\ntasks 3\nvoters 100\n" + "\n".join(lines) + "\n"
         read = []
-        real = model._check_order_line
+        real = _lines._check_order_line
         monkeypatch.setattr(
-            model, "_check_order_line", lambda body, *args: read.append(body) or real(body, *args)
+            _lines, "_check_order_line", lambda body, *args: read.append(body) or real(body, *args)
         )
         got = parse_profile(text)
         assert len(read) == 100
@@ -639,7 +721,7 @@ class TestParseMatchesReference:
         texts = [capsys.readouterr().out, serialize_profile(generate_profile(60, 400, 7)),
                  serialize_profile(generate_profile(1, 5, 7))]
         wants = [reference_parse_profile(text) for text in texts]
-        monkeypatch.setattr(model, "_read_body", _refuse)
+        monkeypatch.setattr(_lines, "_read_body", _refuse)
         for text, want in zip(texts, wants):
             assert_same_profile(parse_profile(text), want)
 
@@ -651,7 +733,7 @@ class TestParseMatchesReference:
         text = _with_ids(n, lambda ids: [tok.zfill(width) if k in (0, len(ids) - 1) else tok
                                          for k, tok in enumerate(ids)])
         want = reference_parse_profile(text)
-        monkeypatch.setattr(model, "_read_body", _refuse)
+        monkeypatch.setattr(_lines, "_read_body", _refuse)
         assert_same_profile(parse_profile(text), want)
 
     @pytest.mark.parametrize("n", _DIGIT_COUNT_BOUNDARIES)
