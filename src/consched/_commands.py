@@ -10,7 +10,6 @@ a second time.
 
 from __future__ import annotations
 
-import json
 import sys
 
 from .errors import EXIT_OK, ProfileError
@@ -29,6 +28,7 @@ def cmd_eval(args, load_profile, encodings) -> int:
     encoding = encodings[args.encoding] if args.encoding else None
     cost = profile_cost(schedule, profile, args.criterion, encoding)
     if args.format == "json":
+        import json
         print(json.dumps({
             "schedule": list(schedule.order),
             "criterion": args.criterion,
@@ -50,6 +50,7 @@ def cmd_check_axioms(args, load_profile, solve) -> int:
     reports = [_check_axiom(schedule, profile, axiom) for axiom in checked]
 
     if args.format == "json":
+        import json
         print(json.dumps({
             "schedule": list(schedule.order),
             "cost": solution.cost,
@@ -112,6 +113,7 @@ def cmd_ratio(args) -> int:
     )
     report = run_ratio_experiment(config)
     if args.format == "json":
+        import json
         payload = {
             "trials": config.trials,
             "n": config.n,
@@ -168,9 +170,10 @@ def cmd_ratio(args) -> int:
     return EXIT_OK if report.ok else 1
 
 
-def cmd_fixtures(args, fixtures, fixture_path) -> int:
+def cmd_fixtures(args, fixtures, fixture_path, usage_error) -> int:
     if args.action == "list":
         if args.format == "json":
+            import json
             print(json.dumps({
                 name: {"description": desc, "path": str(fixture_path(name))}
                 for name, desc in fixtures.items()
@@ -180,5 +183,7 @@ def cmd_fixtures(args, fixtures, fixture_path) -> int:
                 print(f"{name:12} {desc}")
         return EXIT_OK
     # action == "path"
+    if not args.name:
+        usage_error("fixtures path requires a fixture name")
     print(fixture_path(args.name))
     return EXIT_OK

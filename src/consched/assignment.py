@@ -11,18 +11,18 @@ than expensive.
 
 The matching is the shortest-augmenting-path Hungarian method with
 potentials, O(n^3) (Jonker & Volgenant 1987; Crouse 2016), in ``_hungarian``.
-Each phase runs one Dijkstra over one n x n matrix, ``cost - v`` less the
-column potentials, whose tree columns are updated once per phase; the row
-potentials stay Python integers and enter each step through its scalar
-offset. Distances stay absolute from the start of the phase, so a step is
-three NumPy calls over one row (add, minimum, argmin) with or without
-windows, and tree columns are marked by -1 rather than masked. Forbidden
+Each phase runs one Dijkstra over one n x n matrix of reduced costs,
+``cost - u - v``, which is updated once per phase, and only on the rows the
+phases have reached. Distances are kept relative to the phase's current
+one, so a step is two NumPy calls over one row (minimum, argmin) with or
+without windows, and a third (a subtraction) only when the distance grows;
+tree columns hold negative values rather than being masked. Forbidden
 pairs are written into that matrix once, at a pinned cost above every
 optimum, so no relaxation through one can beat an allowed distance; a phase
 whose least value reached is a forbidden one reports infeasible. The phase
-keeps no predecessor array; it rebuilds only the augmenting path from the
-rows it expanded. Ties go to the first minimum in column order, so the slots
-are a fixed function of the matrix (the tests' plain-Python
+keeps no predecessor array; it rebuilds only the augmenting path, over the
+cells the phase made tight. Ties go to the first minimum in column order, so
+the slots are a fixed function of the matrix (the tests' plain-Python
 ``reference_hungarian`` pins them). The arithmetic is int64 while
 n * C < 2^62, with C the largest allowed entry, and exact Python integers
 beyond.
@@ -143,113 +143,111 @@ def _hungarian(cost: np.ndarray, forbidden: Optional[np.ndarray]) -> np.ndarray:
     Returns all -1s when ``forbidden`` rules out every perfect matching. Rows
     are matched one phase at a time (row i in phase i).
 
-    ``red`` holds ``cost[r, j] - v[j]``, the cost less the column potential,
-    and ``u`` holds the row potentials as Python integers. A forbidden cell
-    holds ``pin - v[j]``, as if it cost ``pin = n*C + 1``, where C is the
-    largest allowed entry; forbidden entries are never read. A phase is a
-    Dijkstra from row i. ``minv[j]`` is the distance of column j from the
-    start of the phase, and ``off`` (a 0-d array) is ``d - u[r]`` for the
-    row r being expanded, reached at distance d. A step takes three NumPy
-    calls: ``red[r] + off``, a ``minimum`` into ``minv`` and an ``argmin``
-    that picks the next column (the first on ties). On an allowed cell
-    ``red[r, j] + off`` is the reduced cost ``cost[r, j] - u[r] - v[j]``
-    plus d, which the textbook form, shifting ``u``, ``v`` and ``minv`` by
-    every step's delta, offsets by one constant per step; so both take the
-    same branches and break the same ties. A tree column holds -1 in
-    ``minv``: -1 survives every minimum, and argmin reads ``minv`` as uint64,
-    where -1 is 2^64 - 1. The phase ends when a free column joins; it reports
-    infeasible when the least value reached is a forbidden one, at least
-    ``limit = pin - spent``, with ``spent`` the sum of the earlier phases'
-    final distances.
+    ``red`` holds the reduced costs ``cost[r, j] - u[r] - v[j]``; the row and
+    column potentials u and v are kept nowhere else. Forbidden cells are
+    pinned at ``pin = n*C + 1`` before reduction, where C is the largest
+    allowed entry; forbidden entries are never read. A phase is a Dijkstra
+    from row i, at a distance d (a Python integer) that only grows, and
+    ``minv[j]`` is column j's distance less d. Expanding a row is then one
+    ``minimum`` of its reduced costs into ``minv``, and an ``argmin`` picks
+    the next column (the first on ties); only when the pick's value ``gap``
+    is not 0 do d grow and ``minv`` fall by it. The textbook form shifts u,
+    v and ``minv`` by every step's delta; each value here differs from its
+    textbook one by a constant per step, so both take the same branches and
+    break the same ties. A tree column holds -1 less the gaps since it
+    joined: negative values survive every minimum (reduced costs are >= 0),
+    and argmin reads ``minv`` as uint64, where they are the largest. The
+    phase ends when a free column joins; it reports infeasible when the least
+    value reached is a forbidden one, at least ``limit = pin - spent``, with
+    ``spent`` the sum of the earlier phases' final distances.
 
-    No ``way`` array is kept: the phase logs its expanded rows with their
-    distances and offsets, and rebuilds only the augmenting path, backwards
-    from the free column. A column's predecessor is the first logged row whose relaxed
-    value ``red[r, j] + d - u[r]`` equals the column's distance; earlier rows
-    relaxed it to more, so the textbook's strict ``<`` recorded that row.
-    Then each tree row's ``u`` and each tree column of ``red`` rise by
-    ``d - joined`` (row i's ``u`` by d).
+    Then each tree column rises by ``d - joined``, read off its sentinel as
+    ``~minv``, and each tree row falls by the rise of the column it is
+    matched to (row i by d): one add and one subtract over rows 0..i. No
+    phase reads a row before its own, so the rises also gather in ``lift``,
+    which row i takes when its phase starts. No ``way`` array is kept: the
+    augmenting path is rebuilt backwards from the free column over tight
+    cells. A tree row r's cell in column j now holds the old
+    ``red[r, j] + dist(r) - joined(j)`` (the free column joined at d and does
+    not rise), 0 exactly when r relaxed j to its final distance; the first
+    such row in expansion order is the one the textbook's strict ``<`` kept.
 
     Bound. Let OPT(k) <= k*C be the least cost of matching the first k rows
     over allowed cells. In phase i, ``spent`` is OPT(i-1) (the dual
     objective), and 0 <= u <= OPT(i-1) and 0 <= -v <= OPT(i-1), because a
-    phase raises a potential by at most its final distance. An allowed
-    relaxed value is at least 0, and a forbidden one at least
-    ``pin - OPT(i-1) = limit``, since d >= 0. When rows 1..i can be matched,
-    every distance the phase picks is at most OPT(i) - OPT(i-1) < limit: no
-    forbidden value is ever the least, not even on a tie, and none equals a
-    picked distance in the rebuild. When they cannot, no free column is
-    reachable over allowed cells, so the phase ends on a value of at least
-    ``limit``. Every distance expanded is below ``limit``, so ``off`` lies in
-    [-OPT(i-1), limit), the allowed cells of ``red`` in [0, C + OPT(i-1)],
-    the forbidden ones in [pin, pin + OPT(i-1)], and every relaxed value in
-    [0, 2*pin). The kernel runs in int64 while 2*pin - 1 <= 2^63 - 1, that
-    is n*C < 2^62, with the int64 maximum as ``top``; beyond, it runs the
-    same steps on Python integers, where ``argmin`` reads -1 as
-    ``top = 2*pin``. A consensus matrix has C <= (n-1)*v for v voters, so
-    under the parse bound v*n*(n+1) <= 2^63 - 1 every profile with n <= 3
-    stays in int64, and only profiles in the top half of that range leave it.
+    phase raises a potential by at most its final distance. So allowed cells
+    lie in [0, C + OPT(i-1)] and forbidden ones in [pin - OPT(i-1), pin +
+    OPT(i-1)]: an allowed relaxed value is at least 0, a forbidden one at
+    least ``pin - OPT(i-1) = limit``. When rows 1..i can be matched, every
+    distance the phase picks is at most OPT(i) - OPT(i-1) < limit: no
+    forbidden value is ever the least, not even on a tie, and no forbidden
+    cell is tight after the update (it is at least pin - OPT(i) > 0). When
+    they cannot, no free column is reachable over allowed cells, so the
+    phase ends on a value of at least ``limit``. ``minv`` holds values in
+    [0, 2*pin) and sentinels in [-limit, -1], ``lift`` lies in [0, OPT(i-1)],
+    and between the two updates a cell is at most pin + OPT(i) < 2*pin, so
+    every stored value lies in [-pin, 2*pin) and ``~minv`` in [-2*pin, pin).
+    The kernel runs in int64 while 2*pin - 1 <= 2^63 - 1, that is
+    n*C < 2^62; beyond, it runs the same steps on Python integers, where
+    ``pick`` reads negatives as 2*pin. A consensus matrix has C <= (n-1)*v
+    for v voters, so under the parse bound v*n*(n+1) <= 2^63 - 1 every
+    profile with n <= 3 stays in int64, and only profiles in the top half of
+    that range leave it.
     """
     n = cost.shape[0]
     masked = forbidden is not None and forbidden.any()
     pin = n * int(cost.max(initial=0, where=~forbidden) if masked else cost.max()) + 1
     if 2 * pin - 1 <= _INT64_MAX:
-        dtype, top, red = np.int64, _INT64_MAX, cost.copy()
+        dtype, red = np.int64, cost.copy()
     else:
-        dtype, top, red = object, 2 * pin, cost.astype(object)
+        dtype, red = object, cost.astype(object)
     if masked:
         red[forbidden] = pin
-    red_rows = list(red)  # views, so the phase-end updates reach them
-    u = [0] * n
+    red_rows, red_cols = list(red), list(red.T)  # views, so the phase-end updates reach them
     row_of = [-1] * n  # matched row of each column
+    slots = np.zeros(n, dtype=np.int64)  # matched column of each row
     minv = np.empty(n, dtype=dtype)
-    cur = np.empty(n, dtype=dtype)
-    off = np.zeros((), dtype=dtype)
+    lift = np.zeros(n, dtype=dtype)  # every column's rise so far, owed to rows not yet reached
     if dtype is object:
         def pick():
-            return np.where(minv < 0, top, minv).argmin()
+            return np.where(minv < 0, 2 * pin, minv).argmin()
     else:
         pick = minv.view(np.uint64).argmin
-    add, minimum = np.add, np.minimum  # local names for the hot loop
+    minimum = np.minimum  # a local name for the hot loop
     spent = 0
     for i in range(n):
-        minv.fill(top)
-        off[()] = 0
-        limit = pin - spent
-        rows, dists, offs, tree = [i], [0], [0], []  # expanded rows, distances, offsets; tree columns
-        r = i
+        red_rows[i] += lift
+        minv[:] = red_rows[i]
+        d, limit = 0, pin - spent
+        rows = [i]  # expanded rows, in order
         while True:
-            add(red_rows[r], off, out=cur)
-            minimum(minv, cur, out=minv)
             j = int(pick())
-            d = minv.item(j)
-            if d >= limit:
-                return np.full(n, -1, dtype=np.int64)
+            gap = minv.item(j)
+            if gap:
+                d += gap
+                if d >= limit:
+                    return np.full(n, -1, dtype=np.int64)
+                minv -= gap
             r = row_of[j]
             if r < 0:
                 break
             minv[j] = -1
-            off[()] = o = d - u[r]
-            offs.append(o)
             rows.append(r)
-            dists.append(d)
-            tree.append(j)
+            minimum(minv, red_rows[r], out=minv)
         spent += d
+        rise = np.maximum(~minv, 0)  # a tree column holds -1 - rise, ~x being -1 - x
+        fall = rise[slots[:i + 1]]  # a tree row falls as its column rises, row i by d
+        fall[i] = d
+        red[:i + 1] += rise
+        red[:i + 1] -= fall[:, None]
+        lift += rise
         at = np.array(rows)
-        base = np.array(offs, dtype=dtype)
-        rise = np.zeros(n, dtype=dtype)  # one dense add beats a strided scatter on big trees
-        rise[tree] = d - np.array(dists[1:], dtype=dtype)
-        for r, dr in zip(rows, dists):
-            u[r] += d - dr
-        while True:  # the augmenting path, backwards from the free column j
-            k = int((red[at, j] + base == d).argmax())
-            row_of[j] = rows[k]
+        while True:  # the augmenting path, backwards from the free column j, over tight cells
+            k = int((red_cols[j][at] == 0).argmax())
+            r = row_of[j] = rows[k]
+            slots[r], j = j, slots[r]
             if k == 0:
                 break
-            j, d = tree[k - 1], dists[k]
-        red += rise
-    slots = np.empty(n, dtype=np.int64)
-    slots[row_of] = np.arange(n)
     return slots
 
 

@@ -19,9 +19,10 @@ run :mod:`consched.experiment`, which also specifies the random generator.
 
 Each request is its own process, which compiles every module it imports
 from source when no bytecode cache can be written. So at start-up this
-module imports only ``argparse``, ``json``, :mod:`consched.errors` and
+module imports only ``argparse``, :mod:`consched.errors` and
 :mod:`consched.model` (with NumPy), and holds only what ``solve`` and
 ``oracle`` run: the loaders, the fixtures table and those two handlers.
+``json`` is imported only to print ``--format json``.
 The parser names all seven subcommands, but adds a subcommand's arguments
 only when that subcommand parses. The handlers of the other five are in
 ``consched._commands``, which their parsers import, and every handler
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from functools import partial
@@ -160,11 +160,13 @@ def cmd_solve(args) -> int:
         solution = _solve(args, profile)
     except InfeasibleError as exc:
         if args.format == "json":
+            import json
             print(json.dumps(
                 {"schedule": None, "cost": None, "method": exc.method, "feasible": False}
             ))
         raise
     if args.format == "json":
+        import json
         print(json.dumps({
             "schedule": list(solution.schedule.order),
             "cost": solution.cost,
@@ -194,6 +196,7 @@ def cmd_oracle(args) -> int:
         prec = _load_prec(args, profile.n)
         result = exhaustive_optimum(profile, criterion, encoding, windows, prec)
     if args.format == "json":
+        import json
         print(json.dumps({
             "best_cost": result.best_cost,
             "optima_count": len(result.optima),
@@ -353,7 +356,8 @@ def _build_fixtures(p) -> None:
     p.add_argument("action", choices=("list", "path"))
     p.add_argument("name", nargs="?", help="fixture name (for 'path')")
     _add_format(p)
-    p.set_defaults(func=partial(cmd_fixtures, fixtures=FIXTURES, fixture_path=_fixture_path))
+    p.set_defaults(func=partial(cmd_fixtures, fixtures=FIXTURES, fixture_path=_fixture_path,
+                                usage_error=p.error))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fixtures" and args.action == "path" and not args.name:
-        parser.error("fixtures path requires a fixture name")
     try:
         return args.func(args)
     except ValueError as exc:  # ProfileError included

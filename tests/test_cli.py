@@ -1067,17 +1067,33 @@ class TestFreshProcess:
          {"axioms", "precedence", "_lines"}),
         (["ratio", "--trials", "2", "--tasks", "4", "--voters", "3", "--seed", "5"],
          {"axioms", "precedence", "_lines"}),
+        (SOLVE + ["--format", "json"], {"oracle", "axioms", "experiment", "precedence", *COLD}),
+        (ORACLE + ["--format", "json"],
+         {"axioms", "experiment", "precedence", "rules", "assignment", *COLD}),
+        (["fixtures", "list", "--format", "json"],
+         {"oracle", "axioms", "experiment", "precedence", "rules", "assignment", "criteria",
+          "_lines"}),
+        (["eval", "--profile", "fixture:late7x3", "--schedule", "4 2 3 5 6 7 1",
+          "--criterion", "binary", "--encoding", "late", "--format", "json"],
+         {"assignment", "precedence", "rules", "oracle", "axioms", "experiment", "_lines"}),
+        (["check-axioms", "--profile", "fixture:median4x3a", "--rule", "emd", "--format", "json"],
+         {"oracle", "experiment", "precedence", "_lines"}),
+        (["ratio", "--trials", "2", "--tasks", "4", "--voters", "3", "--seed", "5",
+          "--format", "json"],
+         {"axioms", "precedence", "_lines"}),
     ])
     def test_a_request_loads_only_what_it_runs(self, files, argv, unused):
         argv = [arg.replace("{tmp}", str(files)) for arg in argv]
         proc = _fresh(["-c", _entry_probe(argv, (
             "print(sorted(m[9:] for m in sys.modules if m.startswith('consched.')))\n"
-            "print('dataclasses' in sys.modules)\n"))])
+            "print('dataclasses' in sys.modules, 'json' in sys.modules)\n"))])
         assert proc.returncode == 0, proc.stderr
-        *_, modules, dataclasses = proc.stdout.splitlines()
+        *_, modules, loaded = proc.stdout.splitlines()
         assert set(eval(modules)) == self.MODULES - unused
-        # Only the experiment harness behind gen and ratio defines dataclasses.
-        assert dataclasses == str(argv[0] in ("gen", "ratio"))
+        # Only the experiment harness behind gen and ratio defines dataclasses,
+        # and only JSON output needs ``json``.
+        json_out = "--format" in argv and argv[argv.index("--format") + 1] == "json"
+        assert loaded == f"{argv[0] in ('gen', 'ratio')} {json_out}"
 
     def test_the_module_list_is_the_package(self):
         package = Path(cli.__file__).parent

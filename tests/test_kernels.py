@@ -186,6 +186,15 @@ def hidden_windows(rng, n):
     return TimeWindows(tuple(windows))
 
 
+def every_tenth_windows(rng, n):
+    """Windows of +-20 slots around a hidden schedule on every tenth task."""
+    hidden = rng.permutation(n)  # hidden[j] = 0-based slot of task j + 1
+    return TimeWindows(tuple(
+        (max(0, slot - 20), min(n, slot + 21)) if task % 10 == 9 else (0, n)
+        for task, slot in enumerate(hidden.tolist())
+    ))
+
+
 class TestHungarianMatchesReference:
     """Lazy potentials and a mask return exactly the slots of the eager kernel."""
 
@@ -268,6 +277,21 @@ class TestHungarianMatchesReference:
             assert want[0] >= 0
             assert np.array_equal(hungarian(m.cost, m.forbidden), want)
 
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_every_matching_shape_of_the_benchmark(self, n):
+        # Deviation, late tasks and tardiness at v = 100, each with and without
+        # windows on every tenth task: about n(n+1)/2 steps a matrix.
+        profile = generate_profile(n, 100, seed=1)
+        rng = np.random.default_rng(n)
+        for criterion, encoding in ((CriterionKind.DISTANCE, EncodingKind.DEVIATION),
+                                    (CriterionKind.BINARY, EncodingKind.LATE_TASKS),
+                                    (CriterionKind.DISTANCE, EncodingKind.TARDINESS)):
+            for windows in (None, every_tenth_windows(rng, n)):
+                m = build_cost_matrix(profile, criterion, encoding, windows)
+                want = reference_hungarian(m.cost, m.forbidden)
+                assert want[0] >= 0
+                assert np.array_equal(hungarian(m.cost, m.forbidden), want)
+
     @pytest.mark.parametrize("n", [150, 200])
     def test_costs_zero_to_two_at_benchmark_scale(self, n):
         # Long trees and ties in every phase.
@@ -284,8 +308,10 @@ class TestHungarianMatchesReference:
         assert reference_hungarian(cost, forbidden).tolist() == [1, 0, 2]
         assert hungarian(cost, forbidden).tolist() == [1, 0, 2]
 
-    def test_optimum_past_two_to_the_60(self):
-        cost = (1 << 61) + np.array([[1, 0], [0, 1]], dtype=np.int64)
+    @pytest.mark.parametrize("power", [60, 61], ids=["int64", "python-int"])
+    def test_optimum_past_two_to_the_60(self, power):
+        # n*C is 2^61 + 2, then 2^62 + 2: either side of the int64 cut.
+        cost = (1 << power) + np.array([[1, 0], [0, 1]], dtype=np.int64)
         assert (reference_hungarian(cost) < 0).all()  # the 2^60 sentinel's false infeasible
         assert hungarian(cost).tolist() == [1, 0]
 
@@ -295,14 +321,15 @@ class TestHungarianMatchesReference:
 
 
 class TestPinnedMask:
-    """Forbidden cells live in the reduced matrix at ``pin = n*C + 1``, C over allowed cells."""
+    """Forbidden cells are pinned at ``pin = n*C + 1`` before reduction, C over allowed cells."""
 
     @pytest.mark.parametrize("offset", [0, 1], ids=["int64", "python-int"])
     def test_column_reachable_only_through_forbidden_cells_near_the_bound(self, offset):
         # Rows 1..n-1 fit the other columns, so only the last phase fails,
-        # after the earlier phases spent OPT(n-1) of the pin. The last row is
-        # cheap, so rows it reaches relax the dead column below the pin
-        # itself: only ``pin - spent`` tells those values from allowed ones.
+        # after the earlier phases spent OPT(n-1) of the pin. The rows it
+        # reaches have fallen by their potentials, so their forbidden cells sit
+        # below the pin itself, down to pin - OPT(n-1): only
+        # ``limit = pin - spent`` tells those values from allowed ones.
         n, dead = 40, 17
         rng = np.random.default_rng(dead)
         cost = rng.integers(9, 12, size=(n, n)).astype(np.int64)
@@ -323,7 +350,8 @@ class TestPinnedMask:
         # Every matching costs the same and each row prefers the lowest
         # column, so phase i's tree is exactly columns 0..i-1: column 0 rises
         # in every phase after the first, and the forbidden cells below the
-        # diagonal climb with their columns, phase after phase.
+        # diagonal climb with their columns, phase after phase, in the rows
+        # already reached at once and in each later row through ``lift``.
         n = 40
         rows, cols = np.indices((n, n))
         cost = cols.astype(np.int64)
@@ -332,6 +360,28 @@ class TestPinnedMask:
         want = reference_hungarian(cost, forbidden)
         scale = 1 if offset is None else int64_edge(n, n - 1) + offset
         assert np.array_equal(hungarian(cost * scale, forbidden), want)
+
+    @pytest.mark.parametrize("blocked", [False, True], ids=["feasible", "infeasible"])
+    @pytest.mark.parametrize("offset", [None, 0, 1], ids=["unscaled", "int64", "python-int"])
+    def test_the_last_phase_climbs_a_chain_to_the_limit(self, offset, blocked):
+        # Row k < n-1 may take column k at 0 or column k+1 at C, and the last
+        # row only column 0 at C. Rows 0..n-2 match for free, so the last phase
+        # starts at ``limit = pin`` and shifts every row along the chain: its
+        # distance ends at n*C = limit - 1, column 0's sentinel falls to
+        # -1 - (n-1)*C and its forbidden cells climb to pin + (n-1)*C before
+        # the rows fall. With column n-1 closed to row n-2, the least value
+        # left is a forbidden one, exactly ``limit``.
+        n, top = 40, 7
+        k = np.arange(n - 1)
+        cost = np.zeros((n, n), dtype=np.int64)
+        cost[k, k + 1] = cost[-1, 0] = top
+        forbidden = np.ones((n, n), dtype=bool)
+        forbidden[k, k] = forbidden[k, k + 1] = forbidden[-1, 0] = False
+        forbidden[n - 2, n - 1] = blocked
+        want = [-1] * n if blocked else [*range(1, n), 0]
+        assert reference_hungarian(cost, forbidden).tolist() == want
+        scale = 1 if offset is None else int64_edge(n, top) + offset
+        assert hungarian(cost * scale, forbidden).tolist() == want
 
     @staticmethod
     def windowed_matrix(n=200):
