@@ -64,6 +64,8 @@ class CostMatrix(_Record):
 
     def __init__(self, n: int, cost: np.ndarray, forbidden: Optional[np.ndarray] = None):
         n = _count(n, "cost matrix n")
+        if n == 0:
+            raise ValueError("cost matrix n must be >= 1, got 0")
         cost = np.asarray(cost)
         if not np.issubdtype(cost.dtype, np.integer):
             raise ValueError(f"cost matrix must be integral, got dtype {cost.dtype}")
@@ -251,12 +253,11 @@ def _hungarian(cost: np.ndarray, forbidden: Optional[np.ndarray]) -> np.ndarray:
     return slots
 
 
-def min_cost_assignment(matrix: CostMatrix) -> tuple[Schedule, int]:
+def min_cost_assignment(matrix: CostMatrix) -> Schedule:
     """Minimum-total-cost schedule avoiding forbidden pairs, O(n^3).
 
-    Deterministic: tasks and slots are processed in increasing index order, so
-    ties resolve reproducibly (implementation-defined among equal-cost
-    optima).
+    Returns only the schedule (``matrix.price`` gives its cost); ties go to
+    the first minimum in column order.
 
     Raises
     ------
@@ -266,9 +267,6 @@ def min_cost_assignment(matrix: CostMatrix) -> tuple[Schedule, int]:
     slots = _hungarian(matrix.cost, matrix.forbidden)
     if slots[0] < 0:
         raise InfeasibleError("time windows admit no feasible schedule")
-    order = np.empty(matrix.n, dtype=np.int64)
-    order[slots] = np.arange(1, matrix.n + 1, dtype=np.int64)
     if matrix.forbidden is not None and matrix.forbidden[np.arange(matrix.n), slots].any():
         raise AssertionError("matching used a forbidden pair")  # pragma: no cover
-    total = int(matrix.cost[np.arange(matrix.n), slots].sum())
-    return Schedule(tuple(int(x) for x in order)), total
+    return Schedule(tuple((np.argsort(slots) + 1).tolist()))  # the task of each slot

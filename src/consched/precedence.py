@@ -112,11 +112,12 @@ def repair_steps(
 
 def solve_with_graph(
     matrix: CostMatrix, graph: PrecedenceGraph, size_limit: int = DEFAULT_DP_LIMIT
-) -> tuple[Schedule, int]:
+) -> Schedule:
     """Exact optimum of ``matrix`` under an acyclic graph via subset DP, O(2^n * n).
 
-    The matrix's forbidden cells (time windows) are never used; returns the
-    schedule and its cost on ``matrix``.
+    The matrix's forbidden cells (time windows) are never used. Returns only
+    the schedule; ``matrix.price`` gives its cost. Ties go to the smallest
+    last task: each subset ends with the smallest of its equal-cost choices.
 
     Raises
     ------
@@ -149,8 +150,7 @@ def solve_with_graph(
     slot_order = _subset_dp(matrix.cost, pred_mask, allowed)
     if slot_order[0] < 0:
         raise InfeasibleError("no schedule satisfies the precedence graph and windows")
-    schedule = Schedule(tuple(int(j) + 1 for j in slot_order))
-    return schedule, matrix.price(schedule)
+    return Schedule(tuple(int(j) + 1 for j in slot_order))
 
 
 def _subset_dp(cost: np.ndarray, pred_mask: np.ndarray, allowed: np.ndarray) -> np.ndarray:

@@ -13,15 +13,15 @@ distance criterion, the late-task count and the exact-position miss count
 from the binary criterion. ``canonical_criterion`` maps each encoding to the
 criterion that defines its named rule.
 
-``solve`` is the one place that picks the algorithm. Its arguments mirror
-the ``consched solve`` flags; ``solve`` checks them, builds the request's one
-cost matrix, runs one path on it, prices the schedule from it, rechecks the
-cost with ``profile_cost`` and returns a ``Solution`` naming the path: ``emd``
-(which ignores windows and precedences), ``matching`` (the assignment
-reduction, never EMD even where EMD is optimal; windows only),
-``matching+repair`` (``auto``'s exact path for distance under inferred
-precedences without windows) or ``dp`` (the exact subset DP; ``auto``'s path
-for every other precedence request).
+``solve`` is the one place that picks the algorithm. Its arguments mirror the
+``consched solve`` flags; ``solve`` checks them, builds the request's one cost
+matrix, runs one path on it (each returns only the schedule), prices that
+schedule once, rechecks the cost with ``profile_cost`` and returns a
+``Solution`` naming the path: ``emd`` (which ignores windows and precedences),
+``matching`` (the assignment reduction, never EMD even where EMD is optimal;
+windows only), ``matching+repair`` (``auto``'s exact path for distance under
+inferred precedences without windows) or ``dp`` (the exact subset DP;
+``auto``'s path for every other precedence request).
 """
 
 from __future__ import annotations
@@ -115,14 +115,14 @@ def solve(
     The arguments mirror the ``consched solve`` flags: ``rule`` is one of
     ``RULES``, ``prec`` is None, ``"inferred"`` or an imposed
     ``PrecedenceGraph``, ``method`` is one of ``METHODS`` and ``dp_limit`` is
-    the subset-DP size guard. Every path runs on, and is priced from, the
-    request's one cost matrix (built without windows for emd), so
-    ``profile_cost``, repricing the schedule from the profile (emd under its
-    encoding, default tardiness), is an independent recheck; a mismatch raises
-    ``AssertionError``. A request no path serves raises ``ValueError``, one no
-    schedule satisfies ``InfeasibleError``, a DP past ``dp_limit``
-    ``SizeLimitError``; the first two carry ``method`` (the path, or None) and
-    the ``notes`` made before.
+    the subset-DP size guard. Each path returns only a schedule, which
+    ``solve`` prices once from the request's one cost matrix (built without
+    windows for emd), so ``profile_cost``, repricing the schedule from the
+    profile (emd under its encoding, default tardiness), is an independent
+    recheck; a mismatch raises ``AssertionError``. A request no path serves
+    raises ``ValueError``, one no schedule satisfies ``InfeasibleError``, a DP
+    past ``dp_limit`` ``SizeLimitError``; the first two carry ``method`` (the
+    path, or None) and the ``notes`` made before.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
@@ -148,9 +148,9 @@ def solve(
         elif path == "dp":
             from .precedence import solve_with_graph
 
-            schedule = solve_with_graph(matrix, graph, dp_limit)[0]
+            schedule = solve_with_graph(matrix, graph, dp_limit)
         else:
-            schedule = min_cost_assignment(matrix)[0]
+            schedule = min_cost_assignment(matrix)
             if path == "matching+repair":
                 from .precedence import repair_steps
 

@@ -231,7 +231,8 @@ def test_criterion_07_matching_equals_oracle_all_encodings():
         n = rng.randint(2, 7)
         profile = random_order_profile(rng, n, rng.randint(1, 6))
         for criterion, encoding in combos:
-            _, cost = min_cost_assignment(build_cost_matrix(profile, criterion, encoding))
+            matrix = build_cost_matrix(profile, criterion, encoding)
+            cost = matrix.price(min_cost_assignment(matrix))
             best = exhaustive_optimum(profile, criterion, encoding).best_cost
             if cost != best:
                 mismatches.append((trial, criterion.value, encoding.value, cost, best))
@@ -292,7 +293,9 @@ def test_criterion_09_repair_preserves_cost_within_swap_budget():
         profile = random_order_profile(rng, n, rng.randint(1, 6))
         inferred = infer_precedences(profile)
         for encoding in (DEV, TAR):
-            schedule, cost = min_cost_assignment(build_cost_matrix(profile, DIST, encoding))
+            matrix = build_cost_matrix(profile, DIST, encoding)
+            schedule = min_cost_assignment(matrix)
+            cost = matrix.price(schedule)
             repaired, swaps = repair_steps(schedule, inferred)
             repaired_cost = profile_cost(repaired, profile, DIST, encoding)
             if not (
@@ -328,7 +331,8 @@ def test_criterion_10_graph_dp_equals_filtered_oracle():
         graph = PrecedenceGraph(n=n, edges=edges)
         for criterion, encoding in ((DIST, TAR), (DIST, DEV), (BIN, LATE)):
             matrix = build_cost_matrix(profile, criterion, encoding)
-            schedule, cost = solve_with_graph(matrix, graph)
+            schedule = solve_with_graph(matrix, graph)
+            cost = matrix.price(schedule)
             best = exhaustive_optimum(profile, criterion, encoding, graph=graph).best_cost
             if cost != best or not satisfied_by(graph, schedule):
                 mismatches.append((trial, encoding.value, cost, best))

@@ -168,6 +168,7 @@ class TestBuildCostMatrix:
     @pytest.mark.parametrize("n, message", [
         (-1, "cost matrix n must be >= 0, got -1"),
         (2.0, "cost matrix n must be an integer, got 2.0"),
+        (0, "cost matrix n must be >= 1, got 0"),
     ])
     def test_cost_matrix_checks_n_before_the_costs(self, n, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -178,7 +179,8 @@ class TestMinCostAssignment:
     def test_identity_on_unanimous_profile(self):
         profile = parse_profile("profile order\ntasks 4\nvoters 3\npref 3 : 4 3 2 1\n")
         m = build_cost_matrix(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)
-        schedule, total = min_cost_assignment(m)
+        schedule = min_cost_assignment(m)
+        total = m.price(schedule)
         assert schedule.order == (4, 3, 2, 1)
         assert total == 0
 
@@ -195,7 +197,8 @@ class TestMinCostAssignment:
             n = rng.randint(2, 6)
             profile = random_order_profile(rng, n, rng.randint(1, 5))
             m = build_cost_matrix(profile, criterion, encoding)
-            schedule, total = min_cost_assignment(m)
+            schedule = min_cost_assignment(m)
+            total = m.price(schedule)
             oracle = exhaustive_optimum(profile, criterion, encoding)
             assert total == oracle.best_cost
             assert profile_cost(schedule, profile, criterion, encoding) == total
@@ -216,7 +219,8 @@ class TestMinCostAssignment:
             m = build_cost_matrix(
                 profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, windows=windows
             )
-            schedule, total = min_cost_assignment(m)
+            schedule = min_cost_assignment(m)
+            total = m.price(schedule)
             oracle = exhaustive_optimum(
                 profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, windows=windows
             )
@@ -237,5 +241,5 @@ class TestMinCostAssignment:
         rng = random.Random(42)
         profile = random_order_profile(rng, 6, 3)
         m = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
-        results = {min_cost_assignment(m)[0].order for _ in range(5)}
+        results = {min_cost_assignment(m).order for _ in range(5)}
         assert len(results) == 1

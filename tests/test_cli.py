@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import re
@@ -917,6 +918,61 @@ def test_help_and_usage_text_is_unchanged(capsys, monkeypatch, case):
         code = exc.code
     out, err = capsys.readouterr()
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+# Exit code, stdout and stderr of every request in the grid below, captured from the
+# CLI before the kernels stopped returning their own cost. ``cases`` maps each
+# request's label to its entry in ``outputs``; "{tmp}" stands for the directory that
+# holds ``files``. `--dp-limit 7` on the dp method sends the n = 8 profiles to the
+# size guard.
+SOLVE_OUTPUTS = json.loads(
+    (Path(__file__).resolve().parent / "cli_solve_outputs.json").read_text())
+GRID_PROFILES = ("chain5x6", "late7x3", "median4x3a", "median4x3b", "slots5x5", "tail8x6",
+                 "window8x6")
+GRID_RULES = ("distance/deviation", "distance/tardiness", "distance/earliness",
+              "binary/late", "binary/exactpos", "emd")
+GRID_METHODS = {"none": [], "matching": ["--method", "matching"],
+                "dp": ["--method", "dp", "--dp-limit", "7"], "repair": ["--method", "repair"]}
+GRID_CONSTRAINTS = {
+    "none": [],
+    "time": ["--time", "{tmp}/w.txt"],
+    "inferred": ["--prec-mode", "inferred"],
+    "graph": ["--prec-mode", "graph", "--prec", "{tmp}/g.txt"],
+    "time+graph": ["--time", "{tmp}/w.txt", "--prec-mode", "graph", "--prec", "{tmp}/g.txt"],
+}
+
+
+def _solve_grid():
+    """(label, argv) of each request; the interval fixture takes no --encoding, so one per rule."""
+    for command, profile, pair, method, constraint, fmt in itertools.product(
+            ("solve", "check-axioms"), GRID_PROFILES, GRID_RULES, GRID_METHODS,
+            GRID_CONSTRAINTS, ("text", "json")):
+        rule, _, encoding = pair.partition("/")
+        if profile == "window8x6":
+            if encoding not in ("", "deviation", "late"):
+                continue
+            encoding = ""
+        label = " ".join((command, profile, pair if encoding else rule, method, constraint, fmt))
+        yield label, [command, "--profile", f"fixture:{profile}", "--rule", rule,
+                      *(["--encoding", encoding] if encoding else []), *GRID_METHODS[method],
+                      *GRID_CONSTRAINTS[constraint], "--format", fmt]
+
+
+def test_solve_and_check_axioms_outputs_are_unchanged(capsys, tmp_path):
+    for name, text in SOLVE_OUTPUTS["files"].items():
+        (tmp_path / name).write_text(text)
+    grid = dict(_solve_grid())
+    assert grid.keys() == SOLVE_OUTPUTS["cases"].keys()
+    changed = []
+    for label, argv in grid.items():
+        code = cli.main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        out, err = capsys.readouterr()
+        got = [code, out.replace(str(tmp_path), "{tmp}"), err.replace(str(tmp_path), "{tmp}")]
+        if got != SOLVE_OUTPUTS["outputs"][SOLVE_OUTPUTS["cases"][label]]:
+            changed.append(label)
+    assert not changed, f"{len(changed)} of {len(grid)} requests changed, first: {changed[:5]}"
+    codes = {SOLVE_OUTPUTS["outputs"][i][0] for i in SOLVE_OUTPUTS["cases"].values()}
+    assert codes == {EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_SIZE_LIMIT}
 
 
 def test_installed_entry_point_smoke():

@@ -195,7 +195,7 @@ class TestSolveWithGraph:
             profile = random_order_profile(rng, n, rng.randint(1, 4))
             empty = PrecedenceGraph(n=n, edges=frozenset())
             matrix = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
-            _, dp_cost = solve_with_graph(matrix, empty)
+            dp_cost = matrix.price(solve_with_graph(matrix, empty))
             match_cost = solve(profile, "binary", "late_tasks").cost
             assert dp_cost == match_cost
 
@@ -213,9 +213,9 @@ class TestSolveWithGraph:
                 graph = PrecedenceGraph(n=n, edges=frozenset(edges))
             except ValueError:
                 continue  # sampled a cycle through transitivity
-            schedule, cost = solve_with_graph(
-                build_cost_matrix(profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS), graph
-            )
+            matrix = build_cost_matrix(profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS)
+            schedule = solve_with_graph(matrix, graph)
+            cost = matrix.price(schedule)
             oracle = exhaustive_optimum(
                 profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, graph=graph
             )
@@ -235,7 +235,8 @@ class TestSolveWithGraph:
             matrix = build_cost_matrix(
                 profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, windows
             )
-            schedule, cost = solve_with_graph(matrix, graph)
+            schedule = solve_with_graph(matrix, graph)
+            cost = matrix.price(schedule)
             oracle = exhaustive_optimum(
                 profile, CriterionKind.DISTANCE, EncodingKind.TARDINESS, windows, graph
             )
@@ -251,8 +252,8 @@ class TestSolveWithGraph:
             a, b = rng.sample(range(1, n + 1), 2)
             one = PrecedenceGraph(n=n, edges=frozenset({(a, b)}))
             matrix = build_cost_matrix(profile, CriterionKind.BINARY, EncodingKind.LATE_TASKS)
-            _, free = solve_with_graph(matrix, empty)
-            _, bound = solve_with_graph(matrix, one)
+            free = matrix.price(solve_with_graph(matrix, empty))
+            bound = matrix.price(solve_with_graph(matrix, one))
             assert bound >= free
 
     def test_empty_graph_at_the_size_limit_equals_matching(self):
@@ -261,7 +262,7 @@ class TestSolveWithGraph:
         profile = random_order_profile(random.Random(2020), n, 7)
         empty = PrecedenceGraph(n=n, edges=frozenset())
         matrix = build_cost_matrix(profile, CriterionKind.DISTANCE, EncodingKind.DEVIATION)
-        _, dp_cost = solve_with_graph(matrix, empty)
+        dp_cost = matrix.price(solve_with_graph(matrix, empty))
         match_cost = solve(profile, "distance", "deviation").cost
         assert dp_cost == match_cost
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import random_mixed_profile, random_order_profile
+from consched.assignment import CostMatrix
 from consched.criteria import CriterionKind, profile_cost
 from consched.model import EncodingKind, Schedule, TimeWindows, parse_profile
 from consched.oracle import exhaustive_optimum
@@ -137,6 +138,27 @@ class TestSolve:
             oracle = exhaustive_optimum(profile, CriterionKind(rule), encoding)
             assert cost == oracle.best_cost
             assert schedule in oracle.optima
+
+    @pytest.mark.parametrize("rule, encoding, prec, path", [
+        ("emd", None, None, "emd"),
+        ("distance", "deviation", None, "matching"),
+        ("distance", "deviation", "inferred", "matching+repair"),
+        ("binary", "late_tasks", "inferred", "dp"),
+    ])
+    def test_every_path_is_priced_once(self, monkeypatch, rule, encoding, prec, path):
+        # The kernels return only the order; solve alone prices it.
+        priced = []
+        price = CostMatrix.price
+
+        def counted(matrix, schedule):
+            priced.append(schedule)
+            return price(matrix, schedule)
+
+        monkeypatch.setattr(CostMatrix, "price", counted)
+        profile = random_order_profile(random.Random(5), 6, 4)
+        solution = solve(profile, rule, encoding, prec=prec)
+        assert solution.method == path
+        assert priced == [solution.schedule]
 
     def test_windows_are_honored(self):
         profile = parse_profile("profile order\ntasks 3\nvoters 2\npref 2 : 1 2 3\n")
