@@ -54,13 +54,13 @@ class CostMatrix(_Record):
     """cost[j-1][t-1] = total dissatisfaction if task j completes at slot t.
 
     ``forbidden`` marks window-excluded pairs; those cells carry no cost
-    semantics and are never read by the solver. The fields cannot be
-    reassigned, and a matrix equals only itself.
+    semantics and are never read by the solver. The matrix owns read-only
+    copies of ``cost`` (int64, checked non-negative) and ``forbidden``, so
+    no later write, to it or to the caller's arrays, can undo a check the
+    kernels rely on. Two matrices are equal when their n and arrays are.
     """
 
     __slots__ = _fields = ("n", "cost", "forbidden")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, n: int, cost: np.ndarray, forbidden: Optional[np.ndarray] = None):
         n = _count(n, "cost matrix n")
@@ -74,10 +74,12 @@ class CostMatrix(_Record):
             raise ValueError(f"cost matrix must be {n}x{n}")
         if (cost < 0).any():
             raise ValueError("cost matrix entries must be non-negative")
+        cost.flags.writeable = False
         if forbidden is not None:
-            forbidden = np.asarray(forbidden, dtype=bool)
+            forbidden = np.array(forbidden, dtype=bool)
             if forbidden.shape != (n, n):
                 raise ValueError(f"forbidden mask must be {n}x{n}")
+            forbidden.flags.writeable = False
         self._fill(n, cost, forbidden)
 
     def price(self, schedule: Schedule) -> int:

@@ -12,7 +12,6 @@ for those two subcommands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,7 +23,7 @@ from .criteria import (
     profile_cost,
     spearman_distance,
 )
-from .model import EncodingKind, PreferenceProfile, serialize_profile
+from .model import EncodingKind, PreferenceProfile, _Record, serialize_profile
 from .oracle import exhaustive_optimum, kendall_optimum
 from .rules import emd_schedule, solve
 
@@ -118,37 +117,36 @@ def _draw_profile(rng: Lcg, n: int, v: int, generator: str, swaps: int) -> Prefe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """A reproducible ratio experiment: (seed, config) fixes every trial."""
 
-    trials: int
-    n: int
-    v: int
-    seed: int
-    generator: str = "uniform_permutations"
-    swaps: int = 0
-    exact: bool = False
+    __slots__ = _fields = ("trials", "n", "v", "seed", "generator", "swaps", "exact")
 
-    def __post_init__(self):
-        if self.trials < 1:
+    def __init__(self, trials: int, n: int, v: int, seed: int,
+                 generator: str = "uniform_permutations", swaps: int = 0, exact: bool = False):
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        _check_generator(self.generator, self.swaps)
+        _check_generator(generator, swaps)
+        self._fill(trials, n, v, seed, generator, swaps, exact)
 
 
-@dataclass
-class RatioReport:
-    config: ExperimentConfig
-    max_tardiness_ratio: float = 0.0
-    mean_tardiness_ratio: float = 0.0
-    max_deviation_ratio: float = 0.0
-    mean_deviation_ratio: float = 0.0
-    max_kendall_ratio: Optional[float] = None
-    mean_kendall_ratio: Optional[float] = None
-    zero_tardiness_opt: int = 0
-    zero_kendall_opt: int = 0
-    slots_checked: int = 0
-    violations: list[str] = field(default_factory=list)
+class RatioReport(_Record):
+    """One experiment's ratios (Kendall's None unless exact), counts and violations."""
+
+    __slots__ = _fields = (
+        "config", "max_tardiness_ratio", "mean_tardiness_ratio", "max_deviation_ratio",
+        "mean_deviation_ratio", "max_kendall_ratio", "mean_kendall_ratio",
+        "zero_tardiness_opt", "zero_kendall_opt", "slots_checked", "violations",
+    )
+
+    def __init__(self, config: ExperimentConfig, max_tardiness_ratio: float,
+                 mean_tardiness_ratio: float, max_deviation_ratio: float,
+                 mean_deviation_ratio: float, max_kendall_ratio: Optional[float],
+                 mean_kendall_ratio: Optional[float], zero_tardiness_opt: int,
+                 zero_kendall_opt: int, slots_checked: int, violations: tuple[str, ...]):
+        self._fill(config, max_tardiness_ratio, mean_tardiness_ratio, max_deviation_ratio,
+                   mean_deviation_ratio, max_kendall_ratio, mean_kendall_ratio,
+                   zero_tardiness_opt, zero_kendall_opt, slots_checked, violations)
 
     @property
     def ok(self) -> bool:
@@ -175,7 +173,8 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
     ``report.violations`` verbatim.
     """
     rng = Lcg(config.seed)
-    report = RatioReport(config=config)
+    violations: list[str] = []
+    zero_tardiness = zero_kendall = slots_checked = 0
     t_ratios: list[float] = []
     dev_ratios: list[float] = []
     kendall_ratios: list[float] = []
@@ -188,7 +187,7 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
         dev_emd = spearman_distance(emd, profile)
 
         def _flag(kind: str, detail: str) -> None:
-            report.violations.append(
+            violations.append(
                 f"trial {trial}: {kind}: {detail}\n"
                 f"  emd schedule: {emd}\n"
                 f"{serialize_profile(profile)}"
@@ -202,7 +201,7 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
             k_res = kendall_optimum(profile)
             kendall_emd = kendall_tau_distance(emd, profile)
             if k_res.best_cost == 0:
-                report.zero_kendall_opt += 1
+                zero_kendall += 1
                 if kendall_emd != 0:
                     _flag("kendall bound", f"optimum 0 but emd {kendall_emd}")
             else:
@@ -214,7 +213,7 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
             for opt in t_res.optima:
                 opt_late = late_counts(opt, profile)
                 for y in range(1, config.n + 1):
-                    report.slots_checked += 1
+                    slots_checked += 1
                     bound = 2 * opt_late[y - 1]
                     if emd_late[y - 1] > bound:
                         _flag(
@@ -226,7 +225,7 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
             dev_opt = solve(profile, "distance", EncodingKind.DEVIATION).cost
 
         if t_opt == 0:
-            report.zero_tardiness_opt += 1
+            zero_tardiness += 1
             if t_emd != 0:
                 _flag("tardiness bound", f"optimum 0 but emd {t_emd}")
         else:
@@ -237,8 +236,6 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
                 _flag("deviation bound", f"emd {dev_emd} > 2 * {dev_opt}")
             dev_ratios.append(dev_emd / dev_opt)
 
-    report.max_tardiness_ratio, report.mean_tardiness_ratio = _ratio_stats(t_ratios)
-    report.max_deviation_ratio, report.mean_deviation_ratio = _ratio_stats(dev_ratios)
-    if config.exact:
-        report.max_kendall_ratio, report.mean_kendall_ratio = _ratio_stats(kendall_ratios)
-    return report
+    kendall = _ratio_stats(kendall_ratios) if config.exact else (None, None)
+    return RatioReport(config, *_ratio_stats(t_ratios), *_ratio_stats(dev_ratios), *kendall,
+                       zero_tardiness, zero_kendall, slots_checked, tuple(violations))

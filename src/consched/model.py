@@ -103,17 +103,19 @@ _set = object.__setattr__
 
 
 class _Record:
-    """Base of the immutable records: compared, hashed, shown and pickled by ``_fields``.
+    """Base of every value type: compared, hashed, shown and pickled by ``_fields``.
 
     It behaves as a frozen dataclass over ``_fields`` would: ``==`` holds
     between records of the same class with equal fields, the hash is the
     fields' tuple's, the repr is ``Name(field=value, ...)``, assigning or
     deleting an attribute raises ``AttributeError``, and ``copy`` and
-    ``pickle`` rebuild a record through its constructor. Each subclass
-    declares its ``__slots__`` and ``_fields`` and sets them in
-    ``__init__`` with :meth:`_fill`. Such a class is created in a few
-    microseconds; a frozen dataclass takes about a millisecond, paid by
-    every request that imports it.
+    ``pickle`` rebuild a record through its constructor. An array field is
+    compared and hashed by its dtype, shape and bytes, so a record that holds
+    read-only arrays is a value too. Each subclass declares its
+    ``__slots__`` and ``_fields`` and sets them in ``__init__`` with
+    :meth:`_fill`. Such a class is created in a few microseconds; a frozen
+    dataclass takes about a millisecond, paid by every request that imports
+    it.
     """
 
     __slots__ = ()
@@ -127,13 +129,18 @@ class _Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
+    def _keys(self) -> tuple:
+        """The fields as compared and hashed: an array by its dtype, shape and bytes."""
+        return tuple([(value.dtype.str, value.shape, value.tobytes())
+                      if isinstance(value, np.ndarray) else value for value in self._values()])
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._keys() == other._keys()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._keys())
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -241,7 +248,7 @@ def _check_cost_bound(n: int, v: int, line: int | None = None) -> None:
         )
 
 
-class PreferenceProfile:
+class PreferenceProfile(_Record):
     """All voters' preferences, identical voters compressed by multiplicity.
 
     The profile's data are read-only int64 arrays with one row per distinct
@@ -255,30 +262,31 @@ class PreferenceProfile:
 
     The arrays of the other mode are None, and every solver reads these
     arrays. A profile is built by :func:`parse_profile` or, one voter per
-    row of an orders array, by :meth:`from_orders`. Two profiles are equal
-    when they have the same mode and the same rows in the same order.
+    row of an orders array, by :meth:`from_orders`, never by calling the
+    class. It is a :class:`_Record` over its mode, v and arrays: two profiles
+    are equal when they have the same mode and the same rows in the same
+    order, ``copy`` and ``pickle`` rebuild it through :meth:`_from_arrays`,
+    and its repr is a summary.
 
     Raises :class:`ProfileError` when v * n * (n + 1) exceeds the int64 range,
     since cost totals of that size could no longer be computed exactly.
     """
 
-    __slots__ = ("mode", "n", "v", "mult", "completions", "release", "due")
+    _fields = ("mode", "v", "mult", "completions", "release", "due")
+    __slots__ = ("n", *_fields)
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a PreferenceProfile with parse_profile or from_orders")
 
     @classmethod
     def _from_arrays(cls, mode, v, mult, completions=None, release=None, due=None):
-        """A profile over arrays its caller has already validated (no copies)."""
+        """A profile over arrays its caller has already validated (no copies; made read-only)."""
         self = object.__new__(cls)
-        for name, value in (
-            ("mode", mode), ("v", v), ("mult", mult), ("completions", completions),
-            ("release", release), ("due", due),
-        ):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "n", (completions if mode == "order" else due).shape[1])
+        for array in (mult, completions, release, due):
+            if array is not None:
+                array.flags.writeable = False
+        self._fill(mode, v, mult, completions, release, due)
+        _set(self, "n", (completions if mode == "order" else due).shape[1])
         return self
 
     @classmethod
@@ -308,25 +316,8 @@ class PreferenceProfile:
         _check_cost_bound(n, v)
         return cls._from_arrays("order", v, np.ones(v, dtype=np.int64), completions=comp)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: PreferenceProfile is immutable")
-
-    __delattr__ = __setattr__
-
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        if self.mode == "order":
-            return self.mult, self.completions
-        return self.mult, self.release, self.due
-
-    def __eq__(self, other):
-        if not isinstance(other, PreferenceProfile):
-            return NotImplemented
-        return self.mode == other.mode and all(
-            np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays())
-        )
-
-    def __hash__(self):
-        return hash((self.mode, self.n, *(a.tobytes() for a in self._arrays())))
+    def __reduce__(self):
+        return self._from_arrays, self._values()
 
     def __repr__(self) -> str:
         return (

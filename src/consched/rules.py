@@ -119,7 +119,9 @@ def solve(
     ``solve`` prices once from the request's one cost matrix (built without
     windows for emd), so ``profile_cost``, repricing the schedule from the
     profile (emd under its encoding, default tardiness), is an independent
-    recheck; a mismatch raises ``AssertionError``. A request no path serves
+    recheck; a mismatch raises ``AssertionError``. An unknown argument, and
+    windows or a graph over another number of tasks than the profile's, raise
+    ``ValueError`` before any path is planned. A request no path serves
     raises ``ValueError``, one no schedule satisfies ``InfeasibleError``, a DP
     past ``dp_limit`` ``SizeLimitError``; the first two carry ``method`` (the
     path, or None) and the ``notes`` made before.
@@ -132,6 +134,10 @@ def solve(
         raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {prec!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if windows is not None and windows.n != profile.n:
+        raise ValueError(f"windows cover {windows.n} tasks, profile has {profile.n}")
+    if isinstance(prec, PrecedenceGraph) and prec.n != profile.n:
+        raise ValueError(f"graph covers {prec.n} tasks, profile has {profile.n}")
     if rule == "emd":
         encoding = encoding if encoding is not None else EncodingKind.TARDINESS
         criterion = canonical_criterion(encoding)
@@ -173,10 +179,10 @@ def _plan(profile: PreferenceProfile, rule: str, encoding: Optional[EncodingKind
     if rule == "emd":
         if method != "auto":
             raise ValueError("--method applies to the distance/binary rules only")
-        if windows is not None or prec is not None:
-            notes.append("emd ignores --time/--prec constraints")
         if profile.mode != "order":
             raise ValueError("emd requires an order-mode profile")
+        if windows is not None or prec is not None:
+            notes.append("emd ignores --time/--prec constraints")
         return "emd", None
     if profile.mode == "order" and encoding is None:
         raise ValueError(f"--rule {rule} needs --encoding on an order-mode profile")
@@ -196,7 +202,7 @@ def _plan(profile: PreferenceProfile, rule: str, encoding: Optional[EncodingKind
     graph = _resolve_precedences(profile, prec)
 
     if method == "matching":
-        if windows is not None or graph.edges:
+        if graph.edges:
             notes.append("--method matching ignores precedence constraints")
         return "matching", None
     if method == "repair" or (

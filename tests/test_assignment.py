@@ -174,6 +174,22 @@ class TestBuildCostMatrix:
         with pytest.raises(ValueError, match=re.escape(message)):
             CostMatrix(n=n, cost=[])
 
+    def test_no_write_after_construction_reaches_the_matrix(self):
+        # The matrix used to keep a writable cost and the caller's mask: a
+        # negative entry written in after the check misled the matching, and a
+        # later write to the mask made a feasible matrix infeasible.
+        cost, forbidden = np.array([[1, 2], [3, 4]]), np.zeros((2, 2), dtype=bool)
+        m = CostMatrix(2, cost, forbidden)
+        with pytest.raises(ValueError, match="read-only"):
+            m.cost[0, 0] = -50
+        with pytest.raises(ValueError, match="read-only"):
+            m.forbidden[0, 0] = True
+        cost[0, 0] = -50
+        forbidden[:] = True
+        assert m == CostMatrix(2, [[1, 2], [3, 4]], np.zeros((2, 2), dtype=bool))
+        schedule = min_cost_assignment(m)
+        assert m.price(schedule) == 5
+
 
 class TestMinCostAssignment:
     def test_identity_on_unanimous_profile(self):

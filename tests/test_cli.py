@@ -524,6 +524,38 @@ class TestSolve:
         assert "note: emd ignores" in err
         assert "method: emd" in out
 
+    def test_emd_refuses_an_interval_profile_without_a_note(self, capsys, tmp_path):
+        # The note used to be printed before the refusal.
+        windows = tmp_path / "w.txt"
+        windows.write_text("task 1 : 0 8\n")
+        code, out, err = run(capsys, [
+            "solve", "--profile", "fixture:window8x6", "--rule", "emd", "--time", str(windows),
+        ])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: emd requires an order-mode profile\n"
+
+    @pytest.mark.parametrize("prec, note", [
+        (["--prec-mode", "inferred"], ""),
+        (["--prec-mode", "graph", "--prec", "{tmp}/dag.prec"],
+         "note: --method matching ignores precedence constraints\n"),
+    ], ids=["no-inferred-edge", "graph-edge"])
+    def test_matching_notes_only_ignored_edges(self, capsys, tmp_path, prec, note):
+        # The note used to follow --time even when the inferred graph had no edge.
+        (tmp_path / "p.prof").write_text(
+            "profile order\ntasks 3\nvoters 2\npref 1 : 1 2 3\npref 1 : 3 2 1\n")
+        (tmp_path / "w.txt").write_text("task 1 : 0 2\n")
+        (tmp_path / "dag.prec").write_text("1 -> 2\n")
+        prec = [arg.replace("{tmp}", str(tmp_path)) for arg in prec]
+        code, out, err = run(capsys, [
+            "solve", "--profile", str(tmp_path / "p.prof"), "--rule", "distance",
+            "--encoding", "deviation", "--time", str(tmp_path / "w.txt"), *prec,
+            "--method", "matching",
+        ])
+        assert code == EXIT_OK
+        assert err == note
+        assert "method: matching" in out
+
 
 class TestEval:
     def test_cost_matches_solver_fixture(self, capsys):
@@ -1146,10 +1178,10 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         *_, modules, loaded = proc.stdout.splitlines()
         assert set(eval(modules)) == self.MODULES - unused
-        # Only the experiment harness behind gen and ratio defines dataclasses,
+        # Every record is a ``model._Record``, so no command loads ``dataclasses``,
         # and only JSON output needs ``json``.
         json_out = "--format" in argv and argv[argv.index("--format") + 1] == "json"
-        assert loaded == f"{argv[0] in ('gen', 'ratio')} {json_out}"
+        assert loaded == f"False {json_out}"
 
     def test_the_module_list_is_the_package(self):
         package = Path(cli.__file__).parent

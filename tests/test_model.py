@@ -22,7 +22,7 @@ from conftest import profile_of
 from consched import _lines, cli, model
 from consched.assignment import CostMatrix
 from consched.axioms import AxiomReport, Violation
-from consched.experiment import generate_profile
+from consched.experiment import ExperimentConfig, RatioReport, generate_profile
 from consched.criteria import interval_arrays, profile_cost
 from consched.errors import ProfileError
 from consched.model import (
@@ -415,10 +415,12 @@ class TestProfileConstruction:
 
 
 class TestRecords:
-    """The value records behave as the frozen dataclasses they replaced did.
+    """Every value type behaves as a frozen dataclass over its fields would.
 
     Each case: a factory, a record that differs from its product in one
-    field, the field names, and the repr the dataclass printed.
+    field, the field names, and the repr (a frozen dataclass's, except for
+    the profile's summary). An array field is compared by value, and every
+    copy's arrays stay read-only.
     """
 
     CASES = [
@@ -445,24 +447,48 @@ class TestRecords:
          AxiomReport("deadline_consistency", ()), ("axiom", "violations"),
          "AxiomReport(axiom='deadline_consistency', "
          "violations=(Violation(task=2, window=(0, 1), got=2),))"),
+        (lambda: PreferenceProfile.from_orders([[1, 2, 3], [2, 1, 3]]),
+         PreferenceProfile.from_orders([[1, 2, 3], [1, 3, 2]]),
+         ("mode", "v", "mult", "completions", "release", "due"),
+         "PreferenceProfile(mode='order', n=3, v=2, distinct=2)"),
+        (lambda: parse_profile("profile interval\ntasks 2\nvoters 3\npref 3 : (0,1) (0,2)\n"),
+         parse_profile("profile interval\ntasks 2\nvoters 3\npref 3 : (0,2) (0,2)\n"),
+         ("mode", "v", "mult", "completions", "release", "due"),
+         "PreferenceProfile(mode='interval', n=2, v=3, distinct=1)"),
+        (lambda: ExperimentConfig(2, 4, 3, 7), ExperimentConfig(2, 4, 3, 7, exact=True),
+         ("trials", "n", "v", "seed", "generator", "swaps", "exact"),
+         "ExperimentConfig(trials=2, n=4, v=3, seed=7, generator='uniform_permutations', "
+         "swaps=0, exact=False)"),
+        (lambda: RatioReport(ExperimentConfig(2, 4, 3, 7), 1.5, 1.25, 1.5, 1.25, None, None,
+                             0, 0, 0, ()),
+         RatioReport(ExperimentConfig(2, 4, 3, 7), 1.5, 1.25, 1.5, 1.25, None, None,
+                     0, 0, 0, ("trial 1: tardiness bound",)),
+         ("config", "max_tardiness_ratio", "mean_tardiness_ratio", "max_deviation_ratio",
+          "mean_deviation_ratio", "max_kendall_ratio", "mean_kendall_ratio",
+          "zero_tardiness_opt", "zero_kendall_opt", "slots_checked", "violations"),
+         "RatioReport(config=ExperimentConfig(trials=2, n=4, v=3, seed=7, "
+         "generator='uniform_permutations', swaps=0, exact=False), max_tardiness_ratio=1.5, "
+         "mean_tardiness_ratio=1.25, max_deviation_ratio=1.5, mean_deviation_ratio=1.25, "
+         "max_kendall_ratio=None, mean_kendall_ratio=None, zero_tardiness_opt=0, "
+         "zero_kendall_opt=0, slots_checked=0, violations=())"),
     ]
 
-    @pytest.mark.parametrize("make, other, fields, shown", CASES,
-                             ids=[shown.split("(")[0] for *_, shown in CASES])
+    @pytest.mark.parametrize("make, other, fields, shown", CASES, ids=[
+        "-".join(filter(None, re.match(r"(\w+)\((?:mode='(\w+))?", shown).groups()))
+        for *_, shown in CASES])
     def test_record(self, make, other, fields, shown):
         record, twin = make(), make()
         assert repr(record) == shown
         assert record == record and hash(record) == hash(record)
         assert record != other and not record == other
         assert record != tuple(getattr(record, name) for name in fields)
-        copies = [copy.copy(record), pickle.loads(pickle.dumps(record))]
-        if isinstance(record, CostMatrix):  # eq=False: a matrix equals only itself
-            assert record != twin and hash(record) != hash(twin)
-            for got in copies:
-                assert got != record and repr(got) == shown
-        else:
-            assert record == twin and not record != twin and hash(record) == hash(twin)
-            assert copies == [record, record]
+        assert record == twin and not record != twin and hash(record) == hash(twin)
+        copies = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+        assert copies == [record] * 3
+        for got in copies:
+            assert hash(got) == hash(record) and repr(got) == shown
+            for value in got._values():
+                assert not isinstance(value, np.ndarray) or not value.flags.writeable
         for name in fields:
             with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(record, name, getattr(other, name))

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_mixed_profile, random_order_profile
 from consched.assignment import CostMatrix
 from consched.criteria import CriterionKind, profile_cost
-from consched.model import EncodingKind, Schedule, TimeWindows, parse_profile
+from consched.model import EncodingKind, PrecedenceGraph, Schedule, TimeWindows, parse_profile
 from consched.oracle import exhaustive_optimum
 from consched.precedence import infer_precedences
 from consched.rules import (
@@ -167,6 +167,23 @@ class TestSolve:
         schedule, cost = solution.schedule, solution.cost
         assert schedule.completion(1) == 3
         assert cost == 4  # task 1 runs two slots past both voters, rest on time
+
+    @pytest.mark.parametrize("rule, encoding, method", [
+        ("emd", None, "auto"),
+        ("distance", "deviation", "matching"),
+        ("distance", "deviation", "dp"),
+    ], ids=["emd", "matching", "dp"])
+    def test_constraints_of_another_size_are_refused_on_every_path(self, rule, encoding,
+                                                                   method):
+        # emd with windows and matching with a graph used to solve silently,
+        # and dp refused the graph as covering another size of cost matrix.
+        profile = parse_profile("profile order\ntasks 3\nvoters 1\npref 1 : 1 2 3\n")
+        windows = TimeWindows(((0, 2), (0, 2)))
+        with pytest.raises(ValueError, match=r"^windows cover 2 tasks, profile has 3$"):
+            solve(profile, rule, encoding, windows, method=method)
+        graph = PrecedenceGraph(4, frozenset({(1, 2)}))
+        with pytest.raises(ValueError, match=r"^graph covers 4 tasks, profile has 3$"):
+            solve(profile, rule, encoding, prec=graph, method=method)
 
     def test_interval_mode_solves_without_encoding(self):
         profile = parse_profile(
