@@ -123,30 +123,23 @@ def _load_prec(args, n: int) -> Union[None, str, PrecedenceGraph]:
             raise ProfileError("--prec requires --prec-mode {inferred,graph}")
         return None
     if args.prec_mode == "inferred":
-        if args.prec and args.rule != "emd":  # emd notes that it ignores all of --prec
-            print("note: --prec-mode inferred derives the graph from the profile; "
-                  "ignoring --prec file", file=sys.stderr)
+        if args.prec:
+            raise ProfileError("--prec-mode inferred derives the graph from the profile; "
+                               "--prec FILE applies to --prec-mode graph only")
         return "inferred"
     if not args.prec:
         raise ProfileError("--prec-mode graph requires --prec FILE")
     return _read(args.prec, "precedence file", parse_precedence, n)
 
 
-def _print_notes(notes: Sequence[str]) -> None:
-    for note in notes:
-        print(f"note: {note}", file=sys.stderr)
-
-
 def _solve(args, profile: PreferenceProfile):
-    """The rule flags as one ``rules.solve`` request; its notes go to stderr."""
+    """The rule flags as one ``rules.solve`` request."""
     from .rules import solve
 
     encoding = _ENCODING_FLAGS[args.encoding] if args.encoding else None
     windows = _load_windows(args.time, profile.n)
     prec = _load_prec(args, profile.n)
-    solution = solve(profile, args.rule, encoding, windows, prec, args.method, args.dp_limit)
-    _print_notes(solution.notes)
-    return solution
+    return solve(profile, args.rule, encoding, windows, prec, args.method, args.dp_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +257,7 @@ _positive = _at_least(1)
 # so that building the parser imports none of these modules.
 _GENERATORS = ("uniform_permutations", "mallows_like_swap_noise")
 _RULES = ("distance", "binary", "emd")
-_METHODS = ("auto", "matching", "dp", "repair")
+_METHODS = ("auto", "matching", "dp")
 _AXIOMS = ("release", "deadline", "unanimity")
 
 
@@ -380,11 +373,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:  # ProfileError included
-        _print_notes(getattr(exc, "notes", ()))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:
-        _print_notes(getattr(exc, "notes", ()))
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except SizeLimitError as exc:

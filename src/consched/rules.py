@@ -16,12 +16,12 @@ criterion that defines its named rule.
 ``solve`` is the one place that picks the algorithm. Its arguments mirror the
 ``consched solve`` flags; ``solve`` checks them, builds the request's one cost
 matrix, runs one path on it (each returns only the schedule), prices that
-schedule once, rechecks the cost with ``profile_cost`` and returns a
-``Solution`` naming the path: ``emd`` (which ignores windows and precedences),
-``matching`` (the assignment reduction, never EMD even where EMD is optimal;
-windows only), ``matching+repair`` (``auto``'s exact path for distance under
-inferred precedences without windows) or ``dp`` (the exact subset DP;
-``auto``'s path for every other precedence request).
+schedule once, rechecks its cost and constraints and returns a ``Solution``
+naming the path: ``emd`` (no windows, no imposed graph), ``matching`` (the
+assignment reduction, never EMD even where EMD is optimal; no edges),
+``matching+repair`` (``auto``'s exact path for distance under inferred
+precedences without windows) or ``dp`` (the exact subset DP; ``auto``'s path
+for every other precedence request). A request a path would not honor is refused.
 """
 
 from __future__ import annotations
@@ -67,16 +67,16 @@ def canonical_criterion(encoding: Union[EncodingKind, str]) -> CriterionKind:
 
 
 RULES = ("distance", "binary", "emd")
-METHODS = ("auto", "matching", "dp", "repair")
+METHODS = ("auto", "matching", "dp")
 
 
 class Solution(_Record):
-    """A solved request: schedule, rechecked exact cost, the path that ran, notes."""
+    """A solved request: schedule, rechecked exact cost, the path that ran."""
 
-    __slots__ = _fields = ("schedule", "cost", "method", "notes")
+    __slots__ = _fields = ("schedule", "cost", "method")
 
-    def __init__(self, schedule: Schedule, cost: int, method: str, notes: tuple[str, ...] = ()):
-        self._fill(schedule, cost, method, notes)
+    def __init__(self, schedule: Schedule, cost: int, method: str):
+        self._fill(schedule, cost, method)
 
 
 def median_completion_times(profile: PreferenceProfile) -> tuple[int, ...]:
@@ -110,21 +110,22 @@ def solve(
     method: str = "auto",
     dp_limit: int = DEFAULT_DP_LIMIT,
 ) -> Solution:
-    """Check the request, run the path it selects and recheck the cost.
+    """Check the request, run the path it selects, recheck the cost and the constraints.
 
     The arguments mirror the ``consched solve`` flags: ``rule`` is one of
     ``RULES``, ``prec`` is None, ``"inferred"`` or an imposed
     ``PrecedenceGraph``, ``method`` is one of ``METHODS`` and ``dp_limit`` is
     the subset-DP size guard. Each path returns only a schedule, which
-    ``solve`` prices once from the request's one cost matrix (built without
-    windows for emd), so ``profile_cost``, repricing the schedule from the
-    profile (emd under its encoding, default tardiness), is an independent
-    recheck; a mismatch raises ``AssertionError``. An unknown argument, and
-    windows or a graph over another number of tasks than the profile's, raise
-    ``ValueError`` before any path is planned. A request no path serves
-    raises ``ValueError``, one no schedule satisfies ``InfeasibleError``, a DP
-    past ``dp_limit`` ``SizeLimitError``; the first two carry ``method`` (the
-    path, or None) and the ``notes`` made before.
+    ``solve`` prices once from the request's one cost matrix, so
+    ``profile_cost``, repricing the schedule from the profile (emd under its
+    encoding, default tardiness), is an independent recheck. The schedule
+    must then meet every window and every edge of the graph the path ran
+    under. A failed recheck or check raises ``AssertionError``. An unknown
+    argument, and windows or a graph over another number of tasks than the
+    profile's, raise ``ValueError`` before any path is planned. A request no
+    path honors raises ``ValueError``, one no schedule satisfies
+    ``InfeasibleError``, a DP past ``dp_limit`` ``SizeLimitError``; the first
+    two carry ``method`` (the path, or None).
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
@@ -143,11 +144,9 @@ def solve(
         criterion = canonical_criterion(encoding)
     else:
         criterion = CriterionKind(rule)
-    notes: list[str] = []
     path = None
     try:
-        path, graph = _plan(profile, rule, encoding, windows, prec, method, criterion, notes)
-        windows = None if path == "emd" else windows
+        path, graph = _plan(profile, rule, encoding, windows, prec, method, criterion)
         matrix = build_cost_matrix(profile, criterion, encoding, windows)
         if path == "emd":
             schedule = emd_schedule(profile)
@@ -163,56 +162,65 @@ def solve(
                 schedule = repair_steps(schedule, graph)[0]
         cost = matrix.price(schedule)
     except (InfeasibleError, ValueError) as exc:
-        exc.method, exc.notes = path, tuple(notes)
+        exc.method = path
         raise
     check = profile_cost(schedule, profile, criterion, encoding)
     if check != cost:
         raise AssertionError(f"solver cost {cost} != recomputed cost {check}")
-    return Solution(schedule, cost, path, tuple(notes))
+    _check_constraints(schedule, windows, graph)
+    return Solution(schedule, cost, path)
+
+
+def _check_constraints(schedule: Schedule, windows: Optional[TimeWindows],
+                       graph: Optional[PrecedenceGraph]) -> None:
+    """Raise ``AssertionError`` unless the schedule meets every window and edge, O(n + E)."""
+    comp = schedule.completions()
+    for task, ((r, d), c) in enumerate(zip(windows.windows if windows else (), comp), start=1):
+        if not r < c <= d:
+            raise AssertionError(f"task {task} completes at {c}, outside its window ({r},{d}]")
+    for a, b in graph.edges if graph else ():
+        if comp[a - 1] >= comp[b - 1]:
+            raise AssertionError(f"task {a} completes at {comp[a - 1]}, "
+                                 f"not before task {b} at {comp[b - 1]}")
 
 
 def _plan(profile: PreferenceProfile, rule: str, encoding: Optional[EncodingKind],
           windows: Optional[TimeWindows], prec: Union[None, str, PrecedenceGraph],
-          method: str, criterion: CriterionKind,
-          notes: list[str]) -> tuple[str, Optional[PrecedenceGraph]]:
-    """(path, the precedence graph it runs under or None); checks in a fixed order."""
+          method: str, criterion: CriterionKind) -> tuple[str, Optional[PrecedenceGraph]]:
+    """(path, the precedence graph its schedule must satisfy or None); checks in a fixed order."""
     if rule == "emd":
         if method != "auto":
             raise ValueError("--method applies to the distance/binary rules only")
         if profile.mode != "order":
             raise ValueError("emd requires an order-mode profile")
-        if windows is not None or prec is not None:
-            notes.append("emd ignores --time/--prec constraints")
-        return "emd", None
+        if windows is not None or isinstance(prec, PrecedenceGraph):
+            raise ValueError("emd does not honor --time or --prec-mode graph")
+        if prec is None:
+            return "emd", None
+        # When every voter completes a before b, a's lower median is below b's,
+        # so the median order already honors the inferred graph.
+        from .precedence import infer_precedences
+
+        return "emd", infer_precedences(profile)
     if profile.mode == "order" and encoding is None:
         raise ValueError(f"--rule {rule} needs --encoding on an order-mode profile")
     if profile.mode == "interval" and encoding is not None:
         raise ValueError("interval-mode profiles take no --encoding")
 
     if prec is None:
-        if method == "repair":
-            raise ValueError("--method repair requires --prec-mode inferred")
         if method == "dp":
             return "dp", PrecedenceGraph(n=profile.n, edges=frozenset())
         return "matching", None
 
     from .precedence import _resolve_precedences
 
-    inferred = prec == "inferred"
     graph = _resolve_precedences(profile, prec)
-
     if method == "matching":
         if graph.edges:
-            notes.append("--method matching ignores precedence constraints")
-        return "matching", None
-    if method == "repair" or (
-        method == "auto" and inferred and criterion is CriterionKind.DISTANCE and windows is None
-    ):
-        if not inferred:
-            raise ValueError("--method repair applies to inferred precedences only")
-        if windows is not None:
-            raise ValueError("matching+repair does not honor --time; use --method dp")
-        if criterion is not CriterionKind.DISTANCE:
-            notes.append("repair guarantees optimality for the distance criterion only")
+            raise ValueError("--method matching does not honor precedence constraints; "
+                             "use --method auto")
+        return "matching", graph
+    if (method == "auto" and prec == "inferred" and criterion is CriterionKind.DISTANCE
+            and windows is None):
         return "matching+repair", graph
     return "dp", graph

@@ -20,10 +20,18 @@ from conftest import latin_square
 from consched import axioms, cli, criteria, experiment, rules
 from consched.assignment import build_cost_matrix
 from consched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE
-from consched.model import Schedule, parse_profile, parse_time_windows, serialize_profile
+from consched.model import (
+    PrecedenceGraph,
+    Schedule,
+    parse_precedence,
+    parse_profile,
+    parse_time_windows,
+    serialize_profile,
+)
 from consched.oracle import exhaustive_optimum
 from consched.precedence import infer_precedences
 from consched.rules import Solution
+from references import satisfied_by, voters
 
 
 def run(capsys, argv):
@@ -363,7 +371,8 @@ class TestSolve:
         [
             ["solve", "--profile", "fixture:late7x3", "--rule", "binary"],  # missing encoding
             ["solve", "--profile", "fixture:window8x6", "--rule", "distance", "--encoding", "deviation"],
-            ["solve", "--profile", "fixture:late7x3", "--rule", "distance", "--encoding", "deviation", "--method", "repair"],
+            # Was exit 0 with 4 2 3 5 6 7 1, which breaks the inferred edges 1->5, 1->6, 1->7.
+            ["solve", "--profile", "fixture:late7x3", "--rule", "binary", "--encoding", "late", "--prec-mode", "inferred", "--method", "matching"],
             ["solve", "--profile", "fixture:nope", "--rule", "binary", "--encoding", "late"],
         ],
     )
@@ -377,6 +386,7 @@ class TestSolve:
         [
             ["solve", "--rule", "binary", "--encoding", "late"],  # missing profile
             ["solve", "--profile", "fixture:late7x3", "--rule", "binary", "--encoding", "late", "--bogus"],
+            ["solve", "--profile", "fixture:late7x3", "--rule", "distance", "--encoding", "deviation", "--prec-mode", "inferred", "--method", "repair"],
         ],
     )
     def test_argparse_errors_exit_1(self, capsys, argv):
@@ -393,13 +403,13 @@ class TestSolve:
             ["solve", "--rule", "distance", "--encoding", "deviation"],
             ["solve", "--rule", "binary", "--encoding", "late", "--method", "dp"],
             ["solve", "--rule", "distance", "--encoding", "deviation", "--prec-mode", "inferred"],
-            ["solve", "--rule", "binary", "--encoding", "late", "--prec-mode", "inferred",
-             "--method", "repair"],
+            ["solve", "--rule", "binary", "--encoding", "late", "--prec-mode", "inferred"],
             ["check-axioms", "--rule", "emd"],
             ["check-axioms", "--rule", "distance", "--encoding", "deviation"],
             ["check-axioms", "--rule", "binary", "--encoding", "late", "--method", "dp"],
             ["check-axioms", "--rule", "distance", "--encoding", "deviation",
              "--prec-mode", "inferred"],
+            ["solve", "--rule", "emd", "--prec-mode", "inferred"],
         ],
     )
     def test_recheck_catches_a_wrong_profile_cost(self, capsys, monkeypatch, argv):
@@ -513,16 +523,38 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: ") and error in err
 
-    def test_emd_ignores_constraints_with_note(self, capsys, order_profile, tmp_path):
-        windows = tmp_path / "w.txt"
-        windows.write_text("task 1 : 2 3\n")
+    @pytest.mark.parametrize("constraint", [
+        ["--time", "{tmp}/w.txt"],
+        ["--prec-mode", "graph", "--prec", "{tmp}/dag.prec"],
+    ], ids=["time", "graph"])
+    def test_emd_refuses_constraints_it_does_not_honor(self, capsys, order_profile, tmp_path,
+                                                       constraint):
+        # emd used to solve, ignore the constraint and print a note.
+        (tmp_path / "w.txt").write_text("task 1 : 2 3\n")
+        (tmp_path / "dag.prec").write_text("3 -> 1\n")
+        constraint = [arg.replace("{tmp}", str(tmp_path)) for arg in constraint]
         code, out, err = run(
             capsys,
-            ["solve", "--profile", order_profile, "--rule", "emd", "--time", str(windows)],
+            ["solve", "--profile", order_profile, "--rule", "emd", *constraint,
+             "--format", "json"],
         )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: emd does not honor --time or --prec-mode graph\n"
+
+    def test_emd_honors_inferred_precedences_without_a_note(self, capsys):
+        # Ten inferred edges, among them 4 -> 3: every voter completes task 4
+        # before task 3, and so does the median order.
+        profile = parse_profile(cli.fixture_text("late7x3"))
+        graph = infer_precedences(profile)
+        assert (4, 3) in graph.edges
+        code, out, err = run(capsys, [
+            "solve", "--profile", "fixture:late7x3", "--rule", "emd",
+            "--prec-mode", "inferred", "--format", "json",
+        ])
         assert code == EXIT_OK
-        assert "note: emd ignores" in err
-        assert "method: emd" in out
+        assert err == ""
+        assert satisfied_by(graph, Schedule(tuple(json.loads(out)["schedule"])))
 
     def test_emd_refuses_an_interval_profile_without_a_note(self, capsys, tmp_path):
         # The note used to be printed before the refusal.
@@ -535,13 +567,14 @@ class TestSolve:
         assert out == ""
         assert err == "error: emd requires an order-mode profile\n"
 
-    @pytest.mark.parametrize("prec, note", [
-        (["--prec-mode", "inferred"], ""),
-        (["--prec-mode", "graph", "--prec", "{tmp}/dag.prec"],
-         "note: --method matching ignores precedence constraints\n"),
+    @pytest.mark.parametrize("prec, expected", [
+        (["--prec-mode", "inferred"], (EXIT_OK, "")),
+        (["--prec-mode", "graph", "--prec", "{tmp}/dag.prec"], (EXIT_USAGE,
+         "error: --method matching does not honor precedence constraints; use --method auto\n")),
     ], ids=["no-inferred-edge", "graph-edge"])
-    def test_matching_notes_only_ignored_edges(self, capsys, tmp_path, prec, note):
-        # The note used to follow --time even when the inferred graph had no edge.
+    def test_matching_refuses_only_ignored_edges(self, capsys, tmp_path, prec, expected):
+        # Matching used to solve under a graph with an edge, ignore it and
+        # print a note; a graph without edges leaves nothing to ignore.
         (tmp_path / "p.prof").write_text(
             "profile order\ntasks 3\nvoters 2\npref 1 : 1 2 3\npref 1 : 3 2 1\n")
         (tmp_path / "w.txt").write_text("task 1 : 0 2\n")
@@ -552,9 +585,21 @@ class TestSolve:
             "--encoding", "deviation", "--time", str(tmp_path / "w.txt"), *prec,
             "--method", "matching",
         ])
-        assert code == EXIT_OK
-        assert err == note
-        assert "method: matching" in out
+        assert (code, err) == expected
+        assert ("method: matching" in out) == (code == EXIT_OK)
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_inferred_mode_refuses_a_prec_file(self, capsys, tmp_path, command):
+        # The file used to be ignored with a note.
+        (tmp_path / "dag.prec").write_text("1 -> 2\n")
+        code, out, err = run(capsys, [
+            command, "--profile", "fixture:late7x3", "--rule", "binary", "--encoding", "late",
+            "--prec-mode", "inferred", "--prec", str(tmp_path / "dag.prec"),
+        ])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == ("error: --prec-mode inferred derives the graph from the profile; "
+                       "--prec FILE applies to --prec-mode graph only\n")
 
 
 class TestEval:
@@ -964,7 +1009,7 @@ GRID_PROFILES = ("chain5x6", "late7x3", "median4x3a", "median4x3b", "slots5x5", 
 GRID_RULES = ("distance/deviation", "distance/tardiness", "distance/earliness",
               "binary/late", "binary/exactpos", "emd")
 GRID_METHODS = {"none": [], "matching": ["--method", "matching"],
-                "dp": ["--method", "dp", "--dp-limit", "7"], "repair": ["--method", "repair"]}
+                "dp": ["--method", "dp", "--dp-limit", "7"]}
 GRID_CONSTRAINTS = {
     "none": [],
     "time": ["--time", "{tmp}/w.txt"],
@@ -1005,6 +1050,37 @@ def test_solve_and_check_axioms_outputs_are_unchanged(capsys, tmp_path):
     assert not changed, f"{len(changed)} of {len(grid)} requests changed, first: {changed[:5]}"
     codes = {SOLVE_OUTPUTS["outputs"][i][0] for i in SOLVE_OUTPUTS["cases"].values()}
     assert codes == {EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_SIZE_LIMIT}
+
+
+def test_every_snapshot_answer_honors_its_request():
+    # Each exit-0 request's printed schedule meets the windows and the graph it
+    # was given. The inferred graph is derived here, voter by voter.
+    files = SOLVE_OUTPUTS["files"]
+    broken, honored = [], set()
+    for label, index in SOLVE_OUTPUTS["cases"].items():
+        code, out, _ = SOLVE_OUTPUTS["outputs"][index]
+        if code != EXIT_OK:
+            continue
+        _, name, *_, constraint, fmt = label.split()
+        printed = json.loads(out)["schedule"] if fmt == "json" else out.split("\n")[0].split()[1:]
+        schedule = Schedule(tuple(map(int, printed)))
+        n = schedule.n
+        edges = set()
+        if constraint == "inferred":
+            orders = [pref.completions() for pref in voters(parse_profile(cli.fixture_text(name)))]
+            edges = {(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+                     if all(comp[a - 1] < comp[b - 1] for comp in orders)}
+        elif constraint.endswith("graph"):
+            edges = parse_precedence(files["g.txt"], n).edges
+        windows = parse_time_windows(files["w.txt"], n).windows if "time" in constraint else ()
+        if not (satisfied_by(PrecedenceGraph(n, frozenset(edges)), schedule)
+                and all(r < schedule.completion(j) <= d for j, (r, d) in enumerate(windows, 1))):
+            broken.append(label)
+        honored.add(constraint)
+    assert not broken, f"{len(broken)} answers break their request, first: {broken[:5]}"
+    # w.txt pins task 1 to slot 1 and g.txt puts task 2 before it, so every
+    # time+graph request is infeasible or refused.
+    assert honored == set(GRID_CONSTRAINTS) - {"time+graph"}
 
 
 def test_installed_entry_point_smoke():

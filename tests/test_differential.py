@@ -4,10 +4,12 @@ One property test draws n <= 7, a profile whose multiplicities reach up to
 just under the v * n * (n + 1) parse bound (where the Hungarian leaves int64
 for Python integers), optional global windows, and no, inferred or imposed
 precedences. ``rules.solve`` runs every method on it. Each run must take the
-documented path and return one of the oracle's optima under the constraints
-that path honours, raise ``InfeasibleError`` exactly when the oracle finds no
-feasible schedule, or refuse the combination with ``ValueError``. One CLI
-request per example must give the same outcome as its exit code and JSON.
+documented path and return one of the oracle's optima under the request's
+constraints, raise ``InfeasibleError`` exactly when the oracle finds no
+feasible schedule, or refuse a combination it would not honour with
+``ValueError``. emd must honour inferred precedences and refuse windows and an
+imposed graph. One CLI request per example must give the same outcome as its
+exit code and JSON.
 """
 
 from __future__ import annotations
@@ -60,17 +62,15 @@ def instances(draw):
     return profile_of("order", entries), criterion, encoding, windows, prec
 
 
-def planned(method, prec, criterion, windows):
+def planned(method, prec, graph, criterion, windows):
     """The path ``solve`` documents for a distance/binary request; None where it refuses."""
-    if method == "matching":
-        return "matching"
     if prec is None:
-        return {"auto": "matching", "dp": "dp", "repair": None}[method]
-    if method == "repair" or (
-        method == "auto" and prec == "inferred" and criterion is CriterionKind.DISTANCE
-        and windows is None
-    ):
-        return "matching+repair" if prec == "inferred" and windows is None else None
+        return "dp" if method == "dp" else "matching"
+    if method == "matching":
+        return None if graph.edges else "matching"
+    if (method == "auto" and prec == "inferred" and criterion is CriterionKind.DISTANCE
+            and windows is None):
+        return "matching+repair"
     return "dp"
 
 
@@ -116,17 +116,14 @@ def test_every_path_matches_the_oracle(instance, cli_method):
 
     outcome = {}
     for method in METHODS:
-        path = planned(method, prec, criterion, windows)
+        path = planned(method, prec, graph, criterion, windows)
         request = (criterion.value, encoding, windows, prec, method)
         if path is None:
             with pytest.raises(ValueError):
                 solve(profile, *request)
             outcome[method] = (cli.EXIT_USAGE, None)
             continue
-        if path == "matching+repair":
-            best = oracle(None, graph)
-        else:
-            best = oracle(windows, graph if path == "dp" else None)
+        best = oracle(windows, graph)
         if best is None:
             with pytest.raises(InfeasibleError) as exc:
                 solve(profile, *request)
@@ -138,24 +135,23 @@ def test_every_path_matches_the_oracle(instance, cli_method):
         solution = solve(profile, *request)
         assert solution.method == path
         assert profile_cost(solution.schedule, profile, criterion, encoding) == solution.cost
-        if path == "matching+repair" and criterion is CriterionKind.BINARY:
-            # repair is exact for the distance criterion only
-            assert satisfied_by(graph, solution.schedule)
-            assert solution.cost >= best.best_cost
-        else:
-            assert solution.cost == best.best_cost
-            assert solution.schedule in best.optima
+        assert solution.cost == best.best_cost
+        assert solution.schedule in best.optima
         outcome[method] = (cli.EXIT_OK, {
             "schedule": list(solution.schedule.order), "cost": solution.cost,
             "method": path, "feasible": True,
         })
 
-    emd = solve(profile, "emd", encoding, windows, prec)
-    assert emd.method == "emd"
-    assert bool(emd.notes) == (windows is not None or prec is not None)
-    emd_criterion = canonical_criterion(encoding)
-    assert emd.cost == profile_cost(emd.schedule, profile, emd_criterion, encoding)
-    assert emd.cost >= exhaustive_optimum(profile, emd_criterion, encoding).best_cost
+    if windows is not None or isinstance(prec, PrecedenceGraph):
+        with pytest.raises(ValueError):
+            solve(profile, "emd", encoding, windows, prec)
+    else:
+        emd = solve(profile, "emd", encoding, windows, prec)
+        assert emd.method == "emd"
+        assert graph is None or satisfied_by(graph, emd.schedule)
+        emd_criterion = canonical_criterion(encoding)
+        assert emd.cost == profile_cost(emd.schedule, profile, emd_criterion, encoding)
+        assert emd.cost >= exhaustive_optimum(profile, emd_criterion, encoding).best_cost
 
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err = cli_request(tmp, profile, criterion, encoding, windows, prec, cli_method)

@@ -433,10 +433,9 @@ class TestRecords:
         (lambda: CostMatrix(2, np.array([[1, 2], [3, 4]])), CostMatrix(2, np.ones((2, 2), int)),
          ("n", "cost", "forbidden"),
          "CostMatrix(n=2, cost=array([[1, 2],\n       [3, 4]]), forbidden=None)"),
-        (lambda: Solution(Schedule((2, 1)), 5, "matching", ("a note",)),
-         Solution(Schedule((2, 1)), 5, "matching"), ("schedule", "cost", "method", "notes"),
-         "Solution(schedule=Schedule(order=(2, 1)), cost=5, method='matching', "
-         "notes=('a note',))"),
+        (lambda: Solution(Schedule((2, 1)), 5, "matching"),
+         Solution(Schedule((2, 1)), 5, "dp"), ("schedule", "cost", "method"),
+         "Solution(schedule=Schedule(order=(2, 1)), cost=5, method='matching')"),
         (lambda: OracleResult(3, (Schedule((1, 2)), Schedule((2, 1))), 2),
          OracleResult(3, (Schedule((1, 2)),), 2), ("best_cost", "optima", "searched"),
          "OracleResult(best_cost=3, optima=(Schedule(order=(1, 2)), Schedule(order=(2, 1))), "

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import random
+import re
 
 import pytest
 
@@ -201,3 +203,44 @@ class TestSolve:
         assert canonical_criterion("earliness") is CriterionKind.DISTANCE
         assert canonical_criterion("late_tasks") is CriterionKind.BINARY
         assert canonical_criterion("exact_position") is CriterionKind.BINARY
+
+
+
+# Every voter completes task 3 before task 2, so inference gives 3 -> 2.
+_CHECKED = "profile order\ntasks 4\nvoters 2\npref 1 : 3 2 1 4\npref 1 : 1 4 3 2\n"
+_WINDOWS = TimeWindows(((2, 4), (0, 4), (0, 4), (0, 4)))  # task 1 in slot 3 or 4
+_BROKEN = Schedule((1, 2, 3, 4))  # task 1 in slot 1, task 2 before task 3
+_OUT_OF_WINDOW = "task 1 completes at 1, outside its window (2,4]"
+_EDGE_BROKEN = "task 3 completes at 3, not before task 2 at 2"
+
+
+class TestConstraintCheck:
+    """``solve`` checks every answer against the request's windows and graph.
+
+    Each case replaces one path's kernel with one that returns a schedule the
+    cost recheck accepts (the matrix and ``profile_cost`` price it alike) but
+    that breaks a window or an edge of the request. The check must catch it.
+    """
+
+    @pytest.mark.parametrize("module, kernel, fake, request_, path, broken", [
+        ("rules", "min_cost_assignment", lambda matrix: _BROKEN,
+         dict(rule="distance", encoding="deviation", windows=_WINDOWS),
+         "matching", _OUT_OF_WINDOW),
+        ("precedence", "repair_steps", lambda schedule, graph: (_BROKEN, []),
+         dict(rule="distance", encoding="deviation", prec="inferred"),
+         "matching+repair", _EDGE_BROKEN),
+        ("precedence", "solve_with_graph", lambda matrix, graph, limit: _BROKEN,
+         dict(rule="binary", encoding="late_tasks", prec="inferred"), "dp", _EDGE_BROKEN),
+        ("precedence", "solve_with_graph", lambda matrix, graph, limit: _BROKEN,
+         dict(rule="binary", encoding="late_tasks", windows=_WINDOWS, method="dp"),
+         "dp", _OUT_OF_WINDOW),
+        ("rules", "emd_schedule", lambda profile: _BROKEN,
+         dict(rule="emd", prec="inferred"), "emd", _EDGE_BROKEN),
+    ], ids=["matching-window", "repair-edge", "dp-edge", "dp-window", "emd-edge"])
+    def test_a_kernel_that_breaks_the_request_is_caught(self, monkeypatch, module, kernel, fake,
+                                                        request_, path, broken):
+        profile = parse_profile(_CHECKED)
+        assert solve(profile, **request_).method == path
+        monkeypatch.setattr(importlib.import_module(f"consched.{module}"), kernel, fake)
+        with pytest.raises(AssertionError, match=rf"^{re.escape(broken)}$"):
+            solve(profile, **request_)
