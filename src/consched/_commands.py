@@ -120,6 +120,7 @@ def cmd_ratio(args) -> int:
             "v": config.v,
             "seed": config.seed,
             "generator": config.generator,
+            "swaps": config.swaps,
             "exact": config.exact,
             "tardiness": {
                 "max": report.max_tardiness_ratio,
@@ -143,7 +144,7 @@ def cmd_ratio(args) -> int:
         mode = "exact" if config.exact else "matching"
         print(
             f"ratio report: trials={config.trials} n={config.n} v={config.v} "
-            f"seed={config.seed} generator={config.generator} mode={mode}"
+            f"seed={config.seed} generator={config.generator} swaps={config.swaps} mode={mode}"
         )
         print(
             f"  tardiness : max {report.max_tardiness_ratio:.4f} "

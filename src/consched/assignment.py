@@ -83,10 +83,10 @@ class CostMatrix(_Record):
         self._fill(n, cost, forbidden)
 
     def price(self, schedule: Schedule) -> int:
-        """Sum of cost[j-1][t-1] over the tasks j of a schedule and their slots t."""
+        """Exact sum, in Python ints, of cost[j-1][t-1] over a schedule's tasks j and slots t."""
         _check_size(schedule, self.n)
         tasks = np.array(schedule.order, dtype=np.int64) - 1
-        return int(self.cost[tasks, np.arange(self.n)].sum())
+        return sum(self.cost[tasks, np.arange(self.n)].tolist())
 
 
 def build_cost_matrix(

@@ -257,7 +257,7 @@ _positive = _at_least(1)
 # so that building the parser imports none of these modules.
 _GENERATORS = ("uniform_permutations", "mallows_like_swap_noise")
 _RULES = ("distance", "binary", "emd")
-_METHODS = ("auto", "matching", "dp")
+_METHODS = ("auto", "dp")
 _AXIOMS = ("release", "deadline", "unanimity")
 
 

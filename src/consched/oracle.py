@@ -154,6 +154,8 @@ def exhaustive_optimum(
     ``graph`` takes what ``solve``'s ``prec`` does: None, ``"inferred"`` (the
     profile's unanimous-order graph) or an imposed ``PrecedenceGraph``.
     """
+    if not (graph is None or isinstance(graph, PrecedenceGraph) or graph == "inferred"):
+        raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {graph!r}")
     _guard(profile.n)
     n = profile.n
     if windows is not None and windows.n != n:

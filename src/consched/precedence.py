@@ -27,13 +27,13 @@ and prices the result; this module only orders tasks.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .criteria import pair_weight_matrix
 from .errors import DEFAULT_DP_LIMIT, InfeasibleError, SizeLimitError
-from .model import PrecedenceGraph, PreferenceProfile, Schedule
+from .model import _INT64_MAX, PrecedenceGraph, PreferenceProfile, Schedule
 
 if TYPE_CHECKING:
     from .assignment import CostMatrix
@@ -54,14 +54,11 @@ def infer_precedences(profile: PreferenceProfile) -> PrecedenceGraph:
     return PrecedenceGraph(n=profile.n, edges=edges)
 
 
-def _resolve_precedences(
-    profile: PreferenceProfile, prec: Union[None, str, PrecedenceGraph]
-) -> Optional[PrecedenceGraph]:
-    """The graph a request runs under: ``prec`` itself, or for ``"inferred"`` the profile's."""
-    if prec is None or isinstance(prec, PrecedenceGraph):
+def _resolve_precedences(profile: PreferenceProfile,
+                         prec: Union[str, PrecedenceGraph]) -> PrecedenceGraph:
+    """The graph a request runs under: an imposed ``prec``, or for ``"inferred"`` the profile's."""
+    if isinstance(prec, PrecedenceGraph):
         return prec
-    if prec != "inferred":
-        raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {prec!r}")
     if profile.mode != "order":
         raise ValueError("--prec-mode inferred requires an order-mode profile")
     return infer_precedences(profile)
@@ -122,7 +119,7 @@ def solve_with_graph(
     Raises
     ------
     ValueError
-        When ``size_limit`` is not an int >= 0.
+        When ``size_limit`` is not an int >= 0, or n times the largest allowed entry passes int64.
     SizeLimitError
         When n exceeds ``size_limit`` (default 20); pass a larger limit to
         override deliberately. Also, whatever the limit, when n >= 63 (the
@@ -147,6 +144,8 @@ def solve_with_graph(
     allowed = (
         ~matrix.forbidden if matrix.forbidden is not None else np.ones((n, n), dtype=bool)
     )
+    if n * int(matrix.cost.max(where=allowed, initial=0)) > _INT64_MAX:
+        raise ValueError(f"n={n} times the largest allowed cost would overflow int64")
     slot_order = _subset_dp(matrix.cost, pred_mask, allowed)
     if slot_order[0] < 0:
         raise InfeasibleError("no schedule satisfies the precedence graph and windows")

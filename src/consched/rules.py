@@ -18,10 +18,10 @@ criterion that defines its named rule.
 matrix, runs one path on it (each returns only the schedule), prices that
 schedule once, rechecks its cost and constraints and returns a ``Solution``
 naming the path: ``emd`` (no windows, no imposed graph), ``matching`` (the
-assignment reduction, never EMD even where EMD is optimal; no edges),
-``matching+repair`` (``auto``'s exact path for distance under inferred
-precedences without windows) or ``dp`` (the exact subset DP; ``auto``'s path
-for every other precedence request). A request a path would not honor is refused.
+assignment reduction, never EMD even where EMD is optimal; a graph with no
+edge counts as none), ``matching+repair`` (distance under inferred precedences
+with an edge, without windows) or ``dp`` (the exact subset DP; every other
+graph with an edge, and ``method="dp"``). A request a path would not honor is refused.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def canonical_criterion(encoding: Union[EncodingKind, str]) -> CriterionKind:
 
 
 RULES = ("distance", "binary", "emd")
-METHODS = ("auto", "matching", "dp")
+METHODS = ("auto", "dp")
 
 
 class Solution(_Record):
@@ -207,20 +207,15 @@ def _plan(profile: PreferenceProfile, rule: str, encoding: Optional[EncodingKind
     if profile.mode == "interval" and encoding is not None:
         raise ValueError("interval-mode profiles take no --encoding")
 
-    if prec is None:
-        if method == "dp":
-            return "dp", PrecedenceGraph(n=profile.n, edges=frozenset())
+    graph = None
+    if prec is not None:
+        from .precedence import _resolve_precedences
+
+        graph = _resolve_precedences(profile, prec)
+    if method == "dp":
+        return "dp", graph if graph is not None else PrecedenceGraph(profile.n, frozenset())
+    if graph is None or not graph.edges:  # nothing to honor beyond the windows
         return "matching", None
-
-    from .precedence import _resolve_precedences
-
-    graph = _resolve_precedences(profile, prec)
-    if method == "matching":
-        if graph.edges:
-            raise ValueError("--method matching does not honor precedence constraints; "
-                             "use --method auto")
-        return "matching", graph
-    if (method == "auto" and prec == "inferred" and criterion is CriterionKind.DISTANCE
-            and windows is None):
+    if prec == "inferred" and criterion is CriterionKind.DISTANCE and windows is None:
         return "matching+repair", graph
     return "dp", graph

@@ -190,6 +190,13 @@ class TestBuildCostMatrix:
         schedule = min_cost_assignment(m)
         assert m.price(schedule) == 5
 
+    def test_price_past_int64_is_exact(self):
+        # The sum used to wrap in int64 and price this schedule at -2**62.
+        big = 3 * 2**61
+        m = CostMatrix(2, [[big, 0], [0, big]])
+        assert m.price(Schedule((1, 2))) == 2 * big
+        assert m.price(min_cost_assignment(m)) == 0
+
 
 class TestMinCostAssignment:
     def test_identity_on_unanimous_profile(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import io
 import itertools
 import json
 import os
@@ -11,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from math import factorial
 from pathlib import Path
 
@@ -149,8 +151,7 @@ class TestSolve:
         assert payload["cost"] == 1 << 60
         assert payload["schedule"] == [3, 2, 1]
 
-    @pytest.mark.parametrize("method", ["auto", "matching"])
-    def test_matching_optimum_at_two_to_the_60_is_feasible(self, capsys, tmp_path, method):
+    def test_matching_optimum_at_two_to_the_60_is_feasible(self, capsys, tmp_path):
         # Was exit 2, "time windows admit no feasible schedule", with no windows given.
         mult = 1 << 58
         path = tmp_path / "huge.prof"
@@ -162,7 +163,7 @@ class TestSolve:
             capsys,
             [
                 "solve", "--profile", str(path), "--rule", "distance",
-                "--encoding", "deviation", "--method", method, "--format", "json",
+                "--encoding", "deviation", "--format", "json",
             ],
         )
         assert code == EXIT_OK
@@ -185,8 +186,8 @@ class TestSolve:
         )
         matrix = build_cost_matrix(parse_profile(path.read_text()), "distance", encoding)
         assert (2 * n * int(matrix.cost.max()) >= 2**63 - 1) == (n == 5)
-        costs = {}
-        for method in ("matching", "dp"):
+        answers = {}
+        for method in ("auto", "dp"):
             code, out, _ = run(
                 capsys,
                 [
@@ -195,8 +196,9 @@ class TestSolve:
                 ],
             )
             assert code == EXIT_OK
-            costs[method] = json.loads(out)["cost"]
-        assert costs["matching"] == costs["dp"]
+            answers[method] = json.loads(out)
+        assert answers["auto"]["method"] == "matching"
+        assert answers["auto"]["cost"] == answers["dp"]["cost"]
 
     @pytest.mark.parametrize("mults", [(1 << 61, 1 << 61), (1 << 63,)])
     def test_cost_past_int64_exit_1(self, capsys, tmp_path, mults):
@@ -218,7 +220,7 @@ class TestSolve:
         assert out == ""
         assert "error: line 3:" in err and "overflow int64" in err
 
-    @pytest.mark.parametrize("method", ["auto", "matching", "dp"])
+    @pytest.mark.parametrize("method", ["auto", "dp"])
     def test_infeasible_json_names_the_failed_path(
         self, capsys, order_profile, tmp_path, method
     ):
@@ -234,6 +236,66 @@ class TestSolve:
         )
         assert code == EXIT_INFEASIBLE
         assert json.loads(out)["method"] == ("dp" if method == "dp" else "matching")
+
+    def test_inferred_binary_past_the_dp_limit_runs_the_matching(self, capsys, tmp_path):
+        # 21 tasks, one past the default --dp-limit: the eight voters agree on no
+        # pair, so the inferred graph has no edge. That used to exit 3.
+        path = tmp_path / "gen.prof"
+        code, _, _ = run(capsys, ["gen", "--tasks", "21", "--voters", "8", "--seed", "1",
+                                  "--out", str(path)])
+        assert code == EXIT_OK
+        assert not infer_precedences(parse_profile(path.read_text())).edges
+        answers = []
+        for prec in ([], ["--prec-mode", "inferred"]):
+            code, out, _ = run(capsys, ["solve", "--profile", str(path), "--rule", "binary",
+                                        "--encoding", "late", *prec, "--format", "json"])
+            assert code == EXIT_OK
+            answers.append(json.loads(out))
+        assert answers[1]["method"] == "matching"
+        assert answers[1]["cost"] == answers[0]["cost"]
+
+    def test_an_empty_imposed_graph_runs_the_matching(self, capsys, tmp_path):
+        # A --prec file with no edge constrains nothing beyond the windows.
+        (tmp_path / "empty.prec").write_text("")
+        (tmp_path / "w.txt").write_text("task 1 : 2 5\ntask 4 : 0 2\n")
+        answers = {}
+        for method in ("auto", "dp"):
+            code, out, _ = run(capsys, [
+                "solve", "--profile", "fixture:tail8x6", "--rule", "distance",
+                "--encoding", "deviation", "--time", str(tmp_path / "w.txt"),
+                "--prec-mode", "graph", "--prec", str(tmp_path / "empty.prec"),
+                "--method", method, "--format", "json",
+            ])
+            assert code == EXIT_OK
+            answers[method] = json.loads(out)
+        assert answers["auto"]["method"] == "matching"
+        assert answers["dp"]["method"] == "dp"
+        assert answers["auto"]["cost"] == answers["dp"]["cost"]
+
+    @pytest.mark.parametrize("rule, encoding, expected", [
+        ("distance", "deviation", 24), ("binary", "late", 5),
+    ])
+    def test_windows_and_an_imposed_edge_solve_by_the_dp(self, capsys, tmp_path, rule,
+                                                         encoding, expected):
+        (tmp_path / "w.txt").write_text("task 1 : 0 3\n")
+        (tmp_path / "g.prec").write_text("2 -> 1\n")
+        code, out, _ = run(capsys, [
+            "solve", "--profile", "fixture:late7x3", "--rule", rule, "--encoding", encoding,
+            "--time", str(tmp_path / "w.txt"), "--prec-mode", "graph",
+            "--prec", str(tmp_path / "g.prec"), "--format", "json",
+        ])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["method"] == "dp"
+        schedule = Schedule(tuple(payload["schedule"]))
+        assert schedule.completion(1) <= 3
+        assert schedule.completion(2) < schedule.completion(1)
+        best = exhaustive_optimum(
+            parse_profile(cli.fixture_text("late7x3")), rule, cli._ENCODING_FLAGS[encoding],
+            parse_time_windows("task 1 : 0 3\n", 7), PrecedenceGraph(7, frozenset({(2, 1)})),
+        )
+        assert payload["cost"] == best.best_cost == expected
+        assert schedule in best.optima
 
     def test_emd_with_two_to_the_40_voters_in_one_line(self, capsys, tmp_path):
         # The median comes from a histogram, not a list of 2**40 completion times.
@@ -331,6 +393,8 @@ class TestSolve:
     ):
         path = tmp_path / "edge.prof"
         path.write_text(text)
+        if "inferred" in argv and not infer_precedences(parse_profile(text)).edges:
+            method = "matching"  # one task infers no edge
         code, out, _ = run(capsys, ["solve", "--profile", str(path), *argv, "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(out)
@@ -371,8 +435,6 @@ class TestSolve:
         [
             ["solve", "--profile", "fixture:late7x3", "--rule", "binary"],  # missing encoding
             ["solve", "--profile", "fixture:window8x6", "--rule", "distance", "--encoding", "deviation"],
-            # Was exit 0 with 4 2 3 5 6 7 1, which breaks the inferred edges 1->5, 1->6, 1->7.
-            ["solve", "--profile", "fixture:late7x3", "--rule", "binary", "--encoding", "late", "--prec-mode", "inferred", "--method", "matching"],
             ["solve", "--profile", "fixture:nope", "--rule", "binary", "--encoding", "late"],
         ],
     )
@@ -387,6 +449,8 @@ class TestSolve:
             ["solve", "--rule", "binary", "--encoding", "late"],  # missing profile
             ["solve", "--profile", "fixture:late7x3", "--rule", "binary", "--encoding", "late", "--bogus"],
             ["solve", "--profile", "fixture:late7x3", "--rule", "distance", "--encoding", "deviation", "--prec-mode", "inferred", "--method", "repair"],
+            # Was a refusal: the matching would break the inferred edges 1->5, 1->6, 1->7.
+            ["solve", "--profile", "fixture:late7x3", "--rule", "binary", "--encoding", "late", "--prec-mode", "inferred", "--method", "matching"],
         ],
     )
     def test_argparse_errors_exit_1(self, capsys, argv):
@@ -567,26 +631,27 @@ class TestSolve:
         assert out == ""
         assert err == "error: emd requires an order-mode profile\n"
 
-    @pytest.mark.parametrize("prec, expected", [
-        (["--prec-mode", "inferred"], (EXIT_OK, "")),
-        (["--prec-mode", "graph", "--prec", "{tmp}/dag.prec"], (EXIT_USAGE,
-         "error: --method matching does not honor precedence constraints; use --method auto\n")),
-    ], ids=["no-inferred-edge", "graph-edge"])
-    def test_matching_refuses_only_ignored_edges(self, capsys, tmp_path, prec, expected):
-        # Matching used to solve under a graph with an edge, ignore it and
-        # print a note; a graph without edges leaves nothing to ignore.
+    def test_windows_and_an_edgeless_inferred_graph_run_the_matching(self, capsys, tmp_path):
+        # The two voters agree on no pair, so only the windows constrain the answer.
         (tmp_path / "p.prof").write_text(
             "profile order\ntasks 3\nvoters 2\npref 1 : 1 2 3\npref 1 : 3 2 1\n")
         (tmp_path / "w.txt").write_text("task 1 : 0 2\n")
-        (tmp_path / "dag.prec").write_text("1 -> 2\n")
-        prec = [arg.replace("{tmp}", str(tmp_path)) for arg in prec]
         code, out, err = run(capsys, [
             "solve", "--profile", str(tmp_path / "p.prof"), "--rule", "distance",
-            "--encoding", "deviation", "--time", str(tmp_path / "w.txt"), *prec,
-            "--method", "matching",
+            "--encoding", "deviation", "--time", str(tmp_path / "w.txt"),
+            "--prec-mode", "inferred",
         ])
-        assert (code, err) == expected
-        assert ("method: matching" in out) == (code == EXIT_OK)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.endswith("method: matching\n")
+
+    def test_method_matching_is_a_usage_error(self, capsys):
+        # auto runs the matching wherever --method matching used to be accepted.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--profile", "fixture:late7x3", "--rule", "distance",
+                      "--encoding", "deviation", "--method", "matching"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: argument --method: invalid choice: 'matching' (choose from 'auto', 'dp')\n")
 
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     def test_inferred_mode_refuses_a_prec_file(self, capsys, tmp_path, command):
@@ -942,6 +1007,22 @@ class TestRatio:
         assert "violations: none" in out
         assert "per-slot double bound" in out
 
+    SWAPS = ["ratio", "--trials", "3", "--tasks", "5", "--voters", "4", "--seed", "2",
+             "--generator", "mallows_like_swap_noise", "--swaps", "3"]
+
+    def test_text_header_names_the_swaps(self, capsys):
+        code, out, _ = run(capsys, self.SWAPS)
+        assert code == EXIT_OK
+        assert out.startswith("ratio report: trials=3 n=5 v=4 seed=2 "
+                              "generator=mallows_like_swap_noise swaps=3 mode=matching\n")
+
+    def test_json_report_names_the_swaps(self, capsys):
+        code, out, _ = run(capsys, [*self.SWAPS, "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert list(payload)[4:7] == ["generator", "swaps", "exact"]
+        assert payload["swaps"] == 3
+
     def test_fast_json_report(self, capsys):
         code, out, _ = run(
             capsys,
@@ -998,18 +1079,17 @@ def test_help_and_usage_text_is_unchanged(capsys, monkeypatch, case):
 
 
 # Exit code, stdout and stderr of every request in the grid below, captured from the
-# CLI before the kernels stopped returning their own cost. ``cases`` maps each
-# request's label to its entry in ``outputs``; "{tmp}" stands for the directory that
-# holds ``files``. `--dp-limit 7` on the dp method sends the n = 8 profiles to the
-# size guard.
+# CLI by ``_recut_solve_outputs``, which is re-run only when an output changes on
+# purpose. ``cases`` maps each request's label to its entry in ``outputs``; "{tmp}"
+# stands for the directory that holds ``files``. `--dp-limit 7` on the dp method sends
+# the n = 8 profiles to the size guard.
 SOLVE_OUTPUTS = json.loads(
     (Path(__file__).resolve().parent / "cli_solve_outputs.json").read_text())
 GRID_PROFILES = ("chain5x6", "late7x3", "median4x3a", "median4x3b", "slots5x5", "tail8x6",
                  "window8x6")
 GRID_RULES = ("distance/deviation", "distance/tardiness", "distance/earliness",
               "binary/late", "binary/exactpos", "emd")
-GRID_METHODS = {"none": [], "matching": ["--method", "matching"],
-                "dp": ["--method", "dp", "--dp-limit", "7"]}
+GRID_METHODS = {"none": [], "dp": ["--method", "dp", "--dp-limit", "7"]}
 GRID_CONSTRAINTS = {
     "none": [],
     "time": ["--time", "{tmp}/w.txt"],
@@ -1035,18 +1115,37 @@ def _solve_grid():
                       *GRID_CONSTRAINTS[constraint], "--format", fmt]
 
 
-def test_solve_and_check_axioms_outputs_are_unchanged(capsys, tmp_path):
-    for name, text in SOLVE_OUTPUTS["files"].items():
-        (tmp_path / name).write_text(text)
-    grid = dict(_solve_grid())
+def _run_solve_grid(files, tmp):
+    """(label, [exit code, stdout, stderr]) of each grid request, ``files`` written to ``tmp``."""
+    for name, text in files.items():
+        (tmp / name).write_text(text)
+    for label, argv in _solve_grid():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([arg.replace("{tmp}", str(tmp)) for arg in argv])
+        yield label, [code, *(buf.getvalue().replace(str(tmp), "{tmp}") for buf in (out, err))]
+
+
+def _recut_solve_outputs(tmp):
+    """The grid's outputs as ``cli_solve_outputs.json`` stores them, for a deliberate re-cut.
+
+    ``files`` are the committed ones, ``outputs`` each distinct output in order of first
+    use and ``cases`` each label's index into it. Write the file with
+    ``json.dumps(_recut_solve_outputs(tmp), indent=0, separators=(",", ":"))``.
+    """
+    outputs, cases = [], {}
+    for label, output in _run_solve_grid(SOLVE_OUTPUTS["files"], tmp):
+        if output not in outputs:
+            outputs.append(output)
+        cases[label] = outputs.index(output)
+    return {"files": SOLVE_OUTPUTS["files"], "outputs": outputs, "cases": cases}
+
+
+def test_solve_and_check_axioms_outputs_are_unchanged(tmp_path):
+    grid = dict(_run_solve_grid(SOLVE_OUTPUTS["files"], tmp_path))
     assert grid.keys() == SOLVE_OUTPUTS["cases"].keys()
-    changed = []
-    for label, argv in grid.items():
-        code = cli.main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
-        out, err = capsys.readouterr()
-        got = [code, out.replace(str(tmp_path), "{tmp}"), err.replace(str(tmp_path), "{tmp}")]
-        if got != SOLVE_OUTPUTS["outputs"][SOLVE_OUTPUTS["cases"][label]]:
-            changed.append(label)
+    changed = [label for label, got in grid.items()
+               if got != SOLVE_OUTPUTS["outputs"][SOLVE_OUTPUTS["cases"][label]]]
     assert not changed, f"{len(changed)} of {len(grid)} requests changed, first: {changed[:5]}"
     codes = {SOLVE_OUTPUTS["outputs"][i][0] for i in SOLVE_OUTPUTS["cases"].values()}
     assert codes == {EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_SIZE_LIMIT}

@@ -5,11 +5,10 @@ just under the v * n * (n + 1) parse bound (where the Hungarian leaves int64
 for Python integers), optional global windows, and no, inferred or imposed
 precedences. ``rules.solve`` runs every method on it. Each run must take the
 documented path and return one of the oracle's optima under the request's
-constraints, raise ``InfeasibleError`` exactly when the oracle finds no
-feasible schedule, or refuse a combination it would not honour with
-``ValueError``. emd must honour inferred precedences and refuse windows and an
-imposed graph. One CLI request per example must give the same outcome as its
-exit code and JSON.
+constraints, or raise ``InfeasibleError`` exactly when the oracle finds no
+feasible schedule. emd must honour inferred precedences and refuse windows and
+an imposed graph with ``ValueError``. One CLI request per example must give
+the same outcome as its exit code and JSON.
 """
 
 from __future__ import annotations
@@ -63,13 +62,12 @@ def instances(draw):
 
 
 def planned(method, prec, graph, criterion, windows):
-    """The path ``solve`` documents for a distance/binary request; None where it refuses."""
-    if prec is None:
-        return "dp" if method == "dp" else "matching"
-    if method == "matching":
-        return None if graph.edges else "matching"
-    if (method == "auto" and prec == "inferred" and criterion is CriterionKind.DISTANCE
-            and windows is None):
+    """The path ``solve`` documents for a distance/binary request; a graph with no edge is none."""
+    if method == "dp":
+        return "dp"
+    if prec is None or not graph.edges:
+        return "matching"
+    if prec == "inferred" and criterion is CriterionKind.DISTANCE and windows is None:
         return "matching+repair"
     return "dp"
 
@@ -118,11 +116,6 @@ def test_every_path_matches_the_oracle(instance, cli_method):
     for method in METHODS:
         path = planned(method, prec, graph, criterion, windows)
         request = (criterion.value, encoding, windows, prec, method)
-        if path is None:
-            with pytest.raises(ValueError):
-                solve(profile, *request)
-            outcome[method] = (cli.EXIT_USAGE, None)
-            continue
         best = oracle(windows, graph)
         if best is None:
             with pytest.raises(InfeasibleError) as exc:
@@ -157,7 +150,4 @@ def test_every_path_matches_the_oracle(instance, cli_method):
         code, out, err = cli_request(tmp, profile, criterion, encoding, windows, prec, cli_method)
     expected_code, expected_json = outcome[cli_method]
     assert code == expected_code, err
-    if expected_json is None:
-        assert out == "" and "error: " in err
-    else:
-        assert json.loads(out) == expected_json
+    assert json.loads(out) == expected_json

@@ -468,7 +468,7 @@ class TestScale:
         path.write_text(serialize_profile(profile))
         code = cli.main([
             "solve", "--profile", str(path), "--rule", "distance",
-            "--encoding", "deviation", "--method", "matching", "--format", "json",
+            "--encoding", "deviation", "--format", "json",
         ])
         assert code == cli.EXIT_OK
         solved = json.loads(capsys.readouterr().out)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import profile_of, random_mixed_profile, random_order_profile, random_schedule
-from consched.assignment import build_cost_matrix
+from consched.assignment import CostMatrix, build_cost_matrix
 from consched.criteria import CriterionKind, profile_cost
 from consched.errors import DEFAULT_DP_LIMIT, SizeLimitError
 from consched.model import (
@@ -265,6 +265,16 @@ class TestSolveWithGraph:
         dp_cost = matrix.price(solve_with_graph(matrix, empty))
         match_cost = solve(profile, "distance", "deviation").cost
         assert dp_cost == match_cost
+
+    def test_totals_past_int64_are_refused(self):
+        # The DP's int64 table used to wrap and return (1, 2), which costs 3 * 2**62.
+        big = 3 * 2**61
+        matrix = CostMatrix(2, [[big, 0], [0, big]])
+        with pytest.raises(ValueError, match="overflow int64"):
+            solve_with_graph(matrix, PrecedenceGraph(2, frozenset()))
+        forbidden = np.array([[True, False], [False, True]])  # only the 0 cells are allowed
+        allowed = CostMatrix(2, matrix.cost, forbidden)
+        assert solve_with_graph(allowed, PrecedenceGraph(2, frozenset())) == Schedule((2, 1))
 
     def test_size_guard(self):
         n = DEFAULT_DP_LIMIT + 1

@@ -95,6 +95,10 @@ class TestEmdSchedule:
             assert satisfied_by(infer_precedences(profile), schedule)
 
 
+# Every voter completes task 3 before task 2, so inference gives 3 -> 2.
+_CHECKED = "profile order\ntasks 4\nvoters 2\npref 1 : 3 2 1 4\npref 1 : 1 4 3 2\n"
+
+
 class TestSolve:
     def test_unknown_rule_rejected(self):
         profile = parse_profile("profile order\ntasks 2\nvoters 1\npref 1 : 1 2\n")
@@ -141,13 +145,14 @@ class TestSolve:
             assert cost == oracle.best_cost
             assert schedule in oracle.optima
 
-    @pytest.mark.parametrize("rule, encoding, prec, path", [
-        ("emd", None, None, "emd"),
-        ("distance", "deviation", None, "matching"),
-        ("distance", "deviation", "inferred", "matching+repair"),
-        ("binary", "late_tasks", "inferred", "dp"),
-    ])
-    def test_every_path_is_priced_once(self, monkeypatch, rule, encoding, prec, path):
+    @pytest.mark.parametrize("text, rule, encoding, prec, path", [
+        (None, "emd", None, None, "emd"),
+        (None, "distance", "deviation", None, "matching"),
+        (None, "binary", "late_tasks", "inferred", "matching"),  # its inferred graph has no edge
+        (_CHECKED, "distance", "deviation", "inferred", "matching+repair"),
+        (_CHECKED, "binary", "late_tasks", "inferred", "dp"),
+    ], ids=["emd", "matching", "inferred-no-edge", "matching+repair", "inferred-dp"])
+    def test_every_path_is_priced_once(self, monkeypatch, text, rule, encoding, prec, path):
         # The kernels return only the order; solve alone prices it.
         priced = []
         price = CostMatrix.price
@@ -157,7 +162,10 @@ class TestSolve:
             return price(matrix, schedule)
 
         monkeypatch.setattr(CostMatrix, "price", counted)
-        profile = random_order_profile(random.Random(5), 6, 4)
+        if text is None:
+            profile = random_order_profile(random.Random(5), 6, 4)
+        else:
+            profile = parse_profile(text)
         solution = solve(profile, rule, encoding, prec=prec)
         assert solution.method == path
         assert priced == [solution.schedule]
@@ -172,7 +180,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("rule, encoding, method", [
         ("emd", None, "auto"),
-        ("distance", "deviation", "matching"),
+        ("distance", "deviation", "auto"),
         ("distance", "deviation", "dp"),
     ], ids=["emd", "matching", "dp"])
     def test_constraints_of_another_size_are_refused_on_every_path(self, rule, encoding,
@@ -205,9 +213,6 @@ class TestSolve:
         assert canonical_criterion("exact_position") is CriterionKind.BINARY
 
 
-
-# Every voter completes task 3 before task 2, so inference gives 3 -> 2.
-_CHECKED = "profile order\ntasks 4\nvoters 2\npref 1 : 3 2 1 4\npref 1 : 1 4 3 2\n"
 _WINDOWS = TimeWindows(((2, 4), (0, 4), (0, 4), (0, 4)))  # task 1 in slot 3 or 4
 _BROKEN = Schedule((1, 2, 3, 4))  # task 1 in slot 1, task 2 before task 3
 _OUT_OF_WINDOW = "task 1 completes at 1, outside its window (2,4]"
