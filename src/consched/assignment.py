@@ -45,9 +45,13 @@ from .model import (
     _check_size,
     _count,
     _Record,
+    _as_encoding,
 )
 
 __all__ = ["CostMatrix", "build_cost_matrix", "min_cost_assignment"]
+
+# Encodings whose release dates are the due dates less one.
+_UNIT_WINDOWS = (EncodingKind.DEVIATION, EncodingKind.EXACT_POSITION)
 
 
 class CostMatrix(_Record):
@@ -118,7 +122,12 @@ def build_cost_matrix(
     rel, due, mult = interval_arrays(profile, encoding)
     dates = np.arange(n + 1, dtype=np.int64)  # windows take values 0..n
     w_due = _task_histogram(due, mult, n + 1)
-    w_rel = _task_histogram(rel, mult, n + 1)
+    if encoding is not None and _as_encoding(encoding) in _UNIT_WINDOWS:
+        # Windows (C - 1, C]: the release histogram is the due one a column left.
+        w_rel = np.zeros_like(w_due)
+        w_rel[:, :n] = w_due[:, 1:]
+    else:
+        w_rel = _task_histogram(rel, mult, n + 1)
     # Column t-1 of a prefix sums dates x < t; column t of a suffix dates x >= t.
     w_before = np.cumsum(w_due, axis=1)[:, :n]
     w_from = np.cumsum(w_rel[:, ::-1], axis=1)[:, ::-1][:, 1:]

@@ -16,6 +16,7 @@ from consched.experiment import generate_profile
 from consched.criteria import CriterionKind, profile_cost
 from consched.errors import InfeasibleError
 from consched.model import (
+    _INT64_MAX,
     EncodingKind,
     Schedule,
     TimeWindows,
@@ -79,6 +80,30 @@ class TestCostMatrixMatchesBroadcast:
             for task, (r, d) in enumerate(windows.windows, start=1):
                 for slot in range(1, n + 1):
                     assert m.forbidden[task - 1, slot - 1] == (not r < slot <= d)
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    @pytest.mark.parametrize("encoding", list(EncodingKind))
+    def test_order_windows_build_as_the_same_interval_windows(self, criterion, encoding):
+        # An interval profile counts both of its histograms; an order profile may
+        # derive one from the other. Both must give the same matrix and mask.
+        for seed in range(40):
+            rng = random.Random(1300 + seed)
+            n = rng.randint(1, 8)
+            entries = [(rng.sample(range(1, n + 1), n), rng.randint(1, 5))
+                       for _ in range(rng.randint(0, 5))]
+            # One entry as heavy as the int64 size check allows, up to 2^60.
+            room = _INT64_MAX // (n * (n + 1)) - sum(m for _, m in entries)
+            entries.insert(rng.randint(0, len(entries)),
+                           (rng.sample(range(1, n + 1), n), min(1 << 60, room)))
+            profile = profile_of("order", entries)
+            same = profile_of("interval", [(ref.order_windows(pref, encoding), mult)
+                                           for pref, mult in ref.entries(profile)])
+            windows = None if seed % 2 else TimeWindows(tuple(
+                (r, rng.randint(r + 1, n)) for r in (rng.randint(0, n - 1) for _ in range(n))
+            ))
+            m = build_cost_matrix(profile, criterion, encoding, windows)
+            assert m == build_cost_matrix(same, criterion, windows=windows)
+            assert (m.forbidden is None) == (windows is None)
 
     @pytest.mark.parametrize("criterion", list(CriterionKind))
     @pytest.mark.parametrize("encoding", list(EncodingKind))

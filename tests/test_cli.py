@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from math import factorial
 from pathlib import Path
 
@@ -1205,23 +1206,33 @@ def test_the_console_script_is_the_process_entry():
     assert getattr(importlib.import_module(module), name) is cli.run
 
 
-def _fresh(args, env=None):
-    """``python <args>`` in a new interpreter with ``OPENBLAS_NUM_THREADS`` unset."""
-    clean = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env={**clean, **(env or {})})
+def _fresh(args, env=None, **popen):
+    """``python <args>`` in a new interpreter, stdout and stderr captured as text.
+
+    ``OPENBLAS_NUM_THREADS`` and ``PYTHONUNBUFFERED`` are unset, so the
+    streams are block-buffered to pipes and files as they are for a user, and
+    a missing flush loses output. ``popen`` passes on to ``subprocess.run``
+    and may replace the captured streams.
+    """
+    clean = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+    popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen}
+    return subprocess.run([sys.executable, *args], text=True, timeout=120,
+                          env={**clean, **(env or {})}, **popen)
 
 
-def _entry_probe(argv, then):
-    """A ``-c`` program: the request ``python -m consched.cli <argv>`` in process, then ``then``."""
+def _entry_probe(argv, then, before=""):
+    """A ``-c`` program: ``before``, then the request ``python -m consched.cli <argv>`` in process.
+
+    ``then`` runs as an at-exit callback registered before the request, so
+    it sees the request however the process ends.
+    """
     return (
-        "import runpy, sys\n"
-        f"sys.argv = ['consched', *{argv!r}]\n"
-        "try:\n"
-        "    runpy.run_module('consched.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-        + then
+        "import atexit, runpy, sys\n"
+        f"atexit.register(exec, {then!r}, globals())\n"
+        + before
+        + f"sys.argv = ['consched', *{argv!r}]\n"
+        "runpy.run_module('consched.cli', run_name='__main__')\n"
     )
 
 
@@ -1285,6 +1296,14 @@ class TestFreshProcess:
         proc = _fresh(["-m", "consched.cli", *argv])
         assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)
         assert proc.returncode == expected
+
+    @pytest.mark.parametrize("case", [case for case in USAGE if case["argv"] in (
+        [], ["--help"], ["solve", "--help"], ["solve"], ["fixtures", "path"])],
+        ids=lambda case: " ".join(case["argv"]) or "(none)")
+    def test_help_and_usage_errors_run_cold(self, case):
+        proc = _fresh(["-m", "consched.cli", *case["argv"]], env={"COLUMNS": "80"})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            case["code"], case["stdout"], case["stderr"])
 
     def test_import_consched_loads_no_numpy_and_no_submodule(self):
         proc = _fresh(["-c", "import sys, consched; print(sorted("
@@ -1384,6 +1403,52 @@ class TestFreshProcess:
             self.SOLVE, "import gc; print(gc.isenabled(), gc.get_freeze_count() > 0)\n")])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "True True"
+
+    def test_a_closed_stdout_ends_the_request_quietly(self):
+        proc = _fresh(["-m", "consched.cli", *self.SOLVE], stdout=None,
+                      preexec_fn=partial(os.close, 1))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+    def test_json_sent_to_a_file_is_written_whole(self, capsys, tmp_path):
+        argv = [*self.SOLVE, "--format", "json"]
+        with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+            proc = _fresh(["-m", "consched.cli", *argv], stdout=out, stderr=err)
+        assert proc.returncode == EXIT_OK
+        assert (tmp_path / "out").read_text() == run(capsys, argv)[1]
+        assert json.loads((tmp_path / "out").read_text())["cost"] == 6
+        assert (tmp_path / "err").read_text() == ""
+
+    def test_a_profiled_request_prints_its_profile(self, capsys):
+        proc = _fresh(["-m", "cProfile", "-m", "consched.cli", *self.SOLVE])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(run(capsys, self.SOLVE)[1])
+        assert "function calls" in proc.stdout and "cumtime" in proc.stdout
+
+    # An object the normal exit deletes when it tears the modules down.
+    TEARDOWN = (
+        "class Mark:\n"
+        "    def __del__(self, write=__import__('os').write):\n"
+        "        write(1, b'teardown\\n')\n"
+        "sys.mark = Mark()\n"
+    )
+
+    @pytest.mark.parametrize("flags, before, tail", [
+        ([], "", ["at exit"]),
+        ([], "sys.settrace(lambda *event: None)\n", ["at exit", "teardown"]),
+        ([], "sys.setprofile(lambda *event: None)\n", ["at exit", "teardown"]),
+        (["-i"], "", ["at exit", "teardown"]),
+        # A second thread, which the normal exit waits for and ``os._exit`` would kill.
+        ([], "import threading\nthreading.Thread(target=lambda: ("
+             "threading.main_thread().join(), print('joined'))).start()\n",
+         ["joined", "at exit", "teardown"]),
+    ], ids=["alone", "tracer", "profiler", "inspect", "thread"])
+    def test_at_exit_callbacks_run_and_only_a_lone_request_skips_the_teardown(
+            self, capsys, flags, before, tail):
+        proc = _fresh([*flags, "-c", _entry_probe(self.SOLVE, "print('at exit')\n",
+                                                  before + self.TEARDOWN)],
+                      stdin=subprocess.DEVNULL)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == run(capsys, self.SOLVE)[1].splitlines() + tail
 
     def test_main_keeps_the_callers_collector(self):
         proc = _fresh(["-c", (
