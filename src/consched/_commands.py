@@ -92,8 +92,11 @@ def cmd_gen(args) -> int:
     )
     text = header + serialize_profile(profile)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ProfileError(f"cannot write profile {args.out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -43,10 +43,7 @@ def _read_body(lines: list[str], start: int, mode: str, n: int) -> tuple[list[in
             m = _PREF_RE.fullmatch(line)
             if not m:
                 raise ProfileError(f"expected 'pref <mult> : ...', got {line!r}", no)
-            try:
-                mult = int(m.group(1))
-            except ValueError:  # past Python's int digit limit
-                raise ProfileError("number has too many digits", no) from None
+            (mult,) = _ints((m.group(1),), no)
             if mult < 1:
                 raise ProfileError("multiplicity must be >= 1", no)
             if mode == "order":

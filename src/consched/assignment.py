@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .criteria import CriterionKind, _as_criterion, _task_histogram, interval_arrays
+from .criteria import CriterionKind, _as_criterion, _order_window, _task_histogram
 from .errors import InfeasibleError
 from .model import (
     _INT64_MAX,
@@ -45,13 +45,9 @@ from .model import (
     _check_size,
     _count,
     _Record,
-    _as_encoding,
 )
 
 __all__ = ["CostMatrix", "build_cost_matrix", "min_cost_assignment"]
-
-# Encodings whose release dates are the due dates less one.
-_UNIT_WINDOWS = (EncodingKind.DEVIATION, EncodingKind.EXACT_POSITION)
 
 
 class CostMatrix(_Record):
@@ -103,31 +99,35 @@ def build_cost_matrix(
 
     Both criteria are sums over voters of a per-(task, slot) price, so the
     profile enters only through per-task histograms of due dates d and of
-    release dates r, weighted by multiplicity (exact int64 counts). With W
-    the weight and S the date-weighted sum of the voters counted, prefix
-    sums give every column at once:
+    release dates r, weighted by multiplicity (exact int64 counts). An order
+    profile's windows are (C - 1 or 0, C or n] (``criteria._ORDER_WINDOWS``),
+    so one count of its completions C gives both; r = 0 and d = n price no
+    slot. With W the weight and S the date-weighted sum of the voters
+    counted, prefix sums give every column at once:
 
     * late(j, t)  = t * W[d < t] - S[d < t]        (distance past the due date)
     * early(j, t) = S[r >= t] - (t - 1) * W[r >= t] (distance before the release)
     * binary(j, t) = W[d < t] + W[r >= t]           (r < d, so never both)
 
     and distance = late + early. O(distinct-prefs * n + n^2) time and O(n^2)
-    memory beyond the window arrays. Every entry and intermediate is at most
-    n * v and a schedule's total at most v * n * (n + 1), which
-    :class:`PreferenceProfile` keeps inside int64. When ``windows`` is given,
-    pair (j, t) is forbidden unless r_j < t <= d_j.
+    memory beyond one (distinct-prefs, n) index array per count. Every entry
+    and intermediate is at most n * v and a schedule's total at most
+    v * n * (n + 1), which :class:`PreferenceProfile` keeps inside int64.
+    When ``windows`` is given, pair (j, t) is forbidden unless r_j < t <= d_j.
     """
     criterion = _as_criterion(criterion)
     n = profile.n
-    rel, due, mult = interval_arrays(profile, encoding)
+    window = _order_window(profile, encoding)
+    if window is None:  # an interval profile counts both of its arrays
+        w_rel = _task_histogram(profile.release, profile.mult, n + 1)
+        w_due = _task_histogram(profile.due, profile.mult, n + 1)
+    else:  # an order profile counts its completions C once; a 0 or n bound stays zero
+        shifted, due_at_c = window
+        count = _task_histogram(profile.completions, profile.mult, n + 1)
+        w_rel, w_due = np.zeros_like(count), count if due_at_c else np.zeros_like(count)
+        if shifted:  # release C - 1: the count a column left
+            w_rel[:, :n] = count[:, 1:]
     dates = np.arange(n + 1, dtype=np.int64)  # windows take values 0..n
-    w_due = _task_histogram(due, mult, n + 1)
-    if encoding is not None and _as_encoding(encoding) in _UNIT_WINDOWS:
-        # Windows (C - 1, C]: the release histogram is the due one a column left.
-        w_rel = np.zeros_like(w_due)
-        w_rel[:, :n] = w_due[:, 1:]
-    else:
-        w_rel = _task_histogram(rel, mult, n + 1)
     # Column t-1 of a prefix sums dates x < t; column t of a suffix dates x >= t.
     w_before = np.cumsum(w_due, axis=1)[:, :n]
     w_from = np.cumsum(w_rel[:, ::-1], axis=1)[:, ::-1][:, 1:]

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
-from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
@@ -89,24 +88,18 @@ def profile_cost(
 
 
 def late_counts(schedule: Schedule, profile: PreferenceProfile) -> list[int]:
-    """Late choices at every slot y = 1..n, from one pass over the profile.
+    """Late choices at every slot y = 1..n, from one count of the profile's completions.
 
-    A voter who completes task j at slot s chooses (j, s). When the schedule
-    completes j at c > s, that choice is late at exactly the slots s <= y < c,
-    so it adds its multiplicity at s and removes it at c; the counts are the
-    running sum, in Python integers.
+    A voter's choice (j, s), completing task j at slot s, is late at the
+    slots s <= y < C_j(schedule). So slot y sums, over the tasks the schedule
+    completes after y, the task's row of the count up to y: at most n * v.
     """
     if profile.mode != "order":
         raise ValueError("late_counts requires an order-mode profile")
     _check_size(schedule, profile.n)
-    comp = schedule.completions()
-    step = [0] * (profile.n + 1)
-    for mult, row in zip(profile.mult.tolist(), profile.completions.tolist()):
-        for slot, done in zip(row, comp):
-            if slot < done:
-                step[slot] += mult
-                step[done] -= mult
-    return list(accumulate(step[1:]))
+    by = np.cumsum(_task_histogram(profile.completions, profile.mult, profile.n + 1), axis=1)
+    after = np.array(schedule.completions(), dtype=np.int64)[:, None] > np.arange(profile.n + 1)
+    return (by * after)[:, 1:].sum(axis=0).tolist()
 
 
 def spearman_distance(schedule: Schedule, profile: PreferenceProfile) -> int:
@@ -144,6 +137,27 @@ def pair_weight_matrix(profile: PreferenceProfile) -> np.ndarray:
     return np.einsum("i,ijk->jk", profile.mult, comps[:, :, None] < comps[:, None, :])
 
 
+# Per encoding, whether a voter's window (r, d] has r = C - 1 (else 0) and d = C (else n).
+_ORDER_WINDOWS = {
+    EncodingKind.DEVIATION: (True, True),
+    EncodingKind.EXACT_POSITION: (True, True),
+    EncodingKind.TARDINESS: (False, True),
+    EncodingKind.LATE_TASKS: (False, True),
+    EncodingKind.EARLINESS: (True, False),
+}
+
+
+def _order_window(profile: PreferenceProfile, encoding) -> Optional[tuple[bool, bool]]:
+    """An order profile's row of ``_ORDER_WINDOWS``; None for an interval profile."""
+    if profile.mode == "order":
+        if encoding is None:
+            raise ValueError("order-mode profiles require an encoding")
+        return _ORDER_WINDOWS[_as_encoding(encoding)]
+    if encoding is not None:
+        raise ValueError("interval-mode profiles take no encoding")
+    return None
+
+
 def interval_arrays(
     profile: PreferenceProfile, encoding: Optional[Union[EncodingKind, str]] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,28 +165,19 @@ def interval_arrays(
 
     ``release``/``due`` have shape (distinct voters, n); rows follow the
     profile's entry order. Interval-mode profiles return their own read-only
-    arrays. Order-mode profiles derive the windows from the profile's
-    completions C with the encoding's formula (see
-    :class:`consched.model.EncodingKind`) in O(distinct * n) array time. A
-    bound that is one date for every voter and task (release 0 for
-    tardiness and late_tasks, due n for earliness) is a read-only
-    zero-stride view of that date (``np.broadcast_to``), so it allocates
-    nothing. Shared by the cost matrix, the cost recheck and the brute-force
-    oracle, so all of them evaluate the same windows.
+    arrays; order-mode ones derive the windows from their completions C by
+    ``_ORDER_WINDOWS``, where a release of 0 or a due date of n is a
+    read-only zero-stride view (``np.broadcast_to``) that allocates nothing.
+    The cost recheck, the oracle and the axiom checks share these arrays;
+    the cost matrix reads the same table.
     """
-    if profile.mode == "order":
-        if encoding is None:
-            raise ValueError("order-mode profiles require an encoding")
-        encoding = _as_encoding(encoding)
-        comp, mult = profile.completions, profile.mult
-        if encoding in (EncodingKind.DEVIATION, EncodingKind.EXACT_POSITION):
-            return comp - 1, comp, mult
-        if encoding in (EncodingKind.TARDINESS, EncodingKind.LATE_TASKS):
-            return np.broadcast_to(np.int64(0), comp.shape), comp, mult
-        return comp - 1, np.broadcast_to(np.int64(profile.n), comp.shape), mult  # EARLINESS
-    if encoding is not None:
-        raise ValueError("interval-mode profiles take no encoding")
-    return profile.release, profile.due, profile.mult
+    window = _order_window(profile, encoding)
+    if window is None:
+        return profile.release, profile.due, profile.mult
+    comp, (shifted, due_at_c) = profile.completions, window
+    rel = comp - 1 if shifted else np.broadcast_to(np.int64(0), comp.shape)
+    due = comp if due_at_c else np.broadcast_to(np.int64(profile.n), comp.shape)
+    return rel, due, profile.mult
 
 
 def _task_histogram(values: np.ndarray, mult: np.ndarray, bins: int) -> np.ndarray:
@@ -180,17 +185,12 @@ def _task_histogram(values: np.ndarray, mult: np.ndarray, bins: int) -> np.ndarr
 
     ``values`` has shape (distinct voters, n) with values in 0..bins-1; the
     result has shape (n, bins) and ``hist[j, x]`` sums ``mult[i]`` over the
-    rows i with ``values[i, j] == x``. A zero-stride view holds one date for
-    every voter and task, so its histogram is the total multiplicity in that
-    date's column. Otherwise an unweighted ``bincount`` counts each row once,
-    exactly (weights would sum in float64 and round past 2^53), and
-    ``np.add.at`` adds ``mult - 1`` in int64 for the rows of multiplicity > 1.
+    rows i with ``values[i, j] == x``. An unweighted ``bincount`` counts each
+    row once, exactly (float64 weights round past 2^53), and ``np.add.at``
+    adds ``mult - 1`` in int64 to the rows of multiplicity > 1. The one
+    (distinct, n) temporary is the index array.
     """
     n = values.shape[1]
-    if not any(values.strides):
-        hist = np.zeros((n, bins), dtype=np.int64)
-        hist[:, values.flat[0]] = mult.sum()
-        return hist
     idx = values + np.arange(0, n * bins, bins, dtype=np.int64)
     hist = np.bincount(idx.ravel(), minlength=n * bins).astype(np.int64, copy=False)
     heavy = mult > 1

@@ -26,6 +26,11 @@ from consched.model import (
 from consched.oracle import exhaustive_optimum
 
 
+@pytest.fixture(scope="module")
+def wide_profile():
+    return generate_profile(60, 4000, seed=1)
+
+
 def reference_cost(profile, criterion, encoding=None) -> np.ndarray:
     """The direct (voters, tasks, slots) broadcast the histogram build replaces."""
     prefs = ref.entries(profile)
@@ -132,6 +137,20 @@ class TestCostMatrixMatchesBroadcast:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("criterion", list(CriterionKind))
+    @pytest.mark.parametrize("encoding", list(EncodingKind))
+    def test_build_peaks_at_one_index_array(self, wide_profile, criterion, encoding):
+        # One count of the completions: its (v, n) int64 index array is the
+        # build's one large temporary, whatever the encoding.
+        build_cost_matrix(wide_profile, criterion, encoding)  # warm
+        tracemalloc.start()
+        try:
+            build_cost_matrix(wide_profile, criterion, encoding)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * wide_profile.completions.nbytes
 
 
 class TestBuildCostMatrix:

@@ -996,6 +996,17 @@ class TestGen:
         assert code == EXIT_OK
         assert "method: matching" in out
 
+    def test_out_into_a_missing_directory_is_one_error_line(self, capsys, tmp_path):
+        # gen used to end here in a FileNotFoundError traceback.
+        path = tmp_path / "missing" / "x.prof"
+        code, out, err = run(
+            capsys, ["gen", "--tasks", "3", "--voters", "2", "--seed", "1", "--out", str(path)]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"error: cannot write profile {str(path)!r}: "
+                       f"[Errno 2] No such file or directory: {str(path)!r}\n")
+
 
 class TestRatio:
     def test_exact_text_report(self, capsys):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +44,35 @@ def test_module_all_equals_its_export_row(module):
     home = importlib.import_module(f"consched.{module}")
     assert sorted(home.__all__) == sorted(consched._EXPORTS[module])
     assert len(set(home.__all__)) == len(home.__all__)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports, ``__future__`` aside, but never refers to."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for name in ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        if name not in used
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in Path(consched.__file__).parent.glob("*.py") if path.name != "__init__.py"
+))
+def test_module_uses_every_name_it_imports(name):
+    source = (Path(consched.__file__).parent / name).read_text(encoding="utf-8")
+    assert unused_imports(source) == []
+
+
+def test_unused_imports_finds_a_leftover():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\nimport os.path\n"
+        "from .criteria import _task_histogram, interval_arrays\n"
+        "def f(x: np.ndarray):\n    return os.path.join(interval_arrays(x))\n"
+    )
+    assert unused_imports(source) == ["_task_histogram"]
