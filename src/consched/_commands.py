@@ -118,13 +118,7 @@ def cmd_ratio(args) -> int:
     if args.format == "json":
         import json
         payload = {
-            "trials": config.trials,
-            "n": config.n,
-            "v": config.v,
-            "seed": config.seed,
-            "generator": config.generator,
-            "swaps": config.swaps,
-            "exact": config.exact,
+            **dict(zip(config._fields, config._values())),
             "tardiness": {
                 "max": report.max_tardiness_ratio,
                 "mean": report.mean_tardiness_ratio,

@@ -42,6 +42,7 @@ from .model import (
     PreferenceProfile,
     Schedule,
     TimeWindows,
+    _check_fit,
     _check_size,
     _count,
     _Record,
@@ -101,9 +102,9 @@ def build_cost_matrix(
     profile enters only through per-task histograms of due dates d and of
     release dates r, weighted by multiplicity (exact int64 counts). An order
     profile's windows are (C - 1 or 0, C or n] (``criteria._ORDER_WINDOWS``),
-    so one count of its completions C gives both; r = 0 and d = n price no
-    slot. With W the weight and S the date-weighted sum of the voters
-    counted, prefix sums give every column at once:
+    so one count of its completions C gives both; a side with r = 0 or d = n
+    prices no slot and is not built. With W the weight and S the date-weighted
+    sum of the voters counted, prefix sums give every column at once:
 
     * late(j, t)  = t * W[d < t] - S[d < t]        (distance past the due date)
     * early(j, t) = S[r >= t] - (t - 1) * W[r >= t] (distance before the release)
@@ -113,36 +114,36 @@ def build_cost_matrix(
     memory beyond one (distinct-prefs, n) index array per count. Every entry
     and intermediate is at most n * v and a schedule's total at most
     v * n * (n + 1), which :class:`PreferenceProfile` keeps inside int64.
-    When ``windows`` is given, pair (j, t) is forbidden unless r_j < t <= d_j.
+    When ``windows`` is given, pair (j, t) is forbidden unless r_j < t <= d_j;
+    windows over another n fail ``model._check_fit``, as in ``rules.solve``.
     """
-    criterion = _as_criterion(criterion)
+    binary = _as_criterion(criterion) is CriterionKind.BINARY
     n = profile.n
     window = _order_window(profile, encoding)
     if window is None:  # an interval profile counts both of its arrays
         w_rel = _task_histogram(profile.release, profile.mult, n + 1)
         w_due = _task_histogram(profile.due, profile.mult, n + 1)
-    else:  # an order profile counts its completions C once; a 0 or n bound stays zero
+    else:  # an order profile counts its completions C once; a 0 or n bound has no side
         shifted, due_at_c = window
         count = _task_histogram(profile.completions, profile.mult, n + 1)
-        w_rel, w_due = np.zeros_like(count), count if due_at_c else np.zeros_like(count)
+        w_rel, w_due = np.zeros_like(count) if shifted else None, count if due_at_c else None
         if shifted:  # release C - 1: the count a column left
             w_rel[:, :n] = count[:, 1:]
-    dates = np.arange(n + 1, dtype=np.int64)  # windows take values 0..n
+    dates = np.arange(n + 1, dtype=np.int64)  # windows take values 0..n; slot t is dates[t]
     # Column t-1 of a prefix sums dates x < t; column t of a suffix dates x >= t.
-    w_before = np.cumsum(w_due, axis=1)[:, :n]
-    w_from = np.cumsum(w_rel[:, ::-1], axis=1)[:, ::-1][:, 1:]
-    if criterion is CriterionKind.BINARY:
-        cost = w_before + w_from
-    else:
-        s_before = np.cumsum(w_due * dates, axis=1)[:, :n]
-        s_from = np.cumsum((w_rel * dates)[:, ::-1], axis=1)[:, ::-1][:, 1:]
-        t = dates[1:]
-        cost = (t * w_before - s_before) + (s_from - (t - 1) * w_from)
+    cost = 0  # each side present adds its price, the second in place
+    if w_due is not None:
+        w_before = np.cumsum(w_due, axis=1)[:, :n]
+        cost = w_before if binary else (
+            dates[1:] * w_before - np.cumsum(w_due * dates, axis=1)[:, :n])
+    if w_rel is not None:
+        w_from = np.cumsum(w_rel[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        cost += w_from if binary else (
+            np.cumsum((w_rel * dates)[:, ::-1], axis=1)[:, ::-1][:, 1:] - dates[:n] * w_from)
 
+    _check_fit(n, windows, None)
     forbidden = None
     if windows is not None:
-        if windows.n != n:
-            raise ValueError(f"windows cover {windows.n} tasks, profile has {n}")
         wr = np.array([r for r, _ in windows.windows], dtype=np.int64)[:, None]
         wd = np.array([d for _, d in windows.windows], dtype=np.int64)[:, None]
         ts = np.arange(1, n + 1, dtype=np.int64)[None, :]

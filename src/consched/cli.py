@@ -22,11 +22,11 @@ from source when no bytecode cache can be written. So at start-up this
 module imports only ``argparse``, :mod:`consched.errors` and
 :mod:`consched.model` (with NumPy), and holds only what ``solve`` and
 ``oracle`` run: the loaders, the fixtures table and those two handlers.
-``json`` is imported only to print ``--format json``.
-The parser names all seven subcommands, but adds a subcommand's arguments
-only when that subcommand parses. The handlers of the other five are in
-``consched._commands``, which their parsers import, and every handler
-imports the rest of what it runs when it runs.
+``json`` is imported only to print ``--format json``. The parser names
+all seven subcommands, but adds a subcommand's arguments, with the choices
+of the library's tables its handler loads, only when that subcommand
+parses. The handlers of the other five are in ``consched._commands``, which
+their parsers import, and every handler imports the rest when it runs.
 
 The process entry, ``run``, keeps the garbage collector off the start-up
 heap and, once a command has returned, ends the process itself: at-exit
@@ -260,11 +260,7 @@ _count = _at_least(0)
 _positive = _at_least(1)
 
 
-# experiment.GENERATORS, rules.RULES, rules.METHODS and axioms.AXIOMS, named here
-# so that building the parser imports none of these modules.
-_GENERATORS = ("uniform_permutations", "mallows_like_swap_noise")
-_RULES = ("distance", "binary", "emd")
-_METHODS = ("auto", "dp")
+# axioms.AXIOMS, named here because a plain ``oracle`` request never loads ``axioms``.
 _AXIOMS = ("release", "deadline", "unanimity")
 
 
@@ -273,13 +269,15 @@ def _add_format(p) -> None:
 
 
 def _add_rule_flags(p) -> None:
-    p.add_argument("--rule", required=True, choices=_RULES)
+    from .rules import METHODS, RULES
+
+    p.add_argument("--rule", required=True, choices=RULES)
     p.add_argument("--encoding", choices=sorted(_ENCODING_FLAGS))
     p.add_argument("--profile", required=True, metavar="FILE")
     p.add_argument("--time", metavar="FILE", help="global time-window file")
     p.add_argument("--prec", metavar="FILE", help="precedence edge file (graph mode)")
     p.add_argument("--prec-mode", choices=("inferred", "graph"))
-    p.add_argument("--method", choices=_METHODS, default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--dp-limit", type=_count, default=DEFAULT_DP_LIMIT,
                    help=f"subset-DP size guard (default {DEFAULT_DP_LIMIT})")
 
@@ -324,11 +322,12 @@ def _build_check_axioms(p) -> None:
 
 def _build_gen(p) -> None:
     from ._commands import cmd_gen
+    from .experiment import GENERATORS
 
     p.add_argument("--tasks", type=_positive, required=True)
     p.add_argument("--voters", type=_positive, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--generator", choices=_GENERATORS, default="uniform_permutations")
+    p.add_argument("--generator", choices=GENERATORS, default="uniform_permutations")
     p.add_argument("--swaps", type=_count, default=0,
                    help="adjacent transpositions per voter (swap-noise generator)")
     p.add_argument("--out", metavar="FILE")
@@ -337,12 +336,13 @@ def _build_gen(p) -> None:
 
 def _build_ratio(p) -> None:
     from ._commands import cmd_ratio
+    from .experiment import GENERATORS
 
     p.add_argument("--trials", type=_positive, required=True)
     p.add_argument("--tasks", type=_positive, required=True)
     p.add_argument("--voters", type=_positive, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--generator", choices=_GENERATORS, default="uniform_permutations")
+    p.add_argument("--generator", choices=GENERATORS, default="uniform_permutations")
     p.add_argument("--swaps", type=_count, default=0)
     p.add_argument("--exact", action="store_true",
                    help="oracle-backed optima, Kendall ratio, per-slot checks (n <= 10)")

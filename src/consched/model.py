@@ -305,7 +305,7 @@ class PreferenceProfile(_Record):
         if not v:
             raise ValueError("profile has no entries")
         if not n:
-            raise ValueError("empty schedule")
+            Schedule(())  # raises the reason
         if not np.issubdtype(orders.dtype, np.integer):
             raise ValueError(f"orders must be integers, got dtype {orders.dtype}")
         in_range = ((orders >= 1) & (orders <= n)).all(axis=1)
@@ -386,6 +386,16 @@ class TimeWindows(_Record):
     @property
     def n(self) -> int:
         return len(self.windows)
+
+
+def _check_fit(n: int, windows: Optional[TimeWindows], prec) -> None:
+    """Raise ``ValueError`` unless prec is None, "inferred" or a graph, and all cover n tasks."""
+    if not (prec is None or isinstance(prec, PrecedenceGraph) or prec == "inferred"):
+        raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {prec!r}")
+    if windows is not None and windows.n != n:
+        raise ValueError(f"windows cover {windows.n} tasks, profile has {n}")
+    if isinstance(prec, PrecedenceGraph) and prec.n != n:
+        raise ValueError(f"graph covers {prec.n} tasks, profile has {n}")
 
 
 # ---------------------------------------------------------------------------

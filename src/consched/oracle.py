@@ -38,6 +38,7 @@ from .model import (
     PreferenceProfile,
     Schedule,
     TimeWindows,
+    _check_fit,
     _Record,
 )
 
@@ -151,21 +152,17 @@ def exhaustive_optimum(
 ) -> OracleResult:
     """Exact minimum over all window/precedence-feasible permutations.
 
-    ``graph`` takes what ``solve``'s ``prec`` does: None, ``"inferred"`` (the
-    profile's unanimous-order graph) or an imposed ``PrecedenceGraph``.
+    ``graph`` takes what ``solve``'s ``prec`` does, checked alike before the
+    size guard (``model._check_fit``): None, ``"inferred"`` (the profile's
+    unanimous-order graph) or an imposed ``PrecedenceGraph``.
     """
-    if not (graph is None or isinstance(graph, PrecedenceGraph) or graph == "inferred"):
-        raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {graph!r}")
-    _guard(profile.n)
     n = profile.n
-    if windows is not None and windows.n != n:
-        raise ValueError(f"windows cover {windows.n} tasks, profile has {n}")
+    _check_fit(n, windows, graph)
+    _guard(n)
     if graph is not None:
         from .precedence import _resolve_precedences
 
         graph = _resolve_precedences(profile, graph)
-        if graph.n != n:
-            raise ValueError(f"graph covers {graph.n} tasks, profile has {n}")
     step = _steps(profile, criterion, encoding)
     if windows is not None:  # task j+1 may not complete outside its window (r, d]
         lo, hi = np.array(windows.windows, dtype=np.int64).T

@@ -40,6 +40,7 @@ from .model import (
     Schedule,
     TimeWindows,
     _as_encoding,
+    _check_fit,
     _Record,
 )
 
@@ -121,9 +122,9 @@ def solve(
     encoding, default tardiness), is an independent recheck. The schedule
     must then meet every window and every edge of the graph the path ran
     under. A failed recheck or check raises ``AssertionError``. An unknown
-    argument, and windows or a graph over another number of tasks than the
-    profile's, raise ``ValueError`` before any path is planned. A request no
-    path honors raises ``ValueError``, one no schedule satisfies
+    argument, and windows or a graph over another n (``model._check_fit``, as
+    in the oracle), raise ``ValueError`` before any path is planned. A request
+    no path honors raises ``ValueError``, one no schedule satisfies
     ``InfeasibleError``, a DP past ``dp_limit`` ``SizeLimitError``; the first
     two carry ``method`` (the path, or None).
     """
@@ -131,14 +132,9 @@ def solve(
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
     if encoding is not None:
         encoding = _as_encoding(encoding)
-    if not (prec is None or isinstance(prec, PrecedenceGraph) or prec == "inferred"):
-        raise ValueError(f"prec must be None, 'inferred' or a PrecedenceGraph: {prec!r}")
+    _check_fit(profile.n, windows, prec)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if windows is not None and windows.n != profile.n:
-        raise ValueError(f"windows cover {windows.n} tasks, profile has {profile.n}")
-    if isinstance(prec, PrecedenceGraph) and prec.n != profile.n:
-        raise ValueError(f"graph covers {prec.n} tasks, profile has {profile.n}")
     if rule == "emd":
         encoding = encoding if encoding is not None else EncodingKind.TARDINESS
         criterion = canonical_criterion(encoding)

@@ -971,15 +971,6 @@ class TestGen:
             "error: argument --swaps: invalid int value: 'two'\n"
         )
 
-    def test_parser_offers_the_experiment_generators(self):
-        assert cli._GENERATORS == experiment.GENERATORS
-
-    def test_parser_offers_the_planner_methods(self):
-        assert cli._METHODS == rules.METHODS
-
-    def test_parser_offers_the_planner_rules(self):
-        assert cli._RULES == rules.RULES
-
     def test_parser_offers_the_axioms(self):
         assert cli._AXIOMS == tuple(axioms.AXIOMS)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,43 @@ def test_unused_imports_finds_a_leftover():
         "def f(x: np.ndarray):\n    return os.path.join(interval_arrays(x))\n"
     )
     assert unused_imports(source) == ["_task_histogram"]
+
+
+def raised_templates(source: str) -> list[str]:
+    """The message of every ``raise X("...")``, each f-string field read as ``{}``."""
+    templates = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+            continue
+        first = node.exc.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            templates.append(first.value)
+        elif isinstance(first, ast.JoinedStr):
+            templates.append("".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                     for part in first.values))
+    return templates
+
+
+# Messages raised at more than one site, each with the reason it cannot have one.
+REPEATED_MESSAGES = {
+    "number has too many digits": "model._ints reads digit strings, while "
+    "_lines._check_order_line reads any int() token and must tell too long from not an integer",
+}
+
+
+def test_each_error_message_is_raised_from_one_site():
+    package = Path(consched.__file__).parent
+    counts = Counter(template for path in sorted(package.glob("*.py"))
+                     for template in raised_templates(path.read_text(encoding="utf-8")))
+    assert {template for template, k in counts.items() if k > 1} == set(REPEATED_MESSAGES)
+
+
+def test_raised_templates_reads_each_field_as_braces():
+    source = (
+        "def f(n, w):\n"
+        "    if n:\n        raise ValueError(f'windows cover {w.n} tasks, profile has {n}')\n"
+        "    raise KeyError('empty', 3)\n"
+        "    raise ValueError(message)\n"
+        "    raise\n"
+    )
+    assert sorted(raised_templates(source)) == ["empty", "windows cover {} tasks, profile has {}"]

@@ -178,22 +178,34 @@ class TestSolve:
         assert schedule.completion(1) == 3
         assert cost == 4  # task 1 runs two slots past both voters, rest on time
 
-    @pytest.mark.parametrize("rule, encoding, method", [
-        ("emd", None, "auto"),
-        ("distance", "deviation", "auto"),
-        ("distance", "deviation", "dp"),
-    ], ids=["emd", "matching", "dp"])
-    def test_constraints_of_another_size_are_refused_on_every_path(self, rule, encoding,
-                                                                   method):
+    @pytest.mark.parametrize("n, front", [
+        (3, lambda profile, windows, prec: solve(profile, "emd", None, windows, prec)),
+        (3, lambda profile, windows, prec: solve(profile, "distance", "deviation", windows, prec)),
+        (3, lambda profile, windows, prec: solve(profile, "distance", "deviation", windows, prec,
+                                                 method="dp")),
+        (3, lambda profile, windows, prec: exhaustive_optimum(profile, "distance", "deviation",
+                                                              windows, prec)),
+        # Two faults at once: the misfit is named before the method is read
+        # and before the oracle's size guard.
+        (3, lambda profile, windows, prec: solve(profile, "distance", "deviation", windows, prec,
+                                                 method="repair")),
+        (11, lambda profile, windows, prec: exhaustive_optimum(profile, "distance", "deviation",
+                                                               windows, prec)),
+    ], ids=["emd", "matching", "dp", "oracle", "unknown-method", "oracle-past-its-guard"])
+    def test_constraints_of_another_size_are_refused_on_every_path(self, n, front):
         # emd with windows and matching with a graph used to solve silently,
         # and dp refused the graph as covering another size of cost matrix.
-        profile = parse_profile("profile order\ntasks 3\nvoters 1\npref 1 : 1 2 3\n")
-        windows = TimeWindows(((0, 2), (0, 2)))
-        with pytest.raises(ValueError, match=r"^windows cover 2 tasks, profile has 3$"):
-            solve(profile, rule, encoding, windows, method=method)
-        graph = PrecedenceGraph(4, frozenset({(1, 2)}))
-        with pytest.raises(ValueError, match=r"^graph covers 4 tasks, profile has 3$"):
-            solve(profile, rule, encoding, prec=graph, method=method)
+        # solve and the oracle refuse each misfit with the same words.
+        profile = parse_profile(f"profile order\ntasks {n}\nvoters 1\n"
+                                f"pref 1 : {' '.join(map(str, range(1, n + 1)))}\n")
+        for windows, prec, message in [
+            (TimeWindows(((0, 2), (0, 2))), None, f"windows cover 2 tasks, profile has {n}"),
+            (None, PrecedenceGraph(4, frozenset({(1, 2)})), f"graph covers 4 tasks, profile has {n}"),
+            (None, "graph", "prec must be None, 'inferred' or a PrecedenceGraph: 'graph'"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                front(profile, windows, prec)
+            assert (type(exc.value), str(exc.value)) == (ValueError, message)
 
     def test_interval_mode_solves_without_encoding(self):
         profile = parse_profile(
