@@ -23,9 +23,8 @@ whose least value reached is a forbidden one reports infeasible. The phase
 keeps no predecessor array; it rebuilds only the augmenting path, over the
 cells the phase made tight. Ties go to the first minimum in column order, so
 the slots are a fixed function of the matrix (the tests' plain-Python
-``reference_hungarian`` pins them). The arithmetic is int64 while
-n * C < 2^62, with C the largest allowed entry, and exact Python integers
-beyond.
+``reference_hungarian`` pins them). The arithmetic is int64 throughout:
+``CostMatrix`` refuses n * C >= 2^62, with C the largest allowed entry.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import numpy as np
 from .criteria import CriterionKind, _as_criterion, _order_window, _task_histogram
 from .errors import InfeasibleError
 from .model import (
-    _INT64_MAX,
     EncodingKind,
     PreferenceProfile,
     Schedule,
@@ -56,8 +54,9 @@ class CostMatrix(_Record):
 
     ``forbidden`` marks window-excluded pairs; those cells carry no cost
     semantics and are never read by the solver. The matrix owns read-only
-    copies of ``cost`` (int64, checked non-negative) and ``forbidden``, so
-    no later write, to it or to the caller's arrays, can undo a check the
+    copies of ``cost`` (int64, checked non-negative, and n times its largest
+    allowed entry below 2^62, the matching's int64 bound) and ``forbidden``,
+    so no later write, to it or to the caller's arrays, can undo a check the
     kernels rely on. Two matrices are equal when their n and arrays are.
     """
 
@@ -65,22 +64,24 @@ class CostMatrix(_Record):
 
     def __init__(self, n: int, cost: np.ndarray, forbidden: Optional[np.ndarray] = None):
         n = _count(n, "cost matrix n")
-        if n == 0:
-            raise ValueError("cost matrix n must be >= 1, got 0")
         cost = np.asarray(cost)
         if not np.issubdtype(cost.dtype, np.integer):
             raise ValueError(f"cost matrix must be integral, got dtype {cost.dtype}")
         cost = cost.astype(np.int64)
         if cost.shape != (n, n):
             raise ValueError(f"cost matrix must be {n}x{n}")
-        if (cost < 0).any():
-            raise ValueError("cost matrix entries must be non-negative")
-        cost.flags.writeable = False
+        allowed = True
         if forbidden is not None:
             forbidden = np.array(forbidden, dtype=bool)
             if forbidden.shape != (n, n):
                 raise ValueError(f"forbidden mask must be {n}x{n}")
             forbidden.flags.writeable = False
+            allowed = ~forbidden
+        if (cost < 0).any():
+            raise ValueError("cost matrix entries must be non-negative")
+        if n * int(cost.max(initial=0, where=allowed)) >= 2**62:
+            raise ValueError(f"n={n} times the largest allowed entry must be below 2^62")
+        cost.flags.writeable = False
         self._fill(n, cost, forbidden)
 
     def price(self, schedule: Schedule) -> int:
@@ -113,7 +114,7 @@ def build_cost_matrix(
     and distance = late + early. O(distinct-prefs * n + n^2) time and O(n^2)
     memory beyond one (distinct-prefs, n) index array per count. Every entry
     and intermediate is at most n * v and a schedule's total at most
-    v * n * (n + 1), which :class:`PreferenceProfile` keeps inside int64.
+    v * n * (n + 1), which :class:`PreferenceProfile` keeps below 2^62.
     When ``windows`` is given, pair (j, t) is forbidden unless r_j < t <= d_j;
     windows over another n fail ``model._check_fit``, as in ``rules.solve``.
     """
@@ -201,32 +202,21 @@ def _hungarian(cost: np.ndarray, forbidden: Optional[np.ndarray]) -> np.ndarray:
     [0, 2*pin) and sentinels in [-limit, -1], ``lift`` lies in [0, OPT(i-1)],
     and between the two updates a cell is at most pin + OPT(i) < 2*pin, so
     every stored value lies in [-pin, 2*pin) and ``~minv`` in [-2*pin, pin).
-    The kernel runs in int64 while 2*pin - 1 <= 2^63 - 1, that is
-    n*C < 2^62; beyond, it runs the same steps on Python integers, where
-    ``pick`` reads negatives as 2*pin. A consensus matrix has C <= (n-1)*v
-    for v voters, so under the parse bound v*n*(n+1) <= 2^63 - 1 every
-    profile with n <= 3 stays in int64, and only profiles in the top half of
-    that range leave it.
+    These fit int64 since 2*pin - 1 <= 2^63 - 1, that is n*C < 2^62, which
+    ``CostMatrix`` checks.
     """
     n = cost.shape[0]
     masked = forbidden is not None and forbidden.any()
     pin = n * int(cost.max(initial=0, where=~forbidden) if masked else cost.max()) + 1
-    if 2 * pin - 1 <= _INT64_MAX:
-        dtype, red = np.int64, cost.copy()
-    else:
-        dtype, red = object, cost.astype(object)
+    red = cost.copy()
     if masked:
         red[forbidden] = pin
     red_rows, red_cols = list(red), list(red.T)  # views, so the phase-end updates reach them
     row_of = [-1] * n  # matched row of each column
     slots = np.zeros(n, dtype=np.int64)  # matched column of each row
-    minv = np.empty(n, dtype=dtype)
-    lift = np.zeros(n, dtype=dtype)  # every column's rise so far, owed to rows not yet reached
-    if dtype is object:
-        def pick():
-            return np.where(minv < 0, 2 * pin, minv).argmin()
-    else:
-        pick = minv.view(np.uint64).argmin
+    minv = np.empty(n, dtype=np.int64)
+    lift = np.zeros(n, dtype=np.int64)  # every column's rise so far, owed to rows not yet reached
+    pick = minv.view(np.uint64).argmin
     minimum = np.minimum  # a local name for the hot loop
     spent = 0
     for i in range(n):

@@ -27,8 +27,8 @@ File formats (UTF-8, line oriented, ``#`` starts a comment):
     pref <mult> : <t1> ... <tn>                      # order mode
     pref <mult> : (<r1>,<d1>) ... (<rn>,<dn>)        # interval mode, pair k = task k
 
-  Multiplicities must sum to v, and v * n * (n + 1) must fit in int64 (the
-  bound on every cost total, so all costs stay exact).
+  Multiplicities must sum to v, and v * n * (n + 1) must be below 2^62 (it
+  bounds every cost total, and keeps every matching value inside int64).
 * precedence file: one edge per line, ``a -> b`` (a completes before b).
 * time-window file: one line per constrained task, ``task <j> : <r> <d>``;
   unlisted tasks default to (0, n).
@@ -157,13 +157,13 @@ class _Record:
 
 
 def _count(n, what: str) -> int:
-    """``operator.index(n)``; a non-integer or negative ``n`` raises ``ValueError`` naming ``what``."""
+    """``operator.index(n)``; a non-integer or ``n`` < 1 raises ``ValueError`` naming ``what``."""
     try:
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {n!r}") from None
-    if n < 0:
-        raise ValueError(f"{what} must be >= 0, got {n}")
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n}")
     return n
 
 
@@ -236,14 +236,15 @@ def _check_edge(a: int, b: int, n: int) -> None:
         raise ValueError(f"self-loop on task {a}")
 
 
-_INT64_MAX = 2**63 - 1
+_COST_BOUND = 2**62 - 1
 
 
 def _check_cost_bound(n: int, v: int, line: int | None = None) -> None:
-    """Reject sizes whose cost totals (at most v * n * (n + 1)) could pass int64."""
-    if v * n * (n + 1) > _INT64_MAX:
+    """Reject v*n*(n+1) past ``_COST_BOUND``, so n*C < 2^62 for every entry C <= v*(n-1)."""
+    if v * n * (n + 1) > _COST_BOUND:
         raise ProfileError(
-            f"{v} voters on {n} tasks: cost totals up to v*n*(n+1) would overflow int64",
+            f"{v} voters on {n} tasks: v*n*(n+1) passes 2^62 - 1, "
+            "past which the matching's values could overflow int64",
             line,
         )
 
@@ -268,8 +269,8 @@ class PreferenceProfile(_Record):
     order, ``copy`` and ``pickle`` rebuild it through :meth:`_from_arrays`,
     and its repr is a summary.
 
-    Raises :class:`ProfileError` when v * n * (n + 1) exceeds the int64 range,
-    since cost totals of that size could no longer be computed exactly.
+    Raises :class:`ProfileError` when v * n * (n + 1) passes 2^62 - 1, the
+    cost bound that keeps every total and every matching value inside int64.
     """
 
     _fields = ("mode", "v", "mult", "completions", "release", "due")
@@ -490,7 +491,7 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     total = sum(mults)
     if total != v:
         raise ProfileError(f"multiplicities sum to {total}, header declares voters {v}")
-    # every multiplicity lies in 1..v, and v passed the int64 cost bound
+    # every multiplicity lies in 1..v, and v passed the cost bound
     return PreferenceProfile._from_arrays(mode, v, np.array(mults, dtype=np.int64), **arrays)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .criteria import pair_weight_matrix
 from .errors import DEFAULT_DP_LIMIT, InfeasibleError, SizeLimitError
-from .model import _INT64_MAX, PrecedenceGraph, PreferenceProfile, Schedule
+from .model import PrecedenceGraph, PreferenceProfile, Schedule
 
 if TYPE_CHECKING:
     from .assignment import CostMatrix
@@ -67,13 +67,15 @@ def _resolve_precedences(profile: PreferenceProfile,
 def repair_steps(
     schedule: Schedule, graph: PrecedenceGraph
 ) -> tuple[Schedule, list[tuple[int, int]]]:
-    """Drive a schedule into feasibility under an inferred graph; returns (result, swap log).
+    """Drive a schedule into feasibility under an acyclic graph; returns (result, swap log).
 
-    Processes vertices one at a time — always the smallest task id among the
-    vertices with no successor in the not-yet-processed part of the graph —
-    and, while the current vertex x still has a predecessor scheduled after
-    it, swaps x with the closest such predecessor. Each swap's partner is a
-    task that precedes x unanimously, so on a deviation- or tardiness-optimal
+    The graph is first closed transitively (an inferred one already is), so
+    a predecessor below means an ancestor. Processes vertices one at a time
+    — always the smallest task id among the vertices with no successor in
+    the not-yet-processed part of the graph — and, while the current vertex
+    x still has a predecessor scheduled after it, swaps x with the closest
+    such predecessor. Under an inferred graph each swap's partner is a task
+    that precedes x unanimously, so on a deviation- or tardiness-optimal
     input every swap preserves optimality. At most n^2 swaps (asserted).
     """
     n = schedule.n
@@ -82,10 +84,14 @@ def repair_steps(
     order = list(schedule.order)
     pos = {task: idx for idx, task in enumerate(order)}
     preds: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
-    succ_left: dict[int, int] = {t: 0 for t in range(1, n + 1)}
     for a, b in graph.edges:
         preds[b].append(a)
-        succ_left[a] += 1
+    ancestors = [0] * (n + 1)  # bit a of ancestors[b]: a precedes b, directly or not
+    for b in graph.topological_order():  # so each a's mask is complete when b reads it
+        for a in preds[b]:
+            ancestors[b] |= ancestors[a] | 1 << a
+    preds = {b: [a for a in preds if ancestors[b] >> a & 1] for b in preds}
+    succ_left = {a: sum(mask >> a & 1 for mask in ancestors) for a in preds}
 
     remaining = set(range(1, n + 1))
     swaps: list[tuple[int, int]] = []
@@ -119,7 +125,7 @@ def solve_with_graph(
     Raises
     ------
     ValueError
-        When ``size_limit`` is not an int >= 0, or n times the largest allowed entry passes int64.
+        When ``size_limit`` is not an int >= 0.
     SizeLimitError
         When n exceeds ``size_limit`` (default 20); pass a larger limit to
         override deliberately. Also, whatever the limit, when n >= 63 (the
@@ -144,8 +150,6 @@ def solve_with_graph(
     allowed = (
         ~matrix.forbidden if matrix.forbidden is not None else np.ones((n, n), dtype=bool)
     )
-    if n * int(matrix.cost.max(where=allowed, initial=0)) > _INT64_MAX:
-        raise ValueError(f"n={n} times the largest allowed cost would overflow int64")
     slot_order = _subset_dp(matrix.cost, pred_mask, allowed)
     if slot_order[0] < 0:
         raise InfeasibleError("no schedule satisfies the precedence graph and windows")

@@ -16,7 +16,7 @@ from consched.experiment import generate_profile
 from consched.criteria import CriterionKind, profile_cost
 from consched.errors import InfeasibleError
 from consched.model import (
-    _INT64_MAX,
+    _COST_BOUND,
     EncodingKind,
     Schedule,
     TimeWindows,
@@ -96,8 +96,8 @@ class TestCostMatrixMatchesBroadcast:
             n = rng.randint(1, 8)
             entries = [(rng.sample(range(1, n + 1), n), rng.randint(1, 5))
                        for _ in range(rng.randint(0, 5))]
-            # One entry as heavy as the int64 size check allows, up to 2^60.
-            room = _INT64_MAX // (n * (n + 1)) - sum(m for _, m in entries)
+            # One entry as heavy as the cost bound allows, up to 2^60.
+            room = _COST_BOUND // (n * (n + 1)) - sum(m for _, m in entries)
             entries.insert(rng.randint(0, len(entries)),
                            (rng.sample(range(1, n + 1), n), min(1 << 60, room)))
             profile = profile_of("order", entries)
@@ -210,7 +210,7 @@ class TestBuildCostMatrix:
             CostMatrix(n=2, cost=np.zeros((2, 2), dtype=np.float64))
 
     @pytest.mark.parametrize("n, message", [
-        (-1, "cost matrix n must be >= 0, got -1"),
+        (-1, "cost matrix n must be >= 1, got -1"),
         (2.0, "cost matrix n must be an integer, got 2.0"),
         (0, "cost matrix n must be >= 1, got 0"),
     ])
@@ -235,9 +235,12 @@ class TestBuildCostMatrix:
         assert m.price(schedule) == 5
 
     def test_price_past_int64_is_exact(self):
-        # The sum used to wrap in int64 and price this schedule at -2**62.
+        # An int64 sum would price (1, 2) at -2**62. ``CostMatrix`` refuses this
+        # matrix unmasked, but a forbidden cell may hold any entry.
         big = 3 * 2**61
-        m = CostMatrix(2, [[big, 0], [0, big]])
+        with pytest.raises(ValueError, match=r"below 2\^62"):
+            CostMatrix(2, [[big, 0], [0, big]])
+        m = CostMatrix(2, [[big, 0], [0, big]], [[True, False], [False, True]])
         assert m.price(Schedule((1, 2))) == 2 * big
         assert m.price(min_cost_assignment(m)) == 0
 

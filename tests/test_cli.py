@@ -132,9 +132,9 @@ class TestSolve:
         assert payload["cost"] == best.best_cost == 28
         assert Schedule(tuple(payload["schedule"])) in best.optima
 
-    def test_dp_optimum_at_two_to_the_60_is_feasible(self, capsys, tmp_path):
-        # The true optimum, 4 * 2**58, must not be mistaken for unreachable.
-        mult = 1 << 58
+    def test_dp_optimum_at_two_to_the_59_is_feasible(self, capsys, tmp_path):
+        # The true optimum, 4 * 2**57, must not be mistaken for unreachable.
+        mult = 1 << 57
         path = tmp_path / "huge.prof"
         path.write_text(
             f"profile order\ntasks 3\nvoters {2 * mult}\n"
@@ -149,12 +149,12 @@ class TestSolve:
         )
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["cost"] == 1 << 60
+        assert payload["cost"] == 1 << 59
         assert payload["schedule"] == [3, 2, 1]
 
-    def test_matching_optimum_at_two_to_the_60_is_feasible(self, capsys, tmp_path):
+    def test_matching_optimum_at_two_to_the_59_is_feasible(self, capsys, tmp_path):
         # Was exit 2, "time windows admit no feasible schedule", with no windows given.
-        mult = 1 << 58
+        mult = 1 << 57
         path = tmp_path / "huge.prof"
         path.write_text(
             f"profile order\ntasks 3\nvoters {2 * mult}\n"
@@ -169,15 +169,16 @@ class TestSolve:
         )
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["cost"] == 1 << 60
+        assert payload["cost"] == 1 << 59
         assert payload["method"] == "matching"
 
     @pytest.mark.parametrize("n", [3, 5])
-    @pytest.mark.parametrize("encoding", ["deviation", "tardiness"])
-    def test_matching_equals_dp_at_the_parse_bound(self, capsys, tmp_path, n, encoding):
-        # v * n * (n + 1) just below 2^63: n = 3 stays in int64, n = 5 needs
-        # 2n * max(cost) past it and runs the matching on Python integers.
-        v = (2**63 - 1) // (n * (n + 1))
+    @pytest.mark.parametrize("encoding", sorted(cli._ENCODING_FLAGS))
+    @pytest.mark.parametrize("windowed", [False, True], ids=["plain", "windows"])
+    def test_matching_equals_dp_at_the_parse_bound(self, capsys, tmp_path, n, encoding, windowed):
+        # The largest v the parse bound v * n * (n + 1) <= 2^62 - 1 allows:
+        # every cost matrix passes the kernel's bound n * C < 2^62.
+        v = (2**62 - 1) // (n * (n + 1))
         mults = (v - 2 * (v // 8), v // 8, v // 8)
         orders = (range(1, n + 1), range(n, 0, -1), (2, 1, *range(3, n + 1)))
         path = tmp_path / "bound.prof"
@@ -185,14 +186,20 @@ class TestSolve:
             f"profile order\ntasks {n}\nvoters {v}\n"
             + "".join(f"pref {m} : {' '.join(map(str, o))}\n" for m, o in zip(mults, orders))
         )
-        matrix = build_cost_matrix(parse_profile(path.read_text()), "distance", encoding)
-        assert (2 * n * int(matrix.cost.max()) >= 2**63 - 1) == (n == 5)
+        kind = cli._ENCODING_FLAGS[encoding]
+        rule = rules.canonical_criterion(kind).value
+        window = "task 1 : 1 3\n"  # task 1 may not take slot 1
+        (tmp_path / "w.txt").write_text(window)
+        time = ["--time", str(tmp_path / "w.txt")] if windowed else []
+        windows = parse_time_windows(window, n) if windowed else None
+        # CostMatrix refuses n * C >= 2^62 over the allowed cells: the build passes.
+        build_cost_matrix(parse_profile(path.read_text()), rule, kind, windows)
         answers = {}
         for method in ("auto", "dp"):
             code, out, _ = run(
                 capsys,
                 [
-                    "solve", "--profile", str(path), "--rule", "distance",
+                    "solve", "--profile", str(path), "--rule", rule, *time,
                     "--encoding", encoding, "--method", method, "--format", "json",
                 ],
             )

@@ -188,10 +188,10 @@ class TestProfileCostMatchesScalar:
             s = random_schedule(rng, n)
             assert profile_cost(s, profile, criterion) == scalar_profile_cost(s, profile, criterion)
 
-    def test_total_at_the_int64_bound_is_exact(self):
-        # Largest v with v * n * (n + 1) <= 2**63 - 1 for n = 3; the reversal
-        # costs 4 per voter under deviation, a total close to 2**63.
-        v = (2**63 - 1) // 12
+    def test_total_at_the_cost_bound_is_exact(self):
+        # Largest v with v * n * (n + 1) <= 2**62 - 1 for n = 3; the reversal
+        # costs 4 per voter under deviation, a total close to 2**61.
+        v = (2**62 - 1) // 12
         profile = parse_profile(f"profile order\ntasks 3\nvoters {v}\npref {v} : 1 2 3\n")
         cost = profile_cost(Schedule((3, 2, 1)), profile, "distance", "deviation")
         assert cost == 4 * v
@@ -238,9 +238,9 @@ class TestRankDistances:
         assert late == [ref.late_at_slot(schedule, profile, y) for y in range(1, n + 1)]
         assert all(type(x) is int for x in (spearman, kendall, *late))
 
-    def test_rank_distances_at_the_int64_bound_are_exact(self):
+    def test_rank_distances_at_the_cost_bound_are_exact(self):
         # The reversal of 3 tasks: 3 discordant pairs and a footrule of 4 per voter.
-        v = (2**63 - 1) // 12
+        v = (2**62 - 1) // 12
         profile = parse_profile(f"profile order\ntasks 3\nvoters {v}\npref {v} : 1 2 3\n")
         reversal = Schedule((3, 2, 1))
         assert kendall_tau_distance(reversal, profile) == 3 * v

@@ -27,7 +27,13 @@ from conftest import profile_of
 from consched import cli
 from consched.criteria import CriterionKind, profile_cost
 from consched.errors import InfeasibleError
-from consched.model import EncodingKind, PrecedenceGraph, TimeWindows, serialize_profile
+from consched.model import (
+    _COST_BOUND,
+    EncodingKind,
+    PrecedenceGraph,
+    TimeWindows,
+    serialize_profile,
+)
 from consched.oracle import exhaustive_optimum
 from consched.precedence import infer_precedences
 from consched.rules import METHODS, canonical_criterion, solve
@@ -40,7 +46,7 @@ ENCODING_FLAG = {kind: flag for flag, kind in cli._ENCODING_FLAGS.items()}
 def instances(draw):
     n = draw(st.integers(1, 7))
     k = draw(st.integers(1, 4))  # distinct pref lines
-    cap = (2**63 - 1) // (n * (n + 1)) // k  # k lines of at most cap keep v in bound
+    cap = _COST_BOUND // (n * (n + 1)) // k  # k lines of at most cap keep v in bound
     mult = st.one_of(st.integers(1, 3), st.integers(max(1, cap - 3), cap))
     entries = [(draw(st.permutations(range(1, n + 1))), draw(mult)) for _ in range(k)]
     windows = None

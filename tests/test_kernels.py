@@ -169,8 +169,17 @@ def largest_allowed(cost, forbidden=None):
 
 
 def int64_edge(n, top):
-    """The largest scale s with n * (top * s) < 2^62, the kernel's last int64 size."""
+    """The largest scale s with n * (top * s) < 2^62, the last size ``CostMatrix`` accepts."""
     return (2**62 - 1) // (n * top)
+
+
+def at_the_int64_edge(cost, forbidden=None):
+    """``cost`` at the largest scale ``CostMatrix`` accepts; one scale more is refused."""
+    n = len(cost)
+    edge = int64_edge(n, largest_allowed(cost, forbidden))
+    with pytest.raises(ValueError, match=r"largest allowed entry must be below 2\^62"):
+        CostMatrix(n, cost * (edge + 1), forbidden)
+    return CostMatrix(n, cost * edge, forbidden)
 
 
 def hidden_windows(rng, n):
@@ -226,28 +235,28 @@ class TestHungarianMatchesReference:
 
     def test_scaled_costs_take_the_same_steps_in_exact_integers(self):
         # Scaling every entry by K > 0 scales every comparison, so the slots
-        # cannot move; K is large enough to leave int64 for Python integers.
+        # cannot move; K is the largest scale that ``CostMatrix`` accepts.
         rng = np.random.default_rng(5)
         for trial in range(60):
             n = trial % 12 + 2
             cost = rng.integers(0, 12, size=(n, n)).astype(np.int64)
             forbidden = rng.random((n, n)) < 0.2
-            scale = (2**63 - 1) // max(1, int(cost.max()))
             want = reference_hungarian(cost, forbidden)
-            assert np.array_equal(hungarian(cost * scale, forbidden), want)
+            m = at_the_int64_edge(cost, forbidden)
+            assert np.array_equal(_hungarian(m.cost, m.forbidden), want)
 
     @pytest.mark.parametrize("n", [30, 36, 42])
-    def test_masked_python_integer_path_at_n_30_and_over(self, n):
+    def test_masked_matrices_at_the_int64_edge_at_n_30_and_over(self, n):
         rng = np.random.default_rng(n)
         cost = rng.integers(0, 12, size=(n, n)).astype(np.int64)
         forbidden = rng.random((n, n)) < 0.3
-        scale = (2**63 - 1) // int(cost.max())
         want = reference_hungarian(cost, forbidden)
         assert want[0] >= 0
-        assert np.array_equal(hungarian(cost * scale, forbidden), want)
+        m = at_the_int64_edge(cost, forbidden)
+        assert np.array_equal(_hungarian(m.cost, m.forbidden), want)
 
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
-    def test_last_int64_size_and_first_python_integer_size(self, masked):
+    def test_last_accepted_size_and_first_refused_size(self, masked):
         # Entries of 9..11 keep the optimum within a fifth of n*C, the sum
         # the bound allows for; scales s and s + 1 straddle n*C = 2^62.
         n = 60
@@ -259,13 +268,8 @@ class TestHungarianMatchesReference:
         top = largest_allowed(cost, forbidden)
         edge = int64_edge(n, top)
         assert n * top * edge < 2**62 <= n * top * (edge + 1)
-        peaks = []
-        for scale in (edge, edge + 1):
-            slots, peak = traced_peak(CostMatrix(n, cost * scale, forbidden))
-            assert np.array_equal(slots, want), f"scale {scale}"
-            peaks.append(peak)
-        # Python integers take a boxed object per cell: the path switched there.
-        assert 2 * peaks[0] < peaks[1]
+        m = at_the_int64_edge(cost, forbidden)
+        assert np.array_equal(_hungarian(m.cost, m.forbidden), want)
 
     @pytest.mark.parametrize("n", [120, 160, 200])
     def test_late_count_matrices_at_benchmark_scale(self, n):
@@ -308,12 +312,14 @@ class TestHungarianMatchesReference:
         assert reference_hungarian(cost, forbidden).tolist() == [1, 0, 2]
         assert hungarian(cost, forbidden).tolist() == [1, 0, 2]
 
-    @pytest.mark.parametrize("power", [60, 61], ids=["int64", "python-int"])
-    def test_optimum_past_two_to_the_60(self, power):
-        # n*C is 2^61 + 2, then 2^62 + 2: either side of the int64 cut.
-        cost = (1 << power) + np.array([[1, 0], [0, 1]], dtype=np.int64)
-        assert (reference_hungarian(cost) < 0).all()  # the 2^60 sentinel's false infeasible
-        assert hungarian(cost).tolist() == [1, 0]
+    def test_optimum_past_two_to_the_60(self):
+        # n*C is 2^61 + 2, then 2^62 - 2, the largest ``CostMatrix`` accepts.
+        for base in (1 << 60, (1 << 61) - 2):
+            cost = base + np.array([[1, 0], [0, 1]], dtype=np.int64)
+            assert (reference_hungarian(cost) < 0).all()  # the 2^60 sentinel's false infeasible
+            assert hungarian(cost).tolist() == [1, 0]
+        with pytest.raises(ValueError, match=r"below 2\^62"):
+            hungarian((1 << 61) + np.array([[0, 0], [0, 0]], dtype=np.int64))
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -323,8 +329,7 @@ class TestHungarianMatchesReference:
 class TestPinnedMask:
     """Forbidden cells are pinned at ``pin = n*C + 1`` before reduction, C over allowed cells."""
 
-    @pytest.mark.parametrize("offset", [0, 1], ids=["int64", "python-int"])
-    def test_column_reachable_only_through_forbidden_cells_near_the_bound(self, offset):
+    def test_column_reachable_only_through_forbidden_cells_near_the_bound(self):
         # Rows 1..n-1 fit the other columns, so only the last phase fails,
         # after the earlier phases spent OPT(n-1) of the pin. The rows it
         # reaches have fallen by their potentials, so their forbidden cells sit
@@ -339,14 +344,13 @@ class TestPinnedMask:
         live = np.delete(np.arange(n), dead)
         assert reference_hungarian(cost[:-1][:, live], forbidden[:-1][:, live])[0] >= 0
         assert (reference_hungarian(cost, forbidden) < 0).all()
-        scale = int64_edge(n, largest_allowed(cost, forbidden)) + offset
-        matrix = CostMatrix(n, cost * scale, forbidden)
+        matrix = at_the_int64_edge(cost, forbidden)
         assert (_hungarian(matrix.cost, matrix.forbidden) < 0).all()
         with pytest.raises(InfeasibleError):
             min_cost_assignment(matrix)
 
-    @pytest.mark.parametrize("offset", [None, 0, 1], ids=["unscaled", "int64", "python-int"])
-    def test_forbidden_cells_in_the_tree_columns_of_every_phase(self, offset):
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "int64"])
+    def test_forbidden_cells_in_the_tree_columns_of_every_phase(self, scaled):
         # Every matching costs the same and each row prefers the lowest
         # column, so phase i's tree is exactly columns 0..i-1: column 0 rises
         # in every phase after the first, and the forbidden cells below the
@@ -358,12 +362,12 @@ class TestPinnedMask:
         forbidden = (cols < rows - 1) & (np.random.default_rng(n).random((n, n)) < 0.5)
         assert forbidden[:, 0].sum() > n // 3
         want = reference_hungarian(cost, forbidden)
-        scale = 1 if offset is None else int64_edge(n, n - 1) + offset
-        assert np.array_equal(hungarian(cost * scale, forbidden), want)
+        m = at_the_int64_edge(cost, forbidden) if scaled else CostMatrix(n, cost, forbidden)
+        assert np.array_equal(_hungarian(m.cost, m.forbidden), want)
 
     @pytest.mark.parametrize("blocked", [False, True], ids=["feasible", "infeasible"])
-    @pytest.mark.parametrize("offset", [None, 0, 1], ids=["unscaled", "int64", "python-int"])
-    def test_the_last_phase_climbs_a_chain_to_the_limit(self, offset, blocked):
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "int64"])
+    def test_the_last_phase_climbs_a_chain_to_the_limit(self, scaled, blocked):
         # Row k < n-1 may take column k at 0 or column k+1 at C, and the last
         # row only column 0 at C. Rows 0..n-2 match for free, so the last phase
         # starts at ``limit = pin`` and shifts every row along the chain: its
@@ -380,8 +384,8 @@ class TestPinnedMask:
         forbidden[n - 2, n - 1] = blocked
         want = [-1] * n if blocked else [*range(1, n), 0]
         assert reference_hungarian(cost, forbidden).tolist() == want
-        scale = 1 if offset is None else int64_edge(n, top) + offset
-        assert hungarian(cost * scale, forbidden).tolist() == want
+        m = at_the_int64_edge(cost, forbidden) if scaled else CostMatrix(n, cost, forbidden)
+        assert _hungarian(m.cost, m.forbidden).tolist() == want
 
     @staticmethod
     def windowed_matrix(n=200):
@@ -392,7 +396,7 @@ class TestPinnedMask:
 
     def test_forbidden_entries_are_never_read(self):
         # C ranges over allowed cells only: int64-maximum entries behind the
-        # mask neither change the slots nor push the kernel onto Python integers.
+        # mask neither change the slots nor make ``CostMatrix`` refuse them.
         m = self.windowed_matrix()
         n = m.n
         want = _hungarian(m.cost, m.forbidden)

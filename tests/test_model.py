@@ -127,14 +127,14 @@ class TestParseProfile:
 
     @pytest.mark.parametrize("voters", [2 * (1 << 61), 1 << 63])
     def test_cost_totals_past_int64_rejected(self, voters):
-        # v * n * (n + 1) bounds every cost total; past 2**63 - 1 it could wrap.
+        # v * n * (n + 1) bounds every cost total; past 2**62 - 1 the matching could wrap.
         text = f"profile order\ntasks 3\nvoters {voters}\npref {voters} : 1 2 3\n"
         with pytest.raises(ProfileError, match="line 3: .*overflow int64"):
             parse_profile(text)
 
     def test_cost_bound_is_inclusive(self):
-        # 3 tasks: v * 12 <= 2**63 - 1 holds up to v = (2**63 - 1) // 12.
-        voters = (2**63 - 1) // 12
+        # 3 tasks: v * 12 <= 2**62 - 1 holds up to v = (2**62 - 1) // 12.
+        voters = (2**62 - 1) // 12
         text = "profile order\ntasks 3\nvoters {0}\npref {0} : 1 2 3\n"
         assert parse_profile(text.format(voters)).v == voters
         with pytest.raises(ProfileError, match="overflow int64"):
@@ -262,7 +262,8 @@ class TestPrecedenceGraph:
             PrecedenceGraph(n=2, edges=frozenset({(1, 1)}))
 
     @pytest.mark.parametrize("n, message", [
-        (-1, "precedence graph n must be >= 0, got -1"),
+        (-1, "precedence graph n must be >= 1, got -1"),
+        (0, "precedence graph n must be >= 1, got 0"),
         (2.5, "precedence graph n must be an integer, got 2.5"),
         ("3", "precedence graph n must be an integer, got '3'"),
         (None, "precedence graph n must be an integer, got None"),
@@ -274,7 +275,6 @@ class TestPrecedenceGraph:
     def test_n_is_read_as_an_int(self):
         g = PrecedenceGraph(n=np.int64(3), edges=frozenset({(np.int64(1), 2)}))
         assert type(g.n) is int and g == PrecedenceGraph(3, frozenset({(1, 2)}))
-        assert PrecedenceGraph(0, frozenset()).topological_order() == []
 
     def test_topological_order_respects_edges(self):
         g = PrecedenceGraph(n=4, edges=frozenset({(3, 1), (1, 4), (3, 4)}))

@@ -79,6 +79,42 @@ def test_unused_imports_finds_a_leftover():
     assert unused_imports(source) == ["_task_histogram"]
 
 
+def object_dtypes(source: str) -> list[int]:
+    """Lines that build an object-dtype array: ``dtype=object`` or ``.astype(object)``."""
+    def is_object(node):
+        return (isinstance(node, ast.Name) and node.id == "object"
+                or isinstance(node, ast.Attribute) and node.attr == "object_"
+                or isinstance(node, ast.Constant) and node.value in ("O", "object"))
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (any(kw.arg == "dtype" and is_object(kw.value) for kw in node.keywords)
+             or isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+             and node.args and is_object(node.args[0]))
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in Path(consched.__file__).parent.glob("*.py")
+))
+def test_module_builds_no_object_array(name):
+    # Costs are int64 throughout; an object array would be a second arithmetic.
+    source = (Path(consched.__file__).parent / name).read_text(encoding="utf-8")
+    assert object_dtypes(source) == []
+
+
+def test_object_dtypes_finds_each_spelling():
+    source = (
+        "import numpy as np\n"
+        "a = np.zeros(3, dtype=object)\nb = a.astype(object)\n"
+        "c = np.empty(2, dtype=np.object_)\nd = a.astype('O')\n"
+        "e = a.astype(np.int64)\nf = np.zeros(3, dtype=bool)\ng = object.__new__(int)\n"
+    )
+    assert object_dtypes(source) == [2, 3, 4, 5]
+
+
 def raised_templates(source: str) -> list[str]:
     """The message of every ``raise X("...")``, each f-string field read as ``{}``."""
     templates = []

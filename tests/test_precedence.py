@@ -118,6 +118,23 @@ class TestRepair:
             assert satisfied_by(prec, fixed)
             assert len(swaps) <= n * n
 
+    def test_graph_that_is_not_closed_is_closed_first(self):
+        # 6 must also move past its ancestor 7, through the edge 7 -> 6 of the
+        # closure: past its parent 4 alone it gives (2, 7, 6, 4, 5, 3, 1).
+        prec = PrecedenceGraph(7, frozenset({(2, 3), (4, 6), (7, 4), (7, 5)}))
+        fixed, swaps = repair_steps(Schedule((2, 4, 6, 7, 5, 3, 1)), prec)
+        assert fixed.order == (2, 7, 4, 6, 5, 3, 1)
+        assert swaps == [(6, 7), (4, 7)]
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(2, 9)
+            hidden = random_schedule(rng, n).order
+            pairs = (sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(1, n)))
+            prec = PrecedenceGraph(n, frozenset((hidden[a], hidden[b]) for a, b in pairs))
+            fixed, swaps = repair_steps(random_schedule(rng, n), prec)
+            assert satisfied_by(prec, fixed)
+            assert len(swaps) <= n * n
+
     def test_repair_preserves_distance_optimality(self):
         # swapping an optimal schedule into inferred-feasibility never
         # changes its summed-distance cost
@@ -269,11 +286,12 @@ class TestSolveWithGraph:
     def test_totals_past_int64_are_refused(self):
         # The DP's int64 table used to wrap and return (1, 2), which costs 3 * 2**62.
         big = 3 * 2**61
-        matrix = CostMatrix(2, [[big, 0], [0, big]])
-        with pytest.raises(ValueError, match="overflow int64"):
-            solve_with_graph(matrix, PrecedenceGraph(2, frozenset()))
+        with pytest.raises(ValueError, match=r"largest allowed entry must be below 2\^62"):
+            CostMatrix(2, [[big, 0], [0, big]])
+        edge = CostMatrix(2, [[2**61 - 1, 0], [0, 2**61 - 1]])  # n * C = 2^62 - 2
+        assert solve_with_graph(edge, PrecedenceGraph(2, frozenset())) == Schedule((2, 1))
         forbidden = np.array([[True, False], [False, True]])  # only the 0 cells are allowed
-        allowed = CostMatrix(2, matrix.cost, forbidden)
+        allowed = CostMatrix(2, [[big, 0], [0, big]], forbidden)
         assert solve_with_graph(allowed, PrecedenceGraph(2, frozenset())) == Schedule((2, 1))
 
     def test_size_guard(self):
