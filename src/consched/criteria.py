@@ -24,7 +24,6 @@ building block of the median-rule approximation analysis.
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 from typing import Optional, Union
 
@@ -69,8 +68,9 @@ def profile_cost(
 
     Prices every distinct entry at the schedule's completions in one array
     pass (an entry's row sum is at most n^2), then weights by multiplicity
-    with Python integers, so the total is exact at any size. Beyond the
-    window arrays, one (distinct, n) buffer holds each term in turn.
+    in int64: an accepted profile's total is at most v * n^2 < 2^62, so it
+    is exact. Beyond the window arrays, one (distinct, n) buffer holds each
+    term in turn.
     """
     _check_size(schedule, profile.n)
     rel, due, mult = interval_arrays(profile, encoding)
@@ -84,7 +84,7 @@ def profile_cost(
         per_entry = np.maximum(gap, 0, out=gap).sum(axis=1)
         np.subtract(rel, comp - 1, out=gap)  # before the release where positive
         per_entry += np.maximum(gap, 0, out=gap).sum(axis=1)
-    return sum(map(operator.mul, mult.tolist(), per_entry.tolist()))
+    return int(mult @ per_entry)
 
 
 def late_counts(schedule: Schedule, profile: PreferenceProfile) -> list[int]:

@@ -6,8 +6,8 @@ Two settings, and ``rules.solve`` picks the path for each:
   a -> b whenever *every* voter completes a before b. That relation is
   transitive and acyclic by construction. For the distance criterion the
   constrained optimum costs no more than the unconstrained one, and is reached
-  by repairing any matching optimum with at most n^2 pairwise swaps
-  (``repair_steps``). That covers all five encodings: under the distance
+  by repairing any matching optimum with at most n(n-1)/2 pairwise
+  swaps (``repair_steps``). That covers all five encodings: under the distance
   criterion late_tasks yields the tardiness windows and exact_position the
   deviation windows, and tardiness, earliness and deviation optima coincide
   pointwise, so the swap argument applies to each. For the binary criterion
@@ -69,47 +69,46 @@ def repair_steps(
 ) -> tuple[Schedule, list[tuple[int, int]]]:
     """Drive a schedule into feasibility under an acyclic graph; returns (result, swap log).
 
-    The graph is first closed transitively (an inferred one already is), so
-    a predecessor below means an ancestor. Processes vertices one at a time
-    — always the smallest task id among the vertices with no successor in
-    the not-yet-processed part of the graph — and, while the current vertex
-    x still has a predecessor scheduled after it, swaps x with the closest
-    such predecessor. Under an inferred graph each swap's partner is a task
-    that precedes x unanimously, so on a deviation- or tardiness-optimal
-    input every swap preserves optimality. At most n^2 swaps (asserted).
+    One scan over the slots, first to last: while the task x at the current
+    slot has a direct predecessor (an edge y -> x) at a later slot, x is
+    swapped with the closest such y and (x, y) is logged; otherwise the scan
+    moves to the next slot.
+
+    * No closure is needed: the scan never changes a slot to its left, and
+      it leaves a slot only when that slot's task has no later predecessor,
+      so the result meets every edge.
+    * At most n(n-1)/2 swaps (asserted): against any fixed topological
+      order, each swap undoes the inversion (y, x) and adds none on net.
+    * Distance costs never rise when every voter completes y before x, as
+      under an inferred graph: the swap moves both tasks' gaps t - C inward
+      while keeping their sum, and each distance encoding prices a gap with
+      one convex function (deviation, tardiness and earliness; late tasks
+      and exact position reduce to these under the distance criterion). So
+      a distance-optimal input stays optimal.
     """
     n = schedule.n
     if graph.n != n:
         raise ValueError(f"graph covers {graph.n} tasks, schedule has {n}")
     order = list(schedule.order)
-    pos = {task: idx for idx, task in enumerate(order)}
-    preds: dict[int, list[int]] = {t: [] for t in range(1, n + 1)}
+    pos = [0] * (n + 1)  # pos[task] = its index in order
+    for idx, task in enumerate(order):
+        pos[task] = idx
+    preds: list[list[int]] = [[] for _ in range(n + 1)]
     for a, b in graph.edges:
         preds[b].append(a)
-    ancestors = [0] * (n + 1)  # bit a of ancestors[b]: a precedes b, directly or not
-    for b in graph.topological_order():  # so each a's mask is complete when b reads it
-        for a in preds[b]:
-            ancestors[b] |= ancestors[a] | 1 << a
-    preds = {b: [a for a in preds if ancestors[b] >> a & 1] for b in preds}
-    succ_left = {a: sum(mask >> a & 1 for mask in ancestors) for a in preds}
-
-    remaining = set(range(1, n + 1))
     swaps: list[tuple[int, int]] = []
-    while remaining:
-        x = min(t for t in remaining if succ_left[t] == 0)
+    for k in range(n):
         while True:
-            later = [p for p in preds[x] if pos[p] > pos[x]]
-            if not later:
+            x = order[k]
+            at = min((pos[y] for y in preds[x] if pos[y] > k), default=k)  # closest later one
+            if at == k:
                 break
-            y = min(later, key=pos.__getitem__)
-            pos[x], pos[y] = pos[y], pos[x]
-            order[pos[x]], order[pos[y]] = x, y
+            y = order[at]
+            order[k], order[at] = y, x
+            pos[x], pos[y] = at, k
             swaps.append((x, y))
-            if len(swaps) > n * n:  # the procedure guarantees <= n^2
-                raise AssertionError("swap budget n^2 exceeded")  # pragma: no cover
-        remaining.remove(x)
-        for p in preds[x]:
-            succ_left[p] -= 1
+            if len(swaps) > n * (n - 1) // 2:  # each swap undoes an inversion
+                raise AssertionError("swap budget n(n-1)/2 exceeded")  # pragma: no cover
     return Schedule(tuple(order)), swaps
 
 

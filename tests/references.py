@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from consched._lines import _PAIR_RE, _windows_feasible
 from consched.errors import ProfileError
 from consched.model import EncodingKind, PreferenceProfile, Schedule, _check_cost_bound
 
@@ -166,6 +165,24 @@ class ReferenceProfile:
     entries: tuple
 
 
+_PAIR = r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)"  # one interval pair '(r,d)'
+
+
+def hall_feasible(windows) -> bool:
+    """Whether windows (r, d], one per task over slots 1..n, admit a schedule.
+
+    Hall's condition on intervals: for every 0 <= a < b <= n, at most b - a
+    windows lie inside (a, b]. A set of tasks that breaks Hall's condition
+    has one whose windows' union is a single interval, so intervals suffice.
+    """
+    n = len(windows)
+    return all(
+        sum(a <= r and d <= b for r, d in windows) <= b - a
+        for a in range(n)
+        for b in range(a + 1, n + 1)
+    )
+
+
 def reference_parse_profile(text):
     """The former parser: one validated Schedule or window tuple per line.
 
@@ -221,15 +238,18 @@ def reference_parse_profile(text):
             except ValueError as exc:
                 raise ProfileError(str(exc), no) from None
         else:
-            pairs = _PAIR_RE.findall(body)
-            if len(pairs) != n or _PAIR_RE.sub("", body).strip():
+            pairs = re.findall(_PAIR, body)
+            if len(pairs) != n or not re.fullmatch(rf"(?:\s*{_PAIR})*\s*", body):
                 raise ProfileError(f"expected {n} '(r,d)' pairs", no)
-            pref = tuple((int(r), int(d)) for r, d in pairs)
+            try:
+                pref = tuple((int(r), int(d)) for r, d in pairs)
+            except ValueError:  # a string of digits fails only past Python's int digit limit
+                raise ProfileError("number has too many digits", no) from None
             for j, (r, d) in enumerate(pref, start=1):
                 if not 0 <= r < d <= n:
                     message = f"task {j}: window ({r},{d}) violates 0 <= r < d <= {n}"
                     raise ProfileError(message, no)
-            if not _windows_feasible(pref):
+            if not hall_feasible(pref):
                 raise ProfileError("windows admit no feasible schedule", no)
         entries.append((pref, mult))
     total = sum(m for _, m in entries)

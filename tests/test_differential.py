@@ -1,14 +1,14 @@
 """Every solve method against the brute-force oracle on generated adversarial inputs.
 
 One property test draws n <= 7, a profile whose multiplicities reach up to
-just under the v * n * (n + 1) parse bound (where the Hungarian leaves int64
-for Python integers), optional global windows, and no, inferred or imposed
-precedences. ``rules.solve`` runs every method on it. Each run must take the
-documented path and return one of the oracle's optima under the request's
-constraints, or raise ``InfeasibleError`` exactly when the oracle finds no
-feasible schedule. emd must honour inferred precedences and refuse windows and
-an imposed graph with ``ValueError``. One CLI request per example must give
-the same outcome as its exit code and JSON.
+just under the v * n * (n + 1) parse bound (which keeps every cost and every
+matching value inside int64), optional global windows, and no, inferred or
+imposed precedences. ``rules.solve`` runs every method on it. Each run must
+take the documented path and return one of the oracle's optima under the
+request's constraints, or raise ``InfeasibleError`` exactly when the oracle
+finds no feasible schedule. emd must honour inferred precedences and refuse
+windows and an imposed graph with ``ValueError``. One CLI request per example
+must give the same outcome as its exit code and JSON.
 """
 
 from __future__ import annotations

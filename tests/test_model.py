@@ -635,6 +635,33 @@ def perturbed_order_profiles(draw):
     return "\n".join(header + body).replace("\n", end) + draw(st.sampled_from(["", end]))
 
 
+# Edits of an interval line's pairs: spacing the parser accepts, and bad or too long pairs.
+_PAIR_EDITS = [
+    lambda body: body,
+    lambda body: body.replace("(", "( ").replace(",", " ,\t"),
+    lambda body: body.replace(") (", ")("),
+    lambda body: body.replace(")", "", 1),
+    lambda body: body + " (0,1)",
+    lambda body: body.replace(" ", " x ", 1),
+    lambda body: body.replace("(", "(-", 1),
+    lambda body: body.replace("(", "(" + "0" * 4300, 1),
+]
+
+
+@st.composite
+def drawn_interval_profiles(draw):
+    """An interval profile's text with windows drawn at random, feasible or not, and pair edits."""
+    n = draw(st.integers(1, 6))
+    window = st.integers(0, n - 1).flatmap(lambda r: st.tuples(st.just(r), st.integers(r + 1, n)))
+    prefs = draw(st.lists(st.tuples(st.lists(window, min_size=n, max_size=n), st.integers(1, 3)),
+                          min_size=1, max_size=4))
+    edits = draw(st.lists(st.sampled_from(_PAIR_EDITS), min_size=len(prefs), max_size=len(prefs)))
+    body = [f"pref {m} : " + edit(" ".join(f"({r},{d})" for r, d in ws))
+            for (ws, m), edit in zip(prefs, edits)]
+    header = ["profile interval", f"tasks {n}", f"voters {sum(m for _, m in prefs)}"]
+    return "\n".join(header + body) + "\n"
+
+
 # Every line boundary that str.splitlines knows.
 _LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
@@ -775,6 +802,13 @@ class TestParseMatchesReference:
     @settings(derandomize=True, max_examples=400, deadline=None, database=None)
     @given(perturbed_order_profiles())
     def test_perturbed_order_profiles(self, text):
+        assert_parses_like_reference(text)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(drawn_interval_profiles())
+    def test_drawn_interval_profiles(self, text):
+        # The reference reads pairs with its own pattern and tests feasibility
+        # by Hall's condition, so neither library check is its own witness.
         assert_parses_like_reference(text)
 
     @pytest.mark.parametrize("brk", _LINE_BREAKS, ids=ascii)

@@ -79,6 +79,51 @@ def test_unused_imports_finds_a_leftover():
     assert unused_imports(source) == ["_task_histogram"]
 
 
+def unused_private_names(sources: list[str]) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignments no module refers to.
+
+    A reference is a loaded name, an attribute or a ``from`` import, in any
+    of ``sources``; dunder names are not private.
+    """
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for target in targets for t in ast.walk(target)
+                            if isinstance(t, ast.Name)]
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in used]
+
+
+def test_package_uses_every_private_name_it_defines():
+    package = Path(consched.__file__).parent
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
+    assert unused_private_names(sources) == []
+
+
+def test_unused_private_names_finds_a_leftover():
+    sources = [
+        "import numpy as np\n_LIMIT, _SPARE = 3, 4\n__all__ = ['f']\n"
+        "def _helper(x):\n    return x\nclass _Gone:\n    pass\n"
+        "def f(x):\n    return _helper(x) + _LIMIT\n",
+        "from .a import _shared\nfrom . import b\n_table: dict = {}\nb._attr_use()\n",
+        "def _shared():\n    pass\ndef _attr_use():\n    pass\n",
+    ]
+    assert unused_private_names(sources) == ["_SPARE", "_Gone", "_table"]
+
+
 def object_dtypes(source: str) -> list[int]:
     """Lines that build an object-dtype array: ``dtype=object`` or ``.astype(object)``."""
     def is_object(node):
