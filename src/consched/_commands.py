@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 
 from .errors import EXIT_OK, ProfileError
-from .model import Schedule, serialize_profile
+from .model import AXIOMS, Schedule, serialize_profile
 
 
 def cmd_eval(args, load_profile, encodings) -> int:
@@ -41,7 +41,7 @@ def cmd_eval(args, load_profile, encodings) -> int:
 
 
 def cmd_check_axioms(args, load_profile, solve) -> int:
-    from .axioms import AXIOMS, _check_axiom
+    from .axioms import _check_axiom
 
     profile = load_profile(args.profile)
     solution = solve(args, profile)

@@ -4,8 +4,11 @@
 from its bytes (``model._plain_body``). Every other body, interval mode or
 an order-mode body with comments, blank lines, tabs, double spaces, signs,
 non-ASCII digits or an error in it, is read here one line at a time. The
-parser imports this module only for such a body, so a plain request never
-compiles it. The first bad line in file order is the one reported.
+ids of an order-mode body go back to the byte reader, single-spaced, so
+only signs, non-ASCII digits or an error send them through the per-line
+checker. The parser imports this module only for such a body, so a plain
+request never compiles it. The first bad line in file order is the one
+reported.
 """
 
 from __future__ import annotations
@@ -55,10 +58,11 @@ def _read_body(lines: list[str], start: int, mode: str, n: int) -> tuple[list[in
     except ProfileError as exc:
         error = exc
     if mode == "order":
-        # The bulk reader reads the accepted lines' ids, written as plain lines of
-        # multiplicity 1. If it refuses them, they are read line by line, and the
-        # first bad line raises.
-        plain = _plain_body("".join("\npref 1 : " + body for body in bodies), 1, n)
+        # The bulk reader reads the accepted lines' ids, the tokens split() finds,
+        # written as plain lines of multiplicity 1. If it refuses them, the lines
+        # are read one at a time as written, and the first bad line raises.
+        plain = _plain_body("".join("\npref 1 : " + " ".join(body.split()) for body in bodies),
+                            1, n)
         if plain is None:
             rows = array("q")
             for body, no in zip(bodies, nos):

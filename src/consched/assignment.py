@@ -33,6 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .criteria import CriterionKind, _as_criterion, _order_window, _task_histogram
 from .errors import InfeasibleError
 from .model import (
@@ -46,7 +47,7 @@ from .model import (
     _Record,
 )
 
-__all__ = ["CostMatrix", "build_cost_matrix", "min_cost_assignment"]
+__all__ = _EXPORTS["assignment"]
 
 
 class CostMatrix(_Record):

@@ -23,25 +23,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _EXPORTS
 from .criteria import interval_arrays
-from .model import EncodingKind, PreferenceProfile, Schedule, TimeWindows, _check_size, _Record
+from .model import (
+    AXIOMS,
+    EncodingKind,
+    PreferenceProfile,
+    Schedule,
+    TimeWindows,
+    _check_size,
+    _Record,
+)
 
-__all__ = [
-    "Violation",
-    "AxiomReport",
-    "axiom_windows",
-    "check_release_consistency",
-    "check_deadline_consistency",
-    "check_temporal_unanimity",
-]
-
-# Flag name -> report name; release and deadline are defined on order-mode profiles only.
-AXIOMS = {
-    "release": "release_date_consistency",
-    "deadline": "deadline_consistency",
-    "unanimity": "temporal_unanimity",
-}
-
+__all__ = _EXPORTS["axioms"]
 
 class Violation(_Record):
     """Task completed at ``got`` instead of inside (window[0], window[1]]."""

@@ -64,6 +64,7 @@ from .errors import (  # noqa: E402
     SizeLimitError,
 )
 from .model import (  # noqa: E402
+    AXIOMS,
     EncodingKind,
     PrecedenceGraph,
     PreferenceProfile,
@@ -260,10 +261,6 @@ _count = _at_least(0)
 _positive = _at_least(1)
 
 
-# axioms.AXIOMS, named here because a plain ``oracle`` request never loads ``axioms``.
-_AXIOMS = ("release", "deadline", "unanimity")
-
-
 def _add_format(p) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -306,7 +303,7 @@ def _build_oracle(p) -> None:
     p.add_argument("--time", metavar="FILE")
     p.add_argument("--prec", metavar="FILE")
     p.add_argument("--prec-mode", choices=("inferred", "graph"))
-    p.add_argument("--axiom-filter", choices=_AXIOMS)
+    p.add_argument("--axiom-filter", choices=AXIOMS)
     p.add_argument("--max-optima", type=_count, default=20, help="optima printed (default 20)")
     _add_format(p)
     p.set_defaults(func=cmd_oracle)

@@ -29,17 +29,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .model import EncodingKind, PreferenceProfile, Schedule, _as_encoding, _check_size
 
-__all__ = [
-    "CriterionKind",
-    "profile_cost",
-    "late_counts",
-    "spearman_distance",
-    "kendall_tau_distance",
-    "pair_weight_matrix",
-    "interval_arrays",
-]
+__all__ = _EXPORTS["criteria"]
 
 
 class CriterionKind(str, Enum):

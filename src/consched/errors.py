@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-__all__ = ["ProfileError", "InfeasibleError", "SizeLimitError"]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
 
 
 class ProfileError(ValueError):

@@ -36,7 +36,6 @@ File formats (UTF-8, line oriented, ``#`` starts a comment):
 
 from __future__ import annotations
 
-import heapq
 import operator
 import re
 from enum import Enum
@@ -45,19 +44,10 @@ from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import ProfileError
 
-__all__ = [
-    "EncodingKind",
-    "Schedule",
-    "PreferenceProfile",
-    "PrecedenceGraph",
-    "TimeWindows",
-    "parse_profile",
-    "serialize_profile",
-    "parse_precedence",
-    "parse_time_windows",
-]
+__all__ = _EXPORTS["model"]
 
 
 class EncodingKind(str, Enum):
@@ -79,6 +69,16 @@ class EncodingKind(str, Enum):
     EARLINESS = "earliness"
     LATE_TASKS = "late_tasks"
     EXACT_POSITION = "exact_position"
+
+
+# The paper's three axioms (``consched.axioms``), flag name -> report name;
+# release and deadline are defined on order-mode profiles only. Kept here, where
+# every request loads it, so ``oracle --axiom-filter`` parses without ``axioms``.
+AXIOMS = {
+    "release": "release_date_consistency",
+    "deadline": "deadline_consistency",
+    "unanimity": "temporal_unanimity",
+}
 
 
 def _as_encoding(encoding: Union["EncodingKind", str]) -> "EncodingKind":
@@ -357,6 +357,8 @@ class PrecedenceGraph(_Record):
 
     def topological_order(self) -> list[int] | None:
         """Kahn's algorithm, smallest ready id first, O(E + n log n); None on a cycle."""
+        import heapq  # loaded only by a request with a precedence graph
+
         succ: list[list[int]] = [[] for _ in range(self.n + 1)]
         indeg = [0] * (self.n + 1)
         for a, b in self.edges:
@@ -442,10 +444,10 @@ def parse_profile(text: Union[str, IO[str]]) -> PreferenceProfile:
     line) is read straight from its bytes to the completions array by
     :func:`_plain_body`, with no per-line step. Any other body is read line
     by line by ``_lines._read_body``, imported only then, which hands the ids
-    of its lines to the same bulk reader first. The bulk reader returns None
-    rather than raise: every error about an order-mode line's task ids is
-    raised by ``_lines._check_order_line``, which reads ids through
-    ``int()`` (accepting ``+2``, tabs and Unicode digits) and takes its
+    of its lines, single-spaced, to the same bulk reader first. The bulk
+    reader returns None rather than raise: every error about an order-mode
+    line's task ids is raised by ``_lines._check_order_line``, which reads
+    ids through ``int()`` (accepting ``+2`` and Unicode digits) and takes its
     message from :class:`Schedule`. Multiplicities stay Python integers until their sum
     has matched the header. The first bad line in file order is reported.
 

@@ -30,6 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .criteria import CriterionKind, _as_criterion, interval_arrays, pair_weight_matrix
 from .errors import InfeasibleError, SizeLimitError
 from .model import (
@@ -42,12 +43,7 @@ from .model import (
     _Record,
 )
 
-__all__ = [
-    "OracleResult",
-    "exhaustive_optimum",
-    "constrained_best",
-    "kendall_optimum",
-]
+__all__ = _EXPORTS["oracle"]
 
 ORACLE_MAX_N = 10
 

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .criteria import pair_weight_matrix
 from .errors import DEFAULT_DP_LIMIT, InfeasibleError, SizeLimitError
 from .model import PrecedenceGraph, PreferenceProfile, Schedule
@@ -38,7 +39,7 @@ from .model import PrecedenceGraph, PreferenceProfile, Schedule
 if TYPE_CHECKING:
     from .assignment import CostMatrix
 
-__all__ = ["infer_precedences", "repair_steps", "solve_with_graph"]
+__all__ = _EXPORTS["precedence"]
 
 
 def infer_precedences(profile: PreferenceProfile) -> PrecedenceGraph:

@@ -30,6 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .assignment import build_cost_matrix, min_cost_assignment
 from .criteria import CriterionKind, _task_histogram, profile_cost
 from .errors import DEFAULT_DP_LIMIT, InfeasibleError
@@ -44,13 +45,7 @@ from .model import (
     _Record,
 )
 
-__all__ = [
-    "Solution",
-    "canonical_criterion",
-    "median_completion_times",
-    "emd_schedule",
-    "solve",
-]
+__all__ = _EXPORTS["rules"]
 
 
 _CANONICAL = {

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from conftest import latin_square
-from consched import axioms, cli, criteria, experiment, rules
+from consched import cli, criteria, experiment, rules
 from consched.assignment import build_cost_matrix
 from consched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE
 from consched.model import (
@@ -978,9 +978,6 @@ class TestGen:
             "error: argument --swaps: invalid int value: 'two'\n"
         )
 
-    def test_parser_offers_the_axioms(self):
-        assert cli._AXIOMS == tuple(axioms.AXIOMS)
-
     def test_round_trip_through_solve(self, capsys, tmp_path):
         path = tmp_path / "gen.prof"
         code, _, _ = run(
@@ -1377,14 +1374,17 @@ class TestFreshProcess:
         argv = [arg.replace("{tmp}", str(files)) for arg in argv]
         proc = _fresh(["-c", _entry_probe(argv, (
             "print(sorted(m[9:] for m in sys.modules if m.startswith('consched.')))\n"
-            "print('dataclasses' in sys.modules, 'json' in sys.modules)\n"))])
+            "print('dataclasses' in sys.modules, 'json' in sys.modules, 'heapq' in sys.modules)\n"
+        ))])
         assert proc.returncode == 0, proc.stderr
         *_, modules, loaded = proc.stdout.splitlines()
         assert set(eval(modules)) == self.MODULES - unused
         # Every record is a ``model._Record``, so no command loads ``dataclasses``,
-        # and only JSON output needs ``json``.
+        # only JSON output needs ``json``, and only a precedence graph or the
+        # line reader needs ``heapq``.
         json_out = "--format" in argv and argv[argv.index("--format") + 1] == "json"
-        assert loaded == f"False {json_out}"
+        heapq = not {"precedence", "_lines"} <= unused
+        assert loaded == f"False {json_out} {heapq}"
 
     def test_the_module_list_is_the_package(self):
         package = Path(cli.__file__).parent

@@ -745,13 +745,15 @@ class TestParseMatchesReference:
         assert_same_profile(parse_profile(text), reference_parse_profile(text))
 
     @pytest.mark.parametrize(
-        "body",
-        ["2  1 3", "2\t1 3", "+2 1 3", "2 1 \u0663", "2 1 0000000000000000003",
-         "2 1 " + "0" * 40 + "3"],
+        "body, reads",
+        [("2  1 3", 0), ("2\t1 3", 0), ("+2 1 3", 100), ("2 1 \u0663", 100),
+         ("2 1 0000000000000000003", 100), ("2 1 " + "0" * 40 + "3", 100)],
         ids=["double space", "tab", "plus sign", "arabic-indic digit", "19 chars", "41 chars"],
     )
-    def test_line_path_reads_what_the_c_conversion_refuses(self, body, monkeypatch):
-        # Valid for int() but not plain: the whole profile is read line by line.
+    def test_line_path_reads_what_the_c_conversion_refuses(self, body, reads, monkeypatch):
+        # Not plain, so the profile is read line by line. Its ids, single-spaced,
+        # go to the bulk reader, and only ids valid for int() but not for the
+        # bulk reader are checked one line at a time.
         lines = [f"pref 1 : {order}" for order in ("1 2 3", "3 1 2") * 50]
         lines[57] = f"pref 1 : {body}"
         text = "profile order\ntasks 3\nvoters 100\n" + "\n".join(lines) + "\n"
@@ -761,10 +763,19 @@ class TestParseMatchesReference:
             _lines, "_check_order_line", lambda body, *args: read.append(body) or real(body, *args)
         )
         got = parse_profile(text)
-        assert len(read) == 100
+        assert len(read) == reads
         monkeypatch.undo()
         assert_same_profile(got, reference_parse_profile(text))
         assert ref.entries(got)[57][0].order == (2, 1, 3)
+
+    def test_respaced_wide_bodies_read_their_ids_in_bulk(self, monkeypatch):
+        # `consched gen --tasks 60 --voters 4000 --seed 1` with every space
+        # doubled, or written as a tab.
+        plain = serialize_profile(generate_profile(60, 4000, 1))
+        want = parse_profile(plain)
+        monkeypatch.setattr(_lines, "_check_order_line", _refuse)
+        for text in (plain.replace(" ", "  "), plain.replace(" ", "\t")):
+            assert parse_profile(text) == want
 
     def test_serialized_profiles_take_the_byte_reader(self, capsys, monkeypatch):
         # What `consched gen` and serialize_profile write is read in one pass

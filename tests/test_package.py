@@ -41,10 +41,39 @@ def test_unknown_name_is_an_attribute_error():
 
 
 @pytest.mark.parametrize("module", sorted(consched._EXPORTS))
-def test_module_all_equals_its_export_row(module):
+def test_export_row_is_unique_and_defined_in_its_module(module):
+    row = consched._EXPORTS[module]
     home = importlib.import_module(f"consched.{module}")
-    assert sorted(home.__all__) == sorted(consched._EXPORTS[module])
-    assert len(set(home.__all__)) == len(home.__all__)
+    assert len(set(row)) == len(row)
+    assert [name for name in row if not hasattr(home, name)] == []
+
+
+def all_bindings(source: str) -> list[str]:
+    """The source of every value a module binds or adds to ``__all__``."""
+    def targets(node):
+        return node.targets if isinstance(node, ast.Assign) else [node.target]
+
+    return [
+        ast.unparse(node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets(node))
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(consched._EXPORTS))
+def test_module_takes_all_from_its_export_row(module):
+    # ``consched._EXPORTS`` is the one list of the public names; a module keeps no copy.
+    source = (Path(consched.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert all_bindings(source) == [f"_EXPORTS[{module!r}]"]
+
+
+def test_all_bindings_finds_a_leftover():
+    source = (
+        "from . import _EXPORTS\n__all__ = _EXPORTS['model']\n"
+        "__all__ += ['extra']\n__all__: list = ['Schedule']\nnames = ['x']\n"
+    )
+    assert all_bindings(source) == ["_EXPORTS['model']", "['extra']", "['Schedule']"]
 
 
 def unused_imports(source: str) -> list[str]:
