@@ -13,7 +13,6 @@ reported.
 
 from __future__ import annotations
 
-import heapq
 import re
 from array import array
 from itertools import chain, islice
@@ -131,6 +130,8 @@ def _windows_feasible(windows) -> bool:
     always running the released task with the tightest due date yields a
     feasible placement exactly when one exists (unit tasks, single machine).
     """
+    import heapq  # loaded only by an interval-mode body
+
     n = len(windows)
     by_release: dict[int, list[int]] = {}
     for r, d in windows:

@@ -349,31 +349,22 @@ class PrecedenceGraph(_Record):
     def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
         n = _count(n, "precedence graph n")
         edges = frozenset(_integers(edge, "edge") for edge in edges)
+        succ: list[list[int]] = [[] for _ in range(n + 1)]
+        indeg = [0] * (n + 1)
         for a, b in edges:
             _check_edge(a, b, n)
-        self._fill(n, edges)
-        if self.topological_order() is None:
-            raise ValueError("precedence graph has a cycle")
-
-    def topological_order(self) -> list[int] | None:
-        """Kahn's algorithm, smallest ready id first, O(E + n log n); None on a cycle."""
-        import heapq  # loaded only by a request with a precedence graph
-
-        succ: list[list[int]] = [[] for _ in range(self.n + 1)]
-        indeg = [0] * (self.n + 1)
-        for a, b in self.edges:
             succ[a].append(b)
             indeg[b] += 1
-        ready = [t for t in range(1, self.n + 1) if indeg[t] == 0]  # sorted, so a heap
-        out: list[int] = []
-        while ready:
-            t = heapq.heappop(ready)
-            out.append(t)
+        # Kahn's algorithm in any order: a task is taken after its last predecessor.
+        taken = [t for t in range(1, n + 1) if indeg[t] == 0]
+        for t in taken:  # also reads the tasks appended below; a cycle's never are
             for s in succ[t]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
-                    heapq.heappush(ready, s)
-        return out if len(out) == self.n else None
+                    taken.append(s)
+        if len(taken) < n:
+            raise ValueError("precedence graph has a cycle")
+        self._fill(n, edges)
 
 
 class TimeWindows(_Record):

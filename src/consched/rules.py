@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .assignment import build_cost_matrix, min_cost_assignment
-from .criteria import CriterionKind, _task_histogram, profile_cost
+from .criteria import CriterionKind, _order_window, _task_histogram, profile_cost
 from .errors import DEFAULT_DP_LIMIT, InfeasibleError
 from .model import (
     EncodingKind,
@@ -193,10 +193,7 @@ def _plan(profile: PreferenceProfile, rule: str, encoding: Optional[EncodingKind
         from .precedence import infer_precedences
 
         return "emd", infer_precedences(profile)
-    if profile.mode == "order" and encoding is None:
-        raise ValueError(f"--rule {rule} needs --encoding on an order-mode profile")
-    if profile.mode == "interval" and encoding is not None:
-        raise ValueError("interval-mode profiles take no --encoding")
+    _order_window(profile, encoding)
 
     graph = None
     if prec is not None:

@@ -194,6 +194,11 @@ class TestBuildCostMatrix:
             for slot in range(1, 4):
                 assert m.forbidden[task - 1, slot - 1] == (not r < slot <= d)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,)])
+    def test_forbidden_mask_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="^forbidden mask must be 3x3$"):
+            CostMatrix(3, np.zeros((3, 3), np.int64), np.zeros(shape, dtype=bool))
+
     def test_interval_mode_needs_no_encoding(self):
         profile = parse_profile(
             "profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (0,2)\n"

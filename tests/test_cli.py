@@ -698,6 +698,27 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    @pytest.mark.parametrize("schedule, reason", [
+        ("1 2 x", "invalid literal for int() with base 10: 'x'"),
+        ("1,1,3,4,5", "duplicate task 1 in schedule"),
+    ])
+    def test_bad_schedule_exit_1(self, capsys, schedule, reason):
+        code, out, err = run(capsys, [
+            "eval", "--profile", "fixture:slots5x5", "--schedule", schedule,
+            "--criterion", "distance", "--encoding", "tardiness",
+        ])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: bad --schedule: {reason}\n"
+
+    def test_json_report(self, capsys):
+        code, out, _ = run(capsys, [
+            "eval", "--profile", "fixture:slots5x5", "--schedule", "1,2,3,4,5",
+            "--criterion", "distance", "--encoding", "tardiness", "--format", "json",
+        ])
+        assert code == EXIT_OK
+        assert json.loads(out) == {"schedule": [1, 2, 3, 4, 5], "criterion": "distance",
+                                   "encoding": "tardiness", "cost": 12}
+
     @pytest.mark.parametrize("encoding", [[], ["--encoding", "tardiness"]])
     def test_schedule_size_mismatch_names_both_sizes(self, capsys, order_profile, encoding):
         code, out, err = run(capsys, [
@@ -732,6 +753,14 @@ class TestOracle:
         assert "1 2 3 5 6 7 4" in out
         assert "4 2 3 5 6 7 1" in out
 
+    def test_max_optima_counts_the_rest(self, capsys):
+        code, out, _ = run(capsys, [
+            "oracle", "--profile", "fixture:tail8x6", "--rule", "distance",
+            "--encoding", "deviation", "--max-optima", "1",
+        ])
+        assert code == EXIT_OK
+        assert out == ("best cost: 54\noptima: 4 (searched 40320 feasible schedules)\n"
+                       "  1 2 3 4 5 6 7 8\n  ... 3 more\n")
 
     @pytest.mark.parametrize("prec", [["--prec-mode", "inferred"], ["--prec-mode", "graph"]])
     def test_axiom_filter_rejects_prec_mode(self, capsys, prec):
@@ -931,6 +960,14 @@ class TestGen:
         with pytest.raises(ValueError, match=r"^swaps must be >= 0, got -5$"):
             experiment.generate_profile(4, 3, 1, "mallows_like_swap_noise", -5)
 
+    def test_generate_profile_refuses_an_unknown_generator(self):
+        with pytest.raises(ValueError, match=r"^unknown generator 'gaussian'$"):
+            experiment.generate_profile(4, 3, 1, "gaussian")
+
+    def test_experiment_config_refuses_no_trials(self):
+        with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+            experiment.ExperimentConfig(trials=0, n=4, v=3, seed=1)
+
     def test_experiment_config_refuses_negative_swaps(self):
         with pytest.raises(ValueError, match=r"^swaps must be >= 0, got -1$"):
             experiment.ExperimentConfig(
@@ -1046,6 +1083,55 @@ class TestRatio:
         assert payload["violations"] == []
         assert payload["tardiness"]["max"] <= 2.0
 
+    @staticmethod
+    def reverse_the_median(monkeypatch):
+        """Make the experiment schedule by the reversed median order; returns the profiles seen."""
+        seen = []
+
+        def reversed_median(profile):
+            seen.append(profile)
+            return Schedule(rules.emd_schedule(profile).order[::-1])
+
+        monkeypatch.setattr(experiment, "emd_schedule", reversed_median)
+        return seen
+
+    # (kind, whether the optimum was 0) of every breach a reversed median order
+    # draws: with 0 swaps all voters agree, so every optimum is 0.
+    @pytest.mark.parametrize("swaps, kinds", [
+        (0, {("kendall bound", True), ("per-slot bound", False), ("tardiness bound", True)}),
+        (2, {("kendall bound", False), ("per-slot bound", False), ("tardiness bound", False),
+             ("deviation bound", False)}),
+    ])
+    def test_breaches_are_reported(self, monkeypatch, swaps, kinds):
+        seen = self.reverse_the_median(monkeypatch)
+        config = experiment.ExperimentConfig(2, 5, 4, 1, "mallows_like_swap_noise", swaps, True)
+        report = experiment.run_ratio_experiment(config)
+        assert not report.ok
+        assert len(seen) == 2
+        found = set()
+        for entry in report.violations:
+            head, schedule, profile = entry.split("\n", 2)
+            trial, kind, detail = head.split(": ", 2)
+            t = int(trial.removeprefix("trial "))
+            reversed_median = Schedule(rules.emd_schedule(seen[t]).order[::-1])
+            assert schedule == f"  emd schedule: {reversed_median}"
+            assert profile == serialize_profile(seen[t])
+            found.add((kind, detail.startswith("optimum 0 but")))
+        assert found == kinds
+        if swaps == 0:  # no ratio is defined, so each statistic reads 1
+            assert (report.zero_tardiness_opt, report.zero_kendall_opt) == (2, 2)
+            assert report.max_tardiness_ratio == report.mean_kendall_ratio == 1.0
+
+    def test_breaches_exit_1_with_their_list(self, capsys, monkeypatch):
+        self.reverse_the_median(monkeypatch)
+        code, out, _ = run(capsys, [
+            "ratio", "--trials", "2", "--tasks", "5", "--voters", "4", "--seed", "1",
+            "--generator", "mallows_like_swap_noise", "--swaps", "0", "--exact",
+        ])
+        assert code == 1
+        assert "\n  VIOLATIONS (12):\ntrial 0: kendall bound: optimum 0 but emd 40\n" in out
+        assert "violations: none" not in out
+
 
 class TestFixtures:
     def test_list_names_all_bundled_profiles(self, capsys):
@@ -1056,6 +1142,16 @@ class TestFixtures:
             "median4x3b", "chain5x6", "window8x6",
         ):
             assert name in out
+
+    def test_json_list_maps_each_name_to_its_description_and_path(self, capsys):
+        code, out, _ = run(capsys, ["fixtures", "list", "--format", "json"])
+        assert code == EXIT_OK
+        listed = json.loads(out)
+        assert list(listed) == list(cli.FIXTURES)
+        for name, entry in listed.items():
+            assert entry == {"description": cli.FIXTURES[name],
+                             "path": str(Path(cli.__file__).parent / "fixtures" / f"{name}.prof")}
+            assert Path(entry["path"]).is_file()
 
     def test_path_points_at_readable_file(self, capsys):
         code, out, _ = run(capsys, ["fixtures", "path", "window8x6"])
@@ -1380,10 +1476,10 @@ class TestFreshProcess:
         *_, modules, loaded = proc.stdout.splitlines()
         assert set(eval(modules)) == self.MODULES - unused
         # Every record is a ``model._Record``, so no command loads ``dataclasses``,
-        # only JSON output needs ``json``, and only a precedence graph or the
-        # line reader needs ``heapq``.
+        # only JSON output needs ``json``, and only an interval-mode profile (the
+        # line reader's feasibility check) needs ``heapq``.
         json_out = "--format" in argv and argv[argv.index("--format") + 1] == "json"
-        heapq = not {"precedence", "_lines"} <= unused
+        heapq = "fixture:window8x6" in argv  # the one interval-mode profile here
         assert loaded == f"False {json_out} {heapq}"
 
     def test_the_module_list_is_the_package(self):

@@ -24,6 +24,7 @@ from consched.criteria import (
     interval_arrays,
     kendall_tau_distance,
     late_counts,
+    pair_weight_matrix,
     profile_cost,
     spearman_distance,
 )
@@ -91,6 +92,12 @@ class TestProfileCost:
         profile = parse_profile("profile order\ntasks 2\nvoters 1\npref 1 : 1 2\n")
         with pytest.raises(ValueError, match="encoding"):
             profile_cost(Schedule((1, 2)), profile, CriterionKind.DISTANCE)
+
+    def test_unknown_criterion_rejected(self):
+        profile = parse_profile("profile order\ntasks 2\nvoters 1\npref 1 : 1 2\n")
+        with pytest.raises(ValueError, match="^unknown criterion 'fast' "
+                                             r"\(expected 'binary' or 'distance'\)$"):
+            profile_cost(Schedule((1, 2)), profile, "fast", EncodingKind.TARDINESS)
 
     def test_interval_mode_forbids_encoding(self):
         profile = parse_profile("profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (1,2)\n")
@@ -252,6 +259,8 @@ class TestRankDistances:
         for measure in (spearman_distance, kendall_tau_distance):
             with pytest.raises(ValueError, match="order-mode"):
                 measure(Schedule((1, 2)), interval)
+        with pytest.raises(ValueError, match="^pairwise weights require an order-mode profile$"):
+            pair_weight_matrix(interval)
 
 
 _SIZED = {

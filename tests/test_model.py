@@ -107,6 +107,8 @@ class TestParseProfile:
         [
             ("profile sideways\ntasks 2\nvoters 1\npref 1 : 1 2\n", 1, "order.*interval"),
             ("profile order\ntasks x\nvoters 1\npref 1 : 1 2\n", 2, "tasks"),
+            ("profile order\ntasks 0\nvoters 1\npref 1 : 1\n", 2, "task count must be >= 1"),
+            ("profile order\ntasks 2\nvoters 0\npref 1 : 1 2\n", 3, "voter count must be >= 1"),
             ("profile order\ntasks 2\nvoters 1\nxref 1 : 1 2\n", 4, "pref"),
             ("profile order\ntasks 2\nvoters 1\npref 0 : 1 2\n", 4, "multiplicity"),
             ("profile order\ntasks 3\nvoters 1\npref 1 : 1 2\n", 4, "expected 3 task ids"),
@@ -119,6 +121,15 @@ class TestParseProfile:
     def test_errors_carry_line_numbers(self, text, lineno, message):
         with pytest.raises(ProfileError, match=rf"line {lineno}: .*({message})"):
             parse_profile(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n", "profile order\ntasks 2\nvoters 1\n# no pref line\n",
+    ])
+    def test_a_short_header_names_no_line(self, text):
+        with pytest.raises(ProfileError) as exc:
+            parse_profile(text)
+        assert exc.value.line is None
+        assert str(exc.value) == "profile needs a 3-line header and at least one pref line"
 
     def test_multiplicities_must_sum_to_voters(self):
         text = "profile order\ntasks 2\nvoters 3\npref 1 : 1 2\npref 1 : 2 1\n"
@@ -276,12 +287,6 @@ class TestPrecedenceGraph:
         g = PrecedenceGraph(n=np.int64(3), edges=frozenset({(np.int64(1), 2)}))
         assert type(g.n) is int and g == PrecedenceGraph(3, frozenset({(1, 2)}))
 
-    def test_topological_order_respects_edges(self):
-        g = PrecedenceGraph(n=4, edges=frozenset({(3, 1), (1, 4), (3, 4)}))
-        topo = g.topological_order()
-        assert sorted(topo) == [1, 2, 3, 4]
-        assert topo.index(3) < topo.index(1) < topo.index(4)
-
     @staticmethod
     def scan_order(n, edges):
         """Smallest task whose predecessors are all placed, one whole-edge scan at a time."""
@@ -294,26 +299,33 @@ class TestPrecedenceGraph:
             left.remove(out[-1])
         return out
 
-    def test_topological_order_matches_scan_on_random_dags(self):
+    def test_accepts_exactly_the_graphs_a_scan_can_order(self):
         rng = random.Random(15)
-        for trial in range(200):
+        for trial in range(400):
             n = trial % 12 + 1
             hidden = rng.sample(range(1, n + 1), n)
             density = rng.choice([0.0, 0.1, 0.3, 0.7])
-            edges = frozenset(
+            edges = {
                 (hidden[i], hidden[j])
                 for i in range(n) for j in range(i + 1, n) if rng.random() < density
-            )
-            g = PrecedenceGraph(n=n, edges=edges)
-            assert g.topological_order() == self.scan_order(n, edges), trial
-
-    def test_topological_order_of_a_cycle_is_none(self):
-        edges = frozenset({(1, 2), (2, 3), (3, 1), (4, 1)})
-        g = object.__new__(PrecedenceGraph)  # bypasses the cycle check that calls it
-        object.__setattr__(g, "n", 4)
-        object.__setattr__(g, "edges", edges)
-        assert self.scan_order(4, edges) is None
-        assert g.topological_order() is None
+            }
+            planted = n >= 2 and trial % 2 == 1
+            if planted:  # a back edge along a path i -> ... -> j
+                i, j = sorted(rng.sample(range(n), 2))
+                edges |= {(hidden[k], hidden[k + 1]) for k in range(i, j)}
+                edges.add((hidden[j], hidden[i]))
+            edges = frozenset(edges)
+            assert (self.scan_order(n, edges) is None) == planted, trial
+            if planted:
+                with pytest.raises(ValueError, match="^precedence graph has a cycle$"):
+                    PrecedenceGraph(n=n, edges=edges)
+            else:
+                assert PrecedenceGraph(n=n, edges=edges).edges == edges, trial
+        # A cycle with a task hanging off it: the tail never becomes ready either.
+        edges = frozenset({(1, 2), (2, 3), (3, 1), (4, 1), (3, 5)})
+        assert self.scan_order(5, edges) is None
+        with pytest.raises(ValueError, match="cycle"):
+            PrecedenceGraph(n=5, edges=edges)
 
     def test_satisfied_by(self):
         g = PrecedenceGraph(n=3, edges=frozenset({(2, 3)}))
@@ -367,6 +379,11 @@ class TestParseTimeWindows:
     def test_bounds_checked(self):
         with pytest.raises(ProfileError):
             parse_time_windows("task 1 : 2 2\n", 3)
+
+    def test_malformed_line_names_its_line(self):
+        with pytest.raises(ProfileError) as exc:
+            parse_time_windows("task 1 : 0 2\n\ntask two : 0 1\n", 3)
+        assert str(exc.value) == "line 3: expected 'task <j> : <r> <d>', got 'task two : 0 1'"
 
     @pytest.mark.parametrize(
         "text, lineno, window",

@@ -319,6 +319,13 @@ class TestSolveWithGraph:
         allowed = CostMatrix(2, [[big, 0], [0, big]], forbidden)
         assert solve_with_graph(allowed, PrecedenceGraph(2, frozenset())) == Schedule((2, 1))
 
+    def test_graph_of_another_size_rejected(self):
+        graph = PrecedenceGraph(n=4, edges=frozenset({(1, 2)}))
+        with pytest.raises(ValueError, match="^graph covers 4 tasks, schedule has 3$"):
+            repair_steps(Schedule((1, 2, 3)), graph)
+        with pytest.raises(ValueError, match="^graph covers 4 tasks, cost matrix has 3$"):
+            solve_with_graph(CostMatrix(3, np.zeros((3, 3), np.int64)), graph)
+
     def test_size_guard(self):
         n = DEFAULT_DP_LIMIT + 1
         profile = profile_of("order", [(range(1, n + 1), 1)])

@@ -105,6 +105,16 @@ class TestSolve:
         with pytest.raises(ValueError, match="unknown rule 'fastest'"):
             solve(profile, "fastest")
 
+    @pytest.mark.parametrize("argument, message", [
+        ({"encoding": "latest"}, "unknown encoding 'latest' (expected one of: deviation, "
+                                 "tardiness, earliness, late_tasks, exact_position)"),
+        ({"method": "fastest"}, "unknown method 'fastest'; expected one of ('auto', 'dp')"),
+    ])
+    def test_unknown_encoding_and_method_rejected(self, argument, message):
+        profile = parse_profile("profile order\ntasks 2\nvoters 1\npref 1 : 1 2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve(profile, "distance", **{"encoding": "deviation", **argument})
+
     def test_emd_needs_order_mode(self):
         profile = parse_profile("profile interval\ntasks 2\nvoters 1\npref 1 : (0,1) (1,2)\n")
         with pytest.raises(ValueError):
